@@ -1,6 +1,6 @@
 (* B10: Bechamel micro-benchmarks for the moving parts of the pipeline:
-   simulator speed, CFG extraction, path enumeration, the EM estimator and
-   the placement pass. *)
+   simulator speed, CFG extraction, path enumeration, the EM estimator,
+   the placement pass and the streaming path (fleet ingest, Online). *)
 
 open Bechamel
 open Toolkit
@@ -95,6 +95,84 @@ let test_log_prior =
          let out = Array.make (Tomo.Paths.num_signatures paths) 0.0 in
          Tomo.Paths.signature_log_prior paths ~log_t ~log_f out))
 
+(* Fleet ingest: every node's uplink batches of a field-faulted filter
+   fleet, pre-encoded, ingested by fresh per-node state — decode, collector
+   and Online together, as the base station runs them. *)
+let ingest_rounds = 100
+
+let prepared_ingest =
+  lazy
+    (let w = Workloads.filter in
+     let config = Codetomo.Pipeline.default_config in
+     let c = Workloads.compiled w in
+     let instrumented =
+       Mote_isa.Asm.assemble (Profilekit.Probes.instrument c.Mote_lang.Compile.items)
+     in
+     let procs =
+       List.map
+         (fun proc ->
+           ( proc,
+             Tomo.Paths.enumerate
+               (Tomo.Model.of_cfg (Cfgir.Cfg.of_proc_name instrumented proc)) ))
+         w.Workloads.profiled
+     in
+     let roster =
+       Fleet.Sim.plan ~seed:42 ~nodes:8 ~faults:(Profilekit.Transport.field ())
+         ~vary_faults:true
+     in
+     let nodes =
+       List.map
+         (fun node ->
+           let nr = Fleet.Sim.run_node ~workload:w ~instrumented ~config node in
+           let batch = Fleet.Sim.default_batch nr ~rounds:ingest_rounds in
+           ( node,
+             List.init ingest_rounds (fun round -> fst (Fleet.Sim.batch nr ~batch ~round)) ))
+         roster
+     in
+     let records =
+       List.fold_left
+         (fun acc (_, batches) ->
+           List.fold_left
+             (fun acc b -> acc + List.length (Profilekit.Wire.decode_exn b))
+             acc batches)
+         0 nodes
+     in
+     (instrumented, config, procs, nodes, records))
+
+let ingest_name = "ingest records/s (filter, field, 8 nodes)"
+
+let test_ingest =
+  Test.make ~name:ingest_name
+    (Staged.stage (fun () ->
+         let instrumented, config, procs, nodes, _ = Lazy.force prepared_ingest in
+         List.iter
+           (fun (node, batches) ->
+             let ing =
+               Fleet.Ingest.create ~node ~program:instrumented
+                 ~resolution:config.Codetomo.Pipeline.timer_resolution
+                 ~sigma:(Codetomo.Pipeline.noise_sigma config) ~decay:0.999 ~procs
+             in
+             List.iter (Fleet.Ingest.ingest ing) batches)
+           nodes))
+
+(* One Online observation over ctp_rx_task's 4096 raw paths (176
+   signatures), cycling through the jittered samples. *)
+let test_online =
+  let state = ref None in
+  Test.make ~name:"Online observe (ctp_rx_task)"
+    (Staged.stage (fun () ->
+         let _, paths, samples = Lazy.force prepared_ctp in
+         let online, next =
+           match !state with
+           | Some s -> s
+           | None ->
+               let s = (Tomo.Online.create ~sigma:4.0 paths, ref 0) in
+               state := Some s;
+               s
+         in
+         Tomo.Online.observe online samples.(!next mod Array.length samples);
+         incr next))
+
 let test_placement =
   Test.make ~name:"Pettis-Hansen + rewrite (sense)"
     (Staged.stage (fun () ->
@@ -107,13 +185,14 @@ let test_placement =
 let benchmark () =
   ignore (Lazy.force prepared_sense);
   ignore (Lazy.force prepared_ctp);
+  ignore (Lazy.force prepared_ingest);
   let instances = Instance.[ monotonic_clock ] in
   let cfg = Benchmark.cfg ~limit:200 ~quota:(Time.second 0.8) ~kde:(Some 100) () in
   let grouped =
     Test.make_grouped ~name:"codetomo"
       [
         test_simulator; test_cfg; test_paths; test_em; test_paths_merge;
-        test_em_sparse; test_log_prior; test_placement;
+        test_em_sparse; test_log_prior; test_placement; test_ingest; test_online;
       ]
   in
   let results = Benchmark.all cfg instances grouped in
@@ -126,6 +205,10 @@ let benchmark () =
   List.iter
     (fun (name, result) ->
       match Analyze.OLS.estimates result with
+      | Some [ est ] when String.ends_with ~suffix:ingest_name name ->
+          let _, _, _, _, records = Lazy.force prepared_ingest in
+          Printf.printf "  %-55s %12.0f ns/run  (%.0f records/s)\n%!" name est
+            (float_of_int records /. (est *. 1e-9))
       | Some [ est ] -> Printf.printf "  %-55s %12.0f ns/run\n%!" name est
       | _ -> Printf.printf "  %-55s (no estimate)\n%!" name)
     (List.sort compare lines)

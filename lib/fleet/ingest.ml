@@ -6,55 +6,41 @@ type proc_state = {
 
 type t = {
   node : Sim.node;
-  program : Mote_isa.Program.t;
-  resolution : int;
+  collector : Profilekit.Probes.Collector.t;
   procs : (string * proc_state) list;
-  mutable records_rev : Mote_machine.Devices.probe_record list;
   mutable delivered : int;
-  mutable discarded : int;
 }
 
 let create ~node ~program ~resolution ~sigma ~decay ~procs =
   {
     node;
-    program;
-    resolution;
+    collector = Profilekit.Probes.Collector.create ~program ~resolution ();
     procs =
       List.map
         (fun (proc, paths) ->
           (proc, { online = Tomo.Online.create ~decay ~sigma paths; fed = 0; samples_rev = [] }))
         procs;
-    records_rev = [];
     delivered = 0;
-    discarded = 0;
   }
 
 let node t = t.node
 
 let ingest t batch =
   let records = Profilekit.Wire.decode_exn batch in
-  t.records_rev <- List.rev_append records t.records_rev;
   t.delivered <- t.delivered + List.length records;
-  (* Re-pair the full history: the collector is sequential, so windows
-     closed by earlier rounds re-emerge identically and only the suffix
-     is new.  Feed exactly that suffix. *)
-  let r =
-    Profilekit.Probes.collect_lossy_records ~program:t.program ~resolution:t.resolution
-      (List.rev t.records_rev)
-  in
-  t.discarded <- r.Profilekit.Probes.discarded;
+  List.iter (Profilekit.Probes.Collector.feed t.collector) records;
   List.iter
-    (fun (proc, st) ->
-      let all = Profilekit.Probes.samples_for r.Profilekit.Probes.samples proc in
-      let n = Array.length all in
-      if n > st.fed then begin
-        for i = st.fed to n - 1 do
-          Tomo.Online.observe st.online all.(i);
-          st.samples_rev <- all.(i) :: st.samples_rev
-        done;
-        st.fed <- n
-      end)
-    t.procs
+    (fun (proc, closed) ->
+      match List.assoc_opt proc t.procs with
+      | None -> ()
+      | Some st ->
+          Array.iter
+            (fun v ->
+              Tomo.Online.observe st.online v;
+              st.samples_rev <- v :: st.samples_rev)
+            closed;
+          st.fed <- st.fed + Array.length closed)
+    (Profilekit.Probes.Collector.drain t.collector)
 
 let state t proc =
   match List.assoc_opt proc t.procs with
@@ -62,7 +48,8 @@ let state t proc =
   | None -> invalid_arg (Printf.sprintf "Fleet.Ingest: unknown procedure %S" proc)
 
 let delivered t = t.delivered
-let discarded t = t.discarded
+let discarded t = Profilekit.Probes.Collector.discarded t.collector
+let open_frames t = Profilekit.Probes.Collector.open_frames t.collector
 let fed t proc = (state t proc).fed
 let total_fed t = List.fold_left (fun acc (_, st) -> acc + st.fed) 0 t.procs
 let theta t proc = Tomo.Online.theta (state t proc).online

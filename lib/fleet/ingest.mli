@@ -3,18 +3,20 @@
     Batches arrive in rounds; each is decoded from the versioned
     {!Profilekit.Wire} format (unknown versions raise the typed
     {!Profilekit.Wire.Error} — a fleet never guesses at firmware it does
-    not speak), appended to the node's record history, and re-paired by
-    the resynchronizing lossy collector.  The collector is sequential,
-    so windows it closed in earlier rounds never change when new records
-    arrive — only {e new} windows appear, and exactly those are fed to
-    the per-procedure {!Tomo.Online} estimators.  Feeding batch by batch
-    therefore leaves the estimator in {e precisely} the state it would
-    reach on the concatenated stream (the fleet test suite asserts this
-    to the last bit).
+    not speak) and its records are fed, in order, into the node's
+    resumable lossy collector ({!Profilekit.Probes.Collector}).  The
+    windows each batch closes are fed to the per-procedure
+    {!Tomo.Online} estimators.  The collector is sequential, so a window
+    that spans a batch boundary closes in the batch that carries its
+    exit, and feeding batch by batch leaves every estimator in
+    {e precisely} the state it would reach on the concatenated stream
+    (the fleet test suite asserts this to the last bit).
 
-    Estimator memory is O(paths + parameters) per procedure; the record
-    history is kept only because the collector needs the full stream to
-    resynchronize across batch-spanning windows. *)
+    What is retained across batches: the collector's open-frame stack
+    (at most one frame per procedure), each estimator's O(signatures +
+    parameters) statistics, and every sample fed per procedure, which
+    the end-of-campaign drift analysis reads back ({!samples}).  No
+    record is kept once it has been fed. *)
 
 type t
 
@@ -33,7 +35,8 @@ val create :
 val node : t -> Sim.node
 
 val ingest : t -> string -> unit
-(** Decode one Wire batch, resynchronize, feed the new windows.
+(** Decode one Wire batch, feed its records to the collector, and feed
+    the windows they close to the estimators.
     @raise Profilekit.Wire.Error on an unreadable or wrong-version
     batch. *)
 
@@ -41,7 +44,15 @@ val delivered : t -> int
 (** Records received so far (across all batches, duplicates included). *)
 
 val discarded : t -> int
-(** Windows the collector abandoned in the current history. *)
+(** Frames the collector abandoned so far because a record was missing —
+    cumulative, so it never decreases from one batch to the next. *)
+
+val open_frames : t -> int
+(** Frames open at the tail of the last batch, waiting for records a
+    later batch may carry.  After the final batch, [discarded +
+    open_frames] equals the [discarded] count of one
+    {!Profilekit.Probes.collect_lossy_records} call over the
+    concatenated stream. *)
 
 val fed : t -> string -> int
 (** Samples fed to [proc]'s estimator so far. *)

@@ -67,7 +67,10 @@ type round_report = {
   round : int;  (** 1-based. *)
   delivered : int;  (** Cumulative records received, fleet-wide. *)
   fed : int;  (** Cumulative samples fed to estimators, fleet-wide. *)
-  discarded : int;  (** Windows currently abandoned, fleet-wide. *)
+  discarded : int;
+      (** Cumulative frames abandoned for a missing record, fleet-wide
+          ({!Ingest.discarded}); never decreases.  Frames merely open at
+          a batch tail are not counted. *)
   admitted : int;  (** (node, proc) estimates admitted to fusion. *)
   rejected : int;  (** (node, proc) estimates health-excluded. *)
   fused_mae : float;

@@ -1,4 +1,4 @@
-(* The five differential oracles.
+(* The six differential oracles.
 
    Each oracle takes one generated program (plus its own RNG stream where
    it needs randomness) and returns a verdict.  Failures carry a message
@@ -809,3 +809,143 @@ let faults p rng ~env_seed (c : Compile.t) =
                   rejected;
                 Pass
               with Degraded_badly msg -> Fail msg))
+
+(* ------------------------------------------------------------------ *)
+(* Oracle 6: the streaming path equals its one-shot reference.        *)
+(* ------------------------------------------------------------------ *)
+
+(* Feed [records] through one resumable collector, draining before every
+   record the split predicate picks, and check the result against one
+   {!Probes.collect_lossy_records} call.  [Some msg] on a disagreement. *)
+let split_collect_mismatch ?max_window ~program ~resolution ~split records =
+  let one = Probes.collect_lossy_records ?max_window ~program ~resolution records in
+  let c = Probes.Collector.create ?max_window ~program ~resolution () in
+  let bound = List.length (Program.procs program) in
+  let parts = Hashtbl.create 8 in
+  let take () =
+    List.iter
+      (fun (proc, s) ->
+        Hashtbl.replace parts proc
+          (s :: Option.value ~default:[] (Hashtbl.find_opt parts proc)))
+      (Probes.Collector.drain c)
+  in
+  let overflow = ref None in
+  List.iteri
+    (fun i r ->
+      if split () then take ();
+      Probes.Collector.feed c r;
+      let depth = Probes.Collector.open_frames c in
+      if depth > bound && !overflow = None then
+        overflow :=
+          Some (Printf.sprintf "record %d: %d open frames for %d procedures" i depth bound))
+    records;
+  take ();
+  let merged =
+    Hashtbl.fold (fun proc ss acc -> (proc, Array.concat (List.rev ss)) :: acc) parts []
+    |> List.sort compare
+  in
+  let as_hex set = List.map (fun (proc, s) -> (proc, Array.map hex s)) set in
+  let total = Probes.Collector.discarded c + Probes.Collector.open_frames c in
+  match !overflow with
+  | Some msg -> Some msg
+  | None ->
+      if as_hex merged <> as_hex one.Probes.samples then
+        Some "split collection closed different windows than one-shot collection"
+      else if total <> one.Probes.discarded then
+        Some
+          (Printf.sprintf "split discarded+open = %d, one-shot discarded = %d" total
+             one.Probes.discarded)
+      else None
+
+(* Signature-space Online vs. the per-path reference, compared after
+   every observation of the stream.  [Some msg] on a disagreement. *)
+let online_mismatch ~decay ~sigma paths stream =
+  let fast = Tomo.Online.create ~decay ~sigma paths in
+  let dense = Tomo.Online.create ~decay ~sigma paths in
+  let differs a b = hex a <> hex b in
+  let rec go i =
+    if i = Array.length stream then None
+    else begin
+      Tomo.Online.observe fast stream.(i);
+      Tomo.Online.Dense.observe dense stream.(i);
+      let at = Printf.sprintf "observation %d (%s)" i (hex stream.(i)) in
+      let tf = Tomo.Online.theta fast and td = Tomo.Online.theta dense in
+      let wf = Tomo.Online.effective_weight fast
+      and wd = Tomo.Online.effective_weight dense in
+      if Array.exists2 differs tf td then
+        Some
+          (Printf.sprintf "%s: theta signature=[%s] dense=[%s]" at
+             (String.concat ";" (Array.to_list (Array.map hex tf)))
+             (String.concat ";" (Array.to_list (Array.map hex td))))
+      else if differs wf wd then
+        Some (Printf.sprintf "%s: weight signature=%s dense=%s" at (hex wf) (hex wd))
+      else go (i + 1)
+    end
+  in
+  go 0
+
+let streaming p rng ~env_seed (c : Compile.t) =
+  let fault_seed = Stats.Rng.int rng 1_000_000 in
+  let fconfig = draw_fault_config rng in
+  let gap = 1 + Stats.Rng.int rng 24 in
+  let decay = if Stats.Rng.bool rng then 1.0 else 0.999 in
+  let sigma = 0.5 +. Stats.Rng.float rng 4.0 in
+  let instrumented = Asm.assemble (Probes.instrument c.Compile.items) in
+  match run_for_devices ~env_seed ~invocations:p.em_invocations instrumented with
+  | Error msg -> Fail (Printf.sprintf "instrumented run: %s" msg)
+  | Ok devices -> (
+      let log = Devices.probe_log devices in
+      if log = [] then Skip "empty probe log"
+      else
+        let resolution = Devices.timer_resolution devices in
+        let perturbed, _ = Transport.perturb ~seed:fault_seed fconfig log in
+        let check records ~split =
+          split_collect_mismatch ~program:instrumented ~resolution ~split records
+        in
+        let collector_failure =
+          List.find_map Fun.id
+            [
+              check log ~split:(fun () -> true);
+              check perturbed ~split:(fun () -> true);
+              check perturbed ~split:(fun () -> Stats.Rng.int rng gap = 0);
+            ]
+        in
+        match collector_failure with
+        | Some msg -> Fail ("resumable collector: " ^ msg)
+        | None -> (
+            (* Online over every tractable procedure's clean windows, plus
+               values no path explains (far below, far above, between). *)
+            let clean =
+              (Probes.collect_lossy_records ~program:instrumented ~resolution log)
+                .Probes.samples
+            in
+            let online_failure =
+              List.find_map
+                (fun (pi : Program.proc_info) ->
+                  let samples = Probes.samples_for clean pi.Program.name in
+                  let model =
+                    Tomo.Model.of_cfg (Cfg.of_proc_name instrumented pi.Program.name)
+                  in
+                  if Array.length samples = 0 || Tomo.Model.num_params model = 0 then None
+                  else
+                    match
+                      Tomo.Paths.enumerate ~max_paths:p.max_paths ~max_visits:p.max_visits
+                        ~max_steps:p.enum_steps model
+                    with
+                    | exception Tomo.Paths.Too_complex _ -> None
+                    | paths ->
+                        let lo = Tomo.Paths.min_cost paths
+                        and hi = Tomo.Paths.max_cost paths in
+                        let stream =
+                          Array.append samples
+                            [| lo -. 4000.0; hi +. 4000.0; ((lo +. hi) /. 2.0) +. 0.5 |]
+                        in
+                        Option.map
+                          (fun msg -> Printf.sprintf "%s: %s" pi.Program.name msg)
+                          (online_mismatch ~decay ~sigma paths stream))
+                (Program.procs instrumented)
+            in
+            match online_failure with
+            | Some msg ->
+                Fail ("signature Online diverged from the per-path reference: " ^ msg)
+            | None -> Pass))

@@ -1,4 +1,4 @@
-(** The five differential oracles of the fuzzing harness.
+(** The six differential oracles of the fuzzing harness.
 
     Every oracle runs one generated program through two pipelines that the
     design says must agree, and reports where they do not:
@@ -17,7 +17,11 @@
     + {!faults}: under a random bounded fault mix on the probe link, the
       transport is deterministic and well-accounted, lossy collection and
       the sanitized robust estimator never raise, health verdicts obey the
-      sample floor, and no [Rejected] procedure is touched by placement.
+      sample floor, and no [Rejected] procedure is touched by placement;
+    + {!streaming}: the resumable {!Profilekit.Probes.Collector} fed in
+      random batch splits equals one-shot lossy collection, and the
+      signature-space {!Tomo.Online} equals its per-path reference
+      {!Tomo.Online.Dense} after every observation.
 
     Verdicts distinguish {!Skip} (the case structurally carries no signal
     for this oracle) from {!Fail} (a real disagreement, message included). *)
@@ -91,3 +95,42 @@ val faults :
     sanitizer report consistency, finite in-range robust-EM results, and
     a natural (bit-identical modulo relinking) layout for every
     procedure whose health verdict is [Rejected]. *)
+
+val split_collect_mismatch :
+  ?max_window:int ->
+  program:Mote_isa.Program.t ->
+  resolution:int ->
+  split:(unit -> bool) ->
+  Mote_machine.Devices.probe_record list ->
+  string option
+(** Feed the records through one {!Profilekit.Probes.Collector} (with
+    [max_window] as given), draining
+    before each record for which [split ()] (called once per record, in
+    order) holds, and compare the concatenated drains and the final
+    discarded-plus-open count with one
+    {!Profilekit.Probes.collect_lossy_records} call.  Also checks, after
+    every record, that no more frames are open than the program has
+    procedures.  [Some msg] describes the first disagreement. *)
+
+val online_mismatch :
+  decay:float -> sigma:float -> Tomo.Paths.t -> float array -> string option
+(** Feed the stream to a {!Tomo.Online} and to a {!Tomo.Online.Dense}
+    estimator and compare θ and effective weight as hex floats after
+    every observation.  [Some msg] names the first observation where
+    they differ. *)
+
+val streaming :
+  params -> Stats.Rng.t -> env_seed:int -> Mote_lang.Compile.t -> verdict
+(** The streaming-path oracle.  Draws a fault seed, a bounded random
+    {!Profilekit.Transport.config}, a split density, a decay (1.0 or
+    0.999) and a noise scale from its stream, then checks two
+    equivalences on the instrumented binary's probe log:
+    + the pristine log fed one record per batch, and the perturbed log
+      fed one record per batch and in random splits, each yield exactly
+      the samples (hex-float equal) and the discarded-plus-open total of
+      one {!Profilekit.Probes.collect_lossy_records} call, with never
+      more open frames than procedures;
+    + for every procedure with branch parameters and a tractable path
+      set, {!Tomo.Online} and {!Tomo.Online.Dense} fed its clean windows
+      plus three values no path explains agree to the bit in θ and
+      effective weight after every observation. *)

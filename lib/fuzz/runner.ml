@@ -12,7 +12,7 @@ module Ast = Mote_lang.Ast
 module Check = Mote_lang.Check
 module Compile = Mote_lang.Compile
 
-type oracle = Gen_check | Optimize | Rewrite | Em | Convergence | Faults
+type oracle = Gen_check | Optimize | Rewrite | Em | Convergence | Faults | Streaming
 
 let oracle_name = function
   | Gen_check -> "gen-check"
@@ -21,6 +21,7 @@ let oracle_name = function
   | Em -> "em"
   | Convergence -> "convergence"
   | Faults -> "faults"
+  | Streaming -> "streaming"
 
 let oracle_of_name = function
   | "gen-check" -> Some Gen_check
@@ -29,9 +30,10 @@ let oracle_of_name = function
   | "em" -> Some Em
   | "convergence" -> Some Convergence
   | "faults" -> Some Faults
+  | "streaming" -> Some Streaming
   | _ -> None
 
-let all_oracles = [ Gen_check; Optimize; Rewrite; Em; Convergence; Faults ]
+let all_oracles = [ Gen_check; Optimize; Rewrite; Em; Convergence; Faults; Streaming ]
 
 (* ------------------------------------------------------------------ *)
 (* Case execution.                                                    *)
@@ -39,10 +41,10 @@ let all_oracles = [ Gen_check; Optimize; Rewrite; Em; Convergence; Faults ]
 
 (* Streams per case, in fixed order: program generation, environment
    seeding, placement randomness (rewrite oracle), convergence oracle,
-   fault injection (faults oracle).
+   fault injection (faults oracle), streaming oracle.
    Adding a stream at the END keeps old (seed, case) repros valid. *)
 let case_streams ~seed index =
-  Stats.Rng.split_n (Stats.Rng.stream ~seed ~index) 5
+  Stats.Rng.split_n (Stats.Rng.stream ~seed ~index) 6
 
 let env_seed_of rng = Stats.Rng.int rng 1_000_000
 
@@ -77,6 +79,7 @@ let run_case ?(params = Oracles.default_params) ?(config = Gen.default_config)
               (Em, Oracles.em_agreement params ~env_seed c);
               (Convergence, Oracles.convergence params s.(3) c);
               (Faults, Oracles.faults params s.(4) ~env_seed c);
+              (Streaming, Oracles.streaming params s.(5) ~env_seed c);
             ])
   in
   { index; program; verdicts }
@@ -122,7 +125,8 @@ let oracle_fails ?(params = Oracles.default_params) ~seed ~index oracle candidat
               | Rewrite -> is_fail (Oracles.rewrite params s.(2) ~env_seed c)
               | Em -> is_fail (Oracles.em_agreement params ~env_seed c)
               | Convergence -> is_fail (Oracles.convergence params s.(3) c)
-              | Faults -> is_fail (Oracles.faults params s.(4) ~env_seed c))))
+              | Faults -> is_fail (Oracles.faults params s.(4) ~env_seed c)
+              | Streaming -> is_fail (Oracles.streaming params s.(5) ~env_seed c))))
 
 (* Gen_check findings fail Check or compile, which Shrink.minimize's
    validity filter would reject — minimize them with a hand-rolled greedy

@@ -109,109 +109,119 @@ let samples_for set proc = Option.value ~default:[||] (List.assoc_opt proc set)
 
 type lossy_result = { samples : sample_set; discarded : int }
 
-type lossy_frame = {
-  lproc : string;
-  lt_entry : int;
-  mutable lchild : int;
-  mutable corrupted : bool;
-}
+module Collector = struct
+  type frame = {
+    proc : string;
+    t_entry : int;
+    mutable child : int;
+    mutable corrupted : bool;
+  }
 
-let collect_lossy_records ?max_window ~program ~resolution records =
-  let to_cycles ticks = ticks * resolution in
-  let samples : (string, float list ref) Hashtbl.t = Hashtbl.create 8 in
-  let record_sample proc v =
-    let cell =
-      match Hashtbl.find_opt samples proc with
-      | Some c -> c
-      | None ->
-          let c = ref [] in
-          Hashtbl.replace samples proc c;
-          c
-    in
-    cell := v :: !cell
-  in
-  let stack : lossy_frame list ref = ref [] in
-  let discarded = ref 0 in
-  let poison () = List.iter (fun f -> f.corrupted <- true) !stack in
-  let discard_top () =
-    match !stack with
+  type t = {
+    program : Program.t;
+    resolution : int;
+    max_window : int option;
+    mutable stack : frame list;
+    mutable discarded : int;
+    closed : (string, float list ref) Hashtbl.t;
+        (* Samples closed since the last [drain], newest first. *)
+  }
+
+  let create ?max_window ~program ~resolution () =
+    { program; resolution; max_window; stack = []; discarded = 0; closed = Hashtbl.create 8 }
+
+  let discarded t = t.discarded
+  let open_frames t = List.length t.stack
+
+  let record_sample t proc v =
+    match Hashtbl.find_opt t.closed proc with
+    | Some cell -> cell := v :: !cell
+    | None -> Hashtbl.replace t.closed proc (ref [ v ])
+
+  let poison t = List.iter (fun f -> f.corrupted <- true) t.stack
+
+  let discard_top t =
+    match t.stack with
     | [] -> ()
     | _ :: rest ->
-        incr discarded;
-        stack := rest;
-        poison ()
-  in
+        t.discarded <- t.discarded + 1;
+        t.stack <- rest;
+        poison t
+
   (* Close the top frame as [proc]'s exit if it matches; otherwise, if
      [proc] is open deeper, unwind (discarding) to it; otherwise the entry
      record was lost — skip the exit. *)
-  let rec close proc t_exit =
-    match !stack with
-    | [] ->
-        incr discarded;
-        ()
-    | frame :: rest when frame.lproc = proc ->
-        let inclusive = to_cycles (diff16 t_exit frame.lt_entry) in
+  let rec close t proc t_exit =
+    match t.stack with
+    | [] -> t.discarded <- t.discarded + 1
+    | frame :: rest when frame.proc = proc ->
+        let inclusive = diff16 t_exit frame.t_entry * t.resolution in
         let implausible =
-          match max_window with Some m -> inclusive > m | None -> false
+          match t.max_window with Some m -> inclusive > m | None -> false
         in
         if implausible then begin
           (* A window longer than any plausible invocation: this exit
              paired with a stale entry across lost records. *)
-          incr discarded;
-          stack := rest;
-          poison ()
+          t.discarded <- t.discarded + 1;
+          t.stack <- rest;
+          poison t
         end
         else begin
-          if frame.corrupted then incr discarded
-          else record_sample frame.lproc (float_of_int (inclusive - frame.lchild));
+          if frame.corrupted then t.discarded <- t.discarded + 1
+          else record_sample t frame.proc (float_of_int (inclusive - frame.child));
           (match rest with
-          | parent :: _ -> parent.lchild <- parent.lchild + inclusive
+          | parent :: _ -> parent.child <- parent.child + inclusive
           | [] -> ());
-          stack := rest
+          t.stack <- rest
         end
     | _ ->
-        if List.exists (fun f -> f.lproc = proc) !stack then begin
-          discard_top ();
-          close proc t_exit
+        if List.exists (fun f -> f.proc = proc) t.stack then begin
+          discard_top t;
+          close t proc t_exit
         end
         else begin
           (* Exit with no matching entry: its entry record was lost, and we
              cannot know which open windows it contaminated. *)
-          incr discarded;
-          poison ()
+          t.discarded <- t.discarded + 1;
+          poison t
         end
-  in
-  List.iter
-    (fun { Mote_machine.Devices.pc; value; _ } ->
-      match Program.proc_at program pc with
-      | None ->
-          incr discarded;
-          poison ()
-      | Some proc ->
-          let name = proc.Program.name in
-          if pc = proc.Program.entry + 1 then begin
-            (* Recursion is impossible in mote programs, so an entry for an
-               already-open procedure proves its previous exit was lost:
-               everything open is torn. *)
-            if List.exists (fun f -> f.lproc = name) !stack then begin
-              discarded := !discarded + List.length !stack;
-              stack := []
-            end;
-            stack :=
-              { lproc = name; lt_entry = wrap16 value; lchild = 0; corrupted = false }
-              :: !stack
-          end
-          else close name (wrap16 value))
-    records;
+
+  let feed t { Mote_machine.Devices.pc; value; _ } =
+    match Program.proc_at t.program pc with
+    | None ->
+        t.discarded <- t.discarded + 1;
+        poison t
+    | Some proc ->
+        let name = proc.Program.name in
+        if pc = proc.Program.entry + 1 then begin
+          (* Recursion is impossible in mote programs, so an entry for an
+             already-open procedure proves its previous exit was lost:
+             everything open is torn. *)
+          if List.exists (fun f -> f.proc = name) t.stack then begin
+            t.discarded <- t.discarded + List.length t.stack;
+            t.stack <- []
+          end;
+          t.stack <- { proc = name; t_entry = wrap16 value; child = 0; corrupted = false } :: t.stack
+        end
+        else close t name (wrap16 value)
+
+  let drain t =
+    let samples =
+      Hashtbl.fold
+        (fun proc cell acc -> (proc, Array.of_list (List.rev !cell)) :: acc)
+        t.closed []
+      |> List.sort compare
+    in
+    Hashtbl.reset t.closed;
+    samples
+end
+
+let collect_lossy_records ?max_window ~program ~resolution records =
+  let c = Collector.create ?max_window ~program ~resolution () in
+  List.iter (Collector.feed c) records;
   (* Frames still open at the end of the log never completed. *)
-  discarded := !discarded + List.length !stack;
-  let samples =
-    Hashtbl.fold
-      (fun proc cell acc -> (proc, Array.of_list (List.rev !cell)) :: acc)
-      samples []
-    |> List.sort compare
-  in
-  { samples; discarded = !discarded }
+  let samples = Collector.drain c in
+  { samples; discarded = Collector.discarded c + Collector.open_frames c }
 
 let collect_lossy ?max_window ~program ~devices () =
   collect_lossy_records ?max_window ~program

@@ -67,7 +67,9 @@ val samples_for : sample_set -> string -> float array
 
 type lossy_result = {
   samples : sample_set;  (** Windows whose records all survived. *)
-  discarded : int;  (** Frames abandoned because a record was missing. *)
+  discarded : int;
+      (** Frames abandoned because a record was missing, including those
+          still open when the log ends. *)
 }
 
 val collect_lossy :
@@ -95,6 +97,39 @@ val collect_lossy :
     what [discarded] accounts for, treat caller samples with
     suspicion (leaf procedures are unaffected). *)
 
+(** The resynchronizing lossy collector as a resumable state machine: feed
+    records one at a time, in any batch split, and drain the windows they
+    close.  Its only state across records is the open-frame stack, and
+    since recursion is impossible (an entry for an open procedure tears
+    the stack) that stack never holds a procedure twice — at most one
+    frame per procedure, however long the stream.  Because the machine is
+    sequential, feeding a log in any number of pieces yields exactly the
+    samples and discards of one {!collect_lossy_records} call over the
+    concatenation. *)
+module Collector : sig
+  type t
+
+  val create : ?max_window:int -> program:Program.t -> resolution:int -> unit -> t
+  (** An empty collector; [max_window] and [resolution] as in
+      {!collect_lossy_records}. *)
+
+  val feed : t -> Mote_machine.Devices.probe_record -> unit
+  (** Advance by one record.  Never raises. *)
+
+  val drain : t -> sample_set
+  (** The windows closed since the previous [drain] (per procedure, in
+      execution order), which are then forgotten. *)
+
+  val discarded : t -> int
+  (** Frames abandoned so far because a record was missing — cumulative,
+      never decreasing.  Frames that are merely still open are not
+      counted; see {!open_frames}. *)
+
+  val open_frames : t -> int
+  (** Frames entered but not yet closed or abandoned: at most the number
+      of procedures of the program. *)
+end
+
 val collect_lossy_records :
   ?max_window:int ->
   program:Program.t ->
@@ -102,7 +137,9 @@ val collect_lossy_records :
   Mote_machine.Devices.probe_record list ->
   lossy_result
 (** {!collect_lossy} on an explicit record list — feed it the output of
-    {!Transport.perturb} to model a full field deployment. *)
+    {!Transport.perturb} to model a full field deployment.  One
+    {!Collector} run over the whole list; frames still open at its end
+    never completed, so they count as [discarded]. *)
 
 val collect_wire :
   program:Program.t -> resolution:int -> string -> sample_set

@@ -2,80 +2,109 @@ type t = {
   paths : Paths.t;
   decay : float;
   sigma : float;
+  log_sigma : float;
   taken_acc : float array;
   either_acc : float array;
   mutable weight : float;
   mutable count : int;
-  (* Scratch reused across observations. *)
-  logw : float array;
+  (* Scratch reused across observations: per-parameter log θ / log (1−θ),
+     per-signature log weight, exp(lw − best) and responsibility. *)
+  log_t : float array;
+  log_f : float array;
+  lw : float array;
+  expw : float array;
+  resp : float array;
 }
 
 let create ?(decay = 0.999) ?(sigma = 1.0) paths =
   if decay <= 0.0 || decay > 1.0 then invalid_arg "Online.create: decay outside (0,1]";
   if sigma <= 0.0 then invalid_arg "Online.create: sigma must be positive";
   let k = Model.num_params (Paths.model paths) in
+  let ns = Paths.num_signatures paths in
   {
     paths;
     decay;
     sigma;
+    log_sigma = log sigma;
     taken_acc = Array.make k 0.0;
     either_acc = Array.make k 0.0;
     weight = 0.0;
     count = 0;
-    logw = Array.make (Array.length (Paths.paths paths)) 0.0;
+    log_t = Array.make k 0.0;
+    log_f = Array.make k 0.0;
+    lw = Array.make ns 0.0;
+    expw = Array.make ns 0.0;
+    resp = Array.make ns 0.0;
   }
 
-let theta t =
-  Array.init
-    (Array.length t.taken_acc)
-    (fun j ->
-      if t.either_acc.(j) <= 1e-12 then 0.5
-      else
-        Stdlib.max 1e-4
-          (Stdlib.min (1.0 -. 1e-4) (t.taken_acc.(j) /. t.either_acc.(j))))
+let theta_at t j =
+  if t.either_acc.(j) <= 1e-12 then 0.5
+  else Stdlib.max 1e-4 (Stdlib.min (1.0 -. 1e-4) (t.taken_acc.(j) /. t.either_acc.(j)))
 
-let observe t value =
-  let pth = Paths.paths t.paths in
-  let np = Array.length pth in
-  let current = theta t in
-  let log_prior = Paths.log_prior t.paths ~theta:current in
-  (* Posterior over paths for this observation. *)
-  let best = ref neg_infinity in
-  for p = 0 to np - 1 do
-    let lw =
-      log_prior.(p) +. Stats.Dist.gaussian_log_pdf ~mu:pth.(p).Paths.cost ~sigma:t.sigma value
-    in
-    t.logw.(p) <- lw;
-    if lw > !best then best := lw
-  done;
-  let z = ref 0.0 in
-  for p = 0 to np - 1 do
-    z := !z +. exp (t.logw.(p) -. !best)
-  done;
-  let lse = !best +. log !z in
-  (* Decay then accumulate. *)
-  let k = Array.length t.taken_acc in
-  for j = 0 to k - 1 do
+let theta t = Array.init (Array.length t.taken_acc) (theta_at t)
+
+let half_log_two_pi = 0.5 *. log (2.0 *. Float.pi)
+
+(* Decay the sufficient statistics ahead of one observation's update. *)
+let decay_all t =
+  for j = 0 to Array.length t.taken_acc - 1 do
     t.taken_acc.(j) <- t.taken_acc.(j) *. t.decay;
     t.either_acc.(j) <- t.either_acc.(j) *. t.decay
   done;
-  t.weight <- (t.weight *. t.decay) +. 1.0;
+  t.weight <- (t.weight *. t.decay) +. 1.0
+
+(* The prior, Gaussian and both exps are evaluated once per signature
+   (merged paths share them exactly); the normalizer and the sufficient-
+   statistic updates are then replayed per raw path in enumeration order,
+   so every sum rounds exactly as the per-path reference {!Dense} does. *)
+let observe t value =
+  let sigs = Paths.signatures t.paths in
+  let ns = Array.length sigs in
+  let sig_of = Paths.signature_of_path t.paths in
+  let np = Array.length sig_of in
+  (* log θ exactly as [Paths.log_prior] derives it. *)
+  for j = 0 to Array.length t.log_t - 1 do
+    let p = theta_at t j in
+    t.log_t.(j) <- log (Stdlib.max 1e-12 p);
+    t.log_f.(j) <- log (Stdlib.max 1e-12 (1.0 -. p))
+  done;
+  Paths.signature_log_prior t.paths ~log_t:t.log_t ~log_f:t.log_f t.lw;
+  let best = ref neg_infinity in
+  for s = 0 to ns - 1 do
+    let z = (value -. sigs.(s).Paths.s_cost) /. t.sigma in
+    let w = t.lw.(s) +. ((-0.5 *. z *. z) -. t.log_sigma -. half_log_two_pi) in
+    t.lw.(s) <- w;
+    if w > !best then best := w
+  done;
+  let best = !best in
+  for s = 0 to ns - 1 do
+    t.expw.(s) <- exp (t.lw.(s) -. best)
+  done;
+  let z = ref 0.0 in
   for p = 0 to np - 1 do
-    let r = exp (t.logw.(p) -. lse) in
+    z := !z +. t.expw.(sig_of.(p))
+  done;
+  let lse = best +. log !z in
+  for s = 0 to ns - 1 do
+    t.resp.(s) <- exp (t.lw.(s) -. lse)
+  done;
+  decay_all t;
+  for p = 0 to np - 1 do
+    let s = sig_of.(p) in
+    let r = t.resp.(s) in
     if r > 1e-12 then begin
-      let path = pth.(p) in
-      Array.iteri
-        (fun j c ->
-          if c > 0 then begin
-            let fc = r *. float_of_int c in
-            t.taken_acc.(j) <- t.taken_acc.(j) +. fc;
-            t.either_acc.(j) <- t.either_acc.(j) +. fc
-          end)
-        path.Paths.taken;
-      Array.iteri
-        (fun j c ->
-          if c > 0 then t.either_acc.(j) <- t.either_acc.(j) +. (r *. float_of_int c))
-        path.Paths.nottaken
+      let entry = sigs.(s) in
+      let idx = entry.Paths.s_taken_idx and cnt = entry.Paths.s_taken_cnt in
+      for i = 0 to Array.length idx - 1 do
+        let j = idx.(i) in
+        let fc = r *. cnt.(i) in
+        t.taken_acc.(j) <- t.taken_acc.(j) +. fc;
+        t.either_acc.(j) <- t.either_acc.(j) +. fc
+      done;
+      let idx = entry.Paths.s_nottaken_idx and cnt = entry.Paths.s_nottaken_cnt in
+      for i = 0 to Array.length idx - 1 do
+        t.either_acc.(idx.(i)) <- t.either_acc.(idx.(i)) +. (r *. cnt.(i))
+      done
     end
   done;
   t.count <- t.count + 1
@@ -85,3 +114,47 @@ let observe_all t samples = Array.iter (observe t) samples
 let observations t = t.count
 
 let effective_weight t = t.weight
+
+(* The per-raw-path update the signature kernel was derived from, kept so
+   the equivalence tests and the differential fuzzer check one and the
+   same reference.  Allocates O(paths) per observation. *)
+module Dense = struct
+  let observe t value =
+    let pth = Paths.paths t.paths in
+    let np = Array.length pth in
+    let log_prior = Paths.log_prior t.paths ~theta:(theta t) in
+    let logw = Array.make np 0.0 in
+    let best = ref neg_infinity in
+    for p = 0 to np - 1 do
+      let lw =
+        log_prior.(p) +. Stats.Dist.gaussian_log_pdf ~mu:pth.(p).Paths.cost ~sigma:t.sigma value
+      in
+      logw.(p) <- lw;
+      if lw > !best then best := lw
+    done;
+    let z = ref 0.0 in
+    for p = 0 to np - 1 do
+      z := !z +. exp (logw.(p) -. !best)
+    done;
+    let lse = !best +. log !z in
+    decay_all t;
+    for p = 0 to np - 1 do
+      let r = exp (logw.(p) -. lse) in
+      if r > 1e-12 then begin
+        let path = pth.(p) in
+        Array.iteri
+          (fun j c ->
+            if c > 0 then begin
+              let fc = r *. float_of_int c in
+              t.taken_acc.(j) <- t.taken_acc.(j) +. fc;
+              t.either_acc.(j) <- t.either_acc.(j) +. fc
+            end)
+          path.Paths.taken;
+        Array.iteri
+          (fun j c ->
+            if c > 0 then t.either_acc.(j) <- t.either_acc.(j) +. (r *. float_of_int c))
+          path.Paths.nottaken
+      end
+    done;
+    t.count <- t.count + 1
+end

@@ -251,6 +251,49 @@ let test_log_threshold_default_exact () =
       if not (t >= 0.0 && t <= 1.0) then Alcotest.failf "rough theta out of range")
     rough.Tomo.Em.theta
 
+(* --- signature-space Online vs. the per-path reference --- *)
+
+(* Feed the same stream to the signature kernel and to {!Tomo.Online.Dense}
+   and compare after every single observation: a rounding difference in
+   one step would be carried, and usually amplified, by the next. *)
+let check_online_stream name ~decay ~sigma paths samples =
+  match Fuzz.Oracles.online_mismatch ~decay ~sigma paths samples with
+  | Some msg -> Alcotest.failf "%s decay=%g sigma=%g: %s" name decay sigma msg
+  | None -> ()
+
+(* Real timings, then values no path explains — far below, far above and
+   between every cost — where all but the nearest signature fall under the
+   responsibility cut. *)
+let online_stream w proc ~n =
+  let run = P.profile ~config:P.default_config w in
+  let paths = Tomo.Paths.enumerate (P.model_of run proc) in
+  let samples = List.assoc proc run.P.samples in
+  let samples = Array.sub samples 0 (Stdlib.min n (Array.length samples)) in
+  let lo = Tomo.Paths.min_cost paths and hi = Tomo.Paths.max_cost paths in
+  let far = [| lo -. 5000.0; hi +. 5000.0; (lo +. hi) /. 2.0 +. 0.5; lo -. 3.0; hi +. 40.0 |] in
+  (paths, Array.concat [ samples; far; samples ])
+
+let test_online_signature_exact () =
+  List.iter
+    (fun (w, proc, n, expect_signatures) ->
+      let paths, samples = online_stream w proc ~n in
+      (match expect_signatures with
+      | Some (np, ns) ->
+          Alcotest.(check int) (proc ^ " raw paths") np
+            (Array.length (Tomo.Paths.paths paths));
+          Alcotest.(check int) (proc ^ " signatures") ns (Tomo.Paths.num_signatures paths)
+      | None -> ());
+      List.iter
+        (fun decay ->
+          List.iter
+            (fun sigma -> check_online_stream proc ~decay ~sigma paths samples)
+            [ 1.0; 6.0 ])
+        [ 0.999; 1.0 ])
+    [
+      (Workloads.ctp, "ctp_rx_task", 60, Some (4096, 176));
+      (Workloads.filter, "filter_task", 400, None);
+    ]
+
 let suite =
   golden_tests
   @ [
@@ -261,4 +304,6 @@ let suite =
       Alcotest.test_case "record_trajectory switch" `Quick test_record_trajectory;
       Alcotest.test_case "default log threshold is exact" `Quick
         test_log_threshold_default_exact;
+      Alcotest.test_case "online: signatures = per-path reference" `Quick
+        test_online_signature_exact;
     ]

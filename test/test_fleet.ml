@@ -205,6 +205,57 @@ let fleet_anchor_and_determinism () =
   if Float.abs (fleet -. anchor) > 0.05 then
     Alcotest.failf "fleet reduction %.3f vs single-node anchor %.3f" fleet anchor
 
+(* Ingest's discard count is a count of abandoned frames: it never drops
+   from one round to the next, frames merely open at a batch tail are
+   reported apart, and at the end the two add up to the one-shot
+   collector's total over the concatenated stream. *)
+let discarded_is_cumulative () =
+  let _, instrumented, _, _ = Lazy.force setup in
+  let rounds = 40 in
+  let tails_open = ref 0 in
+  List.iter
+    (fun (nr : Fleet.Sim.node_run) ->
+      let batch = Fleet.Sim.default_batch nr ~rounds in
+      let batches = List.init rounds (fun round -> fst (Fleet.Sim.batch nr ~batch ~round)) in
+      let ing = make_ingest nr.Fleet.Sim.node in
+      ignore
+        (List.fold_left
+           (fun prev b ->
+             Fleet.Ingest.ingest ing b;
+             let d = Fleet.Ingest.discarded ing in
+             if d < prev then Alcotest.failf "discarded fell from %d to %d" prev d;
+             if Fleet.Ingest.open_frames ing > 0 then incr tails_open;
+             d)
+           0 batches);
+      let one_shot =
+        Probes.collect_lossy_records ~program:instrumented
+          ~resolution:short_config.P.timer_resolution
+          (List.concat_map Wire.decode_exn batches)
+      in
+      Alcotest.(check int) "discarded + open = one-shot discarded"
+        one_shot.Probes.discarded
+        (Fleet.Ingest.discarded ing + Fleet.Ingest.open_frames ing))
+    (node_runs ~faults:(Transport.field ()) ~nodes:2);
+  Alcotest.(check bool) "some batch ended inside a window" true (!tails_open > 0);
+  let w = Workloads.find "filter" in
+  let r =
+    Fleet.Service.run
+      {
+        (Fleet.Service.default_config w) with
+        Fleet.Service.nodes = 2;
+        rounds;
+        faults = Transport.field ();
+      }
+  in
+  ignore
+    (List.fold_left
+       (fun prev (rr : Fleet.Service.round_report) ->
+         if rr.Fleet.Service.discarded < prev then
+           Alcotest.failf "round %d: fleet discarded fell from %d to %d"
+             rr.Fleet.Service.round prev rr.Fleet.Service.discarded;
+         rr.Fleet.Service.discarded)
+       0 r.Fleet.Service.round_reports)
+
 let suite =
   [
     Alcotest.test_case "incremental = concatenated" `Quick incremental_equals_concatenated;
@@ -213,4 +264,5 @@ let suite =
     Alcotest.test_case "rejected node excluded" `Quick rejected_node_excluded;
     Alcotest.test_case "fusion arity mismatch" `Quick fusion_arity_mismatch;
     Alcotest.test_case "anchor + -j determinism" `Slow fleet_anchor_and_determinism;
+    Alcotest.test_case "discarded is cumulative" `Quick discarded_is_cumulative;
   ]

@@ -456,3 +456,121 @@ let suite =
       Alcotest.test_case "window straddles timer wrap" `Quick
         test_window_straddles_timer_wrap;
     ]
+
+(* --- the resumable collector --- *)
+
+module Collector = Probes.Collector
+module Transport = Profilekit.Transport
+
+(* Pristine probe logs of the bundled workloads at a reduced horizon: each
+   still closes a few hundred windows.  monitor's task calls instrumented
+   helpers, so its windows genuinely nest. *)
+let workload_log =
+  let cache = Hashtbl.create 4 in
+  fun name ->
+    match Hashtbl.find_opt cache name with
+    | Some v -> v
+    | None ->
+        let w = Workloads.find name in
+        let compiled = Workloads.compiled w in
+        let inst = Asm.assemble (Probes.instrument compiled.Compile.items) in
+        let config = { Codetomo.Pipeline.default_config with horizon = Some 300_000 } in
+        let node =
+          List.hd
+            (Fleet.Sim.plan ~seed:3 ~nodes:1 ~faults:Transport.default ~vary_faults:false)
+        in
+        let nr = Fleet.Sim.run_node ~workload:w ~instrumented:inst ~config node in
+        let v = (inst, config.Codetomo.Pipeline.timer_resolution, Array.to_list nr.Fleet.Sim.log) in
+        Hashtbl.replace cache name v;
+        v
+
+let heavy_faults =
+  {
+    Transport.default with
+    drop = 0.25;
+    corrupt = 0.08;
+    duplicate = 0.1;
+    reorder = 0.2;
+    burst_enter = 0.02;
+    reboot = 0.005;
+  }
+
+let check_split_matches ~what ?max_window ~program ~resolution ~cut records =
+  let i = ref (-1) in
+  let split () =
+    incr i;
+    cut !i
+  in
+  match Fuzz.Oracles.split_collect_mismatch ?max_window ~program ~resolution ~split records with
+  | Some msg -> Alcotest.failf "%s: %s" what msg
+  | None -> ()
+
+(* Cut points just after a nested entry: the collector is suspended with
+   a caller and its callee both open. *)
+let nested_cuts ~program ~resolution records =
+  let c = Collector.create ~program ~resolution () in
+  let cuts = Hashtbl.create 16 in
+  List.iteri
+    (fun i r ->
+      Collector.feed c r;
+      if Collector.open_frames c >= 2 then Hashtbl.replace cuts (i + 1) ())
+    records;
+  cuts
+
+let test_collector_splits_equal_one_shot () =
+  let nested_seen = ref 0 in
+  List.iter
+    (fun name ->
+      let program, resolution, log = workload_log name in
+      List.iter
+        (fun (fname, faults, max_window) ->
+          for seed = 0 to 2 do
+            let records, _ = Transport.perturb ~seed faults log in
+            let what = Printf.sprintf "%s/%s/seed %d" name fname seed in
+            check_split_matches ~what:(what ^ "/singletons") ?max_window ~program
+              ~resolution ~cut:(fun _ -> true) records;
+            let rng = Stats.Rng.stream ~seed:(17 + seed) ~index:(Hashtbl.hash name) in
+            let gap = 1 + Stats.Rng.int rng 40 in
+            check_split_matches ~what:(what ^ "/random") ?max_window ~program ~resolution
+              ~cut:(fun _ -> Stats.Rng.int rng gap = 0)
+              records;
+            let nested = nested_cuts ~program ~resolution records in
+            nested_seen := !nested_seen + Hashtbl.length nested;
+            check_split_matches ~what:(what ^ "/nested") ?max_window ~program ~resolution
+              ~cut:(Hashtbl.mem nested) records
+          done)
+        [
+          ("field", Transport.field (), None);
+          ("heavy", heavy_faults, None);
+          ("heavy+window", heavy_faults, Some 5_000);
+        ])
+    [ "filter"; "ctp"; "sense"; "monitor" ];
+  Alcotest.(check bool) "some cut fell inside a nested window" true (!nested_seen > 0)
+
+(* On a clean log the stack depth is the call depth: monitor_task's
+   helper calls put more than one frame on it, so the per-procedure bound
+   the split checks assert after every record is not vacuous. *)
+let test_collector_state_bounded () =
+  let program, resolution, log = workload_log "monitor" in
+  let c = Collector.create ~program ~resolution () in
+  let deepest =
+    List.fold_left
+      (fun d r ->
+        Collector.feed c r;
+        Stdlib.max d (Collector.open_frames c))
+      0 log
+  in
+  Alcotest.(check bool) "nesting observed" true (deepest >= 2);
+  Alcotest.(check bool) "within one frame per procedure" true
+    (deepest <= List.length (Program.procs program));
+  ignore (Collector.drain c);
+  Alcotest.(check int) "drain forgets" 0 (List.length (Collector.drain c))
+
+let suite =
+  suite
+  @ [
+      Alcotest.test_case "collector: any split = one shot" `Quick
+        test_collector_splits_equal_one_shot;
+      Alcotest.test_case "collector: bounded open frames" `Quick
+        test_collector_state_bounded;
+    ]

@@ -40,6 +40,15 @@ let pct = Table.fmt_pct
 let requested_domains : int option ref = ref None
 let set_domains n = requested_domains := Some n
 
+(* [set_reduced] swaps the f3, r13 and f15 sweeps for the small grids
+   CI's smoke jobs gate on (the bench driver's --reduced flag); like
+   [set_domains] it must be called before the first experiment runs.
+   The full grids are the default and are what every published table
+   uses. *)
+let reduced = ref false
+let set_reduced () = reduced := true
+let grid ~full ~small = if !reduced then small else full
+
 let session = lazy (Codetomo.Session.create ?domains:!requested_domains ())
 let sess () = Lazy.force session
 let domains () = Codetomo.Session.domains (sess ())
@@ -123,7 +132,9 @@ let f2 () =
               let config = { P.default_config with P.seed } in
               List.map
                 (fun e -> e.P.mae)
-                (Codetomo.Session.estimate (sess ()) ~max_samples:n ~config w))
+                (Codetomo.Session.estimate (sess ())
+                   ~opts:{ P.default_opts with P.max_samples = Some n }
+                   ~config w))
             f2_seeds
         in
         mean maes)
@@ -160,28 +171,27 @@ let f2 () =
 (* F3: accuracy vs timer resolution and jitter.                        *)
 (* ------------------------------------------------------------------ *)
 
-(* CI's perf-smoke job runs a reduced grid (CODETOMO_F3_REDUCED=1): fewer
-   resolutions, jitters and seeds — still exercising every workload and
-   both sweep axes end to end, but fast enough to gate on.  The full grid
-   is the default and is what every published table uses. *)
-let f3_reduced = Sys.getenv_opt "CODETOMO_F3_REDUCED" <> None
-let resolutions = if f3_reduced then [ 1; 8; 64 ] else [ 1; 2; 4; 8; 16; 32; 64 ]
+(* CI's perf-smoke job runs a reduced grid: fewer resolutions, jitters
+   and seeds — still exercising every workload and both sweep axes end to
+   end, but fast enough to gate on. *)
+let resolutions () = grid ~full:[ 1; 2; 4; 8; 16; 32; 64 ] ~small:[ 1; 8; 64 ]
 
 let f3_workloads () = [ Workloads.sense; Workloads.filter; Workloads.ctp ]
 
 (* Individual runs are noisy at coarse resolutions (path costs alias into
    the same tick), so each point averages several environment seeds. *)
-let f3_seeds = if f3_reduced then [ 42 ] else [ 42; 142; 242 ]
+let f3_seeds () = grid ~full:[ 42; 142; 242 ] ~small:[ 42 ]
 
 let f3 () =
   section "F3. Estimation MAE vs timer resolution (cycles/tick; EM, no jitter)";
+  let resolutions = resolutions () in
   let mae_at w config =
     List.map
       (fun seed ->
         let config = { config with P.seed = seed } in
         mean
           (List.map (fun e -> e.P.mae) (Codetomo.Session.estimate (sess ()) ~config w)))
-      f3_seeds
+      (f3_seeds ())
     |> mean
   in
   (* Fan the full (workload x sweep-point) grid; each cell profiles and
@@ -222,7 +232,7 @@ let f3 () =
     (Chart.line ~log_x:true ~x_label:"timer resolution (cycles/tick)" ~y_label:"MAE"
        ~title:"F3a: estimation error vs timer resolution" series);
   (* Jitter sweep at resolution 1. *)
-  let jitters = if f3_reduced then [ 0.0; 4.0 ] else [ 0.0; 1.0; 2.0; 4.0; 8.0 ] in
+  let jitters = grid ~full:[ 0.0; 1.0; 2.0; 4.0; 8.0 ] ~small:[ 0.0; 4.0 ] in
   let jitter_series =
     sweep jitters (fun j -> { P.default_config with P.timer_jitter = j })
   in
@@ -441,7 +451,9 @@ let a8 () =
     pmap
       (fun (w, m) ->
         let run = profile w in
-        let est = Codetomo.Session.estimate (sess ()) ~method_:m w in
+        let est =
+          Codetomo.Session.estimate (sess ()) ~opts:{ P.default_opts with P.method_ = m } w
+        in
         let mae = mean (List.map (fun e -> e.P.mae) est) in
         let freqs = P.estimated_freqs run est in
         let binary =
@@ -733,11 +745,10 @@ let f14 () =
 (* both estimation error and the placement win that survives.           *)
 (* ------------------------------------------------------------------ *)
 
-(* CI's fault-smoke job runs a reduced 2x2x2 grid (CODETOMO_R13_REDUCED=1)
-   against a committed timings baseline; the full grid is the default. *)
-let r13_reduced = Sys.getenv_opt "CODETOMO_R13_REDUCED" <> None
-let r13_losses = if r13_reduced then [ 0.0; 0.1 ] else [ 0.0; 0.05; 0.1; 0.2 ]
-let r13_corrupts = if r13_reduced then [ 0.0; 0.01 ] else [ 0.0; 0.01; 0.05 ]
+(* CI's fault-smoke job runs a reduced 2x2x2 grid against a committed
+   timings baseline. *)
+let r13_losses () = grid ~full:[ 0.0; 0.05; 0.1; 0.2 ] ~small:[ 0.0; 0.1 ]
+let r13_corrupts () = grid ~full:[ 0.0; 0.01; 0.05 ] ~small:[ 0.0; 0.01 ]
 
 let r13 () =
   section
@@ -751,8 +762,8 @@ let r13 () =
         List.concat_map
           (fun corrupt ->
             List.map (fun arm -> (loss, corrupt, arm)) [ false; true ])
-          r13_corrupts)
-      r13_losses
+          (r13_corrupts ()))
+      (r13_losses ())
   in
   let rows =
     pmap
@@ -765,25 +776,26 @@ let r13 () =
           else Some (Profilekit.Transport.field ~drop:loss ~corrupt ())
         in
         let config = { P.default_config with P.faults } in
-        let sanitize = if sanitized then Some Tomo.Sanitize.default else None in
-        let outlier = if sanitized then Some Tomo.Em.default_outlier else None in
-        let min_samples =
-          if sanitized then Some Tomo.Health.default_min_samples else None
+        let opts =
+          if sanitized then
+            {
+              P.default_opts with
+              P.sanitize = Some Tomo.Sanitize.default;
+              outlier = Some Tomo.Em.default_outlier;
+              min_samples = Tomo.Health.default_min_samples;
+            }
+          else P.default_opts
         in
         let run = profile ~config w in
         let windows =
           List.fold_left (fun acc (_, s) -> acc + Array.length s) 0 run.P.samples
         in
-        let ests =
-          Codetomo.Session.estimate (sess ()) ?sanitize ?outlier ?min_samples
-            ~config w
-        in
+        let ests = Codetomo.Session.estimate (sess ()) ~opts ~config w in
         let rejected =
           List.length (List.filter (fun e -> Tomo.Health.is_rejected e.P.health) ests)
         in
         let variants =
-          Codetomo.Session.compare_layouts (sess ()) ?sanitize ?outlier
-            ?min_samples ~config w
+          Codetomo.Session.compare_layouts (sess ()) ~opts ~config w
         in
         let find label_prefix =
           List.find
@@ -863,14 +875,12 @@ let a15 () =
 (* F15: fleet scaling sweep.                                           *)
 (* ------------------------------------------------------------------ *)
 
-(* CI's fleet-smoke job runs a reduced grid (CODETOMO_F15_REDUCED=1)
-   against a committed timings baseline; the full grid is the default.
-   Grid points run serially — each Fleet.Service.run already fans its
-   node work out over the session pool. *)
-let f15_reduced = Sys.getenv_opt "CODETOMO_F15_REDUCED" <> None
-let f15_nodes = if f15_reduced then [ 2; 4 ] else [ 2; 4; 8 ]
-let f15_rounds = if f15_reduced then [ 4 ] else [ 4; 10 ]
-let f15_losses = if f15_reduced then [ 0.0; 0.1 ] else [ 0.0; 0.05; 0.1 ]
+(* CI's fleet-smoke job runs a reduced grid against a committed timings
+   baseline.  Grid points run serially — each Fleet.Service.run already
+   fans its node work out over the session pool. *)
+let f15_nodes () = grid ~full:[ 2; 4; 8 ] ~small:[ 2; 4 ]
+let f15_rounds () = grid ~full:[ 4; 10 ] ~small:[ 4 ]
+let f15_losses () = grid ~full:[ 0.0; 0.05; 0.1 ] ~small:[ 0.0; 0.1 ]
 
 let f15 () =
   section
@@ -917,9 +927,9 @@ let f15 () =
                   f ~decimals:4 last.Fleet.Service.fused_mae;
                   pct final.Fleet.Service.reduction;
                 ])
-              f15_losses)
-          f15_rounds)
-      f15_nodes
+              (f15_losses ()))
+          (f15_rounds ()))
+      (f15_nodes ())
   in
   emit_table ~name:"f15"
     ~headers:

@@ -6,7 +6,9 @@
                          CODETOMO_DOMAINS, else the recommended count)
      --timings FILE      write per-experiment wall-clock seconds as JSON
                          (the tables themselves are unaffected, so serial
-                         and parallel stdout stay byte-identical) *)
+                         and parallel stdout stay byte-identical)
+     --reduced           run the small f3, r13 and f15 grids CI gates on
+                         (the other experiments ignore it) *)
 
 let experiments =
   [
@@ -31,30 +33,31 @@ let experiments =
 
 let usage () =
   Printf.eprintf
-    "usage: main.exe [-j N] [--timings FILE] [experiment ...]\navailable: %s\n"
+    "usage: main.exe [-j N] [--timings FILE] [--reduced] [experiment ...]\navailable: %s\n"
     (String.concat ", " (List.map fst experiments));
   exit 1
 
 let parse_args argv =
-  let rec go args names domains timings =
+  let rec go args names domains timings reduced =
     match args with
-    | [] -> (List.rev names, domains, timings)
+    | [] -> (List.rev names, domains, timings, reduced)
     | ("-j" | "--domains") :: value :: rest -> (
         match int_of_string_opt value with
-        | Some d when d >= 1 -> go rest names (Some d) timings
+        | Some d when d >= 1 -> go rest names (Some d) timings reduced
         | _ ->
             Printf.eprintf "-j expects a positive integer, got %S\n" value;
             exit 1)
     | [ ("-j" | "--domains") ] ->
         Printf.eprintf "-j expects a domain count\n";
         exit 1
-    | "--timings" :: file :: rest -> go rest names domains (Some file)
+    | "--timings" :: file :: rest -> go rest names domains (Some file) reduced
     | [ "--timings" ] ->
         Printf.eprintf "--timings expects a file path\n";
         exit 1
-    | name :: rest -> go rest (name :: names) domains timings
+    | "--reduced" :: rest -> go rest names domains timings true
+    | name :: rest -> go rest (name :: names) domains timings reduced
   in
-  go (List.tl (Array.to_list argv)) [] None None
+  go (List.tl (Array.to_list argv)) [] None None false
 
 let json_escape s =
   let b = Buffer.create (String.length s + 8) in
@@ -90,8 +93,9 @@ let write_timings ~path ~domains timed =
   Printf.eprintf "[timings written to %s]\n%!" path
 
 let () =
-  let names, domains, timings = parse_args Sys.argv in
+  let names, domains, timings, reduced = parse_args Sys.argv in
   Option.iter Experiments.set_domains domains;
+  if reduced then Experiments.set_reduced ();
   let chosen =
     match names with
     | [] -> experiments

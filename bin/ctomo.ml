@@ -88,8 +88,7 @@ let save_profile_arg =
         ~doc:"Write the estimated edge-frequency profiles to FILE (feed it back with 'place --profile').")
 
 let profile_cmd =
-  let run w seed resolution jitter horizon method_ save domains faults sanitize robust
-      min_samples =
+  let run w seed resolution jitter horizon save domains faults opts =
     guarded @@ fun () ->
     with_pool domains @@ fun pool ->
     let config = config_of seed resolution jitter horizon faults in
@@ -99,8 +98,7 @@ let profile_cmd =
       run.P.node_stats.Mote_os.Node.tasks_dropped;
     print_transport run;
     let estimations =
-      P.estimate ~ctx:(P.Ctx.of_pool pool) ~method_ ?sanitize:(sanitize_of sanitize)
-        ?outlier:(outlier_of robust) ~min_samples run
+      P.estimate ~ctx:(P.Ctx.of_pool pool) ~opts run
     in
     List.iter
       (fun e ->
@@ -137,8 +135,7 @@ let profile_cmd =
     (Cmd.info "profile" ~doc:"Profile a workload and estimate its branch probabilities")
     Term.(
       const run $ workload_arg $ seed_arg $ resolution_arg $ jitter_arg $ horizon_arg
-      $ method_arg $ save_profile_arg $ domains_arg $ faults_term $ sanitize_arg
-      $ robust_arg $ min_samples_arg)
+      $ save_profile_arg $ domains_arg $ faults_term $ opts_term)
 
 (* --- place --- *)
 
@@ -150,8 +147,7 @@ let load_profile_arg =
         ~doc:"Use a saved profile (from 'profile --save-profile') for the tomography layout instead of re-estimating.")
 
 let place_cmd =
-  let run w seed resolution jitter horizon method_ profile_file domains faults sanitize
-      robust min_samples =
+  let run w seed resolution jitter horizon profile_file domains faults opts =
     guarded @@ fun () ->
     with_pool domains @@ fun pool ->
     let config = config_of seed resolution jitter horizon faults in
@@ -160,9 +156,7 @@ let place_cmd =
     let variants =
       match profile_file with
       | None ->
-          P.compare_layouts ~ctx:(P.Ctx.of_pool pool) ~method_
-            ?sanitize:(sanitize_of sanitize) ?outlier:(outlier_of robust) ~min_samples
-            run
+          P.compare_layouts ~ctx:(P.Ctx.of_pool pool) ~opts run
       | Some path ->
           let original = P.natural_binary run in
           let lookup name =
@@ -201,8 +195,7 @@ let place_cmd =
        ~doc:"Run the full pipeline and compare layouts (natural/worst/tomography/perfect)")
     Term.(
       const run $ workload_arg $ seed_arg $ resolution_arg $ jitter_arg $ horizon_arg
-      $ method_arg $ load_profile_arg $ domains_arg $ faults_term $ sanitize_arg
-      $ robust_arg $ min_samples_arg)
+      $ load_profile_arg $ domains_arg $ faults_term $ opts_term)
 
 (* --- overhead --- *)
 
@@ -292,14 +285,13 @@ let trace_cmd =
 (* --- report --- *)
 
 let report_cmd =
-  let run w seed resolution jitter horizon domains faults sanitize robust min_samples =
+  let run w seed resolution jitter horizon domains faults opts =
     guarded @@ fun () ->
     with_pool domains @@ fun pool ->
     let config = config_of seed resolution jitter horizon faults in
     let run = P.profile ~config w in
     Printf.printf "=== %s: %s ===\n\n" w.Workloads.name w.Workloads.description;
     print_transport run;
-    let sanitize = sanitize_of sanitize and outlier = outlier_of robust in
     (* Estimation with uncertainty and fit diagnostics.  Each procedure
        gets its own pre-split bootstrap stream, so the fan-out order
        (and hence -j) cannot change a single interval. *)
@@ -311,7 +303,7 @@ let report_cmd =
         (fun (i, proc) ->
           let raw = List.assoc proc run.P.samples in
           let model = P.model_of run proc in
-          let floor = Stdlib.max 1 min_samples in
+          let floor = Stdlib.max 1 opts.P.min_samples in
           if Array.length raw = 0 then
             ( proc,
               raw,
@@ -321,7 +313,7 @@ let report_cmd =
           else
             let paths = Tomo.Paths.enumerate ~max_paths:20_000 model in
             let samples, sreport =
-              match sanitize with
+              match opts.P.sanitize with
               | None -> (raw, None)
               | Some sc ->
                   let kept, r =
@@ -340,7 +332,8 @@ let report_cmd =
                 None )
             else
               let est =
-                Tomo.Em.estimate ~sigma:(P.noise_sigma config) ?outlier paths ~samples
+                Tomo.Em.estimate ~sigma:(P.noise_sigma config) ?outlier:opts.P.outlier
+                  paths ~samples
               in
               let ci =
                 Tomo.Confidence.bootstrap ~replicates:30 streams.(i) paths ~samples
@@ -393,7 +386,7 @@ let report_cmd =
       per_proc;
     (* Layout and energy consequences. *)
     let variants =
-      P.compare_layouts ~ctx:(P.Ctx.of_pool pool) ?sanitize ?outlier ~min_samples run
+      P.compare_layouts ~ctx:(P.Ctx.of_pool pool) ~opts run
     in
     let horizon_cycles = Option.value ~default:w.Workloads.horizon config.P.horizon in
     let rows =
@@ -429,7 +422,7 @@ let report_cmd =
           layout comparison, energy and projected battery life")
     Term.(
       const run $ workload_arg $ seed_arg $ resolution_arg $ jitter_arg $ horizon_arg
-      $ domains_arg $ faults_term $ sanitize_arg $ robust_arg $ min_samples_arg)
+      $ domains_arg $ faults_term $ robustness_term)
 
 (* --- fleet --- *)
 

@@ -150,8 +150,22 @@ let min_samples_arg =
           "Reject procedures with fewer surviving samples; rejected procedures fall \
            back to the uniform prior and keep their natural layout.")
 
-let sanitize_of flag = if flag then Some Tomo.Sanitize.default else None
-let outlier_of flag = if flag then Some Tomo.Em.default_outlier else None
+(* The one flags -> estimator-options mapping.  [robustness_term] reads
+   the knobs every batch estimator takes; [opts_term] adds the method
+   choice (report always runs EM, so it takes the former). *)
+let robustness_term =
+  let make sanitize robust min_samples =
+    {
+      P.default_opts with
+      P.sanitize = (if sanitize then Some Tomo.Sanitize.default else None);
+      outlier = (if robust then Some Tomo.Em.default_outlier else None);
+      min_samples;
+    }
+  in
+  Term.(const make $ sanitize_arg $ robust_arg $ min_samples_arg)
+
+let opts_term =
+  Term.(const (fun method_ opts -> { opts with P.method_ }) $ method_arg $ robustness_term)
 
 let config_of seed resolution jitter horizon faults =
   {

@@ -160,11 +160,32 @@ type estimation = {
   sanitize_report : Tomo.Sanitize.report option;
 }
 
+type opts = {
+  method_ : Tomo.Estimator.method_;
+  max_samples : int option;
+  max_paths : int option;
+  max_visits : int option;
+  sanitize : Tomo.Sanitize.config option;
+  outlier : Tomo.Em.outlier option;
+  min_samples : int;
+}
+
+let default_opts =
+  {
+    method_ = Tomo.Estimator.Em;
+    max_samples = None;
+    max_paths = None;
+    max_visits = None;
+    sanitize = None;
+    outlier = None;
+    min_samples = 1;
+  }
+
 (* [max_samples] keeps the chronological prefix: the first N observation
    windows, as if profiling had simply stopped after N invocations (the
    planner's stopping-rule assumption). *)
-let truncate_samples ?max_samples all =
-  match max_samples with
+let truncate_samples opts all =
+  match opts.max_samples with
   | Some n when n >= 0 && Array.length all > n -> Array.sub all 0 n
   | _ -> all
 
@@ -176,13 +197,7 @@ module Ctx = struct
   let none = { pool = None; paths_cache = None }
   let make ?pool ?paths_cache () = { pool; paths_cache }
   let of_pool pool = { pool = Some pool; paths_cache = None }
-  let pool t = t.pool
-  let paths_cache t = t.paths_cache
 end
-
-let ctx_parts = function
-  | None -> (None, None)
-  | Some c -> (Ctx.pool c, Ctx.paths_cache c)
 
 (* The instrumented binary — hence every per-procedure path model — depends
    only on the workload, not on the timing config, so a path set enumerated
@@ -190,9 +205,18 @@ let ctx_parts = function
    procedure name (prefixed for the watermarked image, whose models differ);
    the owner of the cache closure is responsible for scoping it to one
    (workload, enumeration-bounds) pair. *)
-let cached_paths ?paths_cache ~method_ ~key enumerate =
-  match (method_, paths_cache) with
-  | Tomo.Estimator.Em, Some cache -> Some (cache key enumerate)
+let enumerate_paths (ctx : Ctx.t) opts ~key model =
+  let enumerate () =
+    Tomo.Paths.enumerate ?max_paths:opts.max_paths ?max_visits:opts.max_visits model
+  in
+  match ctx.Ctx.paths_cache with Some cache -> cache key enumerate | None -> enumerate ()
+
+(* For EM the path set is materialized here (cached or not): the
+   estimator needs it anyway, and the sanitizer reads its cost
+   envelope. *)
+let materialize_paths ctx opts ~key model =
+  match opts.method_ with
+  | Tomo.Estimator.Em -> Some (enumerate_paths ctx opts ~key model)
   | _ -> None
 
 (* Shared per-procedure estimation under the robustness knobs:
@@ -201,10 +225,9 @@ let cached_paths ?paths_cache ~method_ ~key enumerate =
    floor of 1 that only intercepts the empty-sample [Invalid_argument],
    the exact EM).  [paths] must be the materialized set for the EM
    method — it also provides the sanitizer's cost envelope. *)
-let estimate_proc ?sanitize ?outlier ?(min_samples = 1) ~method_ ~noise_sigma:sigma
-    ?max_paths ?max_visits ~paths ~model ~truth ~proc samples =
+let estimate_proc opts ~noise_sigma:sigma ~paths ~model ~truth ~proc samples =
   let samples, sanitize_report =
-    match sanitize with
+    match opts.sanitize with
     | None -> (samples, None)
     | Some sc ->
         let min_cost, max_cost =
@@ -218,15 +241,16 @@ let estimate_proc ?sanitize ?outlier ?(min_samples = 1) ~method_ ~noise_sigma:si
         (kept, Some report)
   in
   let n = Array.length samples in
-  let floor = Stdlib.max 1 min_samples in
+  let floor = Stdlib.max 1 opts.min_samples in
   let estimate, health =
     if n < floor then
       ( Tomo.Estimator.fallback model,
         Tomo.Health.judge ~min_samples:floor ~converged:true ~sample_count:n () )
     else
       let e =
-        Tomo.Estimator.run ~method_ ~noise_sigma:sigma ?max_paths ?max_visits ?paths
-          ?outlier model ~samples
+        Tomo.Estimator.run ~method_:opts.method_ ~noise_sigma:sigma
+          ?max_paths:opts.max_paths ?max_visits:opts.max_visits ?paths
+          ?outlier:opts.outlier model ~samples
       in
       ( e,
         Tomo.Health.judge ~min_samples:floor
@@ -238,60 +262,35 @@ let estimate_proc ?sanitize ?outlier ?(min_samples = 1) ~method_ ~noise_sigma:si
   in
   { proc; estimate; truth; mae; sample_count = n; health; sanitize_report }
 
-(* For EM the path set is materialized here (cached or not): the
-   estimator needs it anyway, and the sanitizer reads its cost
-   envelope. *)
-let materialize_paths ?paths_cache ~method_ ~key ?max_paths ?max_visits model =
-  let enumerate () = Tomo.Paths.enumerate ?max_paths ?max_visits model in
-  match method_ with
-  | Tomo.Estimator.Em -> (
-      match cached_paths ?paths_cache ~method_ ~key enumerate with
-      | Some p -> Some p
-      | None -> Some (enumerate ()))
-  | _ -> None
-
-let estimate_with ?pool ?paths_cache ?(method_ = Tomo.Estimator.Em) ?max_samples
-    ?max_paths ?max_visits ?sanitize ?outlier ?min_samples run =
-  pmap ?pool
+let estimate ?(ctx = Ctx.none) ?(opts = default_opts) run =
+  pmap ?pool:ctx.Ctx.pool
     (fun proc ->
-      let all = List.assoc proc run.samples in
-      let samples = truncate_samples ?max_samples all in
+      let samples = truncate_samples opts (List.assoc proc run.samples) in
       let model = model_of run proc in
-      let paths =
-        materialize_paths ?paths_cache ~method_ ~key:proc ?max_paths ?max_visits model
-      in
+      let paths = materialize_paths ctx opts ~key:proc model in
       let truth = List.assoc proc run.oracle_thetas in
-      estimate_proc ?sanitize ?outlier ?min_samples ~method_
-        ~noise_sigma:(noise_sigma run.config) ?max_paths ?max_visits ~paths ~model
-        ~truth ~proc samples)
+      estimate_proc opts ~noise_sigma:(noise_sigma run.config) ~paths ~model ~truth ~proc
+        samples)
     run.workload.Workloads.profiled
 
 (* Ambiguous branches (equal-cost arms) in the coordinates of the
    probe-instrumented binary — the ones end-to-end timing cannot estimate
-   without help. *)
-let ambiguous_sites_with ?paths_cache ?max_paths ?max_visits run =
+   without help.  These are the estimator's own models, so a cached path
+   set is shared with {!estimate} under the same key. *)
+let ambiguous_sites ?(ctx = Ctx.none) ?(opts = default_opts) run =
   List.concat_map
     (fun proc ->
       let model = model_of run proc in
-      let enumerate () = Tomo.Paths.enumerate ?max_paths ?max_visits model in
-      (* These are the estimator's own models, so a cached path set is
-         shared with {!estimate} under the same key. *)
-      match
-        match paths_cache with Some cache -> cache proc enumerate | None -> enumerate ()
-      with
+      match enumerate_paths ctx opts ~key:proc model with
       | paths ->
           let id = Tomo.Identify.analyze paths in
           List.map (fun block -> (proc, block)) (Tomo.Identify.ambiguous_blocks id model)
       | exception Tomo.Paths.Too_complex _ -> [])
     run.workload.Workloads.profiled
 
-let estimate_watermarked_with ?pool ?paths_cache ?(method_ = Tomo.Estimator.Em)
-    ?max_samples ?max_paths ?max_visits ?sanitize ?outlier ?min_samples run =
-  let sites = ambiguous_sites_with ?paths_cache ?max_paths ?max_visits run in
-  if sites = [] then
-    ( estimate_with ?pool ?paths_cache ~method_ ?max_samples ?max_paths ?max_visits
-        ?sanitize ?outlier ?min_samples run,
-      [] )
+let estimate_watermarked ?(ctx = Ctx.none) ?(opts = default_opts) run =
+  let sites = ambiguous_sites ~ctx ~opts run in
+  if sites = [] then (estimate ~ctx ~opts run, [])
   else begin
     (* Rebuild the profiling image with delay stubs on the ambiguous taken
        edges, then profile and estimate against that image's own model.
@@ -311,21 +310,18 @@ let estimate_watermarked_with ?pool ?paths_cache ?(method_ = Tomo.Estimator.Em)
         ~devices:(Machine.devices machine)
     in
     let estimations =
-      pmap ?pool
+      pmap ?pool:ctx.Ctx.pool
         (fun proc ->
-          let all = Profilekit.Probes.samples_for sample_set proc in
-          let samples = truncate_samples ?max_samples all in
+          let samples =
+            truncate_samples opts (Profilekit.Probes.samples_for sample_set proc)
+          in
           let model = Tomo.Model.of_cfg (Cfg.of_proc_name binary proc) in
           (* The watermarked image's models differ from the plain ones, so
              its cache entries live under a distinct key. *)
-          let paths =
-            materialize_paths ?paths_cache ~method_ ~key:("watermarked:" ^ proc)
-              ?max_paths ?max_visits model
-          in
+          let paths = materialize_paths ctx opts ~key:("watermarked:" ^ proc) model in
           let truth = Profilekit.Oracle.theta_vector oracle ~proc in
-          estimate_proc ?sanitize ?outlier ?min_samples ~method_
-            ~noise_sigma:(noise_sigma run.config) ?max_paths ?max_visits ~paths ~model
-            ~truth ~proc samples)
+          estimate_proc opts ~noise_sigma:(noise_sigma run.config) ~paths ~model ~truth
+            ~proc samples)
         run.workload.Workloads.profiled
     in
     Profilekit.Oracle.detach oracle;
@@ -396,16 +392,13 @@ let worst_placement freq =
 let worst_binary run =
   placed_binary run ~profiles:run.oracle_freqs ~algorithm:worst_placement
 
-let compare_layouts_with ?pool ?paths_cache ?eval_config ?(method_ = Tomo.Estimator.Em)
-    ?sanitize ?outlier ?min_samples run =
+let compare_layouts ?(ctx = Ctx.none) ?eval_config ?opts run =
   let eval_config =
     match eval_config with
     | Some c -> c
     | None -> { run.config with seed = run.config.seed + 1000 }
   in
-  let estimations =
-    estimate_with ?pool ?paths_cache ~method_ ?sanitize ?outlier ?min_samples run
-  in
+  let estimations = estimate ~ctx ?opts run in
   (* A Rejected procedure contributes no profile: Rewrite leaves an
      unprofiled procedure in its natural layout, which is exactly the
      graceful-degradation contract.  The variant label carries the
@@ -432,7 +425,7 @@ let compare_layouts_with ?pool ?paths_cache ?eval_config ?(method_ = Tomo.Estima
   (* Each variant runs on its own fresh machine/environment pair seeded
      from [eval_config], so the four evaluations are independent and can
      fan out through the pool without changing any number. *)
-  pmap ?pool
+  pmap ?pool:ctx.Ctx.pool
     (fun (label, binary) -> run_binary ~config:eval_config run.workload binary ~label)
     [
       ("natural", natural);
@@ -440,34 +433,3 @@ let compare_layouts_with ?pool ?paths_cache ?eval_config ?(method_ = Tomo.Estima
       (tomo_label, tomo);
       ("perfect", perfect);
     ]
-
-(* Canonical entry points: one [?ctx] instead of [?pool]/[?paths_cache].
-   The [_with] implementations above stay the single source of truth;
-   these only destructure the context. *)
-
-let estimate ?ctx ?method_ ?max_samples ?max_paths ?max_visits ?sanitize ?outlier
-    ?min_samples run =
-  let pool, paths_cache = ctx_parts ctx in
-  estimate_with ?pool ?paths_cache ?method_ ?max_samples ?max_paths ?max_visits
-    ?sanitize ?outlier ?min_samples run
-
-let ambiguous_sites ?ctx ?max_paths ?max_visits run =
-  let _, paths_cache = ctx_parts ctx in
-  ambiguous_sites_with ?paths_cache ?max_paths ?max_visits run
-
-let estimate_watermarked ?ctx ?method_ ?max_samples ?max_paths ?max_visits ?sanitize
-    ?outlier ?min_samples run =
-  let pool, paths_cache = ctx_parts ctx in
-  estimate_watermarked_with ?pool ?paths_cache ?method_ ?max_samples ?max_paths
-    ?max_visits ?sanitize ?outlier ?min_samples run
-
-let compare_layouts ?ctx ?eval_config ?method_ ?sanitize ?outlier ?min_samples run =
-  let pool, paths_cache = ctx_parts ctx in
-  compare_layouts_with ?pool ?paths_cache ?eval_config ?method_ ?sanitize ?outlier
-    ?min_samples run
-
-module Legacy = struct
-  let estimate = estimate_with
-  let estimate_watermarked = estimate_watermarked_with
-  let compare_layouts = compare_layouts_with
-end

@@ -80,8 +80,41 @@ type estimation = {
           never rewritten by placement. *)
   sanitize_report : Tomo.Sanitize.report option;
       (** Quarantine accounting — [Some] iff estimation ran with
-          [?sanitize]. *)
+          [opts.sanitize]. *)
 }
+
+(** The estimator options: one value for every knob an estimating entry
+    point ({!estimate}, {!estimate_watermarked}, {!compare_layouts} and
+    their {!Session} mirrors) accepts.  {!ambiguous_sites} reads only the
+    enumeration bounds.  The robustness knobs ([sanitize], [outlier],
+    [min_samples]) are opt-in: at {!default_opts} every result is
+    bit-identical to the pre-robustness pipeline. *)
+type opts = {
+  method_ : Tomo.Estimator.method_;  (** Estimator; default EM. *)
+  max_samples : int option;
+      (** Keep the {e chronological prefix} — the first [max_samples]
+          observation windows, exactly as if profiling had stopped once
+          that many invocations had been seen.  This matches
+          {!Tomo.Planner}'s stopping-rule semantics (F2 sweeps "how long
+          must we profile?", not "which windows do we keep?").  [None], a
+          negative value, or one at least the sample count uses all
+          samples. *)
+  max_paths : int option;  (** Path-enumeration bound ({!Tomo.Paths.enumerate}). *)
+  max_visits : int option;  (** Per-block visit bound of the enumeration. *)
+  sanitize : Tomo.Sanitize.config option;
+      (** Quarantine infeasible timings ({!Tomo.Sanitize}) using the EM
+          path set's cost envelope. *)
+  outlier : Tomo.Em.outlier option;
+      (** Switch the EM to its contamination-robust variant. *)
+  min_samples : int;
+      (** The floor below which a procedure is {!Tomo.Health.Rejected} and
+          given the uniform fallback estimate instead of an exception.
+          With the default floor of 1 only the zero-sample case (which
+          previously raised [Invalid_argument]) is intercepted. *)
+}
+
+val default_opts : opts
+(** EM, no bounds, no sanitizer, no outlier mixture, a floor of 1. *)
 
 type paths_cache = string -> (unit -> Tomo.Paths.t) -> Tomo.Paths.t
 (** A memo hook for enumerated path sets: [cache key enumerate] returns
@@ -97,18 +130,13 @@ type paths_cache = string -> (unit -> Tomo.Paths.t) -> Tomo.Paths.t
 (** The execution context of a pipeline stage — the one value that
     carries everything a stage shares with its surroundings: the domain
     pool its fan-outs run on and the path-set memo it reads enumerated
-    models from.  It replaces the [?pool]/[?paths_cache] pairs that used
-    to thread separately through every entry point; the old signatures
-    survive as deprecated wrappers in {!Legacy}.
+    models from.
 
-    A context changes scheduling and sharing only, never results:
-    {!Ctx.none} (no pool, no cache) computes the same values serially
-    and from scratch. *)
+    A context changes scheduling and sharing only, never results: with
+    no [?ctx] a stage computes the same values serially and from
+    scratch. *)
 module Ctx : sig
   type t
-
-  val none : t
-  (** Serial, uncached — the default when no [?ctx] is passed. *)
 
   val make : ?pool:Par.Pool.t -> ?paths_cache:paths_cache -> unit -> t
   (** Build a context from its parts; omitted parts mean "serial" /
@@ -116,64 +144,22 @@ module Ctx : sig
 
   val of_pool : Par.Pool.t -> t
   (** Pool only — the common case for one-shot CLI runs. *)
-
-  val pool : t -> Par.Pool.t option
-  val paths_cache : t -> paths_cache option
 end
 
-val estimate :
-  ?ctx:Ctx.t ->
-  ?method_:Tomo.Estimator.method_ ->
-  ?max_samples:int ->
-  ?max_paths:int ->
-  ?max_visits:int ->
-  ?sanitize:Tomo.Sanitize.config ->
-  ?outlier:Tomo.Em.outlier ->
-  ?min_samples:int ->
-  profile_run ->
-  estimation list
-(** Estimate every profiled procedure.  [max_samples] keeps the
-    {e chronological prefix} — the first [max_samples] observation
-    windows, exactly as if profiling had stopped once that many
-    invocations had been seen.  This matches {!Tomo.Planner}'s
-    stopping-rule semantics (F2 sweeps "how long must we profile?",
-    not "which windows do we keep?").  When [max_samples] is absent,
-    negative, or at least the sample count, all samples are used.
-    [ctx] supplies the domain pool the per-procedure estimations fan
-    out over and the path-set memo they read; estimation is
-    deterministic, so the result is identical with or without it.
+val estimate : ?ctx:Ctx.t -> ?opts:opts -> profile_run -> estimation list
+(** Estimate every profiled procedure under [opts] (default
+    {!default_opts}).  [ctx] supplies the domain pool the per-procedure
+    estimations fan out over and the path-set memo they read; estimation
+    is deterministic, so the result is identical with or without it. *)
 
-    The robustness knobs are all opt-in and, at their defaults, leave
-    every result bit-identical to the pre-robustness pipeline:
-    [sanitize] quarantines infeasible timings ({!Tomo.Sanitize}) using
-    the EM path set's cost envelope; [outlier] switches the EM to its
-    contamination-robust variant; [min_samples] (default 1) is the floor
-    below which a procedure is {!Tomo.Health.Rejected} and given the
-    uniform fallback estimate instead of an exception — with the default
-    floor only the zero-sample case (which previously raised
-    [Invalid_argument]) is intercepted. *)
-
-val ambiguous_sites :
-  ?ctx:Ctx.t ->
-  ?max_paths:int ->
-  ?max_visits:int ->
-  profile_run ->
-  (string * int) list
+val ambiguous_sites : ?ctx:Ctx.t -> ?opts:opts -> profile_run -> (string * int) list
 (** Branches whose probabilities end-to-end timing cannot determine
     (equal-cost arms), as [(procedure, branch block id)] in the
-    instrumented binary's coordinates — see {!Tomo.Identify}. *)
+    instrumented binary's coordinates — see {!Tomo.Identify}.  Only
+    [opts]'s enumeration bounds matter here. *)
 
 val estimate_watermarked :
-  ?ctx:Ctx.t ->
-  ?method_:Tomo.Estimator.method_ ->
-  ?max_samples:int ->
-  ?max_paths:int ->
-  ?max_visits:int ->
-  ?sanitize:Tomo.Sanitize.config ->
-  ?outlier:Tomo.Em.outlier ->
-  ?min_samples:int ->
-  profile_run ->
-  estimation list * (string * int) list
+  ?ctx:Ctx.t -> ?opts:opts -> profile_run -> estimation list * (string * int) list
 (** Like {!estimate}, but when {!ambiguous_sites} is non-empty the
     profiling image is rebuilt with {!Profilekit.Watermark} delay stubs on
     those branches and re-profiled, restoring identifiability.  Returns
@@ -222,14 +208,7 @@ val worst_binary : profile_run -> Mote_isa.Program.t
     procedures, inverted Pettis–Hansen above that). *)
 
 val compare_layouts :
-  ?ctx:Ctx.t ->
-  ?eval_config:config ->
-  ?method_:Tomo.Estimator.method_ ->
-  ?sanitize:Tomo.Sanitize.config ->
-  ?outlier:Tomo.Em.outlier ->
-  ?min_samples:int ->
-  profile_run ->
-  variant list
+  ?ctx:Ctx.t -> ?eval_config:config -> ?opts:opts -> profile_run -> variant list
 (** The T4/F5 experiment for one workload: natural, worst-case,
     tomography-guided and perfect-profile binaries, all run under the same
     evaluation environment (default: profiling seed + 1000, so placement
@@ -238,60 +217,9 @@ val compare_layouts :
     owns a fresh machine/environment seeded from the evaluation config,
     so parallel output is bit-identical to serial.
 
-    The robustness knobs are forwarded to {!estimate}.  A procedure whose
+    [opts] is forwarded to {!estimate} whole.  A procedure whose
     health comes back {!Tomo.Health.Rejected} contributes {e no} profile
     to the tomography layout — the rewriter leaves it in its natural
     placement — and the tomography variant's label becomes
     ["tomography[N fallback]"] so a partial layout is never mistaken for
     a full one. *)
-
-(** {1 Deprecated}
-
-    The pre-{!Ctx} entry points, kept as thin wrappers so downstream
-    callers keep compiling while they migrate.  Each builds a context
-    from its [?pool]/[?paths_cache] arguments and defers to the
-    canonical function; results are identical.  No in-repo caller uses
-    these. *)
-module Legacy : sig
-  val estimate :
-    ?pool:Par.Pool.t ->
-    ?paths_cache:paths_cache ->
-    ?method_:Tomo.Estimator.method_ ->
-    ?max_samples:int ->
-    ?max_paths:int ->
-    ?max_visits:int ->
-    ?sanitize:Tomo.Sanitize.config ->
-    ?outlier:Tomo.Em.outlier ->
-    ?min_samples:int ->
-    profile_run ->
-    estimation list
-  [@@ocaml.deprecated "use Pipeline.estimate ?ctx (Pipeline.Ctx bundles pool and paths cache)"]
-
-  val estimate_watermarked :
-    ?pool:Par.Pool.t ->
-    ?paths_cache:paths_cache ->
-    ?method_:Tomo.Estimator.method_ ->
-    ?max_samples:int ->
-    ?max_paths:int ->
-    ?max_visits:int ->
-    ?sanitize:Tomo.Sanitize.config ->
-    ?outlier:Tomo.Em.outlier ->
-    ?min_samples:int ->
-    profile_run ->
-    estimation list * (string * int) list
-  [@@ocaml.deprecated
-    "use Pipeline.estimate_watermarked ?ctx (Pipeline.Ctx bundles pool and paths cache)"]
-
-  val compare_layouts :
-    ?pool:Par.Pool.t ->
-    ?paths_cache:paths_cache ->
-    ?eval_config:config ->
-    ?method_:Tomo.Estimator.method_ ->
-    ?sanitize:Tomo.Sanitize.config ->
-    ?outlier:Tomo.Em.outlier ->
-    ?min_samples:int ->
-    profile_run ->
-    variant list
-  [@@ocaml.deprecated
-    "use Pipeline.compare_layouts ?ctx (Pipeline.Ctx bundles pool and paths cache)"]
-end

@@ -3,24 +3,15 @@ type profile_key = { name : string; config : Pipeline.config }
 type estimate_key = {
   pname : string;
   pconfig : Pipeline.config;
-  method_name : string;
-  max_samples : int option;
-  max_paths : int option;
-  max_visits : int option;
+  opts : Pipeline.opts;
   watermarked : bool;
-  sanitize : Tomo.Sanitize.config option;
-  outlier : Tomo.Em.outlier option;
-  min_samples : int option;
 }
 
 type variants_key = {
   vname : string;
   vconfig : Pipeline.config;
   eval_config : Pipeline.config option;
-  vmethod : string;
-  vsanitize : Tomo.Sanitize.config option;
-  voutlier : Tomo.Em.outlier option;
-  vmin_samples : int option;
+  vopts : Pipeline.opts;
 }
 
 (* Path sets are keyed WITHOUT the timing config: the instrumented binary
@@ -115,62 +106,32 @@ let profile t ?(config = Pipeline.default_config) (w : Workloads.t) =
     { name = w.Workloads.name; config }
     (fun () -> Pipeline.profile ~config ~compiled:(compiled t w) w)
 
-let estimate_key ?(config = Pipeline.default_config) ~method_ ~max_samples ~max_paths
-    ~max_visits ~watermarked ~sanitize ~outlier ~min_samples (w : Workloads.t) =
-  {
-    pname = w.Workloads.name;
-    pconfig = config;
-    method_name = Tomo.Estimator.method_name method_;
-    max_samples;
-    max_paths;
-    max_visits;
-    watermarked;
-    sanitize;
-    outlier;
-    min_samples;
-  }
+(* Estimation reads its enumeration bounds through the context, so the
+   path-set cache it gets is scoped to exactly those bounds. *)
+let opts_ctx t (opts : Pipeline.opts) w =
+  ctx t ?max_paths:opts.Pipeline.max_paths ?max_visits:opts.Pipeline.max_visits w
 
-let estimate t ?(method_ = Tomo.Estimator.Em) ?max_samples ?max_paths ?max_visits
-    ?sanitize ?outlier ?min_samples ?config (w : Workloads.t) =
-  let key =
-    estimate_key ?config ~method_ ~max_samples ~max_paths ~max_visits
-      ~watermarked:false ~sanitize ~outlier ~min_samples w
-  in
+let estimate t ?(opts = Pipeline.default_opts) ?(config = Pipeline.default_config)
+    (w : Workloads.t) =
+  let key = { pname = w.Workloads.name; pconfig = config; opts; watermarked = false } in
   fst
     (memo t t.estimates key (fun () ->
-         let run = profile t ?config w in
-         ( Pipeline.estimate ~ctx:(ctx t ?max_paths ?max_visits w) ~method_ ?max_samples
-             ?max_paths ?max_visits ?sanitize ?outlier ?min_samples run,
-           [] )))
+         let run = profile t ~config w in
+         (Pipeline.estimate ~ctx:(opts_ctx t opts w) ~opts run, [])))
 
-let estimate_watermarked t ?(method_ = Tomo.Estimator.Em) ?max_samples ?max_paths
-    ?max_visits ?sanitize ?outlier ?min_samples ?config (w : Workloads.t) =
-  let key =
-    estimate_key ?config ~method_ ~max_samples ~max_paths ~max_visits ~watermarked:true
-      ~sanitize ~outlier ~min_samples w
-  in
+let estimate_watermarked t ?(opts = Pipeline.default_opts)
+    ?(config = Pipeline.default_config) (w : Workloads.t) =
+  let key = { pname = w.Workloads.name; pconfig = config; opts; watermarked = true } in
   memo t t.estimates key (fun () ->
-      let run = profile t ?config w in
-      Pipeline.estimate_watermarked ~ctx:(ctx t ?max_paths ?max_visits w) ~method_
-        ?max_samples ?max_paths ?max_visits ?sanitize ?outlier ?min_samples run)
+      let run = profile t ~config w in
+      Pipeline.estimate_watermarked ~ctx:(opts_ctx t opts w) ~opts run)
 
-let compare_layouts t ?eval_config ?(method_ = Tomo.Estimator.Em) ?sanitize ?outlier
-    ?min_samples ?(config = Pipeline.default_config) (w : Workloads.t) =
-  let key =
-    {
-      vname = w.Workloads.name;
-      vconfig = config;
-      eval_config;
-      vmethod = Tomo.Estimator.method_name method_;
-      vsanitize = sanitize;
-      voutlier = outlier;
-      vmin_samples = min_samples;
-    }
-  in
+let compare_layouts t ?eval_config ?(opts = Pipeline.default_opts)
+    ?(config = Pipeline.default_config) (w : Workloads.t) =
+  let key = { vname = w.Workloads.name; vconfig = config; eval_config; vopts = opts } in
   memo t t.variants key (fun () ->
       let run = profile t ~config w in
-      Pipeline.compare_layouts ~ctx:(ctx t w) ?eval_config ~method_ ?sanitize ?outlier
-        ?min_samples run)
+      Pipeline.compare_layouts ~ctx:(opts_ctx t opts w) ?eval_config ~opts run)
 
 let clear t =
   Mutex.lock t.mutex;

@@ -4,7 +4,7 @@
     compilations, probe-instrumented profile runs, per-procedure
     estimations, and the four-way layout comparisons — each memoized
     under a key of workload name plus the full {!Pipeline.config} (and,
-    for estimation, the estimator knobs).  Experiments that share a
+    for estimation, the {!Pipeline.opts}).  Experiments that share a
     stage get it computed once per session instead of once per caller;
     this replaces the ad-hoc profile caches the bench harness used to
     keep privately.
@@ -67,49 +67,32 @@ val profile : t -> ?config:Pipeline.config -> Workloads.t -> Pipeline.profile_ru
 
 val estimate :
   t ->
-  ?method_:Tomo.Estimator.method_ ->
-  ?max_samples:int ->
-  ?max_paths:int ->
-  ?max_visits:int ->
-  ?sanitize:Tomo.Sanitize.config ->
-  ?outlier:Tomo.Em.outlier ->
-  ?min_samples:int ->
+  ?opts:Pipeline.opts ->
   ?config:Pipeline.config ->
   Workloads.t ->
   Pipeline.estimation list
 (** Memoized per-procedure estimation of the (memoized) profile run,
-    keyed additionally by method, the estimator bounds, and the
-    robustness knobs (sanitizer config, outlier mixture, sample floor).
-    The per-procedure work fans out through the pool. *)
+    keyed additionally by the estimator options.  The per-procedure work
+    fans out through the pool. *)
 
 val estimate_watermarked :
   t ->
-  ?method_:Tomo.Estimator.method_ ->
-  ?max_samples:int ->
-  ?max_paths:int ->
-  ?max_visits:int ->
-  ?sanitize:Tomo.Sanitize.config ->
-  ?outlier:Tomo.Em.outlier ->
-  ?min_samples:int ->
+  ?opts:Pipeline.opts ->
   ?config:Pipeline.config ->
   Workloads.t ->
   Pipeline.estimation list * (string * int) list
 (** Memoized {!Pipeline.estimate_watermarked} over the memoized profile
-    run. *)
+    run; never shares an entry with {!estimate}. *)
 
 val compare_layouts :
   t ->
   ?eval_config:Pipeline.config ->
-  ?method_:Tomo.Estimator.method_ ->
-  ?sanitize:Tomo.Sanitize.config ->
-  ?outlier:Tomo.Em.outlier ->
-  ?min_samples:int ->
+  ?opts:Pipeline.opts ->
   ?config:Pipeline.config ->
   Workloads.t ->
   Pipeline.variant list
 (** Memoized {!Pipeline.compare_layouts}: the four variant evaluations
-    run on the pool, once per (workload, config, eval config, method,
-    robustness knobs). *)
+    run on the pool, once per (workload, config, eval config, options). *)
 
 val clear : t -> unit
 (** Drop every memoized artifact (the pool is untouched). *)

@@ -42,68 +42,12 @@ type sample_set = (string * float array) list
 
 exception Unbalanced of string
 
-type frame = { proc : string; t_entry : int; mutable child_cycles : int }
-
 (* Timestamps travel through 16-bit registers, so tick counts wrap at
    2^16 — differences are taken modulo 2^16, which is correct as long as a
    single window spans fewer than 65536 ticks (mote procedures are run-to-
    completion tasks, orders of magnitude shorter). *)
 let wrap16 v = v land 0xFFFF
 let diff16 later earlier = (later - earlier) land 0xFFFF
-
-let collect_records ~program ~resolution records =
-  let to_cycles ticks = ticks * resolution in
-  let samples : (string, float list ref) Hashtbl.t = Hashtbl.create 8 in
-  let stack : frame list ref = ref [] in
-  let record_sample proc v =
-    let cell =
-      match Hashtbl.find_opt samples proc with
-      | Some c -> c
-      | None ->
-          let c = ref [] in
-          Hashtbl.replace samples proc c;
-          c
-    in
-    cell := v :: !cell
-  in
-  List.iter
-    (fun { Mote_machine.Devices.pc; value; _ } ->
-      let proc =
-        match Program.proc_at program pc with
-        | Some p -> p
-        | None -> raise (Unbalanced (Printf.sprintf "probe at %d outside any procedure" pc))
-      in
-      let is_entry = pc = proc.Program.entry + 1 in
-      if is_entry then
-        stack := { proc = proc.Program.name; t_entry = wrap16 value; child_cycles = 0 } :: !stack
-      else begin
-        match !stack with
-        | [] ->
-            raise (Unbalanced (Printf.sprintf "exit probe for %s with empty stack" proc.Program.name))
-        | frame :: rest ->
-            if frame.proc <> proc.Program.name then
-              raise
-                (Unbalanced
-                   (Printf.sprintf "exit probe for %s while %s is open" proc.Program.name
-                      frame.proc));
-            let inclusive = to_cycles (diff16 (wrap16 value) frame.t_entry) in
-            let exclusive = inclusive - frame.child_cycles in
-            record_sample frame.proc (float_of_int exclusive);
-            (match rest with
-            | parent :: _ -> parent.child_cycles <- parent.child_cycles + inclusive
-            | [] -> ());
-            stack := rest
-      end)
-    records;
-  Hashtbl.fold
-    (fun proc cell acc -> (proc, Array.of_list (List.rev !cell)) :: acc)
-    samples []
-  |> List.sort compare
-
-let collect ~program ~devices =
-  collect_records ~program
-    ~resolution:(Mote_machine.Devices.timer_resolution devices)
-    (Mote_machine.Devices.probe_log devices)
 
 let samples_for set proc = Option.value ~default:[||] (List.assoc_opt proc set)
 
@@ -228,11 +172,16 @@ let collect_lossy ?max_window ~program ~devices () =
     ~resolution:(Mote_machine.Devices.timer_resolution devices)
     (Mote_machine.Devices.probe_log devices)
 
-(* Wire-format ingest: decode (rejecting unknown versions with the typed
-   Wire.Error) and delegate to the record-list collectors. *)
-
-let collect_wire ~program ~resolution batch =
-  collect_records ~program ~resolution (Wire.decode_exn batch)
-
-let collect_lossy_wire ?max_window ~program ~resolution batch =
-  collect_lossy_records ?max_window ~program ~resolution (Wire.decode_exn batch)
+(* The strict collector is the lossy one that must not discard: every
+   log that fails to nest (a stray probe, an exit with no or the wrong
+   open entry) makes the Collector abandon a frame.  The one well-nested
+   input it tears anyway — re-entering an open procedure — needs
+   recursion, which no checked program has.  Frames still open at the
+   end are dropped silently, as a run cut mid-task leaves them. *)
+let collect ~program ~devices =
+  let resolution = Mote_machine.Devices.timer_resolution devices in
+  let c = Collector.create ~program ~resolution () in
+  List.iter (Collector.feed c) (Mote_machine.Devices.probe_log devices);
+  match Collector.discarded c with
+  | 0 -> Collector.drain c
+  | n -> raise (Unbalanced (Printf.sprintf "%d probe window(s) abandoned" n))

@@ -46,21 +46,8 @@ type sample_set = (string * float array) list
     execution order. *)
 
 exception Unbalanced of string
-(** Probe log does not nest properly (e.g. a run was cut mid-task). *)
-
-val collect : program:Program.t -> devices:Mote_machine.Devices.t -> sample_set
-(** Pair up the probe log of an instrumented binary.  Invocations still
-    open at the end of the log are discarded. *)
-
-val collect_records :
-  program:Program.t ->
-  resolution:int ->
-  Mote_machine.Devices.probe_record list ->
-  sample_set
-(** {!collect} on an explicit record list — the shape a base station
-    sees after the log crossed a (possibly fault-injecting, see
-    {!Transport}) link.  [resolution] is the mote timer's cycles per
-    tick. *)
+(** Probe log does not nest properly: a probe outside any procedure, or
+    an exit with no matching open entry. *)
 
 val samples_for : sample_set -> string -> float array
 (** Convenience accessor; [||] when the procedure has no samples. *)
@@ -78,9 +65,10 @@ val collect_lossy :
   devices:Mote_machine.Devices.t ->
   unit ->
   lossy_result
-(** Like {!collect}, but tolerant of records lost in flight (bounded
-    buffers, unreliable uplinks — see {!Mote_machine.Devices.create}):
-    instead of raising {!Unbalanced}, the collector resynchronizes.  An
+(** Pair up the probe log of an instrumented binary, tolerant of records
+    lost in flight (bounded buffers, unreliable uplinks — see
+    {!Mote_machine.Devices.create}): instead of raising {!Unbalanced}
+    like {!collect}, the collector resynchronizes.  An
     exit whose procedure is open deeper in the stack closes (and discards)
     the intervening frames; an exit with no matching open frame is
     skipped; an entry for an already-open procedure tears the whole stack
@@ -141,17 +129,9 @@ val collect_lossy_records :
     {!Collector} run over the whole list; frames still open at its end
     never completed, so they count as [discarded]. *)
 
-val collect_wire :
-  program:Program.t -> resolution:int -> string -> sample_set
-(** {!collect_records} on a serialized batch: the strict collector over
-    the {!Wire} format.  A batch with a bad magic, an unknown format
-    version or a truncated payload raises the typed {!Wire.Error} —
-    unknown versions are {e rejected}, never guessed at. *)
-
-val collect_lossy_wire :
-  ?max_window:int -> program:Program.t -> resolution:int -> string -> lossy_result
-(** {!collect_lossy_records} on a serialized batch.  Loss-tolerance is
-    about records missing {e inside} a well-formed batch; a batch whose
-    envelope itself is unreadable still raises {!Wire.Error} — the
-    lossy collector resynchronizes across damage, it does not invent
-    records from bytes it cannot parse. *)
+val collect : program:Program.t -> devices:Mote_machine.Devices.t -> sample_set
+(** The strict collector: one {!Collector} run over the device's probe
+    log that must not discard.  If any frame had to be abandoned the log
+    does not nest properly and {!Unbalanced} is raised; otherwise the
+    samples are exactly {!collect_lossy}'s.  Invocations still open at
+    the end of the log (a run cut mid-task) are dropped silently. *)

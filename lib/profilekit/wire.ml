@@ -2,6 +2,7 @@ type error =
   | Bad_magic
   | Unsupported_version of int
   | Truncated of { expected : int; got : int }
+  | Overlong of { expected : int; got : int }
 
 exception Error of error
 
@@ -18,6 +19,8 @@ let error_to_string = function
   | Truncated { expected; got } ->
       Printf.sprintf "probe batch: truncated (%d bytes expected, %d present)" expected
         got
+  | Overlong { expected; got } ->
+      Printf.sprintf "probe batch: over-long (%d bytes expected, %d present)" expected got
 
 let pp_error fmt e = Format.pp_print_string fmt (error_to_string e)
 
@@ -63,7 +66,8 @@ let decode s =
     else
       let count = get_be s 6 4 in
       let expected = header_bytes + (count * record_bytes) in
-      if len <> expected then Result.Error (Truncated { expected; got = len })
+      if len < expected then Result.Error (Truncated { expected; got = len })
+      else if len > expected then Result.Error (Overlong { expected; got = len })
       else
         let rec go i acc =
           if i < 0 then Result.Ok acc

@@ -18,9 +18,11 @@
     {!decode} accepts exactly the versions this build understands and
     rejects everything else with a {e typed} error — never a silent
     misparse: a batch from firmware vN+1 fails loudly as
-    [Unsupported_version], and line noise fails as [Bad_magic] or
-    [Truncated].  The strict and lossy collectors gain [_wire] entry
-    points in {!Probes} that enforce this at ingest. *)
+    [Unsupported_version], and line noise fails as [Bad_magic],
+    [Truncated] or [Overlong].  A base station decodes with {!decode_exn}
+    before feeding the records to a {!Probes.Collector} (the fleet
+    ingest does exactly this), so a batch it cannot read never reaches
+    a collector. *)
 
 type error =
   | Bad_magic
@@ -28,7 +30,9 @@ type error =
   | Unsupported_version of int
       (** Well-formed header, but a format this build does not speak. *)
   | Truncated of { expected : int; got : int }
-      (** Byte length disagrees with the header's record count. *)
+      (** Fewer bytes than the header (or its record count) needs. *)
+  | Overlong of { expected : int; got : int }
+      (** Bytes trail the header's declared record count. *)
 
 exception Error of error
 

@@ -122,7 +122,7 @@ let test_estimate_domain_invariant () =
 
 let test_max_samples_prefix () =
   (* max_samples must behave exactly as if profiling had stopped after
-     that many windows: estimating with [~max_samples:n] equals
+     that many windows: estimating with [max_samples = Some n] equals
      estimating a run whose sample arrays are the chronological first-n
      prefixes. *)
   let run = Lazy.force run in
@@ -141,7 +141,7 @@ let test_max_samples_prefix () =
       Alcotest.(check int) "sample_count" b.P.sample_count a.P.sample_count;
       Alcotest.(check (array (float 0.0))) "theta from first-n prefix"
         b.P.estimate.Tomo.Estimator.theta a.P.estimate.Tomo.Estimator.theta)
-    (P.estimate ~max_samples:n run)
+    (P.estimate ~opts:{ P.default_opts with P.max_samples = Some n } run)
     (P.estimate truncated)
 
 (* --- session memoization --- *)
@@ -165,6 +165,41 @@ let test_session_memoizes () =
       let c = Codetomo.Session.profile s ~config w in
       Alcotest.(check bool) "clear drops entries" true (c != a))
 
+(* The estimate memo is keyed by the options value itself: equal
+   records share an entry however they were built, any differing knob
+   gets its own, and the watermarked estimate never aliases the plain
+   one. *)
+let test_session_opts_key () =
+  let s = Codetomo.Session.create ~domains:1 () in
+  Fun.protect
+    ~finally:(fun () -> Codetomo.Session.close s)
+    (fun () ->
+      let w = Workloads.blink in
+      let est opts = Codetomo.Session.estimate s ~opts ~config w in
+      let robust () =
+        {
+          P.default_opts with
+          P.sanitize = Some Tomo.Sanitize.default;
+          outlier = Some Tomo.Em.default_outlier;
+          min_samples = 8;
+        }
+      in
+      Alcotest.(check bool) "equal opts built separately share an entry" true
+        (est (robust ()) == est (robust ()));
+      Alcotest.(check bool) "omitted opts = default_opts" true
+        (Codetomo.Session.estimate s ~config w
+        == est { P.default_opts with P.min_samples = 1 });
+      let floor = est { P.default_opts with P.min_samples = max_int } in
+      Alcotest.(check bool) "a different floor is a different entry" true
+        (est P.default_opts != floor);
+      Alcotest.(check bool) "the other floor's entry is its own" true
+        (List.for_all (fun e -> Tomo.Health.is_rejected e.P.health) floor);
+      let wm = Codetomo.Session.estimate_watermarked s ~config w in
+      Alcotest.(check bool) "watermarked cached" true
+        (wm == Codetomo.Session.estimate_watermarked s ~config w);
+      Alcotest.(check bool) "watermarked never shares the plain entry" true
+        (fst wm != est P.default_opts))
+
 let suite =
   [
     Alcotest.test_case "map preserves order" `Quick test_map_preserves_order;
@@ -179,4 +214,5 @@ let suite =
     Alcotest.test_case "estimate domain-invariant" `Slow test_estimate_domain_invariant;
     Alcotest.test_case "max_samples keeps the prefix" `Slow test_max_samples_prefix;
     Alcotest.test_case "session memoizes stages" `Slow test_session_memoizes;
+    Alcotest.test_case "session memo key is the opts value" `Slow test_session_opts_key;
   ]

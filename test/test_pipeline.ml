@@ -77,8 +77,9 @@ let test_naive_is_worse_than_em () =
   let better = ref 0 and total = ref 0 in
   List.iter
     (fun (_, run) ->
-      let em = P.estimate ~method_:Tomo.Estimator.Em run in
-      let naive = P.estimate ~method_:Tomo.Estimator.Naive run in
+      let with_method m = P.estimate ~opts:{ P.default_opts with P.method_ = m } run in
+      let em = with_method Tomo.Estimator.Em in
+      let naive = with_method Tomo.Estimator.Naive in
       List.iter2
         (fun e n ->
           if Array.length e.P.truth > 0 then begin
@@ -182,9 +183,15 @@ let faulted_runs =
   lazy
     (List.map (fun w -> (w.Workloads.name, P.profile ~config:faulted_config w)) Workloads.all)
 
-let hardened_estimate run =
-  P.estimate ~sanitize:Tomo.Sanitize.default ~outlier:Tomo.Em.default_outlier
-    ~min_samples:Tomo.Health.default_min_samples run
+let hardened =
+  {
+    P.default_opts with
+    P.sanitize = Some Tomo.Sanitize.default;
+    outlier = Some Tomo.Em.default_outlier;
+    min_samples = Tomo.Health.default_min_samples;
+  }
+
+let hardened_estimate run = P.estimate ~opts:hardened run
 
 let test_faulted_pipeline_completes () =
   (* At the field operating point every workload must profile, estimate
@@ -204,9 +211,7 @@ let test_faulted_pipeline_completes () =
             (Printf.sprintf "%s: finite mae" name)
             true (Float.is_finite e.P.mae))
         ests;
-      let variants = P.compare_layouts ~sanitize:Tomo.Sanitize.default
-          ~outlier:Tomo.Em.default_outlier ~min_samples:Tomo.Health.default_min_samples run
-      in
+      let variants = P.compare_layouts ~opts:hardened run in
       Alcotest.(check bool) (Printf.sprintf "%s: variants" name) true (List.length variants >= 4))
     (Lazy.force faulted_runs)
 
@@ -240,7 +245,7 @@ let test_sample_floor_rejects () =
   (* An absurd floor rejects every procedure — with a typed verdict and
      the uniform fallback, not an exception. *)
   let run = run_of "filter" in
-  let ests = P.estimate ~min_samples:max_int run in
+  let ests = P.estimate ~opts:{ P.default_opts with P.min_samples = max_int } run in
   List.iter
     (fun e ->
       Alcotest.(check bool)
@@ -254,7 +259,9 @@ let test_rejected_never_rewritten () =
      fallback and its binary behaves exactly like natural: no Rejected
      procedure was rewritten. *)
   let run = run_of "filter" in
-  let variants = P.compare_layouts ~min_samples:max_int run in
+  let variants =
+    P.compare_layouts ~opts:{ P.default_opts with P.min_samples = max_int } run
+  in
   let tomo =
     List.find
       (fun v -> String.length v.P.label >= 10 && String.sub v.P.label 0 10 = "tomography")

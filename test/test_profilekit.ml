@@ -566,9 +566,91 @@ let test_collector_state_bounded () =
   ignore (Collector.drain c);
   Alcotest.(check int) "drain forgets" 0 (List.length (Collector.drain c))
 
+(* The strict collector is the lossy one that must not discard.  On
+   real workload runs, clean and over a lossy probe uplink: either
+   [collect] raises, exactly when the Collector abandoned a window, or
+   its samples are [collect_lossy]'s bit for bit.  A window merely left
+   open at the end of the log (the run cut mid-task) is no reason to
+   raise. *)
+let device_log name ~probe_loss ~seed =
+  let w = Workloads.find name in
+  let compiled = Workloads.compiled w in
+  let program = Asm.assemble (Probes.instrument compiled.Compile.items) in
+  let devices = Devices.create ~probe_loss ~rng:(Stats.Rng.create seed) () in
+  let machine = Machine.create ~program ~devices () in
+  let env = Env.create { w.Workloads.env_config with Env.seed = 42 + seed } in
+  let node = Mote_os.Node.create ~machine ~env ~tasks:w.Workloads.tasks () in
+  ignore (Mote_os.Node.run node ~until:200_000);
+  (program, devices)
+
+let hex_samples set =
+  List.map (fun (proc, a) -> (proc, Array.to_list (Array.map (Printf.sprintf "%h") a))) set
+
+(* [Some abandoned] if [collect] behaved as "lossy + no discards" on this
+   device; fails the test otherwise. *)
+let check_strict_is_lossy ~what ~program devices =
+  let c =
+    Collector.create ~program ~resolution:(Devices.timer_resolution devices) ()
+  in
+  List.iter (Collector.feed c) (Devices.probe_log devices);
+  let abandoned = Collector.discarded c in
+  let lossy = Probes.collect_lossy ~program ~devices () in
+  match Probes.collect ~program ~devices with
+  | exception Probes.Unbalanced _ ->
+      Alcotest.(check bool) (what ^ ": raises only after an abandoned window") true
+        (abandoned > 0)
+  | strict ->
+      Alcotest.(check int) (what ^ ": no window abandoned") 0 abandoned;
+      Alcotest.(check int)
+        (what ^ ": lossy discards only the open frames")
+        (Collector.open_frames c) lossy.Probes.discarded;
+      Alcotest.(check (list (pair string (list string))))
+        (what ^ ": strict samples = lossy samples")
+        (hex_samples lossy.Probes.samples) (hex_samples strict)
+
+let test_strict_is_lossy_without_discards () =
+  let raised = ref 0 in
+  List.iter
+    (fun name ->
+      List.iter
+        (fun seed ->
+          let program, devices = device_log name ~probe_loss:0.0 ~seed in
+          let what = Printf.sprintf "%s/clean/seed %d" name seed in
+          check_strict_is_lossy ~what ~program devices;
+          Alcotest.(check bool) (what ^ ": a clean log collects") true
+            (match Probes.collect ~program ~devices with
+            | _ -> true
+            | exception Probes.Unbalanced _ -> false);
+          (* Cut the clean log inside its last window: the frame is left
+             open, nothing is abandoned, and collect must not raise. *)
+          let log = Devices.probe_log devices in
+          let cut = Devices.create () in
+          List.iteri
+            (fun i { Devices.pc; cycles; value } ->
+              if i < List.length log - 1 then Devices.probe cut ~pc ~cycles ~value)
+            log;
+          check_strict_is_lossy ~what:(what ^ "/cut") ~program cut;
+          Alcotest.(check bool) (what ^ "/cut: open frame dropped silently") true
+            ((Probes.collect_lossy ~program ~devices:cut ()).Probes.discarded > 0
+            && match Probes.collect ~program ~devices:cut with
+               | _ -> true
+               | exception Probes.Unbalanced _ -> false);
+          let program, devices = device_log name ~probe_loss:0.05 ~seed in
+          check_strict_is_lossy
+            ~what:(Printf.sprintf "%s/lossy/seed %d" name seed)
+            ~program devices;
+          match Probes.collect ~program ~devices with
+          | _ -> ()
+          | exception Probes.Unbalanced _ -> incr raised)
+        [ 1; 2 ])
+    [ "filter"; "ctp"; "sense" ];
+  Alcotest.(check bool) "lossy uplinks make collect raise" true (!raised > 0)
+
 let suite =
   suite
   @ [
+      Alcotest.test_case "strict = lossy + no discards" `Quick
+        test_strict_is_lossy_without_discards;
       Alcotest.test_case "collector: any split = one shot" `Quick
         test_collector_splits_equal_one_shot;
       Alcotest.test_case "collector: bounded open frames" `Quick

@@ -134,8 +134,15 @@ let test_pipeline_determinism_across_domains () =
   let estimate domains =
     let s = Codetomo.Session.create ~domains () in
     let est =
-      Codetomo.Session.estimate s ~sanitize:Tomo.Sanitize.default
-        ~outlier:Tomo.Em.default_outlier ~min_samples:8 ~config Workloads.filter
+      Codetomo.Session.estimate s
+        ~opts:
+          {
+            P.default_opts with
+            P.sanitize = Some Tomo.Sanitize.default;
+            outlier = Some Tomo.Em.default_outlier;
+            min_samples = 8;
+          }
+        ~config Workloads.filter
     in
     Codetomo.Session.close s;
     est

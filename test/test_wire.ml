@@ -1,7 +1,7 @@
 (* Profilekit.Wire: the versioned probe-batch format.  A base station
    must never misparse an uplink batch: round-trips are exact, and every
-   malformed or wrong-version input fails with the typed error, both
-   directly and through the collectors' _wire entry points. *)
+   malformed or wrong-version input fails with the typed error, and a
+   decoded batch collects exactly like the log it was encoded from. *)
 
 open Mote_lang.Ast.Dsl
 module Compile = Mote_lang.Compile
@@ -68,8 +68,28 @@ let truncated () =
   | Error (Wire.Truncated _) -> ()
   | Ok _ | Error _ -> Alcotest.fail "bare magic accepted"
 
-(* A real instrumented run, shipped through the wire and collected: the
-   _wire collectors must agree exactly with the record-list collectors. *)
+(* Bytes past the declared record count are not a truncation: the batch
+   is over-long, and says so. *)
+let overlong () =
+  let s = Wire.encode [ record 1 2 3 ] in
+  let trailing = s ^ "\000\000\000" in
+  (match Wire.decode trailing with
+  | Error (Wire.Overlong { expected; got } as e) ->
+      Alcotest.(check int) "expected" (String.length s) expected;
+      Alcotest.(check int) "got" (String.length s + 3) got;
+      Alcotest.(check string)
+        "message" "probe batch: over-long (20 bytes expected, 23 present)"
+        (Wire.error_to_string e)
+  | Ok _ | Error _ -> Alcotest.fail "over-long batch not reported as Overlong");
+  (* a whole record the header does not declare: count 2 rewritten to 1 *)
+  let two = Bytes.of_string (Wire.encode [ record 1 2 3; record 4 5 6 ]) in
+  Bytes.set two 9 '\001';
+  match Wire.decode (Bytes.to_string two) with
+  | Error (Wire.Overlong { expected = 20; got = 30 }) -> ()
+  | Ok _ | Error _ -> Alcotest.fail "undeclared record accepted"
+
+(* A real instrumented run, shipped through the wire and collected:
+   decoding must hand the collector exactly the records of the log. *)
 let program =
   {
     Mote_lang.Ast.globals = [ ("acc", 0) ];
@@ -99,33 +119,25 @@ let instrumented_log () =
 
 let collectors_agree () =
   let inst, log = instrumented_log () in
-  let batch = Wire.encode log in
-  let direct = Probes.collect_records ~program:inst ~resolution:1 log in
-  let wired = Probes.collect_wire ~program:inst ~resolution:1 batch in
-  Alcotest.(check (array (float 1e-9)))
-    "strict samples"
-    (Probes.samples_for direct "task")
-    (Probes.samples_for wired "task");
   let direct = Probes.collect_lossy_records ~program:inst ~resolution:1 log in
-  let wired = Probes.collect_lossy_wire ~program:inst ~resolution:1 batch in
-  Alcotest.(check int) "lossy discarded" direct.Probes.discarded wired.Probes.discarded;
-  Alcotest.(check (array (float 1e-9)))
-    "lossy samples"
+  let wired =
+    Probes.collect_lossy_records ~program:inst ~resolution:1
+      (Wire.decode_exn (Wire.encode log))
+  in
+  Alcotest.(check int) "nothing discarded" 0 wired.Probes.discarded;
+  Alcotest.(check int) "discarded" direct.Probes.discarded wired.Probes.discarded;
+  Alcotest.(check (array (float 0.0)))
+    "samples"
     (Probes.samples_for direct.Probes.samples "task")
     (Probes.samples_for wired.Probes.samples "task")
 
 let collectors_reject () =
-  let inst, log = instrumented_log () in
+  let _, log = instrumented_log () in
   let b = Bytes.of_string (Wire.encode log) in
   Bytes.set b 5 '\007';
-  let batch = Bytes.to_string b in
-  let rejects f =
-    match f () with
-    | exception Wire.Error (Wire.Unsupported_version 7) -> ()
-    | _ -> Alcotest.fail "collector accepted an unknown wire version"
-  in
-  rejects (fun () -> Probes.collect_wire ~program:inst ~resolution:1 batch);
-  rejects (fun () -> Probes.collect_lossy_wire ~program:inst ~resolution:1 batch)
+  match Wire.decode_exn (Bytes.to_string b) with
+  | exception Wire.Error (Wire.Unsupported_version 7) -> ()
+  | _ -> Alcotest.fail "decode_exn accepted an unknown wire version"
 
 let suite =
   [
@@ -134,6 +146,7 @@ let suite =
     Alcotest.test_case "bad magic" `Quick bad_magic;
     Alcotest.test_case "unsupported version" `Quick unsupported_version;
     Alcotest.test_case "truncated" `Quick truncated;
+    Alcotest.test_case "over-long" `Quick overlong;
     Alcotest.test_case "wire collectors agree" `Quick collectors_agree;
     Alcotest.test_case "wire collectors reject versions" `Quick collectors_reject;
   ]

@@ -182,10 +182,32 @@ let test_placement =
               ~algorithm:Layout.Algorithms.pettis_hansen
               ~profiles:run.Codetomo.Pipeline.oracle_freqs)))
 
+(* The evaluation path of one place_fresh job on filter, the slowest
+   workload to evaluate: one full-horizon evaluation run of the natural
+   binary, and filter_task's exhaustive pessimal layout (8! candidates). *)
+let prepared_filter = lazy (Codetomo.Pipeline.profile Workloads.filter)
+
+let test_run_binary =
+  Test.make ~name:"evaluate natural binary (filter, run_binary)"
+    (Staged.stage (fun () ->
+         let run = Lazy.force prepared_filter in
+         ignore
+           (Codetomo.Pipeline.run_binary Workloads.filter
+              (Codetomo.Pipeline.natural_binary run) ~label:"natural")))
+
+let test_pessimal =
+  Test.make ~name:"pessimal layout (filter_task)"
+    (Staged.stage (fun () ->
+         let run = Lazy.force prepared_filter in
+         ignore
+           (Layout.Algorithms.pessimal
+              (List.assoc "filter_task" run.Codetomo.Pipeline.oracle_freqs))))
+
 let benchmark () =
   ignore (Lazy.force prepared_sense);
   ignore (Lazy.force prepared_ctp);
   ignore (Lazy.force prepared_ingest);
+  ignore (Lazy.force prepared_filter);
   let instances = Instance.[ monotonic_clock ] in
   let cfg = Benchmark.cfg ~limit:200 ~quota:(Time.second 0.8) ~kde:(Some 100) () in
   let grouped =
@@ -193,6 +215,7 @@ let benchmark () =
       [
         test_simulator; test_cfg; test_paths; test_em; test_paths_merge;
         test_em_sparse; test_log_prior; test_placement; test_ingest; test_online;
+        test_run_binary; test_pessimal;
       ]
   in
   let results = Benchmark.all cfg instances grouped in

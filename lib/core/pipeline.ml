@@ -363,7 +363,7 @@ let run_binary ?(config = default_config) (workload : Workloads.t) binary ~label
       stats.Machine.mispredicted_branches + stats.Machine.unconditional_transfers;
     busy_cycles = node_stats.Node.busy_cycles;
     idle_cycles = node_stats.Node.idle_cycles;
-    tx_words = List.length (Devices.tx_log (Machine.devices machine));
+    tx_words = Devices.tx_count (Machine.devices machine);
     flash_words = Program.flash_words binary;
   }
 

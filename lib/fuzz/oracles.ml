@@ -1,4 +1,4 @@
-(* The six differential oracles.
+(* The seven differential oracles.
 
    Each oracle takes one generated program (plus its own RNG stream where
    it needs randomness) and returns a verdict.  Failures carry a message
@@ -949,3 +949,126 @@ let streaming p rng ~env_seed (c : Compile.t) =
             | Some msg ->
                 Fail ("signature Online diverged from the per-path reference: " ^ msg)
             | None -> Pass))
+
+(* ------------------------------------------------------------------ *)
+(* Oracle 7: the interpreter loop agrees with the reference stepper.  *)
+(* ------------------------------------------------------------------ *)
+
+(* Everything one interpreter run leaves behind. *)
+type interp_run = {
+  outcomes : (int, string) result list;
+      (* Per call: its cycles, or the fault that ended the run. *)
+  run_stats : Machine.stats;
+  regs : int array;
+  mem : int array;
+  tx_words : int list;
+  probes : Devices.probe_record list;
+  counters : (int * int) list;
+  led_state : int * int;
+  branches : (string * (int * (int * int)) list) list;
+}
+
+(* Invoke [calls] in order on a fresh machine, stopping at the first
+   fault.  Before each call the radio queue gets a word and the clock
+   idles, both a function of the call index only, so two interpreters
+   that agree see the same inputs throughout. *)
+let interp_run ~run_proc ~prediction ~mem_words ~fuel ~env binary calls =
+  let devices = Devices.create () in
+  Env.attach (Env.create env) devices;
+  let m = Machine.create ~mem_words ~prediction ~program:binary ~devices () in
+  let oracle = Profilekit.Oracle.attach m in
+  let rec go i calls acc =
+    match calls with
+    | [] -> List.rev acc
+    | proc :: rest -> (
+        Devices.radio_push_rx devices ((i * 37) land 1023);
+        Machine.idle m (i * 13 mod 97);
+        match run_proc ?fuel m proc with
+        | cycles -> go (i + 1) rest (Ok cycles :: acc)
+        | exception Machine.Fault msg -> List.rev (Error msg :: acc))
+  in
+  let outcomes = go 0 calls [] in
+  {
+    outcomes;
+    run_stats = Machine.stats m;
+    regs = Array.init Isa.num_regs (Machine.reg m);
+    mem = Array.init mem_words (Machine.read_mem m);
+    tx_words = Devices.tx_log devices;
+    probes = Devices.probe_log devices;
+    counters = Devices.counters devices;
+    led_state = (Devices.leds devices, Devices.led_writes devices);
+    branches =
+      List.map
+        (fun (pi : Program.proc_info) ->
+          (pi.Program.name, Profilekit.Oracle.counts oracle ~proc:pi.Program.name))
+        (Program.procs binary);
+  }
+
+let pp_stats (s : Machine.stats) =
+  Printf.sprintf "{instr=%d cycles=%d cond=%d taken=%d mispredicted=%d jumps=%d calls=%d ret=%d}"
+    s.instructions s.cycles s.cond_branches s.taken_cond_branches s.mispredicted_branches
+    s.unconditional_transfers s.calls s.returns
+
+let pp_outcome = function
+  | Ok cycles -> Printf.sprintf "%d cycles" cycles
+  | Error msg -> Printf.sprintf "fault %S" msg
+
+let interpreter_mismatch ?(prediction = Machine.Predict_not_taken) ?(mem_words = 4096) ?fuel
+    ~env binary calls =
+  let run run_proc = interp_run ~run_proc ~prediction ~mem_words ~fuel ~env binary calls in
+  let a = run Machine.run_proc and b = run Machine.Reference.run_proc in
+  let differs name f = if f a <> f b then Some (name ^ " differ") else None in
+  let rec first_outcome i xs ys =
+    match (xs, ys) with
+    | x :: xs, y :: ys when x = y -> first_outcome (i + 1) xs ys
+    | x :: _, y :: _ ->
+        Some (Printf.sprintf "call %d: loop %s, reference %s" i (pp_outcome x) (pp_outcome y))
+    | [], [] -> None
+    | _ -> Some (Printf.sprintf "call %d: one run stopped, the other did not" i)
+  in
+  List.find_map Fun.id
+    [
+      first_outcome 0 a.outcomes b.outcomes;
+      (if a.run_stats <> b.run_stats then
+         Some
+           (Printf.sprintf "stats: loop %s, reference %s" (pp_stats a.run_stats)
+              (pp_stats b.run_stats))
+       else None);
+      differs "registers" (fun r -> r.regs);
+      differs "memory" (fun r -> r.mem);
+      differs "radio tx logs" (fun r -> r.tx_words);
+      differs "probe logs" (fun r -> r.probes);
+      differs "counters" (fun r -> r.counters);
+      differs "LED states" (fun r -> r.led_state);
+      differs "oracle branch counts" (fun r -> r.branches);
+    ]
+
+let interpreter p rng ~env_seed (c : Compile.t) =
+  let natural = c.Compile.program in
+  let instrumented = Asm.assemble (Probes.instrument c.Compile.items) in
+  let placed = Layout.Rewrite.program natural ~placements:(random_placements rng natural) in
+  let fuel = 1 + Stats.Rng.int rng 256 in
+  let mem_words = 17 + Stats.Rng.int rng 48 in
+  let env = Gen.env_config ~seed:env_seed in
+  let calls = Compile.init_proc_name :: List.init p.invocations (fun _ -> Gen.task_name) in
+  let check label ?prediction ?mem_words ?fuel binary () =
+    Option.map
+      (fun msg -> Printf.sprintf "%s: %s" label msg)
+      (interpreter_mismatch ?prediction ?mem_words ?fuel ~env binary calls)
+  in
+  let runs =
+    List.concat_map
+      (fun (name, binary) ->
+        [
+          check (name ^ ", not-taken") ~prediction:Machine.Predict_not_taken binary;
+          check (name ^ ", btfn") ~prediction:Machine.Predict_btfn binary;
+        ])
+      [ ("natural", natural); ("instrumented", instrumented); ("placed", placed) ]
+    @ [
+        check (Printf.sprintf "natural, fuel %d" fuel) ~fuel natural;
+        check (Printf.sprintf "instrumented, %d memory words" mem_words) ~mem_words instrumented;
+      ]
+  in
+  match List.find_map (fun run -> run ()) runs with
+  | None -> Pass
+  | Some msg -> Fail ("interpreter loop diverged from Machine.Reference: " ^ msg)

@@ -1,4 +1,4 @@
-(** The six differential oracles of the fuzzing harness.
+(** The seven differential oracles of the fuzzing harness.
 
     Every oracle runs one generated program through two pipelines that the
     design says must agree, and reports where they do not:
@@ -21,7 +21,11 @@
     + {!streaming}: the resumable {!Profilekit.Probes.Collector} fed in
       random batch splits equals one-shot lossy collection, and the
       signature-space {!Tomo.Online} equals its per-path reference
-      {!Tomo.Online.Dense} after every observation.
+      {!Tomo.Online.Dense} after every observation;
+    + {!interpreter}: the interpreter loop behind
+      {!Mote_machine.Machine.run_proc} equals the per-instruction
+      {!Mote_machine.Machine.Reference} on every binary variant, both
+      prediction policies, fuel exhaustion and memory faults.
 
     Verdicts distinguish {!Skip} (the case structurally carries no signal
     for this oracle) from {!Fail} (a real disagreement, message included). *)
@@ -134,3 +138,32 @@ val streaming :
       set, {!Tomo.Online} and {!Tomo.Online.Dense} fed its clean windows
       plus three values no path explains agree to the bit in θ and
       effective weight after every observation. *)
+
+val interpreter_mismatch :
+  ?prediction:Mote_machine.Machine.prediction ->
+  ?mem_words:int ->
+  ?fuel:int ->
+  env:Env.config ->
+  Mote_isa.Program.t ->
+  string list ->
+  string option
+(** Invoke the procedures [calls] in order on two fresh machines (default
+    4096 words, {!Mote_machine.Machine.Predict_not_taken}, [fuel] per
+    call as in {!Mote_machine.Machine.run_proc}), one through
+    {!Mote_machine.Machine.run_proc} and one through
+    {!Mote_machine.Machine.Reference.run_proc}, each with its own devices,
+    environment [env] and attached {!Profilekit.Oracle}.  Before call [i]
+    both get the same radio word and idle time.  A run stops at its first
+    fault.  Compares per-call cycles or fault messages, statistics,
+    registers, all of memory, radio and probe logs, counters, LEDs and
+    oracle branch counts; [Some msg] names the first disagreement. *)
+
+val interpreter :
+  params -> Stats.Rng.t -> env_seed:int -> Mote_lang.Compile.t -> verdict
+(** The interpreter oracle.  Draws a random placement, a fuel budget
+    (1–256) and a memory size (17–64 words) from its stream, then runs
+    {!interpreter_mismatch} over [__init] plus [invocations] task calls
+    for the natural, instrumented and randomly placed binaries under both
+    prediction policies, the natural binary under the small fuel budget
+    (out-of-fuel faults), and the instrumented binary in the small
+    memory (load, store and stack faults).  Never skips. *)

@@ -12,7 +12,15 @@ module Ast = Mote_lang.Ast
 module Check = Mote_lang.Check
 module Compile = Mote_lang.Compile
 
-type oracle = Gen_check | Optimize | Rewrite | Em | Convergence | Faults | Streaming
+type oracle =
+  | Gen_check
+  | Optimize
+  | Rewrite
+  | Em
+  | Convergence
+  | Faults
+  | Streaming
+  | Interpreter
 
 let oracle_name = function
   | Gen_check -> "gen-check"
@@ -22,6 +30,7 @@ let oracle_name = function
   | Convergence -> "convergence"
   | Faults -> "faults"
   | Streaming -> "streaming"
+  | Interpreter -> "interpreter"
 
 let oracle_of_name = function
   | "gen-check" -> Some Gen_check
@@ -31,9 +40,11 @@ let oracle_of_name = function
   | "convergence" -> Some Convergence
   | "faults" -> Some Faults
   | "streaming" -> Some Streaming
+  | "interpreter" -> Some Interpreter
   | _ -> None
 
-let all_oracles = [ Gen_check; Optimize; Rewrite; Em; Convergence; Faults; Streaming ]
+let all_oracles =
+  [ Gen_check; Optimize; Rewrite; Em; Convergence; Faults; Streaming; Interpreter ]
 
 (* ------------------------------------------------------------------ *)
 (* Case execution.                                                    *)
@@ -41,10 +52,10 @@ let all_oracles = [ Gen_check; Optimize; Rewrite; Em; Convergence; Faults; Strea
 
 (* Streams per case, in fixed order: program generation, environment
    seeding, placement randomness (rewrite oracle), convergence oracle,
-   fault injection (faults oracle), streaming oracle.
+   fault injection (faults oracle), streaming oracle, interpreter oracle.
    Adding a stream at the END keeps old (seed, case) repros valid. *)
 let case_streams ~seed index =
-  Stats.Rng.split_n (Stats.Rng.stream ~seed ~index) 6
+  Stats.Rng.split_n (Stats.Rng.stream ~seed ~index) 7
 
 let env_seed_of rng = Stats.Rng.int rng 1_000_000
 
@@ -80,6 +91,7 @@ let run_case ?(params = Oracles.default_params) ?(config = Gen.default_config)
               (Convergence, Oracles.convergence params s.(3) c);
               (Faults, Oracles.faults params s.(4) ~env_seed c);
               (Streaming, Oracles.streaming params s.(5) ~env_seed c);
+              (Interpreter, Oracles.interpreter params s.(6) ~env_seed c);
             ])
   in
   { index; program; verdicts }
@@ -126,7 +138,8 @@ let oracle_fails ?(params = Oracles.default_params) ~seed ~index oracle candidat
               | Em -> is_fail (Oracles.em_agreement params ~env_seed c)
               | Convergence -> is_fail (Oracles.convergence params s.(3) c)
               | Faults -> is_fail (Oracles.faults params s.(4) ~env_seed c)
-              | Streaming -> is_fail (Oracles.streaming params s.(5) ~env_seed c))))
+              | Streaming -> is_fail (Oracles.streaming params s.(5) ~env_seed c)
+              | Interpreter -> is_fail (Oracles.interpreter params s.(6) ~env_seed c))))
 
 (* Gen_check findings fail Check or compile, which Shrink.minimize's
    validity filter would reject — minimize them with a hand-rolled greedy

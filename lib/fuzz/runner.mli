@@ -7,7 +7,15 @@
     map — so {!run}'s report is byte-identical at any job count, and any
     case replays in isolation. *)
 
-type oracle = Gen_check | Optimize | Rewrite | Em | Convergence | Faults | Streaming
+type oracle =
+  | Gen_check
+  | Optimize
+  | Rewrite
+  | Em
+  | Convergence
+  | Faults
+  | Streaming
+  | Interpreter
 (** [Gen_check] is the implicit zeroth oracle: every generated program
     must pass {!Mote_lang.Check} and compile. *)
 

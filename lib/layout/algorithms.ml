@@ -132,22 +132,23 @@ let exhaustive ~better ?(max_blocks = 9) freq =
          max_blocks n);
   if n <= 1 then Placement.natural cfg
   else begin
-    let rest = Array.init (n - 1) (fun i -> i + 1) in
-    let best = ref (Placement.natural cfg) in
-    let best_score = ref (Eval.taken_transfers freq !best) in
-    (* Heap's algorithm over the non-entry blocks. *)
+    let scorer = Eval.scorer freq in
+    (* Candidates are generated in place: Heap's algorithm permutes
+       positions 1..n-1 while the entry block stays at position 0. *)
+    let candidate = Placement.natural cfg in
+    let best = ref (Array.copy candidate) in
+    let best_score = ref (Eval.score scorer !best) in
     let consider () =
-      let candidate = Array.append [| 0 |] rest in
-      let score = Eval.taken_transfers freq candidate in
+      let score = Eval.score scorer candidate in
       if better score !best_score then begin
-        best := candidate;
+        best := Array.copy candidate;
         best_score := score
       end
     in
     let swap i j =
-      let t = rest.(i) in
-      rest.(i) <- rest.(j);
-      rest.(j) <- t
+      let t = candidate.(i + 1) in
+      candidate.(i + 1) <- candidate.(j + 1);
+      candidate.(j + 1) <- t
     in
     let rec permute k =
       if k = 1 then consider ()
@@ -171,7 +172,8 @@ let anneal ?(seed = 1) ?(iterations = 4000) ?(restarts = 3) freq =
   if n <= 2 then seed_placement
   else begin
     let rng = Stats.Rng.create seed in
-    let score p = Eval.taken_transfers freq p in
+    let scorer = Eval.scorer freq in
+    let score p = Eval.score scorer p in
     let best = ref (Array.copy seed_placement) in
     let best_score = ref (score seed_placement) in
     for restart = 1 to restarts do

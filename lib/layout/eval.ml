@@ -22,59 +22,90 @@ let branch_stall policy ~src_pos ~target_pos ~w_takes ~w_falls =
   | Not_taken -> w_takes
   | Btfn -> if target_pos <= src_pos then w_falls else w_takes
 
-let evaluate ?(policy = Not_taken) freq placement =
+(* A block's terminator with its edge weights looked up once. *)
+type term =
+  | Branch of { tdst : int; fdst : int; wt : float; wf : float }
+  | Jump of { dst : int; w : float }
+  | Fall of { dst : int; w : float }
+  | Exit
+
+type scorer = {
+  cfg : Cfg.t;
+  policy : policy;
+  terms : term array;  (** By block id. *)
+  block_words : int;  (** Flash words of all blocks, before rewriting. *)
+}
+
+let scorer ?(policy = Not_taken) freq =
   let cfg = Cfgir.Freq.cfg freq in
-  Placement.validate cfg placement;
-  let pos = Placement.position_of placement in
+  let get = Cfgir.Freq.get freq in
   let n = Cfg.num_blocks cfg in
-  let next id = if pos.(id) + 1 < n then Some placement.(pos.(id) + 1) else None in
+  let terms =
+    Array.init n (fun id ->
+        match (Cfg.block cfg id).Cfg.term with
+        | Cfg.T_branch (_, tdst, fdst) ->
+            let wt = get ~src:id ~dst:tdst ~kind:Cfg.K_taken in
+            let wf = get ~src:id ~dst:fdst ~kind:Cfg.K_fall in
+            Branch { tdst; fdst; wt; wf }
+        | Cfg.T_jump dst -> Jump { dst; w = get ~src:id ~dst ~kind:Cfg.K_jump }
+        | Cfg.T_fall dst -> Fall { dst; w = get ~src:id ~dst ~kind:Cfg.K_fall }
+        | Cfg.T_ret | Cfg.T_halt -> Exit)
+  in
+  let block_words = Array.fold_left (fun acc b -> acc + b.Cfg.size_words) 0 cfg.Cfg.blocks in
+  { cfg; policy; terms; block_words }
+
+let report s placement =
+  Placement.validate s.cfg placement;
+  let pos = Placement.position_of placement in
+  let n = Array.length s.terms in
   let taken = ref 0.0 and considered = ref 0.0 in
   let bridges = ref 0 in
-  let size = ref 0 in
+  let size = ref s.block_words in
   for id = 0 to n - 1 do
-    let b = Cfg.block cfg id in
-    size := !size + b.Cfg.size_words;
-    let adjacent dst = next id = Some dst in
-    match b.Cfg.term with
-    | Cfg.T_branch (_, tdst, fdst) ->
-        let wt = Cfgir.Freq.get freq ~src:id ~dst:tdst ~kind:Cfg.K_taken in
-        let wf = Cfgir.Freq.get freq ~src:id ~dst:fdst ~kind:Cfg.K_fall in
-        let stall = branch_stall policy ~src_pos:pos.(id) in
-        if adjacent fdst then begin
+    let src_pos = pos.(id) in
+    (* The block laid out right after this one; -1 after the last. *)
+    let next = if src_pos + 1 < n then placement.(src_pos + 1) else -1 in
+    match s.terms.(id) with
+    | Branch { tdst; fdst; wt; wf } ->
+        if next = fdst then begin
           (* Branch kept: takes wt times, to tdst. *)
-          taken := !taken +. stall ~target_pos:pos.(tdst) ~w_takes:wt ~w_falls:wf;
+          taken :=
+            !taken
+            +. branch_stall s.policy ~src_pos ~target_pos:pos.(tdst) ~w_takes:wt ~w_falls:wf;
           considered := !considered +. wt +. wf
         end
-        else if adjacent tdst then begin
+        else if next = tdst then begin
           (* Condition flipped: takes wf times, to fdst. *)
-          taken := !taken +. stall ~target_pos:pos.(fdst) ~w_takes:wf ~w_falls:wt;
+          taken :=
+            !taken
+            +. branch_stall s.policy ~src_pos ~target_pos:pos.(fdst) ~w_takes:wf ~w_falls:wt;
           considered := !considered +. wt +. wf
         end
         else begin
           (* Branch to the taken target plus a bridging jump to the fall
              target: the jump is itself an always-stalling transfer. *)
           taken :=
-            !taken +. stall ~target_pos:pos.(tdst) ~w_takes:wt ~w_falls:wf +. wf;
+            !taken
+            +. branch_stall s.policy ~src_pos ~target_pos:pos.(tdst) ~w_takes:wt ~w_falls:wf
+            +. wf;
           considered := !considered +. wt +. wf +. wf;
           incr bridges;
           size := !size + jmp_words
         end
-    | Cfg.T_jump dst ->
-        let w = Cfgir.Freq.get freq ~src:id ~dst ~kind:Cfg.K_jump in
-        if adjacent dst then size := !size - jmp_words
+    | Jump { dst; w } ->
+        if next = dst then size := !size - jmp_words
         else begin
           taken := !taken +. w;
           considered := !considered +. w
         end
-    | Cfg.T_fall dst ->
-        let w = Cfgir.Freq.get freq ~src:id ~dst ~kind:Cfg.K_fall in
-        if not (adjacent dst) then begin
+    | Fall { dst; w } ->
+        if next <> dst then begin
           taken := !taken +. w;
           considered := !considered +. w;
           incr bridges;
           size := !size + jmp_words
         end
-    | Cfg.T_ret | Cfg.T_halt -> ()
+    | Exit -> ()
   done;
   {
     taken_transfers = !taken;
@@ -84,4 +115,6 @@ let evaluate ?(policy = Not_taken) freq placement =
     size_words = !size;
   }
 
-let taken_transfers ?policy freq placement = (evaluate ?policy freq placement).taken_transfers
+let score s placement = (report s placement).taken_transfers
+let evaluate ?policy freq placement = report (scorer ?policy freq) placement
+let taken_transfers ?policy freq placement = score (scorer ?policy freq) placement

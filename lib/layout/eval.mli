@@ -32,7 +32,26 @@ type report = {
   size_words : int;  (** Predicted flash words after rewriting. *)
 }
 
+type scorer
+(** A profile prepared for scoring many placements of its procedure: each
+    block's terminator and edge weights are looked up in the
+    {!Cfgir.Freq.t} once.  Immutable, so one scorer can be shared. *)
+
+val scorer : ?policy:policy -> Cfgir.Freq.t -> scorer
+(** Default policy {!Not_taken}. *)
+
+val report : scorer -> Placement.t -> report
+(** The report for one placement.  The sums run over blocks in id order,
+    so a given (profile, policy, placement) always yields the same floats.
+    @raise Invalid_argument if the placement is not valid for the CFG
+    ({!Placement.validate}). *)
+
+val score : scorer -> Placement.t -> float
+(** [(report s p).taken_transfers]: the objective the exhaustive and
+    annealing searches of {!Algorithms} minimize or maximize. *)
+
 val evaluate : ?policy:policy -> Cfgir.Freq.t -> Placement.t -> report
+(** [report (scorer ?policy f) p]. *)
 
 val taken_transfers : ?policy:policy -> Cfgir.Freq.t -> Placement.t -> float
 (** Shorthand for [(evaluate f p).taken_transfers]. *)

@@ -9,6 +9,7 @@ type t = {
   mutable sensor : int -> int;
   radio_rx_q : int Queue.t;
   mutable tx_log : int list; (* newest first *)
+  mutable tx_count : int; (* length of tx_log *)
   mutable leds : int;
   mutable led_writes : int;
   mutable probes : probe_record list; (* newest first *)
@@ -36,6 +37,7 @@ let create ?(timer_resolution = 1) ?(timer_jitter = 0.0) ?probe_capacity
     sensor = (fun _ -> 0);
     radio_rx_q = Queue.create ();
     tx_log = [];
+    tx_count = 0;
     leds = 0;
     led_writes = 0;
     probes = [];
@@ -63,8 +65,20 @@ let radio_rx t = match Queue.take_opt t.radio_rx_q with Some v -> v | None -> 0
 
 let radio_rx_pending t = Queue.length t.radio_rx_q
 
-let radio_tx t v = t.tx_log <- v :: t.tx_log
+let radio_tx t v =
+  t.tx_log <- v :: t.tx_log;
+  t.tx_count <- t.tx_count + 1
+
 let tx_log t = List.rev t.tx_log
+let tx_count t = t.tx_count
+
+let tx_since t n =
+  let rec newest k log acc =
+    match log with
+    | v :: rest when k > 0 -> newest (k - 1) rest (v :: acc)
+    | _ -> acc
+  in
+  newest (t.tx_count - n) t.tx_log []
 
 let set_leds t v =
   t.leds <- v;
@@ -107,6 +121,7 @@ let counters t =
 let reset_volatile t =
   Queue.clear t.radio_rx_q;
   t.tx_log <- [];
+  t.tx_count <- 0;
   t.leds <- 0;
   t.led_writes <- 0;
   t.probes <- [];

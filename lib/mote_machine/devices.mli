@@ -49,6 +49,14 @@ val radio_tx : t -> int -> unit
 val tx_log : t -> int list
 (** Transmitted words, oldest first. *)
 
+val tx_count : t -> int
+(** [List.length (tx_log t)], in O(1). *)
+
+val tx_since : t -> int -> int list
+(** [tx_since t n]: the words transmitted after the first [n], oldest
+    first — [tx_log t] without its first [n] elements (empty when [n] is
+    at least {!tx_count}).  O(words returned). *)
+
 val set_leds : t -> int -> unit
 val leds : t -> int
 val led_writes : t -> int

@@ -26,6 +26,8 @@ let fault fmt = Printf.ksprintf (fun s -> raise (Fault s)) fmt
 
 type t = {
   program : Program.t;
+  code : int Isa.instr array;
+  base_cost : int array;  (** [Isa.base_cost] of each instruction, by pc. *)
   devices : Devices.t;
   prediction : prediction;
   regs : int array;
@@ -52,8 +54,11 @@ let sentinel = -1
 
 let create ?(mem_words = 4096) ?(prediction = Predict_not_taken) ~program ~devices () =
   if mem_words <= 16 then invalid_arg "Machine.create: memory too small";
+  let code = Program.code program in
   {
     program;
+    code;
+    base_cost = Array.map Isa.base_cost code;
     devices;
     prediction;
     regs = Array.make Isa.num_regs 0;
@@ -169,118 +174,117 @@ let port_out t port v =
   | Isa.P_sensor _ -> fault "cannot write to sensor"
   | Isa.P_radio_rx -> fault "cannot write to radio.rx"
 
-(* Execute the instruction at pc.  Returns [true] while the current
-   invocation is still running; [false] once it returned to the sentinel or
-   halted. *)
-let step t =
-  let n = Program.length t.program in
-  if t.pc < 0 || t.pc >= n then fault "pc outside program: %d" t.pc;
-  let at = t.pc in
-  let ins = Program.instr t.program at in
-  (match t.trace_hook with
-  | Some hook -> hook ~pc:at ~instr:ins ~cycles:t.cycles
-  | None -> ());
-  t.instructions <- t.instructions + 1;
-  t.cycles <- t.cycles + Isa.base_cost ins;
-  let continue = ref true in
-  (match ins with
-  | Isa.Nop -> t.pc <- at + 1
-  | Isa.Halt ->
-      t.halted <- true;
-      continue := false
-  | Isa.Movi (r, i) ->
-      set_reg t r i;
-      t.pc <- at + 1
-  | Isa.Mov (d, s) ->
-      set_reg t d t.regs.(s);
-      t.pc <- at + 1
-  | Isa.Alu (op, d, a, b) ->
-      set_reg t d (alu op t.regs.(a) t.regs.(b));
-      t.pc <- at + 1
-  | Isa.Alui (op, d, a, i) ->
-      set_reg t d (alu op t.regs.(a) i);
-      t.pc <- at + 1
-  | Isa.Cmp (a, b) ->
-      set_flags t (wrap (t.regs.(a) - t.regs.(b)));
-      t.pc <- at + 1
-  | Isa.Cmpi (a, i) ->
-      set_flags t (wrap (t.regs.(a) - i));
-      t.pc <- at + 1
-  | Isa.Ld (d, a, off) ->
-      set_reg t d (read_mem t (t.regs.(a) + off));
-      t.pc <- at + 1
-  | Isa.St (a, off, s) ->
-      write_mem t (t.regs.(a) + off) t.regs.(s);
-      t.pc <- at + 1
-  | Isa.Push r ->
-      push t t.regs.(r);
-      t.pc <- at + 1
-  | Isa.Pop r ->
-      set_reg t r (pop t);
-      t.pc <- at + 1
-  | Isa.Br (c, target) ->
-      let taken = eval_cond t c in
-      t.cond_branches <- t.cond_branches + 1;
-      (match t.branch_hook with Some hook -> hook ~pc:at ~taken | None -> ());
-      let predicted_taken =
-        match t.prediction with
-        | Predict_not_taken -> false
-        | Predict_btfn -> target < at
-      in
-      if taken <> predicted_taken then begin
-        t.mispredicted_branches <- t.mispredicted_branches + 1;
-        t.cycles <- t.cycles + Isa.taken_penalty
-      end;
-      if taken then begin
-        t.taken_cond_branches <- t.taken_cond_branches + 1;
-        t.pc <- target
-      end
-      else t.pc <- at + 1
-  | Isa.Jmp target ->
-      t.unconditional_transfers <- t.unconditional_transfers + 1;
-      t.cycles <- t.cycles + Isa.taken_penalty;
-      t.pc <- target
-  | Isa.Call target ->
-      t.calls <- t.calls + 1;
-      t.cycles <- t.cycles + Isa.taken_penalty;
-      push t (at + 1);
-      t.pc <- target
-  | Isa.Ret ->
-      t.returns <- t.returns + 1;
-      t.cycles <- t.cycles + Isa.taken_penalty;
-      let addr = pop t in
-      if addr = sentinel then continue := false else t.pc <- addr
-  | Isa.In (r, port) ->
-      set_reg t r (port_in t port);
-      t.pc <- at + 1
-  | Isa.Out (port, r) ->
-      port_out t port t.regs.(r);
-      t.pc <- at + 1);
-  !continue
-
+(* The interpreter: one loop over the code and base-cost arrays, with the
+   instruction dispatch written out in place.  It performs the same checks,
+   in the same order, as the per-instruction [Reference.step] below (fuel,
+   pc bounds, trace hook, registers, memory, stack), so the two agree on
+   every statistic, device effect and fault message. *)
 let run_until_done ?(fuel = 10_000_000) t =
+  let code = t.code and base_cost = t.base_cost and regs = t.regs in
+  let n = Array.length code in
+  let btfn = match t.prediction with Predict_btfn -> true | Predict_not_taken -> false in
   let remaining = ref fuel in
   let running = ref true in
   while !running do
     if !remaining <= 0 then fault "out of fuel at pc=%d" t.pc;
     decr remaining;
-    running := step t
+    let at = t.pc in
+    if at < 0 || at >= n then fault "pc outside program: %d" at;
+    let ins = Array.unsafe_get code at in
+    (match t.trace_hook with
+    | Some hook -> hook ~pc:at ~instr:ins ~cycles:t.cycles
+    | None -> ());
+    t.instructions <- t.instructions + 1;
+    t.cycles <- t.cycles + Array.unsafe_get base_cost at;
+    match ins with
+    | Isa.Nop -> t.pc <- at + 1
+    | Isa.Halt ->
+        t.halted <- true;
+        running := false
+    | Isa.Movi (r, i) ->
+        set_reg t r i;
+        t.pc <- at + 1
+    | Isa.Mov (d, s) ->
+        set_reg t d regs.(s);
+        t.pc <- at + 1
+    | Isa.Alu (op, d, a, b) ->
+        set_reg t d (alu op regs.(a) regs.(b));
+        t.pc <- at + 1
+    | Isa.Alui (op, d, a, i) ->
+        set_reg t d (alu op regs.(a) i);
+        t.pc <- at + 1
+    | Isa.Cmp (a, b) ->
+        set_flags t (wrap (regs.(a) - regs.(b)));
+        t.pc <- at + 1
+    | Isa.Cmpi (a, i) ->
+        set_flags t (wrap (regs.(a) - i));
+        t.pc <- at + 1
+    | Isa.Ld (d, a, off) ->
+        set_reg t d (read_mem t (regs.(a) + off));
+        t.pc <- at + 1
+    | Isa.St (a, off, s) ->
+        write_mem t (regs.(a) + off) regs.(s);
+        t.pc <- at + 1
+    | Isa.Push r ->
+        push t regs.(r);
+        t.pc <- at + 1
+    | Isa.Pop r ->
+        set_reg t r (pop t);
+        t.pc <- at + 1
+    | Isa.Br (c, target) ->
+        let taken = eval_cond t c in
+        t.cond_branches <- t.cond_branches + 1;
+        (match t.branch_hook with Some hook -> hook ~pc:at ~taken | None -> ());
+        if taken <> (btfn && target < at) then begin
+          t.mispredicted_branches <- t.mispredicted_branches + 1;
+          t.cycles <- t.cycles + Isa.taken_penalty
+        end;
+        if taken then begin
+          t.taken_cond_branches <- t.taken_cond_branches + 1;
+          t.pc <- target
+        end
+        else t.pc <- at + 1
+    | Isa.Jmp target ->
+        t.unconditional_transfers <- t.unconditional_transfers + 1;
+        t.cycles <- t.cycles + Isa.taken_penalty;
+        t.pc <- target
+    | Isa.Call target ->
+        t.calls <- t.calls + 1;
+        t.cycles <- t.cycles + Isa.taken_penalty;
+        push t (at + 1);
+        t.pc <- target
+    | Isa.Ret ->
+        t.returns <- t.returns + 1;
+        t.cycles <- t.cycles + Isa.taken_penalty;
+        let addr = pop t in
+        if addr = sentinel then running := false else t.pc <- addr
+    | Isa.In (r, port) ->
+        set_reg t r (port_in t port);
+        t.pc <- at + 1
+    | Isa.Out (port, r) ->
+        port_out t port regs.(r);
+        t.pc <- at + 1
   done
 
-let run_proc ?fuel t name =
-  let info =
-    match Program.find_proc t.program name with
-    | Some p -> p
-    | None -> raise Not_found
-  in
+(* One invocation of the procedure at [entry]: a sentinel return address
+   marks the bottom frame, and [run] executes until the matching [Ret]. *)
+let invoke run ?fuel t entry =
   let before = t.cycles in
   t.halted <- false;
   push t sentinel;
-  t.pc <- info.Program.entry;
-  run_until_done ?fuel t;
+  t.pc <- entry;
+  run ?fuel t;
   t.cycles - before
 
-let run_from_symbol ?fuel t name =
+let proc_entry t name =
+  match Program.find_proc t.program name with
+  | Some p -> p.Program.entry
+  | None -> raise Not_found
+
+let run_at ?fuel t entry = invoke run_until_done ?fuel t entry
+let run_proc ?fuel t name = run_at ?fuel t (proc_entry t name)
+
+let from_symbol run ?fuel t name =
   match Program.find_symbol t.program name with
   | None -> raise Not_found
   | Some addr ->
@@ -288,7 +292,112 @@ let run_from_symbol ?fuel t name =
       t.pc <- addr;
       (* Halting is the only way out: give the bottom frame a sentinel so a
          stray Ret faults on stack underflow rather than looping. *)
-      run_until_done ?fuel t
+      run ?fuel t
+
+let run_from_symbol ?fuel t name = from_symbol run_until_done ?fuel t name
+
+module Reference = struct
+  (* Execute the instruction at pc.  Returns [true] while the current
+     invocation is still running; [false] once it returned to the sentinel
+     or halted. *)
+  let step t =
+    let n = Program.length t.program in
+    if t.pc < 0 || t.pc >= n then fault "pc outside program: %d" t.pc;
+    let at = t.pc in
+    let ins = Program.instr t.program at in
+    (match t.trace_hook with
+    | Some hook -> hook ~pc:at ~instr:ins ~cycles:t.cycles
+    | None -> ());
+    t.instructions <- t.instructions + 1;
+    t.cycles <- t.cycles + Isa.base_cost ins;
+    let continue = ref true in
+    (match ins with
+    | Isa.Nop -> t.pc <- at + 1
+    | Isa.Halt ->
+        t.halted <- true;
+        continue := false
+    | Isa.Movi (r, i) ->
+        set_reg t r i;
+        t.pc <- at + 1
+    | Isa.Mov (d, s) ->
+        set_reg t d t.regs.(s);
+        t.pc <- at + 1
+    | Isa.Alu (op, d, a, b) ->
+        set_reg t d (alu op t.regs.(a) t.regs.(b));
+        t.pc <- at + 1
+    | Isa.Alui (op, d, a, i) ->
+        set_reg t d (alu op t.regs.(a) i);
+        t.pc <- at + 1
+    | Isa.Cmp (a, b) ->
+        set_flags t (wrap (t.regs.(a) - t.regs.(b)));
+        t.pc <- at + 1
+    | Isa.Cmpi (a, i) ->
+        set_flags t (wrap (t.regs.(a) - i));
+        t.pc <- at + 1
+    | Isa.Ld (d, a, off) ->
+        set_reg t d (read_mem t (t.regs.(a) + off));
+        t.pc <- at + 1
+    | Isa.St (a, off, s) ->
+        write_mem t (t.regs.(a) + off) t.regs.(s);
+        t.pc <- at + 1
+    | Isa.Push r ->
+        push t t.regs.(r);
+        t.pc <- at + 1
+    | Isa.Pop r ->
+        set_reg t r (pop t);
+        t.pc <- at + 1
+    | Isa.Br (c, target) ->
+        let taken = eval_cond t c in
+        t.cond_branches <- t.cond_branches + 1;
+        (match t.branch_hook with Some hook -> hook ~pc:at ~taken | None -> ());
+        let predicted_taken =
+          match t.prediction with
+          | Predict_not_taken -> false
+          | Predict_btfn -> target < at
+        in
+        if taken <> predicted_taken then begin
+          t.mispredicted_branches <- t.mispredicted_branches + 1;
+          t.cycles <- t.cycles + Isa.taken_penalty
+        end;
+        if taken then begin
+          t.taken_cond_branches <- t.taken_cond_branches + 1;
+          t.pc <- target
+        end
+        else t.pc <- at + 1
+    | Isa.Jmp target ->
+        t.unconditional_transfers <- t.unconditional_transfers + 1;
+        t.cycles <- t.cycles + Isa.taken_penalty;
+        t.pc <- target
+    | Isa.Call target ->
+        t.calls <- t.calls + 1;
+        t.cycles <- t.cycles + Isa.taken_penalty;
+        push t (at + 1);
+        t.pc <- target
+    | Isa.Ret ->
+        t.returns <- t.returns + 1;
+        t.cycles <- t.cycles + Isa.taken_penalty;
+        let addr = pop t in
+        if addr = sentinel then continue := false else t.pc <- addr
+    | Isa.In (r, port) ->
+        set_reg t r (port_in t port);
+        t.pc <- at + 1
+    | Isa.Out (port, r) ->
+        port_out t port t.regs.(r);
+        t.pc <- at + 1);
+    !continue
+
+  let run_until_done ?(fuel = 10_000_000) t =
+    let remaining = ref fuel in
+    let running = ref true in
+    while !running do
+      if !remaining <= 0 then fault "out of fuel at pc=%d" t.pc;
+      decr remaining;
+      running := step t
+    done
+
+  let run_proc ?fuel t name = invoke run_until_done ?fuel t (proc_entry t name)
+  let run_from_symbol ?fuel t name = from_symbol run_until_done ?fuel t name
+end
 
 let idle t n =
   if n < 0 then invalid_arg "Machine.idle: negative cycles";

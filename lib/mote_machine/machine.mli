@@ -9,7 +9,13 @@
     Procedures run with TinyOS-style run-to-completion semantics via
     {!run_proc}: the machine pushes a sentinel return address, jumps to the
     entry, and executes until the matching [Ret].  Global memory persists
-    across invocations (mote programs keep state in statics). *)
+    across invocations (mote programs keep state in statics).
+
+    Execution is one interpreter loop over the program's instruction array
+    and a per-pc base-cost table built by {!create}; the branch and trace
+    hooks are tested inside that loop, so there is no separate fast path.
+    {!Reference} keeps the original one-instruction-at-a-time interpreter
+    as the specification the loop is tested against. *)
 
 open Mote_isa
 
@@ -89,8 +95,25 @@ val run_proc : ?fuel:int -> t -> string -> int
     exceeded.
     @raise Not_found if the procedure does not exist. *)
 
+val run_at : ?fuel:int -> t -> int -> int
+(** [run_at t entry] is {!run_proc} for the procedure whose first
+    instruction is at address [entry]: callers that invoke the same
+    procedure many times resolve its name once. *)
+
 val run_from_symbol : ?fuel:int -> t -> string -> unit
 (** Jump to a symbol and run until [Halt] — for whole-program tests. *)
+
+(** The per-instruction reference interpreter: a [step] function that
+    decodes one instruction through {!Mote_isa.Program} and
+    {!Mote_isa.Isa.base_cost}, driven by a fuel loop.  It runs on the same
+    machine state as the functions above and must agree with them on
+    statistics, registers, memory, device effects, hook calls and fault
+    messages; the differential tests and the fuzzer's [interpreter]
+    oracle check exactly that. *)
+module Reference : sig
+  val run_proc : ?fuel:int -> t -> string -> int
+  val run_from_symbol : ?fuel:int -> t -> string -> unit
+end
 
 val idle : t -> int -> unit
 (** Advance the cycle clock without executing instructions — the mote

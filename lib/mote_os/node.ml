@@ -19,20 +19,27 @@ type run_stats = {
 
 let invocations stats proc = Option.value ~default:0 (List.assoc_opt proc stats.tasks_run)
 
-type timer_state = { mutable next_fire : int; period : int; timer_task : string }
+(* Tasks are resolved once, at creation, to slots: one per distinct
+   procedure, holding its entry address and run count, so dispatch does no
+   name lookup or hashing. *)
+type slot = { name : string; entry : int; mutable runs : int }
+
+type timer_state = { mutable next_fire : int; period : int; timer_task : int }
 
 type t = {
   machine : Machine.t;
   env : Env.t;
-  queue : string Queue.t;
+  slots : slot array;
+  queue : int Queue.t;
   queue_capacity : int;
   timers : timer_state list;
-  radio_tasks : string list;
-  (* Radio arrivals are generated lazily in chunks up to this cycle. *)
+  radio_tasks : int list;
+  (* Radio arrivals are generated lazily in chunks up to this cycle, in
+     ascending arrival order: each chunk is sorted and starts where the
+     previous one ended, so the due events are always a prefix. *)
   mutable radio_horizon : int;
   mutable radio_pending : (int * int) list;
   (* Accumulated statistics. *)
-  run_counts : (string, int) Hashtbl.t;
   mutable dropped : int;
   mutable packets : int;
   mutable idle_cycles : int;
@@ -45,11 +52,24 @@ let radio_chunk = 1 lsl 17
 let create ~machine ~env ~tasks ?(queue_capacity = 16) () =
   if queue_capacity <= 0 then invalid_arg "Node.create: queue capacity must be positive";
   let program = Machine.program machine in
-  List.iter
-    (fun { proc; _ } ->
-      if Mote_isa.Program.find_proc program proc = None then
-        invalid_arg (Printf.sprintf "Node.create: no procedure %S in binary" proc))
-    tasks;
+  let entry_of proc =
+    match Mote_isa.Program.find_proc program proc with
+    | Some p -> p.Mote_isa.Program.entry
+    | None -> invalid_arg (Printf.sprintf "Node.create: no procedure %S in binary" proc)
+  in
+  let names =
+    List.fold_left
+      (fun acc { proc; _ } -> if List.mem proc acc then acc else proc :: acc)
+      [] tasks
+    |> List.rev
+  in
+  let slots =
+    Array.of_list (List.map (fun name -> { name; entry = entry_of name; runs = 0 }) names)
+  in
+  let slot_of proc =
+    let rec find i = if slots.(i).name = proc then i else find (i + 1) in
+    find 0
+  in
   Env.attach env (Machine.devices machine);
   (* Boot-time global initialization, if the compiler emitted one. *)
   (match Mote_isa.Program.find_proc program Mote_lang.Compile.init_proc_name with
@@ -62,26 +82,26 @@ let create ~machine ~env ~tasks ?(queue_capacity = 16) () =
         match source with
         | Periodic { period; offset } ->
             if period <= 0 then invalid_arg "Node.create: period must be positive";
-            Some { next_fire = offset; period; timer_task = proc }
+            Some { next_fire = offset; period; timer_task = slot_of proc }
         | Boot | On_radio_rx -> None)
       tasks
   in
   let radio_tasks =
     List.filter_map
-      (fun { proc; source } -> match source with On_radio_rx -> Some proc | _ -> None)
+      (fun { proc; source } -> match source with On_radio_rx -> Some (slot_of proc) | _ -> None)
       tasks
   in
   let t =
     {
       machine;
       env;
+      slots;
       queue;
       queue_capacity;
       timers;
       radio_tasks;
       radio_horizon = 0;
       radio_pending = [];
-      run_counts = Hashtbl.create 8;
       dropped = 0;
       packets = 0;
       idle_cycles = 0;
@@ -90,7 +110,7 @@ let create ~machine ~env ~tasks ?(queue_capacity = 16) () =
     }
   in
   List.iter
-    (fun { proc; source } -> match source with Boot -> Queue.push proc queue | _ -> ())
+    (fun { proc; source } -> match source with Boot -> Queue.push (slot_of proc) queue | _ -> ())
     tasks;
   t
 
@@ -98,9 +118,9 @@ let machine t = t.machine
 
 let cycles t = Machine.cycles t.machine
 
-let post t proc =
+let post t slot =
   if Queue.length t.queue >= t.queue_capacity then t.dropped <- t.dropped + 1
-  else Queue.push proc t.queue
+  else Queue.push slot t.queue
 
 (* Extend the pre-generated radio arrival schedule to cover [upto]. *)
 let extend_radio t upto =
@@ -112,6 +132,11 @@ let extend_radio t upto =
     t.radio_horizon <- to_cycle
   done
 
+let inject_packet t payload =
+  Devices.radio_push_rx (Machine.devices t.machine) payload;
+  t.packets <- t.packets + 1;
+  List.iter (post t) t.radio_tasks
+
 (* Deliver every event with a timestamp <= now. *)
 let deliver_due t now =
   List.iter
@@ -122,24 +147,20 @@ let deliver_due t now =
       done)
     t.timers;
   extend_radio t now;
-  let due, future = List.partition (fun (at, _) -> at <= now) t.radio_pending in
-  t.radio_pending <- future;
-  List.iter
-    (fun (_, payload) ->
-      Devices.radio_push_rx (Machine.devices t.machine) payload;
-      t.packets <- t.packets + 1;
-      List.iter (fun proc -> post t proc) t.radio_tasks)
-    due
-
-let inject_packet t payload =
-  Devices.radio_push_rx (Machine.devices t.machine) payload;
-  t.packets <- t.packets + 1;
-  List.iter (fun proc -> post t proc) t.radio_tasks
+  let rec pop_due () =
+    match t.radio_pending with
+    | (at, payload) :: future when at <= now ->
+        t.radio_pending <- future;
+        inject_packet t payload;
+        pop_due ()
+    | _ -> ()
+  in
+  pop_due ()
 
 let drain_tx t =
-  let log = Devices.tx_log (Machine.devices t.machine) in
-  let fresh = List.filteri (fun i _ -> i >= t.tx_drained) log in
-  t.tx_drained <- List.length log;
+  let devices = Machine.devices t.machine in
+  let fresh = Devices.tx_since devices t.tx_drained in
+  t.tx_drained <- Devices.tx_count devices;
   fresh
 
 let next_event_time t =
@@ -156,10 +177,10 @@ let run ?(fuel_per_task = 2_000_000) t ~until =
     let now = Machine.cycles t.machine in
     deliver_due t now;
     match Queue.take_opt t.queue with
-    | Some proc ->
-        ignore (Machine.run_proc ~fuel:fuel_per_task t.machine proc);
-        let count = Option.value ~default:0 (Hashtbl.find_opt t.run_counts proc) in
-        Hashtbl.replace t.run_counts proc (count + 1)
+    | Some i ->
+        let slot = t.slots.(i) in
+        ignore (Machine.run_at ~fuel:fuel_per_task t.machine slot.entry);
+        slot.runs <- slot.runs + 1
     | None ->
         extend_radio t (Stdlib.min until (now + radio_chunk));
         let next = next_event_time t in
@@ -177,7 +198,9 @@ let run ?(fuel_per_task = 2_000_000) t ~until =
   let total_cycles = Machine.cycles t.machine - t.created_at_cycles in
   {
     tasks_run =
-      Hashtbl.fold (fun proc n acc -> (proc, n) :: acc) t.run_counts [] |> List.sort compare;
+      Array.to_list t.slots
+      |> List.filter_map (fun slot -> if slot.runs > 0 then Some (slot.name, slot.runs) else None)
+      |> List.sort compare;
     tasks_dropped = t.dropped;
     packets_delivered = t.packets;
     total_cycles;

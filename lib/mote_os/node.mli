@@ -4,7 +4,13 @@
     Time is the machine's cycle counter.  Tasks are procedure names in the
     loaded binary; each execution is one procedure invocation — exactly
     the unit Code Tomography times.  The task queue is bounded (TinyOS
-    posts fail when the queue is full); drops are counted, not fatal. *)
+    posts fail when the queue is full); drops are counted, not fatal.
+
+    Task names are resolved to entry addresses and run counters once, in
+    {!create}; dispatch looks nothing up by name.  Radio arrivals are
+    generated ahead in chunks and kept in ascending arrival order, so
+    delivering the due ones pops a prefix of the schedule: the cost of an
+    event loop iteration does not grow with the pending schedule. *)
 
 type task_source =
   | Boot  (** Posted once when the node starts. *)
@@ -59,4 +65,6 @@ val inject_packet : t -> int -> unit
     posts every [On_radio_rx] task. *)
 
 val drain_tx : t -> int list
-(** Words the node transmitted since the last drain (oldest first). *)
+(** Words the node transmitted since the last drain (oldest first).
+    O(words returned), so draining after every quantum of a long
+    {!Network} run stays linear in the words transmitted. *)

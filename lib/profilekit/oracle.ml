@@ -2,45 +2,65 @@ module Machine = Mote_machine.Machine
 module Program = Mote_isa.Program
 module Cfg = Cfgir.Cfg
 
-type site = { proc : string; block : int }
-
+(* Every conditional branch of the program is a site, numbered once at
+   attach time; the hook maps its pc to the site through an array and
+   bumps int counters, so counting hashes nothing. *)
 type t = {
   machine : Machine.t;
   cfgs : (string * Cfg.t) list;
-  sites : (int, site) Hashtbl.t; (* branch pc -> site *)
-  taken : (string * int, int) Hashtbl.t;
-  fall : (string * int, int) Hashtbl.t;
+  site_of_pc : int array; (* branch pc -> site index, -1 elsewhere *)
+  sites : (string * (int * int) list) list; (* proc -> (branch block, site) *)
+  taken : int array; (* per site *)
+  fall : int array;
   mutable total : int;
 }
 
 let attach machine =
   let program = Machine.program machine in
   let cfgs = List.map (fun cfg -> (cfg.Cfg.proc.Program.name, cfg)) (Cfg.of_program program) in
-  let sites = Hashtbl.create 64 in
-  List.iter
-    (fun (name, cfg) ->
-      List.iter
-        (fun id ->
-          let block = Cfg.block cfg id in
-          Hashtbl.replace sites block.Cfg.last { proc = name; block = id })
-        (Cfg.branch_blocks cfg))
-    cfgs;
+  let site_of_pc = Array.make (Program.length program) (-1) in
+  let next = ref 0 in
+  let sites =
+    List.map
+      (fun (name, cfg) ->
+        ( name,
+          List.map
+            (fun id ->
+              let site = !next in
+              incr next;
+              site_of_pc.((Cfg.block cfg id).Cfg.last) <- site;
+              (id, site))
+            (Cfg.branch_blocks cfg) ))
+      cfgs
+  in
   let t =
-    { machine; cfgs; sites; taken = Hashtbl.create 64; fall = Hashtbl.create 64; total = 0 }
+    {
+      machine;
+      cfgs;
+      site_of_pc;
+      sites;
+      taken = Array.make !next 0;
+      fall = Array.make !next 0;
+      total = 0;
+    }
   in
   Machine.set_branch_hook machine
     (Some
        (fun ~pc ~taken ->
-         match Hashtbl.find_opt t.sites pc with
-         | None -> ()
-         | Some { proc; block } ->
-             t.total <- t.total + 1;
-             let tbl = if taken then t.taken else t.fall in
-             let key = (proc, block) in
-             Hashtbl.replace tbl key (1 + Option.value ~default:0 (Hashtbl.find_opt tbl key))));
+         let site = t.site_of_pc.(pc) in
+         if site >= 0 then begin
+           t.total <- t.total + 1;
+           let counts = if taken then t.taken else t.fall in
+           counts.(site) <- counts.(site) + 1
+         end));
   t
 
 let detach t = Machine.set_branch_hook t.machine None
+
+let sites_of t proc =
+  match List.assoc_opt proc t.sites with
+  | Some sites -> sites
+  | None -> invalid_arg (Printf.sprintf "Oracle: unknown procedure %S" proc)
 
 let cfg_of t proc =
   match List.assoc_opt proc t.cfgs with
@@ -48,12 +68,7 @@ let cfg_of t proc =
   | None -> invalid_arg (Printf.sprintf "Oracle: unknown procedure %S" proc)
 
 let counts t ~proc =
-  let cfg = cfg_of t proc in
-  List.map
-    (fun id ->
-      let get tbl = Option.value ~default:0 (Hashtbl.find_opt tbl (proc, id)) in
-      (id, (get t.taken, get t.fall)))
-    (Cfg.branch_blocks cfg)
+  List.map (fun (id, site) -> (id, (t.taken.(site), t.fall.(site)))) (sites_of t proc)
 
 let thetas t ~proc =
   counts t ~proc

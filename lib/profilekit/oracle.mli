@@ -4,8 +4,11 @@
     conditional branch outcome without adding a single instruction or cycle
     to the program — something only possible in simulation.  This provides
     the "perfect profile" upper bound for placement quality and the ground
-    truth that the estimation-accuracy experiments compare against. *)
+    truth that the estimation-accuracy experiments compare against.
 
+    {!attach} numbers every conditional-branch site of the program once
+    (a per-pc index); the hook then only bumps int counters, so profiling
+    costs no hashing per executed branch. *)
 
 type t
 

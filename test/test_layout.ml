@@ -344,3 +344,223 @@ let suite =
       Alcotest.test_case "eval btfn policy" `Quick test_eval_btfn_policy;
       Alcotest.test_case "eval btfn = machine" `Quick test_eval_btfn_matches_machine;
     ]
+
+(* --- the prepared scorer against the pre-scorer evaluator --- *)
+
+(* [Eval.evaluate] as it was before the scorer: every weight looked up in
+   the profile per call. *)
+let reference_evaluate ~policy freq placement =
+  let cfg = Freq.cfg freq in
+  Placement.validate cfg placement;
+  let pos = Placement.position_of placement in
+  let n = Cfg.num_blocks cfg in
+  let next id = if pos.(id) + 1 < n then Some placement.(pos.(id) + 1) else None in
+  let stall ~src_pos ~target_pos ~w_takes ~w_falls =
+    match policy with
+    | Eval.Not_taken -> w_takes
+    | Eval.Btfn -> if target_pos <= src_pos then w_falls else w_takes
+  in
+  let jmp_words = Isa.size (Isa.Jmp 0) in
+  let taken = ref 0.0 and considered = ref 0.0 and bridges = ref 0 and size = ref 0 in
+  for id = 0 to n - 1 do
+    let b = Cfg.block cfg id in
+    size := !size + b.Cfg.size_words;
+    let adjacent dst = next id = Some dst in
+    match b.Cfg.term with
+    | Cfg.T_branch (_, tdst, fdst) ->
+        let wt = Freq.get freq ~src:id ~dst:tdst ~kind:Cfg.K_taken in
+        let wf = Freq.get freq ~src:id ~dst:fdst ~kind:Cfg.K_fall in
+        let stall = stall ~src_pos:pos.(id) in
+        if adjacent fdst then begin
+          taken := !taken +. stall ~target_pos:pos.(tdst) ~w_takes:wt ~w_falls:wf;
+          considered := !considered +. wt +. wf
+        end
+        else if adjacent tdst then begin
+          taken := !taken +. stall ~target_pos:pos.(fdst) ~w_takes:wf ~w_falls:wt;
+          considered := !considered +. wt +. wf
+        end
+        else begin
+          taken := !taken +. stall ~target_pos:pos.(tdst) ~w_takes:wt ~w_falls:wf +. wf;
+          considered := !considered +. wt +. wf +. wf;
+          incr bridges;
+          size := !size + jmp_words
+        end
+    | Cfg.T_jump dst ->
+        let w = Freq.get freq ~src:id ~dst ~kind:Cfg.K_jump in
+        if adjacent dst then size := !size - jmp_words
+        else begin
+          taken := !taken +. w;
+          considered := !considered +. w
+        end
+    | Cfg.T_fall dst ->
+        let w = Freq.get freq ~src:id ~dst ~kind:Cfg.K_fall in
+        if not (adjacent dst) then begin
+          taken := !taken +. w;
+          considered := !considered +. w;
+          incr bridges;
+          size := !size + jmp_words
+        end
+    | Cfg.T_ret | Cfg.T_halt -> ()
+  done;
+  {
+    Eval.taken_transfers = !taken;
+    considered = !considered;
+    taken_rate = (if !considered > 0.0 then !taken /. !considered else 0.0);
+    bridge_jumps = !bridges;
+    size_words = !size;
+  }
+
+let reference_taken freq p = (reference_evaluate ~policy:Eval.Not_taken freq p).Eval.taken_transfers
+
+(* Every Heap's-order candidate, first strictly better wins. *)
+let brute_force ~better freq =
+  let cfg = Freq.cfg freq in
+  let n = Cfg.num_blocks cfg in
+  let best = ref (Placement.natural cfg) in
+  if n > 1 then begin
+    let best_score = ref (reference_taken freq !best) in
+    let rest = Array.init (n - 1) (fun i -> i + 1) in
+    let swap i j =
+      let t = rest.(i) in
+      rest.(i) <- rest.(j);
+      rest.(j) <- t
+    in
+    let rec permute k =
+      if k = 1 then begin
+        let candidate = Array.append [| 0 |] rest in
+        let score = reference_taken freq candidate in
+        if better score !best_score then begin
+          best := candidate;
+          best_score := score
+        end
+      end
+      else
+        for i = 0 to k - 1 do
+          permute (k - 1);
+          if k mod 2 = 0 then swap i (k - 1) else swap 0 (k - 1)
+        done
+    in
+    permute (n - 1)
+  end;
+  !best
+
+(* [Algorithms.anneal] as it was before the scorer. *)
+let reference_anneal ~seed ~iterations ~restarts freq =
+  let n = Cfg.num_blocks (Freq.cfg freq) in
+  let seed_placement = Algorithms.pettis_hansen freq in
+  if n <= 2 then seed_placement
+  else begin
+    let rng = Stats.Rng.create seed in
+    let score = reference_taken freq in
+    let best = ref (Array.copy seed_placement) in
+    let best_score = ref (score seed_placement) in
+    for _ = 1 to restarts do
+      let current = Array.copy !best in
+      let current_score = ref (score current) in
+      let t0 = Stdlib.max 1.0 (!best_score /. 10.0) in
+      for i = 0 to iterations - 1 do
+        let temp = t0 *. (0.995 ** float_of_int i) in
+        let a = 1 + Stats.Rng.int rng (n - 1) in
+        let b = 1 + Stats.Rng.int rng (n - 1) in
+        if a <> b then begin
+          let tmp = current.(a) in
+          current.(a) <- current.(b);
+          current.(b) <- tmp;
+          let candidate_score = score current in
+          let delta = candidate_score -. !current_score in
+          if
+            delta <= 0.0 || Stats.Rng.unit_float rng < exp (-.delta /. Stdlib.max 1e-9 temp)
+          then begin
+            current_score := candidate_score;
+            if candidate_score < !best_score then begin
+              best := Array.copy current;
+              best_score := candidate_score
+            end
+          end
+          else begin
+            let tmp = current.(a) in
+            current.(a) <- current.(b);
+            current.(b) <- tmp
+          end
+        end
+      done
+    done;
+    !best
+  end
+
+(* Random edge weights: small integers (many ties, so tie-breaking
+   matters) or continuous values. *)
+let random_freq rng cfg ~ties =
+  let f = Freq.create cfg ~invocations:(float_of_int (1 + Stats.Rng.int rng 100)) in
+  List.iter
+    (fun (src, dst, kind) ->
+      let w =
+        if ties then float_of_int (Stats.Rng.int rng 4) else Stats.Rng.float rng 1000.0
+      in
+      Freq.bump f ~src ~dst ~kind w)
+    (Cfg.edges cfg);
+  f
+
+let small_workload_cfgs () =
+  List.concat_map
+    (fun w ->
+      Cfg.of_program (Workloads.compiled w).Mote_lang.Compile.program
+      |> List.filter (fun cfg -> Cfg.num_blocks cfg <= 9))
+    Workloads.all
+
+let test_exhaustive_matches_brute_force () =
+  let rng = Stats.Rng.create 2024 in
+  let placement = Alcotest.(array int) in
+  List.iter
+    (fun cfg ->
+      let name = cfg.Cfg.proc.Program.name in
+      List.iter
+        (fun ties ->
+          let f = random_freq rng cfg ~ties in
+          Alcotest.check placement (name ^ " optimal")
+            (brute_force ~better:(fun a b -> a < b) f)
+            (Algorithms.optimal f);
+          Alcotest.check placement (name ^ " pessimal")
+            (brute_force ~better:(fun a b -> a > b) f)
+            (Algorithms.pessimal f);
+          Alcotest.check placement (name ^ " anneal")
+            (reference_anneal ~seed:5 ~iterations:400 ~restarts:2 f)
+            (Algorithms.anneal ~seed:5 ~iterations:400 ~restarts:2 f))
+        [ true; false ])
+    (small_workload_cfgs ())
+
+(* Every report field, bit for bit, under both policies, on random
+   placements of every small workload CFG. *)
+let test_scorer_report_matches_reference () =
+  let rng = Stats.Rng.create 77 in
+  let bits (r : Eval.report) =
+    ( Int64.bits_of_float r.Eval.taken_transfers,
+      Int64.bits_of_float r.Eval.considered,
+      Int64.bits_of_float r.Eval.taken_rate,
+      r.Eval.bridge_jumps,
+      r.Eval.size_words )
+  in
+  List.iter
+    (fun cfg ->
+      let f = random_freq rng cfg ~ties:false in
+      List.iter
+        (fun policy ->
+          let scorer = Eval.scorer ~policy f in
+          for _ = 1 to 20 do
+            let rest = Array.init (Cfg.num_blocks cfg - 1) (fun i -> i + 1) in
+            Stats.Rng.shuffle rng rest;
+            let p = Array.append [| 0 |] rest in
+            let expected = bits (reference_evaluate ~policy f p) in
+            Alcotest.(check bool) "evaluate" true (bits (Eval.evaluate ~policy f p) = expected);
+            Alcotest.(check bool) "scorer" true (bits (Eval.report scorer p) = expected)
+          done)
+        [ Eval.Not_taken; Eval.Btfn ])
+    (small_workload_cfgs ())
+
+let suite =
+  suite
+  @ [
+      Alcotest.test_case "exhaustive = brute force" `Quick test_exhaustive_matches_brute_force;
+      Alcotest.test_case "scorer = reference evaluate" `Quick
+        test_scorer_report_matches_reference;
+    ]

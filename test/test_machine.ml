@@ -347,3 +347,98 @@ let test_trace_hook () =
   Alcotest.(check (list int)) "hook removable" [] !seen
 
 let suite = suite @ [ Alcotest.test_case "trace hook" `Quick test_trace_hook ]
+
+(* --- the interpreter loop against Machine.Reference --- *)
+
+module Pipeline = Codetomo.Pipeline
+
+let both_predictions = [ Machine.Predict_not_taken; Machine.Predict_btfn ]
+
+let check_agrees label result =
+  match result with
+  | None -> ()
+  | Some msg -> Alcotest.failf "%s: %s" label msg
+
+(* Every workload's natural, instrumented, Pettis–Hansen-placed and
+   pessimal binary, under both prediction policies: __init, then 40
+   rounds of the workload's tasks. *)
+let test_loop_matches_reference_on_workloads () =
+  List.iter
+    (fun (w : Workloads.t) ->
+      let run = Pipeline.profile w in
+      let binaries =
+        [
+          ("natural", Pipeline.natural_binary run);
+          ("instrumented", run.Pipeline.instrumented);
+          ( "pettis-hansen",
+            Pipeline.placed_binary run ~profiles:run.Pipeline.oracle_freqs
+              ~algorithm:Layout.Algorithms.pettis_hansen );
+          ("pessimal", Pipeline.worst_binary run);
+        ]
+      in
+      let tasks = List.map (fun (t : Mote_os.Node.task) -> t.Mote_os.Node.proc) w.Workloads.tasks in
+      let calls =
+        Mote_lang.Compile.init_proc_name :: List.concat (List.init 40 (fun _ -> tasks))
+      in
+      List.iter
+        (fun (name, binary) ->
+          List.iter
+            (fun prediction ->
+              check_agrees
+                (Printf.sprintf "%s %s %s" w.Workloads.name name
+                   (match prediction with
+                   | Machine.Predict_not_taken -> "not-taken"
+                   | Machine.Predict_btfn -> "btfn"))
+                (Fuzz.Oracles.interpreter_mismatch ~prediction ~env:w.Workloads.env_config
+                   binary calls))
+            both_predictions)
+        binaries)
+    Workloads.all
+
+(* Faults end both interpreters with the same message, after the same
+   trace (every pc and cycle count the trace hook saw). *)
+let test_loop_matches_reference_on_faults () =
+  let cases =
+    [
+      ( "fuel",
+        [ Asm.Proc "main"; Asm.Label "spin"; Asm.addi 0 0 1; Asm.jmp "spin" ],
+        "out of fuel at pc=0" );
+      ( "load",
+        [ Asm.Proc "main"; Asm.movi 0 5000; Asm.ld 1 0 3; Asm.ret ],
+        "load outside memory: 5003" );
+      ( "store",
+        [ Asm.Proc "main"; Asm.movi 0 (-2); Asm.st 0 0 1; Asm.ret ],
+        "store outside memory: -2" );
+      ("stack overflow", [ Asm.Proc "main"; Asm.push 0; Asm.call "main"; Asm.ret ], "stack overflow");
+      ("stack underflow", [ Asm.Proc "main"; Asm.pop 0; Asm.pop 0; Asm.ret ], "stack underflow");
+    ]
+  in
+  List.iter
+    (fun (label, items, expected) ->
+      let program = build items in
+      check_agrees label
+        (Fuzz.Oracles.interpreter_mismatch ~fuel:1001 ~env:Env.default_config program
+           [ "main" ]);
+      let run run_proc =
+        let m = Machine.create ~program ~devices:(Devices.create ()) () in
+        let trace = ref [] in
+        Machine.set_trace_hook m (Some (fun ~pc ~instr:_ ~cycles -> trace := (pc, cycles) :: !trace));
+        match run_proc ?fuel:(Some 100_000) m "main" with
+        | _ -> Alcotest.failf "%s: no fault" label
+        | exception Machine.Fault msg -> (msg, !trace)
+      in
+      let fast_msg, fast_trace = run Machine.run_proc in
+      let ref_msg, ref_trace = run Machine.Reference.run_proc in
+      Alcotest.(check string) (label ^ ": loop message") expected fast_msg;
+      Alcotest.(check string) (label ^ ": reference message") expected ref_msg;
+      Alcotest.(check bool) (label ^ ": same trace") true (fast_trace = ref_trace))
+    cases
+
+let suite =
+  suite
+  @ [
+      Alcotest.test_case "loop = reference on workloads" `Quick
+        test_loop_matches_reference_on_workloads;
+      Alcotest.test_case "loop = reference on faults" `Quick
+        test_loop_matches_reference_on_faults;
+    ]

@@ -195,4 +195,26 @@ let test_delay_honored () =
   Alcotest.(check bool) "delivered after delay" true
     (read_global rx ~proc:"rx" "got" > 0)
 
-let suite = suite @ [ Alcotest.test_case "delay honored" `Quick test_delay_honored ]
+(* A short quantum drains the sender thousands of times: every word is
+   routed exactly once and in order. *)
+let test_many_drains () =
+  let ((_, s) as tx) = sender () in
+  let ((_, r) as rx) = receiver () in
+  let net =
+    Network.create ~nodes:[ s; r ]
+      ~links:[ { Network.src = 0; dst = 1; loss = 0.0; delay = 50 } ]
+      ()
+  in
+  let stats = Network.run ~quantum:100 net ~until:300_000 in
+  let sent = read_global tx ~proc:"beacon" "n" in
+  Alcotest.(check bool) "dozens of words" true (sent > 50);
+  Alcotest.(check int) "every word handed over once" sent stats.Network.sent;
+  Alcotest.(check int) "every word delivered" sent (read_global rx ~proc:"rx" "got");
+  Alcotest.(check int) "last word last" sent (read_global rx ~proc:"rx" "last")
+
+let suite =
+  suite
+  @ [
+      Alcotest.test_case "delay honored" `Quick test_delay_honored;
+      Alcotest.test_case "many drains" `Quick test_many_drains;
+    ]

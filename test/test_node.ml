@@ -113,6 +113,41 @@ let test_globals_initialized_by_node () =
   Alcotest.(check int) "initialized" 1234
     (Machine.read_mem machine (Compile.var_address c ~proc:"t" "g"))
 
+(* Each drain returns exactly the words sent since the previous one. *)
+let test_drain_tx_multi () =
+  let program =
+    {
+      Mote_lang.Ast.globals = [ ("n", 0) ];
+      arrays = [];
+      procs = [ proc "beacon" ~params:[] ~locals:[] [ set "n" (v "n" +: i 1); send (v "n") ] ];
+    }
+  in
+  let c = Compile.compile program in
+  let devices = Devices.create () in
+  let machine = Machine.create ~program:c.Compile.program ~devices () in
+  let env = Env.create { Env.seed = 1; channels = []; radio = Env.Silent } in
+  let node =
+    Node.create ~machine ~env
+      ~tasks:[ { Node.proc = "beacon"; source = Node.Periodic { period = 1000; offset = 0 } } ]
+      ()
+  in
+  let drains =
+    List.init 6 (fun k ->
+        ignore (Node.run node ~until:((k + 1) * 7_000));
+        Node.drain_tx node)
+  in
+  Alcotest.(check (list int)) "nothing new, nothing drained" [] (Node.drain_tx node);
+  List.iteri
+    (fun k words ->
+      Alcotest.(check bool) (Printf.sprintf "drain %d non-empty" k) true (words <> []))
+    drains;
+  let log = Devices.tx_log devices in
+  Alcotest.(check (list int)) "drains concatenate to the log" log (List.concat drains);
+  Alcotest.(check (list int)) "words in order" (List.init (List.length log) (fun i -> i + 1)) log;
+  Alcotest.(check int) "tx_count" (List.length log) (Devices.tx_count devices);
+  Alcotest.(check (list int)) "tx_since" (List.filteri (fun i _ -> i >= 10) log)
+    (Devices.tx_since devices 10)
+
 let suite =
   [
     Alcotest.test_case "unknown task" `Quick test_unknown_task_rejected;
@@ -123,4 +158,5 @@ let suite =
     Alcotest.test_case "idle accounting" `Quick test_idle_accounting;
     Alcotest.test_case "run extends" `Quick test_run_extends;
     Alcotest.test_case "node runs init" `Quick test_globals_initialized_by_node;
+    Alcotest.test_case "drain tx repeatedly" `Quick test_drain_tx_multi;
   ]

@@ -459,8 +459,7 @@ let a8 () =
         let binary =
           P.placed_binary run ~profiles:freqs ~algorithm:Layout.Algorithms.pettis_hansen
         in
-        let eval_config = { run.P.config with P.seed = run.P.config.P.seed + 1000 } in
-        let v = P.run_binary ~config:eval_config w binary ~label:"x" in
+        let v = P.run_binary ~config:(P.fresh_inputs run.P.config) w binary ~label:"x" in
         [
           w.Workloads.name;
           Tomo.Estimator.method_name m;
@@ -547,9 +546,7 @@ let a11 () =
         in
         List.map
           (fun (policy_name, prediction) ->
-            let config =
-              { run.P.config with P.seed = run.P.config.P.seed + 1000; prediction }
-            in
+            let config = { (P.fresh_inputs run.P.config) with P.prediction } in
             let natural = P.run_binary ~config w (P.natural_binary run) ~label:"nat" in
             let opt = P.run_binary ~config w placed ~label:"opt" in
             let reduction =

@@ -168,9 +168,9 @@ let place_cmd =
           let placed =
             P.placed_binary run ~profiles ~algorithm:Layout.Algorithms.pettis_hansen
           in
-          let eval_config = { config with P.seed = config.P.seed + 1000 } in
           Par.Pool.map_list pool
-            (fun (label, binary) -> P.run_binary ~config:eval_config w binary ~label)
+            (fun (label, binary) ->
+              P.run_binary ~config:(P.fresh_inputs config) w binary ~label)
             [ ("natural", original); ("saved-profile", placed) ]
     in
     let rows =
@@ -301,48 +301,18 @@ let report_cmd =
     let per_proc =
       Par.Pool.map_list pool
         (fun (i, proc) ->
-          let raw = List.assoc proc run.P.samples in
-          let model = P.model_of run proc in
-          let floor = Stdlib.max 1 opts.P.min_samples in
-          if Array.length raw = 0 then
-            ( proc,
-              raw,
-              None,
-              Tomo.Health.judge ~min_samples:floor ~converged:true ~sample_count:0 (),
-              None )
-          else
-            let paths = Tomo.Paths.enumerate ~max_paths:20_000 model in
-            let samples, sreport =
-              match opts.P.sanitize with
-              | None -> (raw, None)
-              | Some sc ->
-                  let kept, r =
-                    Tomo.Sanitize.run ~config:sc ~min_cost:(Tomo.Paths.min_cost paths)
-                      ~max_cost:(Tomo.Paths.max_cost paths)
-                      ~sigma:(P.noise_sigma config) raw
-                  in
-                  (kept, Some r)
-            in
-            let n = Array.length samples in
-            if n < floor then
-              ( proc,
-                samples,
-                sreport,
-                Tomo.Health.judge ~min_samples:floor ~converged:true ~sample_count:n (),
-                None )
-            else
-              let est =
-                Tomo.Em.estimate ~sigma:(P.noise_sigma config) ?outlier:opts.P.outlier
-                  paths ~samples
-              in
+          let e, samples, paths =
+            P.estimate_proc ~opts:{ opts with P.max_paths = Some 20_000 } run proc
+          in
+          match paths with
+          | Some paths when not (Tomo.Health.is_rejected e.P.health) ->
+              let theta = e.P.estimate.Tomo.Estimator.theta in
               let ci =
                 Tomo.Confidence.bootstrap ~replicates:30 streams.(i) paths ~samples
-                  ~point:est.Tomo.Em.theta
+                  ~point:theta
               in
-              let fit =
-                Tomo.Fit.check ~sigma:est.Tomo.Em.sigma paths ~theta:est.Tomo.Em.theta
-                  ~samples
-              in
+              let sigma = Option.get e.P.estimate.Tomo.Estimator.sigma in
+              let fit = Tomo.Fit.check ~sigma paths ~theta ~samples in
               (* The verdict folds in all three degradation signals: the
                  sample floor, EM convergence, and how wide the widest
                  bootstrap interval came out. *)
@@ -351,29 +321,24 @@ let report_cmd =
                   (fun acc itv -> Stdlib.max acc (Tomo.Confidence.width itv))
                   0.0 ci.Tomo.Confidence.intervals
               in
-              let health =
-                Tomo.Health.judge ~min_samples:floor ~converged:est.Tomo.Em.converged
-                  ~sample_count:n ()
-                |> Tomo.Health.apply_ci_width ~width
-              in
-              (proc, samples, sreport, health, Some (ci, fit)))
+              (e, Tomo.Health.apply_ci_width ~width e.P.health, Some (ci, fit))
+          | _ -> (e, e.P.health, None))
         (List.mapi (fun i proc -> (i, proc)) procs)
     in
     List.iter
-      (fun (proc, samples, sreport, health, result) ->
+      (fun (e, health, result) ->
         match result with
-        | None -> Printf.printf "%s: %s\n\n" proc (Tomo.Health.to_string health)
+        | None -> Printf.printf "%s: %s\n\n" e.P.proc (Tomo.Health.to_string health)
         | Some (ci, fit) ->
-            let truth = List.assoc proc run.P.oracle_thetas in
-            Printf.printf "%s (%d samples):\n" proc (Array.length samples);
+            Printf.printf "%s (%d samples):\n" e.P.proc e.P.sample_count;
             Array.iteri
               (fun k i ->
                 Printf.printf
                   "  theta[%d] = %.3f  [%.3f, %.3f]   (oracle %.3f)\n" k
                   i.Tomo.Confidence.point i.Tomo.Confidence.lo i.Tomo.Confidence.hi
-                  truth.(k))
+                  e.P.truth.(k))
               ci.Tomo.Confidence.intervals;
-            (match sreport with
+            (match e.P.sanitize_report with
             | Some r ->
                 Printf.printf "  sanitize: %s\n"
                   (Format.asprintf "%a" Tomo.Sanitize.pp_report r)

@@ -65,12 +65,11 @@ let () =
   let theta_of window = window.Tomo.Windowed.theta in
   let windows = Array.of_list windowed.Tomo.Windowed.windows in
   let early = theta_of windows.(0) and late = theta_of windows.(Array.length windows - 1) in
-  let original_cfg =
-    Cfgir.Cfg.of_proc_name compiled.Mote_lang.Compile.program "sense_task"
+  let freq theta =
+    P.freq_of_theta compiled.Mote_lang.Compile.program ~proc:"sense_task" ~theta
+      ~invocations:1000.0
   in
-  let omodel = Tomo.Model.of_cfg ~call_residual:0 ~window_correction:0 original_cfg in
-  let freq_late = Tomo.Model.freq_of_theta omodel ~theta:late ~invocations:1000.0 in
-  let freq_early = Tomo.Model.freq_of_theta omodel ~theta:early ~invocations:1000.0 in
+  let freq_late = freq late and freq_early = freq early in
   let score placement = Layout.Eval.taken_transfers freq_late placement in
   let stale = Layout.Algorithms.pettis_hansen freq_early in
   let fresh = Layout.Algorithms.pettis_hansen freq_late in

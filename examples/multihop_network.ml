@@ -127,10 +127,8 @@ let () =
 
   (* Phase 2: rewrite the relay with the estimated profile and re-run. *)
   let original = compiled.Compile.program in
-  let cfg = Cfgir.Cfg.of_proc_name original "ctp_rx_task" in
-  let omodel = Tomo.Model.of_cfg ~call_residual:0 ~window_correction:0 cfg in
   let freq =
-    Tomo.Model.freq_of_theta omodel ~theta:est.Tomo.Em.theta
+    P.freq_of_theta original ~proc:"ctp_rx_task" ~theta:est.Tomo.Em.theta
       ~invocations:(float_of_int (Array.length samples))
   in
   let placed =

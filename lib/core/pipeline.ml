@@ -85,17 +85,23 @@ let collect_telemetry ~config ~program ~devices =
       in
       (r.Profilekit.Probes.samples, Some stats, r.Profilekit.Probes.discarded)
 
+(* Evaluation runs ({!run_binary}) build the same node but skip the
+   oracle, whose branch hook would slow them. *)
+let simulate config (workload : Workloads.t) binary =
+  let node = make_node ~config ~workload ~binary in
+  let machine = Node.machine node in
+  let oracle = Profilekit.Oracle.attach machine in
+  let node_stats = Node.run node ~until:(horizon_of config workload) in
+  Profilekit.Oracle.detach oracle;
+  (node_stats, Machine.devices machine, oracle)
+
 let profile ?(config = default_config) ?compiled (workload : Workloads.t) =
   let compiled =
     match compiled with Some c -> c | None -> Workloads.compiled workload
   in
   let instrumented_items = Profilekit.Probes.instrument compiled.Mote_lang.Compile.items in
   let instrumented = Asm.assemble instrumented_items in
-  let node = make_node ~config ~workload ~binary:instrumented in
-  let machine = Node.machine node in
-  let oracle = Profilekit.Oracle.attach machine in
-  let node_stats = Node.run node ~until:(horizon_of config workload) in
-  let devices = Machine.devices machine in
+  let node_stats, devices, oracle = simulate config workload instrumented in
   let sample_set, transport, discarded =
     collect_telemetry ~config ~program:instrumented ~devices
   in
@@ -130,7 +136,6 @@ let profile ?(config = default_config) ?compiled (workload : Workloads.t) =
         (proc, Profilekit.Flowcount.freq_of_branch_counts cfg ~invocations:inv ~counts))
       workload.Workloads.profiled
   in
-  Profilekit.Oracle.detach oracle;
   {
     workload;
     compiled;
@@ -144,9 +149,6 @@ let profile ?(config = default_config) ?compiled (workload : Workloads.t) =
     transport;
     discarded;
   }
-
-let original_cfg run proc =
-  Cfg.of_proc_name run.compiled.Mote_lang.Compile.program proc
 
 let model_of run proc = Tomo.Model.of_cfg (Cfg.of_proc_name run.instrumented proc)
 
@@ -219,13 +221,16 @@ let materialize_paths ctx opts ~key model =
   | Tomo.Estimator.Em -> Some (enumerate_paths ctx opts ~key model)
   | _ -> None
 
-(* Shared per-procedure estimation under the robustness knobs:
-   sanitize → sample floor → estimate → health verdict.  With every knob
-   at its default this is exactly the old code path (no sanitization, a
-   floor of 1 that only intercepts the empty-sample [Invalid_argument],
-   the exact EM).  [paths] must be the materialized set for the EM
-   method — it also provides the sanitizer's cost envelope. *)
-let estimate_proc opts ~noise_sigma:sigma ~paths ~model ~truth ~proc samples =
+(* The per-procedure estimation stage, for any image's model (the plain
+   and the watermarked profiling binaries differ):
+   truncate → materialize paths → sanitize → sample floor → estimate →
+   health verdict.  With every knob at its default this is the exact
+   pipeline (no sanitization, a floor of 1 that only intercepts the
+   empty-sample [Invalid_argument], the exact EM).  The EM path set also
+   provides the sanitizer's cost envelope. *)
+let estimate_samples ctx opts ~sigma ~key ~model ~truth ~proc samples =
+  let samples = truncate_samples opts samples in
+  let paths = materialize_paths ctx opts ~key model in
   let samples, sanitize_report =
     match opts.sanitize with
     | None -> (samples, None)
@@ -260,17 +265,20 @@ let estimate_proc opts ~noise_sigma:sigma ~paths ~model ~truth ~proc samples =
     if Array.length truth = 0 then 0.0
     else Stats.Metrics.mae estimate.Tomo.Estimator.theta truth
   in
-  { proc; estimate; truth; mae; sample_count = n; health; sanitize_report }
+  ( { proc; estimate; truth; mae; sample_count = n; health; sanitize_report },
+    samples,
+    paths )
+
+let estimate_proc ?(ctx = Ctx.none) ?(opts = default_opts) run proc =
+  estimate_samples ctx opts ~sigma:(noise_sigma run.config) ~key:proc
+    ~model:(model_of run proc) ~truth:(List.assoc proc run.oracle_thetas) ~proc
+    (List.assoc proc run.samples)
+
+let first (e, _, _) = e
 
 let estimate ?(ctx = Ctx.none) ?(opts = default_opts) run =
   pmap ?pool:ctx.Ctx.pool
-    (fun proc ->
-      let samples = truncate_samples opts (List.assoc proc run.samples) in
-      let model = model_of run proc in
-      let paths = materialize_paths ctx opts ~key:proc model in
-      let truth = List.assoc proc run.oracle_thetas in
-      estimate_proc opts ~noise_sigma:(noise_sigma run.config) ~paths ~model ~truth ~proc
-        samples)
+    (fun proc -> first (estimate_proc ~ctx ~opts run proc))
     run.workload.Workloads.profiled
 
 (* Ambiguous branches (equal-cost arms) in the coordinates of the
@@ -299,42 +307,42 @@ let estimate_watermarked ?(ctx = Ctx.none) ?(opts = default_opts) run =
     let probed_items = Profilekit.Probes.instrument run.compiled.Mote_lang.Compile.items in
     let watermarked_items = Profilekit.Watermark.instrument ~sites probed_items in
     let binary = Asm.assemble watermarked_items in
-    let node = make_node ~config:run.config ~workload:run.workload ~binary in
-    let machine = Node.machine node in
-    let oracle = Profilekit.Oracle.attach machine in
-    ignore (Node.run node ~until:(horizon_of run.config run.workload));
+    let _, devices, oracle = simulate run.config run.workload binary in
     (* The watermarked telemetry crosses the same (possibly faulty) link
        as the plain profiling run's. *)
-    let sample_set, _, _ =
-      collect_telemetry ~config:run.config ~program:binary
-        ~devices:(Machine.devices machine)
-    in
+    let sample_set, _, _ = collect_telemetry ~config:run.config ~program:binary ~devices in
     let estimations =
       pmap ?pool:ctx.Ctx.pool
         (fun proc ->
-          let samples =
-            truncate_samples opts (Profilekit.Probes.samples_for sample_set proc)
-          in
-          let model = Tomo.Model.of_cfg (Cfg.of_proc_name binary proc) in
           (* The watermarked image's models differ from the plain ones, so
              its cache entries live under a distinct key. *)
-          let paths = materialize_paths ctx opts ~key:("watermarked:" ^ proc) model in
-          let truth = Profilekit.Oracle.theta_vector oracle ~proc in
-          estimate_proc opts ~noise_sigma:(noise_sigma run.config) ~paths ~model ~truth
-            ~proc samples)
+          first
+            (estimate_samples ctx opts ~sigma:(noise_sigma run.config)
+               ~key:("watermarked:" ^ proc)
+               ~model:(Tomo.Model.of_cfg (Cfg.of_proc_name binary proc))
+               ~truth:(Profilekit.Oracle.theta_vector oracle ~proc)
+               ~proc
+               (Profilekit.Probes.samples_for sample_set proc)))
         run.workload.Workloads.profiled
     in
-    Profilekit.Oracle.detach oracle;
     (estimations, sites)
   end
+
+(* The original binary carries no probes, so its model has no probe
+   residuals to correct for. *)
+let freq_of_theta program ~proc ~theta ~invocations =
+  let model =
+    Tomo.Model.of_cfg ~call_residual:0 ~window_correction:0 (Cfg.of_proc_name program proc)
+  in
+  Tomo.Model.freq_of_theta model ~theta ~invocations
 
 let estimated_freqs run estimations =
   List.map
     (fun e ->
-      let cfg = original_cfg run e.proc in
-      let model = Tomo.Model.of_cfg ~call_residual:0 ~window_correction:0 cfg in
       let inv = float_of_int (List.assoc e.proc run.invocations) in
-      (e.proc, Tomo.Model.freq_of_theta model ~theta:e.estimate.theta ~invocations:inv))
+      ( e.proc,
+        freq_of_theta run.compiled.Mote_lang.Compile.program ~proc:e.proc
+          ~theta:e.estimate.theta ~invocations:inv ))
     estimations
 
 type variant = {
@@ -392,11 +400,11 @@ let worst_placement freq =
 let worst_binary run =
   placed_binary run ~profiles:run.oracle_freqs ~algorithm:worst_placement
 
+let fresh_inputs config = { config with seed = config.seed + 1000 }
+
 let compare_layouts ?(ctx = Ctx.none) ?eval_config ?opts run =
   let eval_config =
-    match eval_config with
-    | Some c -> c
-    | None -> { run.config with seed = run.config.seed + 1000 }
+    match eval_config with Some c -> c | None -> fresh_inputs run.config
   in
   let estimations = estimate ~ctx ?opts run in
   (* A Rejected procedure contributes no profile: Rewrite leaves an

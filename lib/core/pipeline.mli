@@ -29,6 +29,12 @@ val default_config : config
 (** seed 42, workload horizon, resolution 1, no jitter, predict
     not-taken, no link faults. *)
 
+(** {1 Stages}
+
+    Each stage has exactly one implementation, here, which the CLI, the
+    bench and [Fleet] compose: {!simulate}, {!estimate_proc},
+    {!freq_of_theta}, and {!fresh_inputs} with {!run_binary}. *)
+
 (** {1 Profiling} *)
 
 type profile_run = {
@@ -52,13 +58,29 @@ type profile_run = {
           link). *)
 }
 
+val simulate :
+  config ->
+  Workloads.t ->
+  Mote_isa.Program.t ->
+  Mote_os.Node.run_stats * Mote_machine.Devices.t * Profilekit.Oracle.t
+(** [simulate config workload binary] is the simulate stage: one run of
+    [binary] on a fresh node to the horizon, with [config]'s timer model
+    and prediction policy, the workload's environment seeded from
+    [config.seed] (the device RNG from a fixed offset of it), and the
+    {!Profilekit.Oracle} counting every conditional branch.  Returns the
+    scheduler's statistics, the devices (whose probe log is the run's raw
+    telemetry) and the detached oracle, whose counts stay readable.
+    [config.faults] is not read.  {!profile}, {!estimate_watermarked}
+    and [Fleet.Sim.run_node] simulate through here; {!run_binary} does
+    not, because its branch hook would slow evaluation. *)
+
 val profile :
   ?config:config -> ?compiled:Mote_lang.Compile.t -> Workloads.t -> profile_run
-(** Run the workload once with probes and the oracle attached.
-    [?compiled] reuses an existing compilation of the same workload
-    (e.g. {!Session}'s memoized one) instead of recompiling. *)
+(** Run the workload's probe-instrumented binary through {!simulate} and
+    collect its telemetry (across the simulated link when [config.faults]
+    is set).  [?compiled] reuses an existing compilation of the same
+    workload (e.g. {!Session}'s memoized one) instead of recompiling. *)
 
-val original_cfg : profile_run -> string -> Cfgir.Cfg.t
 val model_of : profile_run -> string -> Tomo.Model.t
 (** Timing model of the instrumented procedure. *)
 
@@ -146,8 +168,25 @@ module Ctx : sig
   (** Pool only — the common case for one-shot CLI runs. *)
 end
 
+val estimate_proc :
+  ?ctx:Ctx.t ->
+  ?opts:opts ->
+  profile_run ->
+  string ->
+  estimation * float array * Tomo.Paths.t option
+(** [estimate_proc run proc] is the per-procedure estimation stage:
+    truncate to [opts.max_samples] → enumerate the EM path set (through
+    [ctx]'s memo, if any) → sanitize → sample floor → estimate → health
+    verdict.  Besides the estimation it returns the samples actually
+    estimated from (after truncation and sanitizing) and the path set
+    ([Some] iff the method is EM), so a caller can bootstrap or
+    fit-check the very evidence the estimate saw without enumerating
+    again — [ctomo report] does.  The verdict is
+    {!Tomo.Health.Rejected} exactly when fewer samples than the floor
+    remain; the estimate is then {!Tomo.Estimator.fallback}. *)
+
 val estimate : ?ctx:Ctx.t -> ?opts:opts -> profile_run -> estimation list
-(** Estimate every profiled procedure under [opts] (default
+(** {!estimate_proc} on every profiled procedure under [opts] (default
     {!default_opts}).  [ctx] supplies the domain pool the per-procedure
     estimations fan out over and the path-set memo they read; estimation
     is deterministic, so the result is identical with or without it. *)
@@ -167,9 +206,17 @@ val estimate_watermarked :
     and the watermarked sites.  The production binary is untouched —
     watermarks exist only in the profiling build. *)
 
+val freq_of_theta :
+  Mote_isa.Program.t -> proc:string -> theta:float array -> invocations:float -> Freq.t
+(** The θ → profile stage: the edge-frequency profile of [proc] on
+    [program]'s CFG — expected edge visits per invocation under θ, times
+    [invocations].  [program] is the original (uninstrumented) binary, so
+    the model carries no probe corrections.
+    @raise Not_found if [program] has no procedure [proc]. *)
+
 val estimated_freqs : profile_run -> estimation list -> (string * Freq.t) list
-(** Convert estimates into profiles on the original CFGs (expected visits
-    under θ times the observed invocation counts). *)
+(** {!freq_of_theta} for each estimation, on the run's original binary,
+    with the run's observed invocation counts. *)
 
 (** {1 Placement evaluation} *)
 
@@ -189,6 +236,13 @@ type variant = {
   tx_words : int;  (** Radio payload words transmitted during the run. *)
   flash_words : int;
 }
+
+val fresh_inputs : config -> config
+(** The evaluation config for placement on fresh inputs: [config] with
+    the environment seed moved 1000 on, so a layout is measured on new
+    inputs from the distribution it was profiled on.  {!compare_layouts},
+    [ctomo place --profile], the bench and [Fleet.Service] all evaluate
+    through it. *)
 
 val run_binary :
   ?config:config -> Workloads.t -> Mote_isa.Program.t -> label:string -> variant
@@ -211,11 +265,11 @@ val compare_layouts :
   ?ctx:Ctx.t -> ?eval_config:config -> ?opts:opts -> profile_run -> variant list
 (** The T4/F5 experiment for one workload: natural, worst-case,
     tomography-guided and perfect-profile binaries, all run under the same
-    evaluation environment (default: profiling seed + 1000, so placement
-    is tested on fresh inputs from the same distribution).  [ctx]'s pool
-    runs the four variant evaluations on separate domains; every variant
-    owns a fresh machine/environment seeded from the evaluation config,
-    so parallel output is bit-identical to serial.
+    evaluation environment (default: {!fresh_inputs} of the profiling
+    config).  [ctx]'s pool runs the four variant evaluations on separate
+    domains; every variant owns a fresh machine/environment seeded from
+    the evaluation config, so parallel output is bit-identical to
+    serial.
 
     [opts] is forwarded to {!estimate} whole.  A procedure whose
     health comes back {!Tomo.Health.Rejected} contributes {e no} profile

@@ -70,7 +70,8 @@ let validate config =
   if config.decay <= 0.0 || config.decay > 1.0 then
     invalid_arg "Fleet.Service: decay outside (0,1]";
   if config.replace_every < 0 then
-    invalid_arg "Fleet.Service: replace_every must be non-negative"
+    invalid_arg "Fleet.Service: replace_every must be non-negative";
+  Profilekit.Transport.validate config.faults
 
 (* The fleet's ground truth: each node sees its own inputs, so per-node
    oracle thetas differ; the fleet target is their clean-sample-weighted
@@ -109,18 +110,6 @@ let pooled_oracle procs node_runs =
 let mean = function
   | [] -> 0.0
   | xs -> List.fold_left ( +. ) 0.0 xs /. float_of_int (List.length xs)
-
-let reduction_of variants =
-  let taken label_matches =
-    match List.find_opt (fun (v : P.variant) -> label_matches v.P.label) variants with
-    | Some v -> float_of_int v.P.taken_transfers
-    | None -> invalid_arg "Fleet.Service.reduction_of: missing variant"
-  in
-  let natural = taken (String.equal "natural") in
-  let tomo =
-    taken (fun l -> String.length l >= 10 && String.equal (String.sub l 0 10) "tomography")
-  in
-  if natural = 0.0 then 0.0 else 1.0 -. (tomo /. natural)
 
 let run ?session config =
   validate config;
@@ -210,7 +199,7 @@ let run ?session config =
       pmap
         (fun (nr : Sim.node_run) ->
           let cfg =
-            { config.pipeline with P.seed = nr.Sim.node.Sim.env_seed + 1000; faults = None }
+            P.fresh_inputs { config.pipeline with P.seed = nr.Sim.node.Sim.env_seed }
           in
           P.run_binary ~config:cfg w binary ~label)
         node_runs
@@ -224,15 +213,11 @@ let run ?session config =
           match fu.Fusion.fused with
           | None -> (profiles, fallbacks + 1)
           | Some theta ->
-              let model =
-                Tomo.Model.of_cfg ~call_residual:0 ~window_correction:0
-                  (Cfg.of_proc_name original proc)
-              in
               let invocations =
                 float_of_int
                   (List.fold_left (fun acc (_, _, ing) -> acc + Ingest.fed ing proc) 0 states)
               in
-              ((proc, Tomo.Model.freq_of_theta model ~theta ~invocations) :: profiles, fallbacks))
+              ((proc, P.freq_of_theta original ~proc ~theta ~invocations) :: profiles, fallbacks))
         ([], 0) fusions
     in
     let profiles = List.rev profiles in

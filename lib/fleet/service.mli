@@ -103,9 +103,6 @@ val run : ?session:Codetomo.Session.t -> config -> report
     tables; without, everything runs serially and privately.  Output is
     identical either way.
     @raise Invalid_argument on a non-positive node, round or batch
-    count, or a decay outside (0,1]. *)
-
-val reduction_of : Codetomo.Pipeline.variant list -> float
-(** Taken-transfer reduction of the tomography variant against the
-    natural one in a {!Codetomo.Pipeline.compare_layouts} result — the
-    single-node anchor the fleet acceptance test compares against. *)
+    count, a decay outside (0,1], or a base fault model that
+    {!Profilekit.Transport.validate} rejects — all before any node is
+    simulated. *)

@@ -1,7 +1,5 @@
 module P = Codetomo.Pipeline
 module Devices = Mote_machine.Devices
-module Machine = Mote_machine.Machine
-module Node_os = Mote_os.Node
 
 type node = {
   id : int;
@@ -44,39 +42,19 @@ type node_run = {
   clean_samples : (string * int) list;
 }
 
-(* Mirrors Pipeline.profile's node construction (same device RNG offset,
-   same env override) so a 1-node clean-link fleet sees exactly the
-   telemetry a Pipeline.profile run at that seed would. *)
 let run_node ~(workload : Workloads.t) ~instrumented ~(config : P.config) node =
-  let devices =
-    Devices.create ~timer_resolution:config.P.timer_resolution
-      ~timer_jitter:config.P.timer_jitter
-      ~rng:(Stats.Rng.create (node.env_seed + 7919))
-      ()
+  let _, devices, oracle =
+    P.simulate { config with P.seed = node.env_seed } workload instrumented
   in
-  let machine =
-    Machine.create ~prediction:config.P.prediction ~program:instrumented ~devices ()
-  in
-  let env = Env.create { workload.Workloads.env_config with Env.seed = node.env_seed } in
-  let os_node = Node_os.create ~machine ~env ~tasks:workload.Workloads.tasks () in
-  let oracle = Profilekit.Oracle.attach machine in
-  let horizon = Option.value ~default:workload.Workloads.horizon config.P.horizon in
-  ignore (Node_os.run os_node ~until:horizon);
-  let log = Array.of_list (Devices.probe_log devices) in
   let clean = Profilekit.Probes.collect ~program:instrumented ~devices in
-  let oracle_thetas =
-    List.map
-      (fun proc -> (proc, Profilekit.Oracle.theta_vector oracle ~proc))
-      workload.Workloads.profiled
-  in
-  let clean_samples =
-    List.map
-      (fun proc ->
-        (proc, Array.length (Profilekit.Probes.samples_for clean proc)))
-      workload.Workloads.profiled
-  in
-  Profilekit.Oracle.detach oracle;
-  { node; log; oracle_thetas; clean_samples }
+  let per_proc f = List.map (fun proc -> (proc, f proc)) workload.Workloads.profiled in
+  {
+    node;
+    log = Array.of_list (Devices.probe_log devices);
+    oracle_thetas = per_proc (fun proc -> Profilekit.Oracle.theta_vector oracle ~proc);
+    clean_samples =
+      per_proc (fun proc -> Array.length (Profilekit.Probes.samples_for clean proc));
+  }
 
 let default_batch run ~rounds =
   if rounds < 1 then invalid_arg "Fleet.Sim.default_batch: need at least one round";

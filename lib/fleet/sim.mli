@@ -58,9 +58,12 @@ val run_node :
   node ->
   node_run
 (** Simulate one node for the configured horizon with the oracle
-    attached.  [config]'s seed is ignored — the node's [env_seed] rules,
-    so a node_run depends only on (workload, instrumented binary, timing
-    config, node). *)
+    attached: {!Codetomo.Pipeline.simulate} under [config] with the
+    node's [env_seed] as its seed, so a clean-link node at seed [s] sees
+    exactly the telemetry and ground truth of a
+    {!Codetomo.Pipeline.profile} run at seed [s].  [config]'s own seed
+    and faults are ignored, so a node_run depends only on (workload,
+    instrumented binary, timing config, node). *)
 
 val default_batch : node_run -> rounds:int -> int
 (** The batch size that spreads this node's log evenly over [rounds]

@@ -45,6 +45,22 @@ let default =
 
 let field ?(drop = 0.05) ?(corrupt = 0.01) () = { default with drop; corrupt }
 
+let validate c =
+  List.iter
+    (fun (name, p) ->
+      if not (p >= 0.0 && p <= 1.0) then
+        invalid_arg (Printf.sprintf "Transport: %s probability %g outside [0,1]" name p))
+    [
+      ("reboot", c.reboot);
+      ("burst_enter", c.burst_enter);
+      ("burst_exit", c.burst_exit);
+      ("burst_drop", c.burst_drop);
+      ("drop", c.drop);
+      ("corrupt", c.corrupt);
+      ("duplicate", c.duplicate);
+      ("reorder", c.reorder);
+    ]
+
 let is_identity c =
   c.skew = 0.0 && c.drift = 0.0 && c.reboot = 0.0 && c.burst_enter = 0.0
   && c.drop = 0.0 && c.corrupt = 0.0 && c.duplicate = 0.0 && c.reorder = 0.0
@@ -191,6 +207,7 @@ let reorder_stage rng c ~reordered records =
   end
 
 let perturb ?(seed = 0) c records =
+  validate c;
   let stream i = Stats.Rng.stream ~seed ~index:i in
   let dropped_drop = ref 0 in
   let dropped_burst = ref 0 in

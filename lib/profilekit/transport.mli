@@ -57,6 +57,13 @@ val field : ?drop:float -> ?corrupt:float -> unit -> config
     acceptance tests and the R13 sweep: 5% independent loss and 1% word
     corruption over {!default}. *)
 
+val validate : config -> unit
+(** Check that every probability field ([reboot], [burst_enter],
+    [burst_exit], [burst_drop], [drop], [corrupt], [duplicate],
+    [reorder]) lies in [0,1].
+    @raise Invalid_argument naming the first field that does not (NaN
+    included). *)
+
 val is_identity : config -> bool
 (** True when every fault rate is zero — {!perturb} is then the identity
     on any log. *)
@@ -81,6 +88,7 @@ val perturb :
 (** Apply the configured faults to a probe log.  Deterministic in
     [(seed, config, log)]: every stage draws from its own
     [Stats.Rng.stream ~seed ~index:stage] and never consults the wall
-    clock or global state (default seed 0). *)
+    clock or global state (default seed 0).
+    @raise Invalid_argument if {!validate} rejects [config]. *)
 
 val pp_stats : Format.formatter -> stats -> unit

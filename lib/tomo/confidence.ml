@@ -31,22 +31,6 @@ let bootstrap ?(replicates = 50) ?(confidence = 0.9) ?(max_iters = 15) rng paths
   in
   { intervals; replicates }
 
-let bootstrap_many ?pool ?replicates ?confidence ?max_iters rng cases =
-  (* Split one stream per case, in case order, before any work starts:
-     each bootstrap owns its RNG whatever domain runs it, so parallel
-     intervals are bit-identical to serial ones. *)
-  let streams = Stats.Rng.split_n rng (List.length cases) in
-  let tasks =
-    List.mapi (fun i (paths, samples, point) -> (streams.(i), paths, samples, point))
-      cases
-  in
-  let one (stream, paths, samples, point) =
-    bootstrap ?replicates ?confidence ?max_iters stream paths ~samples ~point
-  in
-  match pool with
-  | Some pool -> Par.Pool.map_list pool one tasks
-  | None -> List.map one tasks
-
 let contains t k v =
   let i = t.intervals.(k) in
   i.lo <= v && v <= i.hi

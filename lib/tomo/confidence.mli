@@ -26,21 +26,12 @@ val bootstrap :
   point:float array ->
   t
 (** Defaults: 50 replicates, 90% confidence, 15 EM iterations per
-    replicate (warm-started, so few are needed).
+    replicate (warm-started, so few are needed).  All randomness comes
+    from [rng]: a caller bootstrapping several procedures in parallel
+    hands each its own {!Stats.Rng.split_n} child, split before any work
+    starts (as [ctomo report] does), so the intervals do not depend on
+    the domain count.
     @raise Invalid_argument on empty samples. *)
-
-val bootstrap_many :
-  ?pool:Par.Pool.t ->
-  ?replicates:int ->
-  ?confidence:float ->
-  ?max_iters:int ->
-  Stats.Rng.t ->
-  (Paths.t * float array * float array) list ->
-  t list
-(** Bootstrap several [(paths, samples, point)] cases, consuming one
-    {!Stats.Rng.split} child of [rng] per case {e in case order} before
-    any resampling begins.  Because each case owns its stream, running
-    on [pool] yields exactly the serial intervals. *)
 
 val contains : t -> int -> float -> bool
 (** Does parameter [k]'s interval contain a value? *)

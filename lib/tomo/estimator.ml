@@ -72,14 +72,4 @@ let run ?(method_ = Em) ?(noise_sigma = 1.0) ?max_paths ?max_visits ?max_iters ?
         outlier_eps = r.Em.outlier_eps;
       }
 
-let run_many ?pool ?method_ ?noise_sigma ?max_paths ?max_visits ?max_iters ?outlier cases =
-  let estimate_one (model, samples) =
-    run ?method_ ?noise_sigma ?max_paths ?max_visits ?max_iters ?outlier model ~samples
-  in
-  match pool with
-  | Some pool -> Par.Pool.map_list pool estimate_one cases
-  | None -> List.map estimate_one cases
-
 let mae_against t truth = Stats.Metrics.mae t.theta truth
-
-let freq t model ~invocations = Model.freq_of_theta model ~theta:t.theta ~invocations

@@ -2,8 +2,10 @@
 
     Given the model of a probe-instrumented procedure and its end-to-end
     timing samples, produce a θ estimate with one of the available
-    methods, plus the derived artifacts downstream passes want (per-block
-    probabilities, edge-frequency profile). *)
+    methods, plus its per-block probabilities.  Turning θ into an
+    edge-frequency profile is [Codetomo.Pipeline.freq_of_theta]'s job;
+    fanning estimation out over procedures is
+    [Codetomo.Pipeline.estimate]'s. *)
 
 type method_ =
   | Em  (** Path-mixture EM — the paper's estimator. *)
@@ -52,21 +54,5 @@ val run :
     robust variant ({!Em.estimate}).  Both are ignored by the other
     methods. *)
 
-val run_many :
-  ?pool:Par.Pool.t ->
-  ?method_:method_ ->
-  ?noise_sigma:float ->
-  ?max_paths:int ->
-  ?max_visits:int ->
-  ?max_iters:int ->
-  ?outlier:Em.outlier ->
-  (Model.t * float array) list ->
-  t list
-(** [run_many cases] estimates every [(model, samples)] case, fanning
-    out over [pool] when given.  Estimation draws no randomness, so the
-    result list (in input order) is identical at any domain count. *)
-
 val mae_against : t -> float array -> float
 (** Mean absolute θ error against a ground-truth vector. *)
-
-val freq : t -> Model.t -> invocations:float -> Cfgir.Freq.t

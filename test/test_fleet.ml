@@ -44,6 +44,47 @@ let node_runs ~faults ~nodes =
   let roster = Fleet.Sim.plan ~seed:7 ~nodes ~faults ~vary_faults:true in
   List.map (Fleet.Sim.run_node ~workload:w ~instrumented ~config:short_config) roster
 
+(* A clean-link node is a profiling run under the node's seed: Sim.run_node
+   and Pipeline.profile share the simulate stage, so the node's pristine
+   log pairs up into exactly the profiling run's samples, and the clean
+   counts and oracle θ agree bit for bit.  The config's own seed is not
+   the node's, to show run_node ignores it. *)
+let node_run_equals_profile () =
+  let hex a = Array.to_list (Array.map (Printf.sprintf "%h") a) in
+  let env_seed = 1234 in
+  List.iter
+    (fun name ->
+      let w = Workloads.find name in
+      let run = P.profile ~config:{ P.default_config with P.seed = env_seed } w in
+      let node =
+        { Fleet.Sim.id = 0; env_seed; transport_seed = 0; faults = Transport.default }
+      in
+      let nr =
+        Fleet.Sim.run_node ~workload:w ~instrumented:run.P.instrumented
+          ~config:P.default_config node
+      in
+      let collected =
+        Probes.collect_lossy_records ~program:run.P.instrumented
+          ~resolution:P.default_config.P.timer_resolution
+          (Array.to_list nr.Fleet.Sim.log)
+      in
+      Alcotest.(check int) (name ^ ": clean log discards nothing") 0
+        collected.Probes.discarded;
+      List.iter
+        (fun proc ->
+          let label what = Printf.sprintf "%s %s: %s" name proc what in
+          let samples = List.assoc proc run.P.samples in
+          Alcotest.(check (list string)) (label "samples")
+            (hex samples)
+            (hex (Probes.samples_for collected.Probes.samples proc));
+          Alcotest.(check int) (label "clean count") (Array.length samples)
+            (List.assoc proc nr.Fleet.Sim.clean_samples);
+          Alcotest.(check (list string)) (label "oracle theta")
+            (hex (List.assoc proc run.P.oracle_thetas))
+            (hex (List.assoc proc nr.Fleet.Sim.oracle_thetas)))
+        w.Workloads.profiled)
+    [ "filter"; "ctp" ]
+
 (* Batch-by-batch ingest must equal one-shot ingest of the concatenated
    stream — exactly, not approximately. *)
 let incremental_equals_concatenated () =
@@ -199,7 +240,13 @@ let fleet_anchor_and_determinism () =
   (* Single-node clean-link anchor, via the public pipeline API. *)
   let run = P.profile ~config:P.default_config w in
   let variants = P.compare_layouts ~ctx:(Session.ctx s1 w) run in
-  let anchor = Fleet.Service.reduction_of variants in
+  let anchor =
+    match variants with
+    | [ natural; _worst; tomo; _perfect ] ->
+        1.0
+        -. (float_of_int tomo.P.taken_transfers /. float_of_int natural.P.taken_transfers)
+    | _ -> Alcotest.fail "compare_layouts: expected four variants"
+  in
   let fleet = r1.Fleet.Service.final.Fleet.Service.reduction in
   Alcotest.(check bool) "fleet actually reduces" true (fleet > 0.2);
   if Float.abs (fleet -. anchor) > 0.05 then
@@ -258,6 +305,7 @@ let discarded_is_cumulative () =
 
 let suite =
   [
+    Alcotest.test_case "node run = Pipeline.profile" `Quick node_run_equals_profile;
     Alcotest.test_case "incremental = concatenated" `Quick incremental_equals_concatenated;
     Alcotest.test_case "online matches batch EM" `Quick online_matches_batch_em;
     Alcotest.test_case "decay forgets drift" `Quick decay_forgets_drift;

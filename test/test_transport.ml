@@ -121,6 +121,36 @@ let test_stream_independence () =
     (drops base)
     (drops { base with Transport.corrupt = 0.3; Transport.duplicate = 0.2 })
 
+(* A rate that is not a probability is a configuration error, not a
+   quiet no-op or a saturated link: every probability field, each of the
+   three ways out of range. *)
+let test_rates_validated () =
+  let log = Lazy.force probe_log in
+  let d = Transport.default in
+  let setters =
+    [
+      ("drop", fun p -> { d with Transport.drop = p });
+      ("corrupt", fun p -> { d with Transport.corrupt = p });
+      ("duplicate", fun p -> { d with Transport.duplicate = p });
+      ("reorder", fun p -> { d with Transport.reorder = p });
+      ("reboot", fun p -> { d with Transport.reboot = p });
+      ("burst_enter", fun p -> { d with Transport.burst_enter = p });
+      ("burst_exit", fun p -> { d with Transport.burst_exit = p });
+      ("burst_drop", fun p -> { d with Transport.burst_drop = p });
+    ]
+  in
+  List.iter
+    (fun (name, set) ->
+      List.iter
+        (fun p ->
+          match Transport.perturb ~seed:7 (set p) log with
+          | exception Invalid_argument _ -> ()
+          | _ -> Alcotest.failf "%s = %g accepted" name p)
+        [ 1.5; -0.5; Float.nan ];
+      (* Both ends of [0,1] are rates. *)
+      List.iter (fun p -> ignore (Transport.perturb ~seed:7 (set p) log)) [ 0.0; 1.0 ])
+    setters
+
 (* The full faulted pipeline is byte-identical at any domain count. *)
 let test_pipeline_determinism_across_domains () =
   let module P = Codetomo.Pipeline in
@@ -156,6 +186,7 @@ let suite =
     Alcotest.test_case "accounting" `Quick test_accounting;
     Alcotest.test_case "stage isolation" `Quick test_stage_isolation;
     Alcotest.test_case "stream independence" `Quick test_stream_independence;
+    Alcotest.test_case "rates validated" `Quick test_rates_validated;
     Alcotest.test_case "faulted pipeline across domains" `Slow
       test_pipeline_determinism_across_domains;
   ]

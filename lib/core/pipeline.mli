@@ -266,10 +266,13 @@ val compare_layouts :
 (** The T4/F5 experiment for one workload: natural, worst-case,
     tomography-guided and perfect-profile binaries, all run under the same
     evaluation environment (default: {!fresh_inputs} of the profiling
-    config).  [ctx]'s pool runs the four variant evaluations on separate
-    domains; every variant owns a fresh machine/environment seeded from
-    the evaluation config, so parallel output is bit-identical to
-    serial.
+    config).  Evaluation is deterministic given the binary and the
+    evaluation config, so each distinct binary runs once and variants
+    whose binaries are equal (often tomography and perfect) share that
+    run's dynamics under their own labels.  [ctx]'s pool runs the
+    distinct evaluations on separate domains; each owns a fresh
+    machine/environment seeded from the evaluation config, so parallel
+    output is bit-identical to serial.
 
     [opts] is forwarded to {!estimate} whole.  A procedure whose
     health comes back {!Tomo.Health.Rejected} contributes {e no} profile

@@ -5,8 +5,10 @@
     service closes that gap in simulation: N nodes ({!Sim}) stream
     probe-record batches over their faulty uplinks in rounds; the base
     station ingests each node's batches incrementally ({!Ingest}), keeps
-    a bounded-memory {!Tomo.Online} estimator per (node, procedure),
-    pools the per-node estimates with health gating ({!Fusion}), and
+    a {!Tomo.Online} estimator per (node, procedure) — O(parameters)
+    sufficient statistics, though {!Ingest} also keeps every fed sample
+    for the end-of-campaign drift check, so memory still grows with the
+    stream — pools the per-node estimates with health gating ({!Fusion}), and
     periodically turns the fused fleet profile into a code placement
     whose fleet-wide taken-branch reduction it measures across every
     node's own inputs.

@@ -38,6 +38,8 @@ let group_samples samples =
 
 let clamp_theta p = Stdlib.max 1e-4 (Stdlib.min (1.0 -. 1e-4) p)
 
+let clamp_eps oc e = Stdlib.max 1e-6 (Stdlib.min oc.max_eps e)
+
 (* exp x underflows to exactly +0.0 below ≈ −745.14, so dropping a path
    whose log weight trails the per-value max by more than this changes no
    bit of any sum the reference dense E-step would have computed. *)
@@ -45,9 +47,68 @@ let exact_log_threshold = 746.0
 
 let half_log_two_pi = 0.5 *. log (2.0 *. Float.pi)
 
-(* Residual matrices above this many entries are recomputed on the fly
-   instead of cached (the subtraction is cheap; the cache only saves it). *)
-let max_resid_entries = 1 lsl 22
+(* Grouped samples as two flat arrays, so the per-value loops are plain
+   [for] loops and their float accumulators stay unboxed. *)
+let grouped_arrays samples =
+  let grouped = group_samples samples in
+  (Array.map fst grouped, Array.map snd grouped)
+
+(* One EM iteration maps (θ, σ, ε) to (θ′, σ′, ε′) and reports the
+   log-likelihood of its input; the exact kernel carries ε = 0 through
+   unchanged. *)
+type step = { theta' : float array; sigma' : float; eps' : float; ll : float }
+
+(* The iterate → Δθ → trajectory → stop loop, written once for both
+   optimized variants.  {!Dense} keeps its own copy on purpose: sharing
+   the driver with the code it checks would let a driver bug pass the
+   differential tests. *)
+let drive ~max_iters ~tol ~record_trajectory ~theta ~sigma ~eps ~robust step =
+  let theta = ref theta and sigma = ref sigma and eps = ref eps in
+  let trajectory = ref [] in
+  let iterations = ref 0 in
+  let converged = ref false in
+  let final_ll = ref neg_infinity in
+  while (not !converged) && !iterations < max_iters do
+    incr iterations;
+    let r = step !theta !sigma !eps in
+    (* max folded left from |Δε|, as [Stdlib.max] would. *)
+    let delta = ref (abs_float (r.eps' -. !eps)) in
+    for j = 0 to Array.length r.theta' - 1 do
+      let d = abs_float (r.theta'.(j) -. !theta.(j)) in
+      if not (!delta >= d) then delta := d
+    done;
+    theta := r.theta';
+    sigma := r.sigma';
+    eps := r.eps';
+    final_ll := r.ll;
+    if record_trajectory then trajectory := (Array.copy r.theta', r.ll) :: !trajectory;
+    if !delta < tol then converged := true
+  done;
+  {
+    theta = !theta;
+    sigma = !sigma;
+    iterations = !iterations;
+    log_likelihood = !final_ll;
+    converged = !converged;
+    trajectory = List.rev !trajectory;
+    outlier_eps = (if robust then Some !eps else None);
+  }
+
+(* M-step θ′: the expected taken fraction per parameter, clamped; a
+   parameter no responsible path traverses keeps its value. *)
+let m_step_theta theta ~taken ~either =
+  Array.init (Array.length theta) (fun j ->
+      if either.(j) <= 0.0 then theta.(j) else clamp_theta (taken.(j) /. either.(j)))
+
+(* log θ and log (1−θ) exactly as [Paths.log_prior] derives them
+   ([Stdlib.max 1e-12 p], written out so no float is boxed). *)
+let fill_log_theta theta ~log_t ~log_f =
+  for j = 0 to Array.length theta - 1 do
+    let p = theta.(j) in
+    let q = 1.0 -. p in
+    log_t.(j) <- log (if 1e-12 >= p then 1e-12 else p);
+    log_f.(j) <- log (if 1e-12 >= q then 1e-12 else q)
+  done
 
 (* Contamination-robust variant: the mixture gains one uniform component
    of weight ε whose support covers both the path-cost envelope and the
@@ -55,279 +116,192 @@ let max_resid_entries = 1 lsl 22
    outlier component instead of producing a degenerate E-step.  σ is
    re-estimated over the inlier responsibility mass only, and ε (when
    re-estimated) is the outlier mass fraction, clamped.  This path makes
-   no bit-exactness promise — it runs only when the caller opts in. *)
-let estimate_robust ~max_iters ~tol ~init ~sigma:sigma0 ~estimate_sigma ~sigma_floor
-    ~record_trajectory oc paths ~samples =
+   no bit-exactness promise against {!Dense}; it runs only when the caller
+   opts in, and the hex-float goldens in the tests pin its bits. *)
+let robust_step ~sigma_floor ~estimate_sigma ~log_u oc paths ~values ~counts =
   let model = Paths.model paths in
   let k = Model.num_params model in
-  let sigs = Paths.signatures paths in
-  let ns = Array.length sigs in
-  let sig_of = Paths.signature_of_path paths in
-  let mult = Array.make ns 0.0 in
-  Array.iter (fun s -> mult.(s) <- mult.(s) +. 1.0) sig_of;
-  let grouped = group_samples samples in
-  let n_total = Array.fold_left (fun acc (_, c) -> acc +. c) 0.0 grouped in
-  let sigma0 = Stdlib.max sigma_floor sigma0 in
-  (* Uniform support: the widest of the cost envelope and the sample
-     range, padded so no observation sits on a density cliff. *)
-  let smin, _ = grouped.(0) and smax, _ = grouped.(Array.length grouped - 1) in
-  let pad = Stdlib.max (6.0 *. sigma0) 1.0 in
-  let lo = Stdlib.min (Paths.min_cost paths) smin -. pad in
-  let hi = Stdlib.max (Paths.max_cost paths) smax +. pad in
-  let hi = if hi > lo then hi else lo +. 1.0 in
-  let log_u = -.log (hi -. lo) in
-  let clamp_eps e = Stdlib.max 1e-6 (Stdlib.min oc.max_eps e) in
-  let theta = ref (match init with Some t -> Array.copy t | None -> Model.uniform_theta model) in
-  let sigma = ref sigma0 in
-  let eps = ref (clamp_eps oc.eps) in
-  let trajectory = ref [] in
-  let iterations = ref 0 in
-  let converged = ref false in
-  let final_ll = ref neg_infinity in
-  let lp = Array.make ns 0.0 in
-  let lw = Array.make ns 0.0 in
+  let f = Paths.flat paths in
+  let cost = f.Paths.sig_cost and mult = f.Paths.sig_weight in
+  let toff = f.Paths.taken_off and tidx = f.Paths.taken_idx and tcnt = f.Paths.taken_cnt in
+  let foff = f.Paths.nottaken_off and fidx = f.Paths.nottaken_idx
+  and fcnt = f.Paths.nottaken_cnt in
+  let ns = Array.length cost and nv = Array.length values in
+  let n_total = Array.fold_left ( +. ) 0.0 counts in
+  let lp = Array.make ns 0.0 and lw = Array.make ns 0.0 in
+  let log_t = Array.make k 0.0 and log_f = Array.make k 0.0 in
+  let taken_acc = Array.make k 0.0 and either_acc = Array.make k 0.0 in
   let tiny = 1e-12 in
-  while (not !converged) && !iterations < max_iters do
-    incr iterations;
-    Model.check_theta model !theta;
-    let log_t = Array.map (fun p -> log (Stdlib.max tiny p)) !theta in
-    let log_f = Array.map (fun p -> log (Stdlib.max tiny (1.0 -. p))) !theta in
+  fun theta sg eps ->
+    Model.check_theta model theta;
+    fill_log_theta theta ~log_t ~log_f;
     Paths.signature_log_prior paths ~log_t ~log_f lp;
-    let sg = !sigma in
     let log_sigma = log sg in
-    let log_in = log (Stdlib.max tiny (1.0 -. !eps)) in
-    let log_out = log !eps +. log_u in
-    let taken_acc = Array.make k 0.0 in
-    let either_acc = Array.make k 0.0 in
-    let sq_acc = ref 0.0 in
-    let inlier_mass = ref 0.0 in
-    let outlier_mass = ref 0.0 in
+    let log_in = log (Stdlib.max tiny (1.0 -. eps)) in
+    let log_out = log eps +. log_u in
+    Array.fill taken_acc 0 k 0.0;
+    Array.fill either_acc 0 k 0.0;
+    let sq_acc = ref 0.0 and inlier_mass = ref 0.0 and outlier_mass = ref 0.0 in
     let ll = ref 0.0 in
-    Array.iter
-      (fun (value, count) ->
-        let best = ref log_out in
+    for v = 0 to nv - 1 do
+      let value = values.(v) and count = counts.(v) in
+      let best = ref log_out in
+      for s = 0 to ns - 1 do
+        let d = value -. cost.(s) in
+        let z = d /. sg in
+        let w = log_in +. lp.(s) +. ((-0.5 *. z *. z) -. log_sigma -. half_log_two_pi) in
+        lw.(s) <- w;
+        if w > !best then best := w
+      done;
+      let best = !best in
+      let z = ref (exp (log_out -. best)) in
+      for s = 0 to ns - 1 do
+        z := !z +. (mult.(s) *. exp (lw.(s) -. best))
+      done;
+      let lse = best +. log !z in
+      ll := !ll +. (count *. lse);
+      outlier_mass := !outlier_mass +. (count *. exp (log_out -. lse));
+      for s = 0 to ns - 1 do
+        (* One path's responsibility times the signature multiplicity:
+           merged paths share identical branch counts by construction. *)
+        let r = mult.(s) *. count *. exp (lw.(s) -. lse) in
+        if r > 0.0 then begin
+          for i = toff.(s) to toff.(s + 1) - 1 do
+            let j = tidx.(i) in
+            let rf = r *. tcnt.(i) in
+            taken_acc.(j) <- taken_acc.(j) +. rf;
+            either_acc.(j) <- either_acc.(j) +. rf
+          done;
+          for i = foff.(s) to foff.(s + 1) - 1 do
+            let j = fidx.(i) in
+            either_acc.(j) <- either_acc.(j) +. (r *. fcnt.(i))
+          done;
+          let d = value -. cost.(s) in
+          sq_acc := !sq_acc +. (r *. d *. d);
+          inlier_mass := !inlier_mass +. r
+        end
+      done
+    done;
+    {
+      theta' = m_step_theta theta ~taken:taken_acc ~either:either_acc;
+      sigma' =
+        (if estimate_sigma then
+           Stdlib.max sigma_floor (sqrt (!sq_acc /. Stdlib.max tiny !inlier_mass))
+         else sg);
+      eps' = (if oc.estimate_eps then clamp_eps oc (!outlier_mass /. n_total) else eps);
+      ll = !ll;
+    }
+
+(* The exact kernel: priors, Gaussian terms and responsibilities once per
+   signature; normalizer and M-step accumulation replayed in raw
+   enumeration order ({!Paths.replay_normalizers},
+   {!Paths.replay_accumulate}), so every sum rounds as in {!Dense}.
+   Values are processed in blocks: the E-step terms of a whole block
+   first, then the block's normalizers side by side (independent sums),
+   then each value's responsibilities and M-step replay in value order. *)
+let block = 8
+
+let exact_step ~sigma_floor ~estimate_sigma ~log_threshold paths ~values ~counts =
+  let model = Paths.model paths in
+  let k = Model.num_params model in
+  let cost = (Paths.flat paths).Paths.sig_cost in
+  let ns = Array.length cost and nv = Array.length values in
+  let n_total = Array.fold_left ( +. ) 0.0 counts in
+  (* Scratch reused across blocks and iterations: per-(value, signature)
+     log weights and exp(lw − best) for one block, per-signature
+     responsibilities and σ terms. *)
+  let lp = Array.make ns 0.0 in
+  let block = Stdlib.min block nv in
+  let lw = Array.make (block * ns) 0.0 and expw = Array.make (block * ns) 0.0 in
+  let best = Array.make block 0.0 in
+  let resp = Array.make ns 0.0 and sq = Array.make ns 0.0 in
+  let log_t = Array.make k 0.0 and log_f = Array.make k 0.0 in
+  let taken_acc = Array.make k 0.0 and either_acc = Array.make k 0.0 in
+  let rp = Paths.replay paths in
+  let sums = Paths.replay_sums rp in
+  let norms = Array.make block 0.0 in
+  let tail_norms = Array.make (nv mod block) 0.0 in
+  fun theta sg eps ->
+    Model.check_theta model theta;
+    fill_log_theta theta ~log_t ~log_f;
+    Paths.signature_log_prior paths ~log_t ~log_f lp;
+    let log_sigma = log sg in
+    Array.fill taken_acc 0 k 0.0;
+    Array.fill either_acc 0 k 0.0;
+    sums.Paths.sq <- 0.0;
+    let ll = ref 0.0 in
+    for b = 0 to (nv - 1) / block do
+      let first = b * block in
+      let norms = if first + block <= nv then norms else tail_norms in
+      let rows = Array.length norms in
+      for i = 0 to rows - 1 do
+        let value = values.(first + i) and row = i * ns in
+        let top = ref neg_infinity in
         for s = 0 to ns - 1 do
-          let d = value -. sigs.(s).Paths.s_cost in
-          let z = d /. sg in
-          let w = log_in +. lp.(s) +. ((-0.5 *. z *. z) -. log_sigma -. half_log_two_pi) in
-          lw.(s) <- w;
-          if w > !best then best := w
+          let z = (value -. cost.(s)) /. sg in
+          let w = lp.(s) +. ((-0.5 *. z *. z) -. log_sigma -. half_log_two_pi) in
+          lw.(row + s) <- w;
+          if w > !top then top := w
         done;
-        let best = !best in
-        let z = ref (exp (log_out -. best)) in
+        let top = !top in
+        best.(i) <- top;
         for s = 0 to ns - 1 do
-          z := !z +. (mult.(s) *. exp (lw.(s) -. best))
-        done;
-        let lse = best +. log !z in
+          let w = lw.(row + s) in
+          expw.(row + s) <- (if top -. w >= log_threshold then 0.0 else exp (w -. top))
+        done
+      done;
+      Paths.replay_normalizers rp expw norms;
+      for i = 0 to rows - 1 do
+        let value = values.(first + i) and count = counts.(first + i) and row = i * ns in
+        let lse = best.(i) +. log norms.(i) in
         ll := !ll +. (count *. lse);
-        outlier_mass := !outlier_mass +. (count *. exp (log_out -. lse));
         for s = 0 to ns - 1 do
-          (* One path's responsibility times the signature multiplicity:
-             merged paths share identical branch counts by construction. *)
-          let r = mult.(s) *. count *. exp (lw.(s) -. lse) in
+          let r =
+            if expw.(row + s) = 0.0 then 0.0 else count *. exp (lw.(row + s) -. lse)
+          in
+          resp.(s) <- r;
           if r > 0.0 then begin
-            let entry = sigs.(s) in
-            let idx = entry.Paths.s_taken_idx and cnt = entry.Paths.s_taken_cnt in
-            for i = 0 to Array.length idx - 1 do
-              let j = idx.(i) in
-              let rf = r *. cnt.(i) in
-              taken_acc.(j) <- taken_acc.(j) +. rf;
-              either_acc.(j) <- either_acc.(j) +. rf
-            done;
-            let idx = entry.Paths.s_nottaken_idx and cnt = entry.Paths.s_nottaken_cnt in
-            for i = 0 to Array.length idx - 1 do
-              either_acc.(idx.(i)) <- either_acc.(idx.(i)) +. (r *. cnt.(i))
-            done;
-            let d = value -. entry.Paths.s_cost in
-            sq_acc := !sq_acc +. (r *. d *. d);
-            inlier_mass := !inlier_mass +. r
+            let d = value -. cost.(s) in
+            sq.(s) <- r *. d *. d
           end
-        done)
-      grouped;
-    let new_theta =
-      Array.init k (fun j ->
-          if either_acc.(j) <= 0.0 then !theta.(j) else clamp_theta (taken_acc.(j) /. either_acc.(j)))
-    in
-    let new_sigma =
-      if estimate_sigma then
-        Stdlib.max sigma_floor (sqrt (!sq_acc /. Stdlib.max tiny !inlier_mass))
-      else !sigma
-    in
-    let new_eps =
-      if oc.estimate_eps then clamp_eps (!outlier_mass /. n_total) else !eps
-    in
-    let delta =
-      Array.mapi (fun j v -> abs_float (v -. !theta.(j))) new_theta
-      |> Array.fold_left Stdlib.max (abs_float (new_eps -. !eps))
-    in
-    theta := new_theta;
-    sigma := new_sigma;
-    eps := new_eps;
-    final_ll := !ll;
-    if record_trajectory then trajectory := (Array.copy new_theta, !ll) :: !trajectory;
-    if delta < tol then converged := true
-  done;
-  {
-    theta = !theta;
-    sigma = !sigma;
-    iterations = !iterations;
-    log_likelihood = !final_ll;
-    converged = !converged;
-    trajectory = List.rev !trajectory;
-    outlier_eps = Some !eps;
-  }
+        done;
+        Paths.replay_accumulate rp ~threshold:0.0 ~resp ~sq ~taken:taken_acc
+          ~either:either_acc
+      done
+    done;
+    {
+      theta' = m_step_theta theta ~taken:taken_acc ~either:either_acc;
+      sigma' =
+        (if estimate_sigma then Stdlib.max sigma_floor (sqrt (sums.Paths.sq /. n_total))
+         else sg);
+      eps' = eps;
+      ll = !ll;
+    }
 
 let estimate ?(max_iters = 100) ?(tol = 1e-5) ?init ?(sigma = 2.0) ?(estimate_sigma = true)
     ?(sigma_floor = 0.1) ?(log_threshold = exact_log_threshold)
     ?(record_trajectory = true) ?outlier paths ~samples =
   if Array.length samples = 0 then invalid_arg "Em.estimate: no samples";
-  match outlier with
-  | Some oc ->
-      estimate_robust ~max_iters ~tol ~init ~sigma ~estimate_sigma ~sigma_floor
-        ~record_trajectory oc paths ~samples
-  | None ->
-  let model = Paths.model paths in
-  let k = Model.num_params model in
-  let sigs = Paths.signatures paths in
-  let ns = Array.length sigs in
-  let sig_of = Paths.signature_of_path paths in
-  let np = Array.length sig_of in
-  let grouped = group_samples samples in
-  let nv = Array.length grouped in
-  let n_total = Array.fold_left (fun acc (_, c) -> acc +. c) 0.0 grouped in
-  let theta = ref (match init with Some t -> Array.copy t | None -> Model.uniform_theta model) in
-  let sigma = ref (Stdlib.max sigma_floor sigma) in
-  let trajectory = ref [] in
-  let iterations = ref 0 in
-  let converged = ref false in
-  let final_ll = ref neg_infinity in
-  (* Iteration-invariant: per-(value, signature) residuals value − cost.
-     (Only the residual is cached, not its square: σ is re-estimated every
-     iteration and the reference rounds (d/σ)·(d/σ), not d²/σ².) *)
-  let resid =
-    if nv * ns <= max_resid_entries then begin
-      let m = Array.make (nv * ns) 0.0 in
-      Array.iteri
-        (fun v (value, _) ->
-          let row = v * ns in
-          for s = 0 to ns - 1 do
-            m.(row + s) <- value -. sigs.(s).Paths.s_cost
-          done)
-        grouped;
-      Some m
-    end
-    else None
+  let theta =
+    match init with Some t -> Array.copy t | None -> Model.uniform_theta (Paths.model paths)
   in
-  (* Per-signature scratch, reused across values and iterations. *)
-  let lp = Array.make ns 0.0 in
-  let lw = Array.make ns 0.0 in
-  let expw = Array.make ns 0.0 in
-  let resp = Array.make ns 0.0 in
-  let sq = Array.make ns 0.0 in
-  let eps = 1e-12 in
-  while (not !converged) && !iterations < max_iters do
-    incr iterations;
-    Model.check_theta model !theta;
-    let log_t = Array.map (fun p -> log (Stdlib.max eps p)) !theta in
-    let log_f = Array.map (fun p -> log (Stdlib.max eps (1.0 -. p))) !theta in
-    Paths.signature_log_prior paths ~log_t ~log_f lp;
-    let sg = !sigma in
-    let log_sigma = log sg in
-    (* Accumulators for the M-step. *)
-    let taken_acc = Array.make k 0.0 in
-    let either_acc = Array.make k 0.0 in
-    let sq_acc = ref 0.0 in
-    let ll = ref 0.0 in
-    Array.iteri
-      (fun v (value, count) ->
-        (* E-step for one distinct observation value: the expensive terms
-           (log prior, Gaussian log-pdf, both exps) once per signature... *)
-        let row = v * ns in
-        let best = ref neg_infinity in
-        for s = 0 to ns - 1 do
-          let d =
-            match resid with
-            | Some m -> m.(row + s)
-            | None -> value -. sigs.(s).Paths.s_cost
-          in
-          let z = d /. sg in
-          let w = lp.(s) +. ((-0.5 *. z *. z) -. log_sigma -. half_log_two_pi) in
-          lw.(s) <- w;
-          if w > !best then best := w
-        done;
-        let best = !best in
-        for s = 0 to ns - 1 do
-          expw.(s) <- (if best -. lw.(s) >= log_threshold then 0.0 else exp (lw.(s) -. best))
-        done;
-        (* ...then the normalizer replayed per raw path, so the partial
-           sums round exactly as the dense per-path fold did. *)
-        let z = ref 0.0 in
-        for p = 0 to np - 1 do
-          z := !z +. expw.(sig_of.(p))
-        done;
-        let lse = best +. log !z in
-        ll := !ll +. (count *. lse);
-        for s = 0 to ns - 1 do
-          let r = if expw.(s) = 0.0 then 0.0 else count *. exp (lw.(s) -. lse) in
-          resp.(s) <- r;
-          if r > 0.0 then begin
-            let d =
-              match resid with
-              | Some m -> m.(row + s)
-              | None -> value -. sigs.(s).Paths.s_cost
-            in
-            sq.(s) <- r *. d *. d
-          end
-        done;
-        (* M-step accumulation, also replayed in raw enumeration order with
-           the per-signature responsibility, iterating only nonzero branch
-           counts (the dense loop guarded on c > 0, so the terms match). *)
-        for p = 0 to np - 1 do
-          let s = sig_of.(p) in
-          let r = resp.(s) in
-          if r > 0.0 then begin
-            let entry = sigs.(s) in
-            let idx = entry.Paths.s_taken_idx and cnt = entry.Paths.s_taken_cnt in
-            for i = 0 to Array.length idx - 1 do
-              let j = idx.(i) in
-              let rf = r *. cnt.(i) in
-              taken_acc.(j) <- taken_acc.(j) +. rf;
-              either_acc.(j) <- either_acc.(j) +. rf
-            done;
-            let idx = entry.Paths.s_nottaken_idx and cnt = entry.Paths.s_nottaken_cnt in
-            for i = 0 to Array.length idx - 1 do
-              either_acc.(idx.(i)) <- either_acc.(idx.(i)) +. (r *. cnt.(i))
-            done;
-            sq_acc := !sq_acc +. sq.(s)
-          end
-        done)
-      grouped;
-    let new_theta =
-      Array.init k (fun j ->
-          if either_acc.(j) <= 0.0 then !theta.(j) else clamp_theta (taken_acc.(j) /. either_acc.(j)))
-    in
-    let new_sigma =
-      if estimate_sigma then Stdlib.max sigma_floor (sqrt (!sq_acc /. n_total)) else !sigma
-    in
-    let delta =
-      Array.mapi (fun j v -> abs_float (v -. !theta.(j))) new_theta
-      |> Array.fold_left Stdlib.max 0.0
-    in
-    theta := new_theta;
-    sigma := new_sigma;
-    final_ll := !ll;
-    if record_trajectory then trajectory := (Array.copy new_theta, !ll) :: !trajectory;
-    if delta < tol then converged := true
-  done;
-  {
-    theta = !theta;
-    sigma = !sigma;
-    iterations = !iterations;
-    log_likelihood = !final_ll;
-    converged = !converged;
-    trajectory = List.rev !trajectory;
-    outlier_eps = None;
-  }
+  let sigma = Stdlib.max sigma_floor sigma in
+  let values, counts = grouped_arrays samples in
+  let drive = drive ~max_iters ~tol ~record_trajectory ~theta ~sigma in
+  match outlier with
+  | None ->
+      drive ~eps:0.0 ~robust:false
+        (exact_step ~sigma_floor ~estimate_sigma ~log_threshold paths ~values ~counts)
+  | Some oc ->
+      (* Uniform support: the widest of the cost envelope and the sample
+         range, padded so no observation sits on a density cliff. *)
+      let pad = Stdlib.max (6.0 *. sigma) 1.0 in
+      let lo = Stdlib.min (Paths.min_cost paths) values.(0) -. pad in
+      let hi = Stdlib.max (Paths.max_cost paths) values.(Array.length values - 1) +. pad in
+      let hi = if hi > lo then hi else lo +. 1.0 in
+      let log_u = -.log (hi -. lo) in
+      drive ~eps:(clamp_eps oc oc.eps) ~robust:true
+        (robust_step ~sigma_floor ~estimate_sigma ~log_u oc paths ~values ~counts)
 
 (* The dense per-path reference the sparse kernels were derived from.  Kept
    as a library citizen (not test scaffolding) so the equivalence tests and

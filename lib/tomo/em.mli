@@ -10,13 +10,15 @@
     timings repeat heavily, making iterations O(distinct values × paths)
     instead of O(samples × paths).
 
-    The kernels run over the {e canonical} path set ({!Paths.signatures}):
+    The kernels run over the {e canonical} path set ({!Paths.flat}):
     log priors, Gaussian terms and responsibilities are evaluated once per
-    merged signature (with residuals precomputed across iterations and the
-    per-iteration constants of the Gaussian log-pdf hoisted), while the
-    cheap accumulator additions are replayed in raw enumeration order via
-    {!Paths.signature_of_path}.  The result is bit-for-bit identical to
-    the dense per-path reference at the default [log_threshold]. *)
+    merged signature (with the per-iteration constants of the Gaussian
+    log-pdf hoisted), while the normalizer and the M-step accumulation
+    are replayed in raw enumeration order ({!Paths.replay_normalizers},
+    {!Paths.replay_accumulate}).  The result is bit-for-bit identical to
+    the dense per-path reference at the default [log_threshold].  An
+    iteration allocates only θ-sized arrays and a few scalars — nothing
+    per distinct value, signature or raw path. *)
 
 type result = {
   theta : float array;

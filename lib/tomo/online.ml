@@ -8,12 +8,17 @@ type t = {
   mutable weight : float;
   mutable count : int;
   (* Scratch reused across observations: per-parameter log θ / log (1−θ),
-     per-signature log weight, exp(lw − best) and responsibility. *)
+     per-signature log weight, exp(lw − best), responsibility and the
+     zero σ terms the replay adds (the online update fits no σ); the
+     replay's own scratch and its one-row normalizer. *)
   log_t : float array;
   log_f : float array;
   lw : float array;
   expw : float array;
   resp : float array;
+  no_sq : float array;
+  replay : Paths.replay;
+  norm : float array;
 }
 
 let create ?(decay = 0.999) ?(sigma = 1.0) paths =
@@ -35,6 +40,9 @@ let create ?(decay = 0.999) ?(sigma = 1.0) paths =
     lw = Array.make ns 0.0;
     expw = Array.make ns 0.0;
     resp = Array.make ns 0.0;
+    no_sq = Array.make ns 0.0;
+    replay = Paths.replay paths;
+    norm = [| 0.0 |];
   }
 
 let theta_at t j =
@@ -55,13 +63,12 @@ let decay_all t =
 
 (* The prior, Gaussian and both exps are evaluated once per signature
    (merged paths share them exactly); the normalizer and the sufficient-
-   statistic updates are then replayed per raw path in enumeration order,
-   so every sum rounds exactly as the per-path reference {!Dense} does. *)
+   statistic updates are then replayed per raw path in enumeration order
+   ({!Paths.replay_normalizers}, {!Paths.replay_accumulate}), so every sum
+   rounds exactly as the per-path reference {!Dense} does. *)
 let observe t value =
-  let sigs = Paths.signatures t.paths in
-  let ns = Array.length sigs in
-  let sig_of = Paths.signature_of_path t.paths in
-  let np = Array.length sig_of in
+  let cost = (Paths.flat t.paths).Paths.sig_cost in
+  let ns = Array.length cost in
   (* log θ exactly as [Paths.log_prior] derives it. *)
   for j = 0 to Array.length t.log_t - 1 do
     let p = theta_at t j in
@@ -71,7 +78,7 @@ let observe t value =
   Paths.signature_log_prior t.paths ~log_t:t.log_t ~log_f:t.log_f t.lw;
   let best = ref neg_infinity in
   for s = 0 to ns - 1 do
-    let z = (value -. sigs.(s).Paths.s_cost) /. t.sigma in
+    let z = (value -. cost.(s)) /. t.sigma in
     let w = t.lw.(s) +. ((-0.5 *. z *. z) -. t.log_sigma -. half_log_two_pi) in
     t.lw.(s) <- w;
     if w > !best then best := w
@@ -80,33 +87,14 @@ let observe t value =
   for s = 0 to ns - 1 do
     t.expw.(s) <- exp (t.lw.(s) -. best)
   done;
-  let z = ref 0.0 in
-  for p = 0 to np - 1 do
-    z := !z +. t.expw.(sig_of.(p))
-  done;
-  let lse = best +. log !z in
+  Paths.replay_normalizers t.replay t.expw t.norm;
+  let lse = best +. log t.norm.(0) in
   for s = 0 to ns - 1 do
     t.resp.(s) <- exp (t.lw.(s) -. lse)
   done;
   decay_all t;
-  for p = 0 to np - 1 do
-    let s = sig_of.(p) in
-    let r = t.resp.(s) in
-    if r > 1e-12 then begin
-      let entry = sigs.(s) in
-      let idx = entry.Paths.s_taken_idx and cnt = entry.Paths.s_taken_cnt in
-      for i = 0 to Array.length idx - 1 do
-        let j = idx.(i) in
-        let fc = r *. cnt.(i) in
-        t.taken_acc.(j) <- t.taken_acc.(j) +. fc;
-        t.either_acc.(j) <- t.either_acc.(j) +. fc
-      done;
-      let idx = entry.Paths.s_nottaken_idx and cnt = entry.Paths.s_nottaken_cnt in
-      for i = 0 to Array.length idx - 1 do
-        t.either_acc.(idx.(i)) <- t.either_acc.(idx.(i)) +. (r *. cnt.(i))
-      done
-    end
-  done;
+  Paths.replay_accumulate t.replay ~threshold:1e-12 ~resp:t.resp ~sq:t.no_sq
+    ~taken:t.taken_acc ~either:t.either_acc;
   t.count <- t.count + 1
 
 let observe_all t samples = Array.iter (observe t) samples

@@ -11,10 +11,11 @@
     track nonstationary inputs — a recursive sibling of {!Windowed}.
 
     Each observation works on the canonical path set
-    ({!Paths.signatures}): prior, Gaussian term and responsibility are
+    ({!Paths.flat}): prior, Gaussian term and responsibility are
     computed once per signature, and only the cheap normalizer sum and
     sufficient-statistic updates are replayed per raw path, in
-    enumeration order.  The result is bit-identical to the per-path
+    enumeration order ({!Paths.replay_normalizers},
+    {!Paths.replay_accumulate} — the same replay batch EM uses).  The result is bit-identical to the per-path
     update ({!Dense}) — on [ctp_rx_task], 176 signatures stand for 4096
     raw paths. *)
 

@@ -25,13 +25,20 @@ type path = {
   nottaken : int array;
 }
 
-type signature = {
-  s_cost : float;  (** Shared window cost of the merged paths. *)
-  s_weight : int;  (** How many raw paths carry this signature. *)
-  s_taken_idx : int array;  (** Params with taken count > 0, ascending. *)
-  s_taken_cnt : float array;  (** Counts aligned with [s_taken_idx]. *)
-  s_nottaken_idx : int array;
-  s_nottaken_cnt : float array;
+(** The canonical path set, in first-occurrence order, as flat arrays
+    built once by {!enumerate}, so estimator hot loops read contiguous
+    memory.  Signature [s]'s taken counts are entries [taken_off.(s)] to
+    [taken_off.(s + 1) − 1] of [taken_idx] / [taken_cnt] (parameters with
+    a nonzero count, ascending), and likewise for not-taken. *)
+type flat = {
+  sig_cost : float array;  (** Shared window cost of the merged paths. *)
+  sig_weight : float array;  (** How many raw paths carry the signature. *)
+  taken_off : int array;  (** Length {!num_signatures} + 1. *)
+  taken_idx : int array;
+  taken_cnt : float array;
+  nottaken_off : int array;
+  nottaken_idx : int array;
+  nottaken_cnt : float array;
 }
 
 type t
@@ -52,16 +59,16 @@ val model : t -> Model.t
 val paths : t -> path array
 val truncated : t -> bool
 
-val signatures : t -> signature array
-(** Canonical (merged) path set, in first-occurrence order. *)
-
 val signature_of_path : t -> int array
-(** Raw path index → index into {!signatures}.  Kernels that must
+(** Raw path index → signature index in {!flat}.  Kernels that must
     reproduce a per-path fold bit-for-bit (the EM reference semantics)
     replay cheap per-path accumulations through this map while computing
     the expensive per-signature terms only once. *)
 
 val num_signatures : t -> int
+
+val flat : t -> flat
+(** The signatures as flat arrays (shared, not copied: do not mutate). *)
 
 val log_prior : t -> theta:float array -> float array
 (** Per-path log probability under θ (not renormalized). *)
@@ -74,6 +81,68 @@ val signature_log_prior :
     Terms accumulate in ascending parameter order — taken then nottaken —
     which matches the dense {!log_prior} fold bit-for-bit (the dense
     loop's zero-count terms add ±0.0, an exact no-op). *)
+
+(** {1 Raw-order replay}
+
+    The exact estimator kernels ({!Em.estimate}, {!Online.observe})
+    compute priors, Gaussian terms and responsibilities once per
+    signature, then replay the two cheap folds the per-path reference
+    makes — the normalizer and the M-step accumulation — in raw
+    enumeration order through {!signature_of_path}, so every partial sum
+    rounds exactly as the dense fold did.  Both folds live here, once,
+    and neither calls a closure per raw path. *)
+
+type sums = { mutable sq : float }
+(** The running σ sum of {!replay_accumulate}, kept in an all-float
+    record so reading and writing it allocates nothing. *)
+
+type replay
+(** Per-caller scratch for replays over one path set.  The path set is
+    shared and immutable; a [replay] is mutable and belongs to one
+    estimator (one domain). *)
+
+val replay : t -> replay
+(** The chain strategy of {!replay_accumulate} needs a plan that costs
+    about four full path walks to lay out.  A replay walks paths until
+    it has done that much work, then builds the plan and caches it on
+    the path set (safe to race from several domains; later replays adopt
+    it at once).  Short estimates and consumers that never replay never
+    pay for it. *)
+
+val replay_sums : replay -> sums
+(** The replay's σ-sum record (the same record for the replay's whole
+    life, so callers may hoist it). *)
+
+val replay_normalizers : replay -> float array -> float array -> unit
+(** [replay_normalizers rp w norms] treats [w] as rows of
+    {!num_signatures} per-signature weights and sets [norms.(i)], for
+    each [i < Array.length norms], to the sum over raw paths p, in
+    enumeration order, of row i's weight for p's signature, summed from
+    +0.0.  Rows are independent sums, so several run side by side. *)
+
+val replay_accumulate :
+  replay ->
+  threshold:float ->
+  resp:float array ->
+  sq:float array ->
+  taken:float array ->
+  either:float array ->
+  unit
+(** [replay_accumulate rp ~threshold ~resp ~sq ~taken ~either] adds,
+    for each raw path p of signature s with [resp.(s) > threshold] and
+    in enumeration order: [resp.(s) × count] to [taken.(j)] and
+    [either.(j)] for each taken branch j, then to [either.(j)] for each
+    not-taken branch j (ascending j), and [sq.(s)] to
+    [(replay_sums rp).sq].  Each accumulator receives its terms in
+    exactly the order of the dense per-path loop, so the sums are
+    bit-identical to it.  [resp] and [sq] have one entry per signature,
+    [taken] and [either] one per parameter, and every accumulator must
+    hold a non-negative sum (not −0.0): the kernel may add +0.0 to it.
+
+    Two strategies give the same bits, and the cheaper one runs: when
+    few paths clear the threshold, walk the raw paths and skip the rest;
+    otherwise run each accumulator's terms as an independent chain,
+    several chains side by side in registers. *)
 
 val prior_mass : t -> theta:float array -> float
 (** Total probability of the enumerated set — 1 minus truncation loss. *)

@@ -7,7 +7,9 @@ let estimate ?(window_size = 200) ?(max_iters = 40) ?sigma paths ~samples =
   let n = Array.length samples in
   if n < window_size / 2 then
     invalid_arg "Windowed.estimate: not enough samples for one window";
-  (* Window boundaries: full windows, plus a tail if it is substantial. *)
+  (* Window boundaries: full windows, plus a tail if it is substantial —
+     at least a quarter window, and never empty. *)
+  let min_tail = Stdlib.max 1 (window_size / 4) in
   let starts = ref [] in
   let at = ref 0 in
   while !at + window_size <= n do
@@ -20,16 +22,10 @@ let estimate ?(window_size = 200) ?(max_iters = 40) ?sigma paths ~samples =
     | [] -> [ (0, n) ]
     | last :: _ ->
         let tail = n - (last + window_size) in
-        List.mapi
-          (fun i s ->
-            let is_last = s = last in
-            let finish =
-              if is_last && tail < window_size / 4 then n else s + window_size
-            in
-            ignore i;
-            (s, finish))
+        List.map
+          (fun s -> (s, if s = last && tail < min_tail then n else s + window_size))
           starts
-        @ (if tail >= window_size / 4 then [ (last + window_size, n) ] else [])
+        @ if tail >= min_tail then [ (last + window_size, n) ] else []
   in
   let model = Paths.model paths in
   let prev = ref (Model.uniform_theta model) in

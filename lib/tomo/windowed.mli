@@ -29,8 +29,11 @@ val estimate :
   samples:float array ->
   t
 (** Default window 200 samples; a trailing partial window is kept if it
-    has at least a quarter of [window_size] samples, otherwise folded into
-    the previous one.
+    has at least a quarter of [window_size] samples (and at least one),
+    otherwise folded into the previous one.  Each window runs
+    {!Em.estimate} for at most [max_iters] iterations (default 40),
+    warm-started from the previous window's θ; σ is re-estimated in every
+    window, each time starting from [sigma] (default: {!Em.estimate}'s).
     @raise Invalid_argument when samples are fewer than half a window. *)
 
 val drifted : ?threshold:float -> t -> bool

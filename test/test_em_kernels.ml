@@ -107,6 +107,113 @@ let golden_tests =
       Alcotest.test_case ("golden: " ^ g.name) `Slow (golden_case g config w proc))
     goldens cases
 
+(* --- the em_jitter regime: many distinct values, σ re-estimated --- *)
+
+let ctp_jitter8 =
+  lazy
+    (let config = { P.default_config with P.timer_jitter = 8.0 } in
+     let run = P.profile ~config Workloads.ctp in
+     let paths = Tomo.Paths.enumerate (P.model_of run "ctp_rx_task") in
+     (config, paths, List.assoc "ctp_rx_task" run.P.samples))
+
+let check_result name (e : Tomo.Em.result) (a : Tomo.Em.result) =
+  check_theta name e.Tomo.Em.theta a.Tomo.Em.theta;
+  check_float (name ^ " sigma") e.Tomo.Em.sigma a.Tomo.Em.sigma;
+  Alcotest.(check int) (name ^ " iterations") e.Tomo.Em.iterations a.Tomo.Em.iterations;
+  check_float (name ^ " log_likelihood") e.Tomo.Em.log_likelihood a.Tomo.Em.log_likelihood;
+  Alcotest.(check bool) (name ^ " converged") e.Tomo.Em.converged a.Tomo.Em.converged
+
+let test_dense_jitter8 () =
+  let config, paths, samples = Lazy.force ctp_jitter8 in
+  Alcotest.(check int) "distinct values" 153
+    (Array.length (Tomo.Em.group_samples samples));
+  let sigma = P.noise_sigma config in
+  check_result "ctp_rx_task jit8"
+    (Tomo.Em.Dense.estimate ~max_iters:6 ~sigma paths ~samples)
+    (Tomo.Em.estimate ~max_iters:6 ~sigma paths ~samples)
+
+(* --- robust-path goldens (no dense oracle: bits pinned as recorded
+   before the kernel rewrite) --- *)
+
+let robust_goldens =
+  [
+    ( { name = "filter/filter_task res4"; np = 8;
+        theta = [| 0x1.d47f78f252b41p-1; 0x1.e912d4abd283ap-3; 0x1.615365c6542cp-1;
+                   0x1.7f1b9b5de8262p-3 |];
+        sigma = 0x1.41e3846b5c793p+0; iterations = 45;
+        log_likelihood = -0x1.c142ea497e186p+13; converged = true },
+      0x1.9ca2b09cce72p-14,
+      ({ P.default_config with P.timer_resolution = 4 }, Workloads.filter, "filter_task") );
+    ( { name = "filter/filter_task jit4"; np = 8;
+        theta = [| 0x1.00e96adb0e21dp-1; 0x1.ad54f6b65dc0fp-2; 0x1.8634955d3c054p-1;
+                   0x1.a2dbccd9cd874p-2 |];
+        sigma = 0x1.35e32a71a5063p+2; iterations = 100;
+        log_likelihood = -0x1.0d43330c3e8b9p+14; converged = false },
+      0x1.19094a96f3018p-12,
+      ({ P.default_config with P.timer_jitter = 4.0 }, Workloads.filter, "filter_task") );
+    ( { name = "ctp/ctp_rx_task jit2"; np = 4096;
+        theta = [| 0x1.7eec3ba6bd161p-1; 0x1.99f1c02d0282dp-3; 0x1.fff2e48e8a71ep-1;
+                   0x1.fe95e92452398p-1; 0x1.0c3c557449e51p-2; 0x1.5796863b15f1ep-1 |];
+        sigma = 0x1.71664e8a56f1cp+1; iterations = 100;
+        log_likelihood = -0x1.84d6dea11a542p+13; converged = false },
+      0x1.0c6f7a0b5ed8dp-20,
+      ({ P.default_config with P.timer_jitter = 2.0 }, Workloads.ctp, "ctp_rx_task") );
+    ( { name = "ctp/ctp_rx_task res8"; np = 4096;
+        theta = [| 0x1.7ef6bb7b93fe4p-1; 0x1.99ef33a335ce6p-3; 0x1.fff2e48e8a71ep-1;
+                   0x1.ff66129ca7ef1p-1; 0x1.f774f99354759p-3; 0x1.598cffa2b0215p-1 |];
+        sigma = 0x1.c54061a0028f1p+1; iterations = 100;
+        log_likelihood = -0x1.94cfd8205fd95p+13; converged = false },
+      0x1.0c6f7a0b5ed8dp-20,
+      ({ P.default_config with P.timer_resolution = 8 }, Workloads.ctp, "ctp_rx_task") );
+  ]
+
+let robust_golden_case (g, eps, (config, w, proc)) () =
+  let run = P.profile ~config w in
+  let samples = List.assoc proc run.P.samples in
+  let paths = Tomo.Paths.enumerate (P.model_of run proc) in
+  Alcotest.(check int) "raw path count unchanged" g.np
+    (Array.length (Tomo.Paths.paths paths));
+  let r =
+    Tomo.Em.estimate ~outlier:Tomo.Em.default_outlier ~sigma:(P.noise_sigma config) paths
+      ~samples
+  in
+  check_result g.name
+    { Tomo.Em.theta = g.theta; sigma = g.sigma; iterations = g.iterations;
+      log_likelihood = g.log_likelihood; converged = g.converged; trajectory = [];
+      outlier_eps = None }
+    r;
+  match r.Tomo.Em.outlier_eps with
+  | Some e -> check_float (g.name ^ " eps") eps e
+  | None -> Alcotest.failf "%s: robust result carries no eps" g.name
+
+let robust_golden_tests =
+  List.map
+    (fun ((g, _, _) as c) ->
+      Alcotest.test_case ("robust golden: " ^ g.name) `Slow (robust_golden_case c))
+    robust_goldens
+
+(* --- the exact kernel allocates nothing per value or per raw path --- *)
+
+(* Ten more iterations of [~tol:0.0] EM on ctp_rx_task (4096 raw paths,
+   153 distinct values) may allocate only per-iteration θ-sized arrays
+   and scalars: a bound in (k + 1)-word units that does not grow with the
+   path or value count.  A boxed float per raw-path update (the bug this
+   guards against) costs about 140k words per iteration here. *)
+let test_em_allocation () =
+  let config, paths, samples = Lazy.force ctp_jitter8 in
+  let sigma = P.noise_sigma config in
+  let words iters =
+    let before = Gc.minor_words () in
+    ignore (Tomo.Em.estimate ~tol:0.0 ~max_iters:iters ~sigma paths ~samples);
+    Gc.minor_words () -. before
+  in
+  ignore (words 1);
+  let per_iter = (words 20 -. words 10) /. 10.0 in
+  let k = Tomo.Model.num_params (Tomo.Paths.model paths) in
+  let bound = float_of_int (12 * (k + 1)) in
+  if per_iter > bound then
+    Alcotest.failf "%.0f words per iteration, bound %.0f (k = %d)" per_iter bound k
+
 (* --- generated-program equivalence: optimized vs dense reference --- *)
 
 let generated_case seed depth stmts =
@@ -134,6 +241,70 @@ let generated_case seed depth stmts =
   let paths = Tomo.Paths.enumerate ~max_paths:4000 ~max_visits:8 model in
   (paths, samples)
 
+(* --- the raw-order replay, both strategies, against a dense loop --- *)
+
+(* Responsibilities that leave every path live or only one signature
+   live, replayed six times into the same sums: a fresh replay walks the
+   paths first, then (every path live) switches to the chain sweep once
+   it has walked enough to pay for the plan.  Whichever runs, each
+   accumulator must see the dense per-path loop's terms in its order. *)
+let test_replay_strategies () =
+  let check_set name paths =
+    let ns = Tomo.Paths.num_signatures paths in
+    let k = Tomo.Model.num_params (Tomo.Paths.model paths) in
+    let sig_of = Tomo.Paths.signature_of_path paths in
+    let raw = Tomo.Paths.paths paths in
+    let rng = Stats.Rng.create 11 in
+    List.iter
+      (fun (label, threshold, resp) ->
+        let sq = Array.init ns (fun _ -> Stats.Rng.float rng 3.0) in
+        let taken = Array.make k 0.0 and either = Array.make k 0.0 in
+        let rp = Tomo.Paths.replay paths in
+        let sums = Tomo.Paths.replay_sums rp in
+        let e_taken = Array.make k 0.0 and e_either = Array.make k 0.0 in
+        let e_sq = ref 0.0 in
+        for _ = 1 to 6 do
+          Tomo.Paths.replay_accumulate rp ~threshold ~resp ~sq ~taken ~either;
+          Array.iteri
+            (fun p path ->
+              let s = sig_of.(p) in
+              let r = resp.(s) in
+              if r > threshold then begin
+                Array.iteri
+                  (fun j c ->
+                    if c > 0 then begin
+                      e_taken.(j) <- e_taken.(j) +. (r *. float_of_int c);
+                      e_either.(j) <- e_either.(j) +. (r *. float_of_int c)
+                    end)
+                  path.Tomo.Paths.taken;
+                Array.iteri
+                  (fun j c ->
+                    if c > 0 then e_either.(j) <- e_either.(j) +. (r *. float_of_int c))
+                  path.Tomo.Paths.nottaken;
+                e_sq := !e_sq +. sq.(s)
+              end)
+            raw
+        done;
+        let name = Printf.sprintf "%s %s" name label in
+        check_theta (name ^ " taken") e_taken taken;
+        check_theta (name ^ " either") e_either either;
+        check_float (name ^ " sq") !e_sq sums.Tomo.Paths.sq)
+      [
+        ("all live", 0.0, Array.init ns (fun _ -> Stats.Rng.float rng 1.0 +. 1e-3));
+        ("one live", 0.0, Array.init ns (fun s -> if s = ns / 2 then 0.7 else 0.0));
+        ( "threshold",
+          1e-12,
+          Array.init ns (fun s -> if s mod 3 = 0 then 1e-13 else Stats.Rng.float rng 1.0) );
+      ]
+  in
+  let _, paths, _ = Lazy.force ctp_jitter8 in
+  check_set "ctp_rx_task" paths;
+  List.iter
+    (fun (seed, depth, stmts) ->
+      let paths, _ = generated_case seed depth stmts in
+      check_set (Printf.sprintf "gen seed=%d" seed) paths)
+    [ (1, 3, 2); (2, 4, 4) ]
+
 let test_generated_equivalence () =
   List.iter
     (fun (seed, depth, stmts) ->
@@ -157,46 +328,45 @@ let test_signature_merge_properties () =
     (fun (seed, depth, stmts) ->
       let paths, samples = generated_case seed depth stmts in
       let pth = Tomo.Paths.paths paths in
-      let sigs = Tomo.Paths.signatures paths in
+      let f = Tomo.Paths.flat paths in
+      let ns = Tomo.Paths.num_signatures paths in
       let sig_of = Tomo.Paths.signature_of_path paths in
       let name = Printf.sprintf "gen seed=%d" seed in
+      let row off idx cnt s =
+        let n = off.(s + 1) - off.(s) in
+        (Array.sub idx off.(s) n, Array.sub cnt off.(s) n)
+      in
+      let taken s = row f.Tomo.Paths.taken_off f.Tomo.Paths.taken_idx f.Tomo.Paths.taken_cnt s in
+      let nottaken s =
+        row f.Tomo.Paths.nottaken_off f.Tomo.Paths.nottaken_idx f.Tomo.Paths.nottaken_cnt s
+      in
       (* Weights partition the raw set. *)
-      Alcotest.(check int) (name ^ " weights sum to np")
-        (Array.length pth)
-        (Array.fold_left (fun acc s -> acc + s.Tomo.Paths.s_weight) 0 sigs);
+      Alcotest.(check (float 0.0)) (name ^ " weights sum to np")
+        (float_of_int (Array.length pth))
+        (Array.fold_left ( +. ) 0.0 f.Tomo.Paths.sig_weight);
       (* Every raw path matches its signature exactly. *)
       Array.iteri
         (fun p s ->
-          let path = pth.(p) and entry = sigs.(s) in
-          if path.Tomo.Paths.cost <> entry.Tomo.Paths.s_cost then
+          let path = pth.(p) in
+          if path.Tomo.Paths.cost <> f.Tomo.Paths.sig_cost.(s) then
             Alcotest.failf "%s: path %d cost mismatch" name p;
-          let dense_of_sparse idx cnt =
+          let dense_of_sparse (idx, cnt) =
             let out = Array.make (Array.length path.Tomo.Paths.taken) 0 in
             Array.iteri (fun i j -> out.(j) <- int_of_float cnt.(i)) idx;
             out
           in
-          if
-            path.Tomo.Paths.taken
-            <> dense_of_sparse entry.Tomo.Paths.s_taken_idx entry.Tomo.Paths.s_taken_cnt
-          then Alcotest.failf "%s: path %d taken counts mismatch" name p;
-          if
-            path.Tomo.Paths.nottaken
-            <> dense_of_sparse entry.Tomo.Paths.s_nottaken_idx
-                 entry.Tomo.Paths.s_nottaken_cnt
-          then Alcotest.failf "%s: path %d nottaken counts mismatch" name p)
+          if path.Tomo.Paths.taken <> dense_of_sparse (taken s) then
+            Alcotest.failf "%s: path %d taken counts mismatch" name p;
+          if path.Tomo.Paths.nottaken <> dense_of_sparse (nottaken s) then
+            Alcotest.failf "%s: path %d nottaken counts mismatch" name p)
         sig_of;
       (* Distinct signatures really are distinct. *)
       let keys = Hashtbl.create 64 in
-      Array.iter
-        (fun s ->
-          let key =
-            ( s.Tomo.Paths.s_cost,
-              s.Tomo.Paths.s_taken_idx, s.Tomo.Paths.s_taken_cnt,
-              s.Tomo.Paths.s_nottaken_idx, s.Tomo.Paths.s_nottaken_cnt )
-          in
-          if Hashtbl.mem keys key then Alcotest.failf "%s: duplicate signature" name;
-          Hashtbl.add keys key ())
-        sigs;
+      for s = 0 to ns - 1 do
+        let key = (f.Tomo.Paths.sig_cost.(s), taken s, nottaken s) in
+        if Hashtbl.mem keys key then Alcotest.failf "%s: duplicate signature" name;
+        Hashtbl.add keys key ()
+      done;
       (* Merged prior mass equals the raw prior mass (weights are exact
          integer multiplicities of bit-identical terms). *)
       let theta =
@@ -205,14 +375,12 @@ let test_signature_merge_properties () =
       let raw_mass = Tomo.Paths.prior_mass paths ~theta in
       let lp = Tomo.Paths.log_prior paths ~theta in
       let merged_mass = ref 0.0 in
-      Array.iteri
-        (fun s entry ->
-          (* Representative raw-path log prior for this signature. *)
-          let rep = ref (-1) in
-          Array.iteri (fun p s' -> if s' = s && !rep < 0 then rep := p) sig_of;
-          merged_mass :=
-            !merged_mass +. (float_of_int entry.Tomo.Paths.s_weight *. exp lp.(!rep)))
-        sigs;
+      for s = 0 to ns - 1 do
+        (* Representative raw-path log prior for this signature. *)
+        let rep = ref (-1) in
+        Array.iteri (fun p s' -> if s' = s && !rep < 0 then rep := p) sig_of;
+        merged_mass := !merged_mass +. (f.Tomo.Paths.sig_weight.(s) *. exp lp.(!rep))
+      done;
       if abs_float (raw_mass -. !merged_mass) > 1e-12 *. (1.0 +. abs_float raw_mass)
       then Alcotest.failf "%s: prior mass %h <> merged %h" name raw_mass !merged_mass;
       ignore samples)
@@ -295,8 +463,13 @@ let test_online_signature_exact () =
     ]
 
 let suite =
-  golden_tests
+  golden_tests @ robust_golden_tests
   @ [
+      Alcotest.test_case "ctp jitter 8: optimized = dense reference" `Slow
+        test_dense_jitter8;
+      Alcotest.test_case "EM iteration allocation is O(params)" `Quick test_em_allocation;
+      Alcotest.test_case "replay strategies = dense per-path loop" `Quick
+        test_replay_strategies;
       Alcotest.test_case "generated programs: optimized = dense reference" `Slow
         test_generated_equivalence;
       Alcotest.test_case "signature merge invariants" `Quick

@@ -88,6 +88,26 @@ let test_windowed_tail_folding () =
   let last = List.nth w.Tomo.Windowed.windows 1 in
   Alcotest.(check int) "second window start" 200 last.Tomo.Windowed.first_sample
 
+(* Windows of 1–3 samples over a multiple of the window size leave no
+   tail: no empty trailing window may be estimated. *)
+let test_windowed_small_windows () =
+  let paths, samples = synth_samples ~n:6 0.5 13 in
+  List.iter
+    (fun window_size ->
+      let w = Tomo.Windowed.estimate ~window_size paths ~samples in
+      let windows = w.Tomo.Windowed.windows in
+      let expected = if window_size = 4 then 2 else 6 / window_size in
+      Alcotest.(check int)
+        (Printf.sprintf "window %d: windows" window_size)
+        expected (List.length windows);
+      List.iteri
+        (fun i win ->
+          Alcotest.(check int)
+            (Printf.sprintf "window %d: start of %d" window_size i)
+            (i * window_size) win.Tomo.Windowed.first_sample)
+        windows)
+    [ 1; 2; 3; 4; 6 ]
+
 let test_windowed_too_few () =
   let paths, samples = synth_samples ~n:10 0.5 12 in
   Alcotest.(check bool) "too few samples rejected" true
@@ -269,6 +289,7 @@ let suite =
     Alcotest.test_case "windowed detects shift" `Quick test_windowed_detects_shift;
     Alcotest.test_case "windowed tail folding" `Quick test_windowed_tail_folding;
     Alcotest.test_case "windowed too few" `Quick test_windowed_too_few;
+    Alcotest.test_case "windowed small windows" `Quick test_windowed_small_windows;
     Alcotest.test_case "planner scaling" `Slow test_planner_scaling;
     Alcotest.test_case "planner bad target" `Quick test_planner_bad_target;
     Alcotest.test_case "fit good model" `Quick test_fit_good_model;

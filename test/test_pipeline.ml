@@ -136,6 +136,28 @@ let test_compare_layouts_ordering () =
         (rate "tomography" < rate "natural"))
     (Lazy.force runs)
 
+(* filter places identically from the estimated and the oracle profile,
+   so its tomography and perfect variants share one evaluation run: each
+   variant must still equal, field for field, a separate [run_binary] of
+   its own binary on the fresh inputs. *)
+let test_compare_layouts_shared_run () =
+  let run = run_of "filter" in
+  let variants = P.compare_layouts run in
+  Alcotest.(check (list string)) "labels in order"
+    [ "natural"; "worst"; "tomography"; "perfect" ]
+    (List.map (fun v -> v.P.label) variants);
+  let binary label = (List.find (fun v -> v.P.label = label) variants).P.binary in
+  Alcotest.(check bool) "tomography binary = perfect binary" true
+    (binary "tomography" = binary "perfect");
+  List.iter
+    (fun v ->
+      let alone =
+        P.run_binary ~config:(P.fresh_inputs config) Workloads.filter v.P.binary
+          ~label:v.P.label
+      in
+      Alcotest.(check bool) (v.P.label ^ " = separate run_binary") true (alone = v))
+    variants
+
 let test_compare_layouts_cycles () =
   List.iter
     (fun (name, run) ->
@@ -290,6 +312,7 @@ let suite =
     Alcotest.test_case "estimated freqs shape" `Slow test_estimated_freqs_shape;
     Alcotest.test_case "layout ordering" `Slow test_compare_layouts_ordering;
     Alcotest.test_case "layout cycles" `Slow test_compare_layouts_cycles;
+    Alcotest.test_case "shared evaluation run" `Slow test_compare_layouts_shared_run;
     Alcotest.test_case "run_binary determinism" `Slow test_run_binary_determinism;
     Alcotest.test_case "noise sigma" `Quick test_noise_sigma;
     Alcotest.test_case "quantized profiling" `Slow test_quantized_profiling_still_estimates;

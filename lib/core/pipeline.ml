@@ -166,7 +166,6 @@ type opts = {
   method_ : Tomo.Estimator.method_;
   max_samples : int option;
   max_paths : int option;
-  max_visits : int option;
   sanitize : Tomo.Sanitize.config option;
   outlier : Tomo.Em.outlier option;
   min_samples : int;
@@ -177,7 +176,6 @@ let default_opts =
     method_ = Tomo.Estimator.Em;
     max_samples = None;
     max_paths = None;
-    max_visits = None;
     sanitize = None;
     outlier = None;
     min_samples = 1;
@@ -206,11 +204,9 @@ end
    once serves the whole resolution × jitter grid.  The cache key is the
    procedure name (prefixed for the watermarked image, whose models differ);
    the owner of the cache closure is responsible for scoping it to one
-   (workload, enumeration-bounds) pair. *)
+   (workload, [max_paths]) pair. *)
 let enumerate_paths (ctx : Ctx.t) opts ~key model =
-  let enumerate () =
-    Tomo.Paths.enumerate ?max_paths:opts.max_paths ?max_visits:opts.max_visits model
-  in
+  let enumerate () = Tomo.Paths.enumerate ?max_paths:opts.max_paths model in
   match ctx.Ctx.paths_cache with Some cache -> cache key enumerate | None -> enumerate ()
 
 (* For EM the path set is materialized here (cached or not): the
@@ -253,8 +249,7 @@ let estimate_samples ctx opts ~sigma ~key ~model ~truth ~proc samples =
         Tomo.Health.judge ~min_samples:floor ~converged:true ~sample_count:n () )
     else
       let e =
-        Tomo.Estimator.run ~method_:opts.method_ ~noise_sigma:sigma
-          ?max_paths:opts.max_paths ?max_visits:opts.max_visits ?paths
+        Tomo.Estimator.run ~method_:opts.method_ ~noise_sigma:sigma ?paths
           ?outlier:opts.outlier model ~samples
       in
       ( e,

@@ -108,7 +108,7 @@ type estimation = {
 (** The estimator options: one value for every knob an estimating entry
     point ({!estimate}, {!estimate_watermarked}, {!compare_layouts} and
     their {!Session} mirrors) accepts.  {!ambiguous_sites} reads only the
-    enumeration bounds.  The robustness knobs ([sanitize], [outlier],
+    enumeration bound.  The robustness knobs ([sanitize], [outlier],
     [min_samples]) are opt-in: at {!default_opts} every result is
     bit-identical to the pre-robustness pipeline. *)
 type opts = {
@@ -122,7 +122,6 @@ type opts = {
           negative value, or one at least the sample count uses all
           samples. *)
   max_paths : int option;  (** Path-enumeration bound ({!Tomo.Paths.enumerate}). *)
-  max_visits : int option;  (** Per-block visit bound of the enumeration. *)
   sanitize : Tomo.Sanitize.config option;
       (** Quarantine infeasible timings ({!Tomo.Sanitize}) using the EM
           path set's cost envelope. *)
@@ -136,7 +135,7 @@ type opts = {
 }
 
 val default_opts : opts
-(** EM, no bounds, no sanitizer, no outlier mixture, a floor of 1. *)
+(** EM, no path bound, no sanitizer, no outlier mixture, a floor of 1. *)
 
 type paths_cache = string -> (unit -> Tomo.Paths.t) -> Tomo.Paths.t
 (** A memo hook for enumerated path sets: [cache key enumerate] returns
@@ -146,8 +145,8 @@ type paths_cache = string -> (unit -> Tomo.Paths.t) -> Tomo.Paths.t
     config, so one enumeration can serve an entire resolution × jitter
     sweep.  Keys are procedure names (the watermarked profiling image
     uses a ["watermarked:"] prefix since its models differ); the owner
-    must scope the cache to a single (workload, [max_paths],
-    [max_visits]) combination — {!Session} does exactly this. *)
+    must scope the cache to a single (workload, [max_paths]) pair —
+    {!Session} does exactly this. *)
 
 (** The execution context of a pipeline stage — the one value that
     carries everything a stage shares with its surroundings: the domain
@@ -195,7 +194,7 @@ val ambiguous_sites : ?ctx:Ctx.t -> ?opts:opts -> profile_run -> (string * int) 
 (** Branches whose probabilities end-to-end timing cannot determine
     (equal-cost arms), as [(procedure, branch block id)] in the
     instrumented binary's coordinates — see {!Tomo.Identify}.  Only
-    [opts]'s enumeration bounds matter here. *)
+    [opts.max_paths] matters here. *)
 
 val estimate_watermarked :
   ?ctx:Ctx.t -> ?opts:opts -> profile_run -> estimation list * (string * int) list

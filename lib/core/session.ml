@@ -23,7 +23,6 @@ type paths_key = {
   wname : string;
   pkey : string;
   p_max_paths : int option;
-  p_max_visits : int option;
 }
 
 type t = {
@@ -85,31 +84,24 @@ let memo t tbl key compute =
 let compiled t (w : Workloads.t) =
   memo t t.compilations w.Workloads.name (fun () -> Workloads.compiled w)
 
-let paths_cache t ?max_paths ?max_visits (w : Workloads.t) pkey compute =
-  memo t t.path_sets
-    {
-      wname = w.Workloads.name;
-      pkey;
-      p_max_paths = max_paths;
-      p_max_visits = max_visits;
-    }
-    compute
+let paths_cache t ?max_paths (w : Workloads.t) pkey compute =
+  memo t t.path_sets { wname = w.Workloads.name; pkey; p_max_paths = max_paths } compute
 
-(* The fully-loaded context for one (workload, enumeration bounds) pair:
+(* The fully-loaded context for one (workload, [max_paths]) pair:
    the session's pool plus its memoized path sets.  This is what outside
    callers driving Pipeline stages directly should thread. *)
-let ctx t ?max_paths ?max_visits (w : Workloads.t) =
-  Pipeline.Ctx.make ~pool:t.pool ~paths_cache:(paths_cache t ?max_paths ?max_visits w) ()
+let ctx t ?max_paths (w : Workloads.t) =
+  Pipeline.Ctx.make ~pool:t.pool ~paths_cache:(paths_cache t ?max_paths w) ()
 
 let profile t ?(config = Pipeline.default_config) (w : Workloads.t) =
   memo t t.profiles
     { name = w.Workloads.name; config }
     (fun () -> Pipeline.profile ~config ~compiled:(compiled t w) w)
 
-(* Estimation reads its enumeration bounds through the context, so the
-   path-set cache it gets is scoped to exactly those bounds. *)
+(* Estimation reads its enumeration bound through the context, so the
+   path-set cache it gets is scoped to exactly that bound. *)
 let opts_ctx t (opts : Pipeline.opts) w =
-  ctx t ?max_paths:opts.Pipeline.max_paths ?max_visits:opts.Pipeline.max_visits w
+  ctx t ?max_paths:opts.Pipeline.max_paths w
 
 let estimate t ?(opts = Pipeline.default_opts) ?(config = Pipeline.default_config)
     (w : Workloads.t) =

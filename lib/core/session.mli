@@ -45,10 +45,9 @@ val map_list : t -> ('a -> 'b) -> 'a list -> 'b list
 val compiled : t -> Workloads.t -> Mote_lang.Compile.t
 (** Memoized {!Workloads.compiled}. *)
 
-val paths_cache :
-  t -> ?max_paths:int -> ?max_visits:int -> Workloads.t -> Pipeline.paths_cache
+val paths_cache : t -> ?max_paths:int -> Workloads.t -> Pipeline.paths_cache
 (** The session's memo hook for enumerated path sets, scoped to one
-    (workload, enumeration bounds) pair.  Keyed {e without} the timing
+    (workload, [max_paths]) pair.  Keyed {e without} the timing
     config — the instrumented binary depends only on the workload — so
     an entire resolution × jitter sweep shares one enumeration (and one
     canonical-signature merge) per procedure.  {!estimate},
@@ -56,9 +55,9 @@ val paths_cache :
     pipeline automatically; it is exposed for callers driving
     {!Pipeline.estimate} directly. *)
 
-val ctx : t -> ?max_paths:int -> ?max_visits:int -> Workloads.t -> Pipeline.Ctx.t
+val ctx : t -> ?max_paths:int -> Workloads.t -> Pipeline.Ctx.t
 (** The session's fully-loaded {!Pipeline.Ctx}: its pool plus its
-    {!paths_cache} scoped to one (workload, enumeration bounds) pair.
+    {!paths_cache} scoped to one (workload, [max_paths]) pair.
     Callers driving {!Pipeline.estimate} (or the fleet service) directly
     pass this one value instead of threading pool and cache separately. *)
 

@@ -67,7 +67,7 @@ let validate config =
   (match config.batch with
   | Some b when b < 1 -> invalid_arg "Fleet.Service: batch size must be positive"
   | _ -> ());
-  if config.decay <= 0.0 || config.decay > 1.0 then
+  if not (config.decay > 0.0 && config.decay <= 1.0) then
     invalid_arg "Fleet.Service: decay outside (0,1]";
   if config.replace_every < 0 then
     invalid_arg "Fleet.Service: replace_every must be non-negative";

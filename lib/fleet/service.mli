@@ -105,6 +105,6 @@ val run : ?session:Codetomo.Session.t -> config -> report
     tables; without, everything runs serially and privately.  Output is
     identical either way.
     @raise Invalid_argument on a non-positive node, round or batch
-    count, a decay outside (0,1], or a base fault model that
+    count, a decay outside (0,1] (NaN included), or a base fault model that
     {!Profilekit.Transport.validate} rejects — all before any node is
     simulated. *)

@@ -563,14 +563,11 @@ let convergence p rng (c : Compile.t) =
    the estimator. *)
 let draw_fault_config rng =
   {
-    Transport.default with
-    drop = Stats.Rng.float rng 0.12;
+    Transport.drop = Stats.Rng.float rng 0.12;
     corrupt = Stats.Rng.float rng 0.04;
     duplicate = Stats.Rng.float rng 0.05;
     reorder = Stats.Rng.float rng 0.08;
     burst_enter = Stats.Rng.float rng 0.01;
-    burst_exit = 0.25;
-    burst_drop = 0.8;
     reboot = Stats.Rng.float rng 0.002;
   }
 

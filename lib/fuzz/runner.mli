@@ -20,7 +20,6 @@ type oracle =
     must pass {!Mote_lang.Check} and compile. *)
 
 val oracle_name : oracle -> string
-val oracle_of_name : string -> oracle option
 
 type case_result = {
   index : int;

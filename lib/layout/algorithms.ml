@@ -123,7 +123,9 @@ let greedy freq =
   Placement.validate cfg placement;
   placement
 
-let exhaustive ~better ?(max_blocks = 9) freq =
+let max_blocks = 9
+
+let exhaustive ~better freq =
   let cfg = Cfgir.Freq.cfg freq in
   let n = Cfg.num_blocks cfg in
   if n > max_blocks then
@@ -162,8 +164,8 @@ let exhaustive ~better ?(max_blocks = 9) freq =
     !best
   end
 
-let optimal ?max_blocks freq = exhaustive ~better:(fun a b -> a < b) ?max_blocks freq
-let pessimal ?max_blocks freq = exhaustive ~better:(fun a b -> a > b) ?max_blocks freq
+let optimal freq = exhaustive ~better:(fun a b -> a < b) freq
+let pessimal freq = exhaustive ~better:(fun a b -> a > b) freq
 
 let anneal ?(seed = 1) ?(iterations = 4000) ?(restarts = 3) freq =
   let cfg = Cfgir.Freq.cfg freq in

@@ -19,13 +19,13 @@ val greedy : Cfgir.Freq.t -> Placement.t
     an unplaced block; restart from the hottest unplaced block when
     stuck. *)
 
-val optimal : ?max_blocks:int -> Cfgir.Freq.t -> Placement.t
+val optimal : Cfgir.Freq.t -> Placement.t
 (** Exhaustive minimization of {!Eval.taken_transfers}.
-    @raise Invalid_argument when the CFG has more than [max_blocks]
-    (default 9) blocks. *)
+    @raise Invalid_argument when the CFG has more than 9 blocks. *)
 
-val pessimal : ?max_blocks:int -> Cfgir.Freq.t -> Placement.t
-(** Exhaustive maximization — the worst-case layout for T4's spread. *)
+val pessimal : Cfgir.Freq.t -> Placement.t
+(** Exhaustive maximization — the worst-case layout for T4's spread.
+    @raise Invalid_argument when the CFG has more than 9 blocks. *)
 
 val anneal :
   ?seed:int -> ?iterations:int -> ?restarts:int -> Cfgir.Freq.t -> Placement.t

@@ -25,8 +25,5 @@ val vec_mat : float array -> t -> float array
 
 val map : (float -> float) -> t -> t
 
-val max_abs : t -> float
-(** Largest absolute entry; 0 for empty matrices. *)
-
 val equal : ?eps:float -> t -> t -> bool
 val pp : Format.formatter -> t -> unit

@@ -9,9 +9,6 @@ exception Singular
 val lu_solve : Matrix.t -> float array -> float array
 (** [lu_solve a b] solves [a x = b] for square [a].  @raise Singular. *)
 
-val solve_many : Matrix.t -> Matrix.t -> Matrix.t
-(** [solve_many a b] solves [a X = b] column-wise.  @raise Singular. *)
-
 val inverse : Matrix.t -> Matrix.t
 (** @raise Singular on singular input. *)
 

@@ -24,15 +24,6 @@ let expected_steps t ~start =
   check_start t start;
   Array.fold_left ( +. ) 0.0 t.fundamental.(start)
 
-let absorption_probability t ~start =
-  check_start t start;
-  (* P(absorbed) = Σ_j N(start,j) * leak(j). *)
-  let acc = ref 0.0 in
-  Array.iteri
-    (fun j nij -> acc := !acc +. (nij *. Chain.leak t.chain j))
-    t.fundamental.(start);
-  !acc
-
 let mean_reward_vector t ~rewards =
   if Array.length rewards <> Chain.size t.chain then
     invalid_arg "Absorbing.mean_reward: reward size mismatch";

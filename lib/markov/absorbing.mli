@@ -22,10 +22,6 @@ val expected_visits : t -> start:int -> float array
 val expected_steps : t -> start:int -> float
 (** Expected number of transitions before absorption. *)
 
-val absorption_probability : t -> start:int -> float
-(** Always 1 for a well-formed absorbing chain; exposed as a sanity
-    check. *)
-
 val mean_reward : t -> rewards:float array -> start:int -> float
 (** E[Σ visits·reward] — the analytic mean end-to-end time. *)
 

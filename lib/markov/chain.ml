@@ -41,13 +41,6 @@ let successors t i =
   Array.iteri (fun j v -> if v > 0.0 then out := (j, v) :: !out) t.p.(i);
   List.rev !out
 
-let is_stochastic ?(eps = 1e-9) t =
-  let ok = ref true in
-  for i = 0 to size t - 1 do
-    if leak t i > eps then ok := false
-  done;
-  !ok
-
 let step rng t i =
   let u = Stats.Rng.unit_float rng in
   let n = size t in

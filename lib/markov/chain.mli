@@ -25,9 +25,6 @@ val leak : t -> int -> float
 val successors : t -> int -> (int * float) list
 (** Positive-probability transitions out of a state. *)
 
-val is_stochastic : ?eps:float -> t -> bool
-(** All row sums equal to 1 (no leak anywhere). *)
-
 val step : Stats.Rng.t -> t -> int -> int option
 (** Sample the next state; [None] when the leak mass fires (absorption). *)
 

@@ -124,7 +124,6 @@ let port_to_string = function
   | P_counter -> "counter"
 
 let pp_cond fmt c = Format.pp_print_string fmt (cond_to_string c)
-let pp_port fmt p = Format.pp_print_string fmt (port_to_string p)
 
 let to_string lbl = function
   | Nop -> "nop"
@@ -145,7 +144,3 @@ let to_string lbl = function
   | Ret -> "ret"
   | In (r, p) -> Printf.sprintf "in    r%d, %s" r (port_to_string p)
   | Out (p, r) -> Printf.sprintf "out   %s, r%d" (port_to_string p) r
-
-let pp_instr pp_label fmt i =
-  let lbl l = Format.asprintf "%a" pp_label l in
-  Format.pp_print_string fmt (to_string lbl i)

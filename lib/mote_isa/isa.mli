@@ -72,9 +72,5 @@ val label : 'a instr -> 'a option
 (** Target of a control-transfer instruction, if any. *)
 
 val pp_cond : Format.formatter -> cond -> unit
-val pp_port : Format.formatter -> port -> unit
-
-val pp_instr :
-  (Format.formatter -> 'label -> unit) -> Format.formatter -> 'label instr -> unit
 
 val to_string : ('label -> string) -> 'label instr -> string

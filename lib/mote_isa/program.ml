@@ -40,7 +40,6 @@ let find_symbol t name = List.assoc_opt name t.symbols
 let procs t = t.procs
 let find_proc t name = List.find_opt (fun p -> p.name = name) t.procs
 let proc_at t addr = List.find_opt (fun p -> addr >= p.entry && addr < p.finish) t.procs
-let entry_names t = List.map (fun p -> p.name) t.procs
 
 let pp fmt t =
   let label_of = Hashtbl.create 16 in

@@ -30,6 +30,5 @@ val find_proc : t -> string -> proc_info option
 val proc_at : t -> int -> proc_info option
 (** Procedure whose extent contains the address. *)
 
-val entry_names : t -> string list
 val pp : Format.formatter -> t -> unit
 (** Disassembly listing with addresses and procedure headers. *)

@@ -162,7 +162,6 @@ module Dsl = struct
   let send e = Radio_tx e
   let led e = Led e
   let return e = Return (Some e)
-  let return_unit = Return None
 
   let proc name ~params ~locals body = { name; params; locals; body }
 end

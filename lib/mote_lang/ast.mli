@@ -52,13 +52,9 @@ type program = {
 
 val rel_negate : relop -> relop
 
-val expr_calls : expr -> string list
 val stmt_calls : stmt -> string list
 (** Callee names appearing anywhere inside (duplicates preserved). *)
 
-val pp_expr : Format.formatter -> expr -> unit
-val pp_stmt : Format.formatter -> stmt -> unit
-val pp_proc : Format.formatter -> proc -> unit
 val pp_program : Format.formatter -> program -> unit
 
 (** Combinators for writing programs inline.  [Dsl.(v "x" <: i 10)] etc. *)
@@ -104,7 +100,6 @@ module Dsl : sig
   val send : expr -> stmt
   val led : expr -> stmt
   val return : expr -> stmt
-  val return_unit : stmt
 
   val proc : string -> params:string list -> locals:string list -> stmt list -> proc
 end

@@ -3,7 +3,6 @@ type probe_record = { pc : int; cycles : int; value : int }
 type t = {
   timer_resolution : int;
   timer_jitter : float;
-  probe_capacity : int option;
   probe_loss : float;
   rng : Stats.Rng.t;
   mutable sensor : int -> int;
@@ -13,25 +12,20 @@ type t = {
   mutable leds : int;
   mutable led_writes : int;
   mutable probes : probe_record list; (* newest first *)
-  mutable probe_count : int;
   mutable probes_dropped : int;
   counters : (int, int) Hashtbl.t;
 }
 
-let create ?(timer_resolution = 1) ?(timer_jitter = 0.0) ?probe_capacity
-    ?(probe_loss = 0.0) ?rng () =
+let create ?(timer_resolution = 1) ?(timer_jitter = 0.0) ?(probe_loss = 0.0) ?rng () =
   if timer_resolution <= 0 then invalid_arg "Devices.create: resolution must be positive";
-  if timer_jitter < 0.0 then invalid_arg "Devices.create: negative jitter";
-  (match probe_capacity with
-  | Some c when c <= 0 -> invalid_arg "Devices.create: probe capacity must be positive"
-  | _ -> ());
-  if probe_loss < 0.0 || probe_loss >= 1.0 then
+  if not (timer_jitter >= 0.0 && timer_jitter < Float.infinity) then
+    invalid_arg "Devices.create: jitter must be finite and non-negative";
+  if not (probe_loss >= 0.0 && probe_loss < 1.0) then
     invalid_arg "Devices.create: probe loss outside [0,1)";
   let rng = match rng with Some r -> r | None -> Stats.Rng.create 7 in
   {
     timer_resolution;
     timer_jitter;
-    probe_capacity;
     probe_loss;
     rng;
     sensor = (fun _ -> 0);
@@ -41,7 +35,6 @@ let create ?(timer_resolution = 1) ?(timer_jitter = 0.0) ?probe_capacity
     leds = 0;
     led_writes = 0;
     probes = [];
-    probe_count = 0;
     probes_dropped = 0;
     counters = Hashtbl.create 64;
   }
@@ -87,26 +80,14 @@ let set_leds t v =
 let leds t = t.leds
 let led_writes t = t.led_writes
 
-(* Two loss modes: a full buffer drops the incoming record (reader fell
-   behind for good), and an unreliable uplink loses records independently
-   at [probe_loss]. *)
+(* An unreliable uplink loses records independently at [probe_loss]. *)
 let probe t ~pc ~cycles ~value =
-  let buffer_full =
-    match t.probe_capacity with Some cap -> t.probe_count >= cap | None -> false
-  in
-  if buffer_full || (t.probe_loss > 0.0 && Stats.Rng.bernoulli t.rng t.probe_loss) then
+  if t.probe_loss > 0.0 && Stats.Rng.bernoulli t.rng t.probe_loss then
     t.probes_dropped <- t.probes_dropped + 1
-  else begin
-    t.probes <- { pc; cycles; value } :: t.probes;
-    t.probe_count <- t.probe_count + 1
-  end
+  else t.probes <- { pc; cycles; value } :: t.probes
 
 let probe_log t = List.rev t.probes
 let probes_dropped t = t.probes_dropped
-
-let clear_probe_log t =
-  t.probes <- [];
-  t.probe_count <- 0
 
 let bump_counter t id =
   let current = Option.value ~default:0 (Hashtbl.find_opt t.counters id) in
@@ -117,14 +98,3 @@ let counter t id = Option.value ~default:0 (Hashtbl.find_opt t.counters id)
 let counters t =
   Hashtbl.fold (fun id v acc -> if v <> 0 then (id, v) :: acc else acc) t.counters []
   |> List.sort compare
-
-let reset_volatile t =
-  Queue.clear t.radio_rx_q;
-  t.tx_log <- [];
-  t.tx_count <- 0;
-  t.leds <- 0;
-  t.led_writes <- 0;
-  t.probes <- [];
-  t.probe_count <- 0;
-  t.probes_dropped <- 0;
-  Hashtbl.reset t.counters

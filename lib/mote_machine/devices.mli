@@ -14,18 +14,17 @@ type t
 val create :
   ?timer_resolution:int ->
   ?timer_jitter:float ->
-  ?probe_capacity:int ->
   ?probe_loss:float ->
   ?rng:Stats.Rng.t ->
   unit ->
   t
 (** [timer_resolution] in cycles per tick (default 1);
     [timer_jitter] is the std-dev of Gaussian noise in cycles added before
-    quantization (default 0); [probe_capacity] bounds the probe log —
-    records arriving when it is full are dropped and counted (default:
-    unbounded); [probe_loss] in [0,1) loses records independently, like an
-    unreliable log uplink (default 0).  [rng] drives jitter and loss
-    (default seed 7). *)
+    quantization (default 0); [probe_loss] in [0,1) loses records
+    independently, like an unreliable log uplink (default 0).  [rng]
+    drives jitter and loss (default seed 7).
+    @raise Invalid_argument on a non-positive resolution, a negative,
+    infinite or NaN jitter, or a loss outside [0,1) (NaN included). *)
 
 val timer_resolution : t -> int
 
@@ -66,14 +65,9 @@ val probe_log : t -> probe_record list
 (** Probe writes, oldest first (drops excluded). *)
 
 val probes_dropped : t -> int
-(** Records lost to a full probe buffer. *)
-
-val clear_probe_log : t -> unit
+(** Records lost to [probe_loss]. *)
 
 val bump_counter : t -> int -> unit
 val counter : t -> int -> int
 val counters : t -> (int * int) list
 (** All counters with non-zero values, sorted by id. *)
-
-val reset_volatile : t -> unit
-(** Clear logs, counters and queues; keeps configuration. *)

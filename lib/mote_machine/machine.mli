@@ -73,7 +73,6 @@ val stats : t -> stats
 val halted : t -> bool
 
 val reg : t -> Isa.reg -> int
-val set_reg : t -> Isa.reg -> int -> unit
 val read_mem : t -> int -> int
 val write_mem : t -> int -> int -> unit
 

@@ -1,33 +1,27 @@
-type coefficients = {
-  active_nj_per_cycle : float;
-  sleep_nj_per_cycle : float;
-  tx_nj_per_word : float;
-}
+(* TelosB: 3 V supply, 1.8 mA active, 5.1 uA sleep, at a 1 MHz cycle
+   clock: 5.4 nJ per active cycle, 0.0153 nJ per sleep cycle.  A
+   CC2420-style radio spends roughly 2 uJ shipping one 16-bit payload word
+   (incl. MAC framing amortization). *)
+let active_nj_per_cycle = 5.4
+let sleep_nj_per_cycle = 0.0153
+let tx_nj_per_word = 2000.0
 
-(* 3 V supply, 1.8 mA active, 5.1 uA sleep, at a 1 MHz cycle clock:
-   5.4 nJ per active cycle, 0.0153 nJ per sleep cycle.  A CC2420-style
-   radio spends roughly 2 uJ shipping one 16-bit payload word (incl. MAC
-   framing amortization). *)
-let telosb =
-  { active_nj_per_cycle = 5.4; sleep_nj_per_cycle = 0.0153; tx_nj_per_word = 2000.0 }
+(* 2×AA at 3 V. *)
+let battery_mah = 2500.0
+let volts = 3.0
 
 type report = { active_mj : float; sleep_mj : float; radio_mj : float; total_mj : float }
 
-let of_parts ?(coefficients = telosb) ~busy_cycles ~idle_cycles ~tx_words () =
+let of_parts ~busy_cycles ~idle_cycles ~tx_words () =
   if busy_cycles < 0 || idle_cycles < 0 || tx_words < 0 then
     invalid_arg "Energy.of_parts: negative input";
   let nj_to_mj v = v /. 1e6 in
-  let active_mj = nj_to_mj (float_of_int busy_cycles *. coefficients.active_nj_per_cycle) in
-  let sleep_mj = nj_to_mj (float_of_int idle_cycles *. coefficients.sleep_nj_per_cycle) in
-  let radio_mj = nj_to_mj (float_of_int tx_words *. coefficients.tx_nj_per_word) in
+  let active_mj = nj_to_mj (float_of_int busy_cycles *. active_nj_per_cycle) in
+  let sleep_mj = nj_to_mj (float_of_int idle_cycles *. sleep_nj_per_cycle) in
+  let radio_mj = nj_to_mj (float_of_int tx_words *. tx_nj_per_word) in
   { active_mj; sleep_mj; radio_mj; total_mj = active_mj +. sleep_mj +. radio_mj }
 
-let of_run ?coefficients (stats : Node.run_stats) ~tx_words =
-  of_parts ?coefficients ~busy_cycles:stats.Node.busy_cycles
-    ~idle_cycles:stats.Node.idle_cycles ~tx_words ()
-
-let lifetime_days ?(battery_mah = 2500.0) ?(volts = 3.0) report ~horizon_cycles
-    ~cycles_per_second =
+let lifetime_days report ~horizon_cycles ~cycles_per_second =
   if horizon_cycles <= 0 || cycles_per_second <= 0 then
     invalid_arg "Energy.lifetime_days: non-positive horizon or clock";
   let window_seconds = float_of_int horizon_cycles /. float_of_int cycles_per_second in

@@ -2,18 +2,10 @@
 
     A sensor node spends its battery on three things we can meter from a
     run: CPU-active cycles, sleep cycles, and radio transmissions.  The
-    default coefficients are TelosB-flavoured (1 MHz-normalized): 1.8 mA
-    active, 5.1 µA sleep at 3 V, ~2 µJ per transmitted payload word.
+    coefficients are TelosB-flavoured (1 MHz-normalized): 1.8 mA active,
+    5.1 µA sleep at 3 V, ~2 µJ per transmitted payload word.
     Absolute joules are not the point — the {e ratio} between two layouts
     of the same program is, and it only depends on the cycle split. *)
-
-type coefficients = {
-  active_nj_per_cycle : float;  (** nanojoules per CPU-active cycle. *)
-  sleep_nj_per_cycle : float;  (** nanojoules per idle (sleep) cycle. *)
-  tx_nj_per_word : float;  (** nanojoules per transmitted payload word. *)
-}
-
-val telosb : coefficients
 
 type report = {
   active_mj : float;  (** millijoules. *)
@@ -22,19 +14,12 @@ type report = {
   total_mj : float;
 }
 
-val of_run : ?coefficients:coefficients -> Node.run_stats -> tx_words:int -> report
+val of_parts : busy_cycles:int -> idle_cycles:int -> tx_words:int -> unit -> report
+(** @raise Invalid_argument on a negative input. *)
 
-val of_parts :
-  ?coefficients:coefficients ->
-  busy_cycles:int ->
-  idle_cycles:int ->
-  tx_words:int ->
-  unit ->
-  report
-
-val lifetime_days : ?battery_mah:float -> ?volts:float -> report -> horizon_cycles:int -> cycles_per_second:int -> float
+val lifetime_days : report -> horizon_cycles:int -> cycles_per_second:int -> float
 (** Projected battery life if the measured window is representative:
-    battery energy (default 2×AA ≈ 2500 mAh at 3 V) divided by the
+    battery energy (2×AA ≈ 2500 mAh at 3 V) divided by the
     window's average power.  [cycles_per_second] is the CPU clock (e.g.
     1_000_000). *)
 

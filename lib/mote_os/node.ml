@@ -171,7 +171,9 @@ let next_event_time t =
   | (at, _) :: _ -> Stdlib.min timer_next at
   | [] -> timer_next
 
-let run ?(fuel_per_task = 2_000_000) t ~until =
+let fuel_per_task = 2_000_000
+
+let run t ~until =
   let continue = ref true in
   while !continue && Machine.cycles t.machine < until do
     let now = Machine.cycles t.machine in

@@ -50,7 +50,7 @@ val create :
 
 val machine : t -> Mote_machine.Machine.t
 
-val run : ?fuel_per_task:int -> t -> until:int -> run_stats
+val run : t -> until:int -> run_stats
 (** Execute until the cycle clock reaches [until] (tasks run to
     completion, so the clock may overshoot by the last task's length).
     Can be called repeatedly to extend a run; statistics accumulate from

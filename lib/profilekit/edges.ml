@@ -1,6 +1,8 @@
 open Mote_isa
 
-let default_counter_base = 3072
+(* First RAM word used for counters: above the compiler's static data for
+   all bundled workloads, below the stack. *)
+let counter_base = 3072
 
 let scratch = Probes.scratch_reg (* r13: address register *)
 let borrowed = 12 (* saved/restored around each bump *)
@@ -16,14 +18,9 @@ let bump_items addr =
     Asm.I (Isa.Pop borrowed);
   ]
 
-let counter_cycles_per_edge =
-  List.fold_left
-    (fun acc item -> match item with Asm.I i -> acc + Isa.base_cost i | _ -> acc)
-    0 (bump_items 0)
-
 let stub_label j = Printf.sprintf "__edge_stub_%d" j
 
-let instrument ?(counter_base = default_counter_base) items =
+let instrument items =
   (* Walk items keeping the stubs accumulated for the current procedure;
      flush them before the next [Proc] so branches stay intra-procedural. *)
   let j = ref 0 in
@@ -75,7 +72,7 @@ let group_by_proc entries =
     entries;
   List.rev_map (fun proc -> (proc, List.rev !(Hashtbl.find tbl proc))) !order
 
-let counts_of_memory ~original ?(counter_base = default_counter_base) machine =
+let counts_of_memory ~original machine =
   branch_order original
   |> List.mapi (fun jdx (proc, block_id) ->
          let read off =
@@ -84,8 +81,8 @@ let counts_of_memory ~original ?(counter_base = default_counter_base) machine =
          (proc, (block_id, (read 0, read 1))))
   |> group_by_proc
 
-let thetas_of_memory ~original ?counter_base machine =
-  counts_of_memory ~original ?counter_base machine
+let thetas_of_memory ~original machine =
+  counts_of_memory ~original machine
   |> List.map (fun (proc, entries) ->
          ( proc,
            List.map

@@ -7,7 +7,7 @@
     that the branch is redirected through.  A counter bump is the real
     read-modify-write sequence (borrow a register, load, add, store,
     restore), so the dynamic cost is what arc profiling actually pays on a
-    load/store MCU — compare {!counter_cycles_per_edge} with
+    load/store MCU — compare it with
     {!Probes.probe_cycles_per_invocation}.
 
     Branch instructions keep their relative order under instrumentation, so
@@ -17,18 +17,13 @@
 
 open Mote_isa
 
-val default_counter_base : int
-(** First RAM word used for counters (3072 — above the compiler's static
-    data for all bundled workloads, below the stack). *)
-
-val instrument : ?counter_base:int -> Asm.item list -> Asm.item list
+val instrument : Asm.item list -> Asm.item list
+(** Counters start at RAM word 3072 — above the compiler's static data
+    for all bundled workloads, below the stack. *)
 
 val num_counters : Program.t -> int
 (** For an {e original} (uninstrumented) program: 2 × number of conditional
     branches = RAM words the counters occupy. *)
-
-val counter_cycles_per_edge : int
-(** Dynamic cost of one inline counter bump. *)
 
 val branch_order : Program.t -> (string * int) list
 (** Original program's conditional branches in address order:
@@ -37,7 +32,6 @@ val branch_order : Program.t -> (string * int) list
 
 val counts_of_memory :
   original:Program.t ->
-  ?counter_base:int ->
   Mote_machine.Machine.t ->
   (string * (int * (int * int)) list) list
 (** Read the counters out of the instrumented machine's RAM:
@@ -45,7 +39,6 @@ val counts_of_memory :
 
 val thetas_of_memory :
   original:Program.t ->
-  ?counter_base:int ->
   Mote_machine.Machine.t ->
   (string * (int * float) list) list
 (** Observed taken probabilities; 0.5 for never-executed branches. *)

@@ -14,12 +14,10 @@ type report = {
   ram_words : int;  (** Buffers/counters the scheme needs. *)
 }
 
-val probe_ram_words : int
-(** The tomography log buffer: probes stream (pc, tick) pairs; motes batch
-    them in a small fixed buffer before shipping over the radio/UART. *)
-
-val of_binaries : base:Program.t -> instrumented:Program.t -> ram_words:int -> report
-
 val probes_report : base:Program.t -> instrumented:Program.t -> report
+(** RAM = the tomography log buffer: probes stream (pc, tick) pairs;
+    motes batch them in a small fixed buffer (16 words) before shipping
+    over the radio/UART. *)
+
 val edges_report : base:Program.t -> instrumented:Program.t -> report
 (** RAM = one word per edge counter, derived from the base binary. *)

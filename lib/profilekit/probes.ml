@@ -11,11 +11,6 @@ let ret_cost = Isa.base_cost Isa.Ret + Isa.taken_penalty
 
 let probe_cycles_per_invocation = 2 * (in_cost + out_cost)
 
-let probe_flash_words_per_site =
-  List.fold_left
-    (fun acc item -> match item with Asm.I i -> acc + Isa.size i | _ -> acc)
-    0 probe_items
-
 (* Entry [in] before the window, exit [out] and the ret's base cost after
    it.  The ret's taken penalty is never part of any block's cost in the
    timing model, so it must not be subtracted here. *)
@@ -25,11 +20,11 @@ let window_correction = in_cost + out_cost + Isa.base_cost Isa.Ret
    + callee ret. *)
 let call_residual = Isa.taken_penalty + in_cost + out_cost + ret_cost
 
-let instrument ?(skip = [ Mote_lang.Compile.init_proc_name ]) items =
+let instrument items =
   let rec go current_skipped = function
     | [] -> []
     | (Asm.Proc name as item) :: rest ->
-        let skipped = List.mem name skip in
+        let skipped = String.equal name Mote_lang.Compile.init_proc_name in
         if skipped then item :: go skipped rest
         else (item :: probe_items) @ go skipped rest
     | (Asm.I Isa.Ret as item) :: rest when not current_skipped ->

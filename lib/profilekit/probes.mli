@@ -21,14 +21,11 @@ open Mote_isa
 
 val scratch_reg : int
 
-val instrument : ?skip:string list -> Asm.item list -> Asm.item list
-(** Insert probes into every procedure except those in [skip] (default:
-    the compiler's [__init]). *)
+val instrument : Asm.item list -> Asm.item list
+(** Insert probes into every procedure except the compiler's [__init]. *)
 
 val probe_cycles_per_invocation : int
 (** Dynamic cost added per invocation (entry probe + one exit probe). *)
-
-val probe_flash_words_per_site : int
 
 val window_correction : int
 (** Cycles of an instrumented invocation that fall {e outside} the
@@ -66,8 +63,8 @@ val collect_lossy :
   unit ->
   lossy_result
 (** Pair up the probe log of an instrumented binary, tolerant of records
-    lost in flight (bounded buffers, unreliable uplinks — see
-    {!Mote_machine.Devices.create}): instead of raising {!Unbalanced}
+    lost in flight (an unreliable uplink — see
+    {!Mote_machine.Devices.create} — or a buffer that filled up): instead of raising {!Unbalanced}
     like {!collect}, the collector resynchronizes.  An
     exit whose procedure is open deeper in the stack closes (and discards)
     the intervening frames; an exit with no matching open frame is

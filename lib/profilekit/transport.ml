@@ -5,43 +5,36 @@
    (seed, config, log) — byte-identical at any domain count — and (b)
    raising one stage's rate never shifts another stage's random pattern
    (a stage's *input* can still change, of course: stages apply in the
-   physical order source clock → node → channel → link).  A stage whose
-   rate is zero returns its input unchanged. *)
+   physical order node → channel → link).  A stage whose rate is zero
+   returns its input unchanged. *)
 
 module Devices = Mote_machine.Devices
 
 type config = {
-  skew : float;
-  drift : float;
   reboot : float;
-  reboot_flush : int;
   burst_enter : float;
-  burst_exit : float;
-  burst_drop : float;
   drop : float;
   corrupt : float;
-  corrupt_bits : int;
   duplicate : float;
   reorder : float;
-  reorder_span : int;
 }
 
 let default =
-  {
-    skew = 0.0;
-    drift = 0.0;
-    reboot = 0.0;
-    reboot_flush = 8;
-    burst_enter = 0.0;
-    burst_exit = 0.25;
-    burst_drop = 0.8;
-    drop = 0.0;
-    corrupt = 0.0;
-    corrupt_bits = 2;
-    duplicate = 0.0;
-    reorder = 0.0;
-    reorder_span = 4;
-  }
+  { reboot = 0.0; burst_enter = 0.0; drop = 0.0; corrupt = 0.0; duplicate = 0.0; reorder = 0.0 }
+
+(* Records lost at each reboot (the node's unflushed buffer). *)
+let reboot_flush = 8
+
+(* Gilbert–Elliott bad state: P(bad → good) per record, and the loss
+   probability while bad. *)
+let burst_exit = 0.25
+let burst_drop = 0.8
+
+(* Bits flipped (uniformly among the 16) per corruption. *)
+let corrupt_bits = 2
+
+(* Maximum forward displacement, in records, of a reordered word. *)
+let reorder_span = 4
 
 let field ?(drop = 0.05) ?(corrupt = 0.01) () = { default with drop; corrupt }
 
@@ -53,8 +46,6 @@ let validate c =
     [
       ("reboot", c.reboot);
       ("burst_enter", c.burst_enter);
-      ("burst_exit", c.burst_exit);
-      ("burst_drop", c.burst_drop);
       ("drop", c.drop);
       ("corrupt", c.corrupt);
       ("duplicate", c.duplicate);
@@ -62,8 +53,8 @@ let validate c =
     ]
 
 let is_identity c =
-  c.skew = 0.0 && c.drift = 0.0 && c.reboot = 0.0 && c.burst_enter = 0.0
-  && c.drop = 0.0 && c.corrupt = 0.0 && c.duplicate = 0.0 && c.reorder = 0.0
+  c.reboot = 0.0 && c.burst_enter = 0.0 && c.drop = 0.0 && c.corrupt = 0.0
+  && c.duplicate = 0.0 && c.reorder = 0.0
 
 type stats = {
   sent : int;
@@ -80,28 +71,14 @@ type stats = {
 let wrap16 v = v land 0xFFFF
 
 (* Fixed stage indices for Stats.Rng.stream — append-only, so saved fault
-   campaigns stay replayable when new stages are added. *)
-let clock_stream = 0 (* reserved: the clock stage draws nothing today *)
+   campaigns stay replayable when new stages are added.  Index 0 is
+   unused. *)
 let reboot_stream = 1
 let burst_stream = 2
 let drop_stream = 3
 let corrupt_stream = 4
 let duplicate_stream = 5
 let reorder_stream = 6
-
-let _ = clock_stream
-
-(* Source clock: multiplicative skew plus linear drift, applied to the
-   16-bit timestamp payload.  Deterministic — no draws. *)
-let clock_stage c records =
-  if c.skew = 0.0 && c.drift = 0.0 then records
-  else
-    List.mapi
-      (fun i (r : Devices.probe_record) ->
-        let skewed = Float.round (float_of_int r.value *. (1.0 +. c.skew)) in
-        let drifted = Float.round (float_of_int i *. c.drift) in
-        { r with Devices.value = wrap16 (int_of_float skewed + int_of_float drifted) })
-      records
 
 let reboot_stage rng c ~lost ~reboots records =
   if c.reboot = 0.0 then records
@@ -116,7 +93,7 @@ let reboot_stage rng c ~lost ~reboots records =
         end
         else if Stats.Rng.bernoulli rng c.reboot then begin
           incr reboots;
-          flush := Stdlib.max 0 (c.reboot_flush - 1);
+          flush := reboot_flush - 1;
           incr lost;
           false
         end
@@ -131,10 +108,10 @@ let burst_stage rng c ~lost records =
     List.filter
       (fun (_ : Devices.probe_record) ->
         (if !bad then begin
-           if Stats.Rng.bernoulli rng c.burst_exit then bad := false
+           if Stats.Rng.bernoulli rng burst_exit then bad := false
          end
          else if Stats.Rng.bernoulli rng c.burst_enter then bad := true);
-        if !bad && Stats.Rng.bernoulli rng c.burst_drop then begin
+        if !bad && Stats.Rng.bernoulli rng burst_drop then begin
           incr lost;
           false
         end
@@ -162,7 +139,7 @@ let corrupt_stage rng c ~corrupted records =
         if Stats.Rng.bernoulli rng c.corrupt then begin
           incr corrupted;
           let mask = ref 0 in
-          for _ = 1 to Stdlib.max 1 c.corrupt_bits do
+          for _ = 1 to corrupt_bits do
             mask := !mask lor (1 lsl Stats.Rng.int rng 16)
           done;
           { r with Devices.value = wrap16 (r.Devices.value lxor !mask) }
@@ -195,7 +172,7 @@ let reorder_stage rng c ~reordered records =
           let d =
             if Stats.Rng.bernoulli rng c.reorder then begin
               incr reordered;
-              1 + Stats.Rng.int rng (Stdlib.max 1 c.reorder_span)
+              1 + Stats.Rng.int rng reorder_span
             end
             else 0
           in
@@ -217,7 +194,7 @@ let perturb ?(seed = 0) c records =
   let duplicated = ref 0 in
   let reordered = ref 0 in
   let out =
-    clock_stage c records
+    records
     |> reboot_stage (stream reboot_stream) c ~lost:dropped_reboot ~reboots
     |> burst_stage (stream burst_stream) c ~lost:dropped_burst
     |> drop_stage (stream drop_stream) c ~lost:dropped_drop

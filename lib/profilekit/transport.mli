@@ -9,48 +9,39 @@
     any domain count and a fault stage's random pattern never shifts when
     another stage's rate changes:
 
-    + clock skew and drift (timestamps scaled / cumulatively offset);
-    + node-reboot truncation (a run of records lost at each reboot);
-    + Gilbert–Elliott burst loss (two-state good/bad channel);
+    + node-reboot truncation (8 records lost at each reboot);
+    + Gilbert–Elliott burst loss (two-state good/bad channel: the bad
+      state ends with probability 0.25 per record and loses each record
+      with probability 0.8);
     + per-word Bernoulli drop (independent loss);
-    + word corruption (random bit flips in the timestamp payload);
+    + word corruption (2 random bit flips in the timestamp payload);
     + duplication (link-layer retransmit of an already-delivered word);
-    + bounded reordering (records displaced by at most a fixed span).
+    + bounded reordering (records displaced by at most 4 places).
 
-    Stages apply in exactly that order — source clock first, then node,
-    then channel, then link — and a stage whose rate is zero is the
-    identity, so {!default} (all rates zero) returns the log unchanged.
+    Stages apply in exactly that order — node first, then channel, then
+    link — and a stage whose rate is zero is the identity, so {!default}
+    (all rates zero) returns the log unchanged.
     The perturbed log is meant to be fed to
     {!Probes.collect_lossy_records}, which resynchronizes across the
     damage; {!Tomo.Sanitize} then quarantines the windows the damage made
     infeasible. *)
 
+(** The fault rates, one per stage.  Keep the fields in this order: a
+    record literal evaluates its fields right to left in declaration
+    order, so a literal that draws its rates from one generator (the
+    fuzzer's fault mix) would otherwise hand the draws to different
+    fields. *)
 type config = {
-  skew : float;
-      (** Relative clock-frequency error: each timestamp [v] becomes
-          [round (v * (1 + skew))] (mod 2^16).  0 disables. *)
-  drift : float;
-      (** Cumulative clock drift in ticks added per record: record [i]
-          gains [round (i * drift)] ticks.  0 disables. *)
   reboot : float;  (** Per-record probability of a node reboot. *)
-  reboot_flush : int;
-      (** Records lost at each reboot (the node's unflushed buffer). *)
   burst_enter : float;  (** Gilbert–Elliott: P(good → bad) per record. *)
-  burst_exit : float;  (** Gilbert–Elliott: P(bad → good) per record. *)
-  burst_drop : float;  (** Loss probability while the channel is bad. *)
   drop : float;  (** Independent per-record Bernoulli loss. *)
   corrupt : float;  (** Per-record probability of payload corruption. *)
-  corrupt_bits : int;
-      (** Bits flipped (uniformly among the 16) per corruption. *)
   duplicate : float;  (** Per-record probability of a duplicate delivery. *)
   reorder : float;  (** Per-record probability of displacement. *)
-  reorder_span : int;
-      (** Maximum forward displacement, in records, of a reordered word. *)
 }
 
 val default : config
-(** All rates zero (identity transport); spans at sensible defaults
-    ([reboot_flush] 8, [corrupt_bits] 2, [reorder_span] 4). *)
+(** All rates zero: the identity transport. *)
 
 val field : ?drop:float -> ?corrupt:float -> unit -> config
 (** [field ()] is the canonical "deployed in the field" preset used by the
@@ -58,9 +49,7 @@ val field : ?drop:float -> ?corrupt:float -> unit -> config
     corruption over {!default}. *)
 
 val validate : config -> unit
-(** Check that every probability field ([reboot], [burst_enter],
-    [burst_exit], [burst_drop], [drop], [corrupt], [duplicate],
-    [reorder]) lies in [0,1].
+(** Check that every field lies in [0,1].
     @raise Invalid_argument naming the first field that does not (NaN
     included). *)
 

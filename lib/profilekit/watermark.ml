@@ -1,9 +1,5 @@
 open Mote_isa
 
-let jmp_cycles = Isa.base_cost (Isa.Jmp 0) + Isa.taken_penalty
-
-let stub_delay_cycles ~rank = jmp_cycles + (1 lsl rank)
-
 let stub_label j = Printf.sprintf "__wm_stub_%d" j
 
 let instrument ~sites items =

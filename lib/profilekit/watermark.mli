@@ -16,15 +16,14 @@
 
 open Mote_isa
 
-val stub_delay_cycles : rank:int -> int
-(** Extra cycles a watermarked taken edge costs.  The [rank]-th
-    watermarked branch of a procedure (0-based, address order) gets a
-    stub of 2{^rank} nops plus the stub jump, so any combination of taken
-    outcomes shifts the path cost by a distinct amount — multiple
-    mutually-colliding branches separate simultaneously. *)
-
 val instrument : sites:(string * int) list -> Asm.item list -> Asm.item list
-(** [sites] are [(procedure, branch block id)] pairs in the coordinates of
-    the {e assembled} input (as produced by {!Edges.branch_order} /
+(** The [rank]-th watermarked branch of a procedure (0-based, address
+    order) gets a stub of 2{^rank} nops plus the stub jump, so any
+    combination of taken outcomes shifts the path cost by a distinct
+    amount — multiple mutually-colliding branches separate
+    simultaneously.
+
+    [sites] are [(procedure, branch block id)] pairs in the coordinates
+    of the {e assembled} input (as produced by {!Edges.branch_order} /
     {!Tomo.Identify.ambiguous_blocks}).  Branches not listed are left
     untouched.  Unknown sites are ignored. *)

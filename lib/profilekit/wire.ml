@@ -22,7 +22,6 @@ let error_to_string = function
   | Overlong { expected; got } ->
       Printf.sprintf "probe batch: over-long (%d bytes expected, %d present)" expected got
 
-let pp_error fmt e = Format.pp_print_string fmt (error_to_string e)
 
 (* Big-endian fixed-width fields.  [cycles] gets 48 bits: horizons are
    simulated cycle counts and can exceed 32 bits long before any mote

@@ -36,17 +36,13 @@ type error =
 
 exception Error of error
 
-val current_version : int
-(** The version {!encode} writes — 1. *)
-
 val magic : string
 (** ["CTPL"]. *)
 
 val error_to_string : error -> string
-val pp_error : Format.formatter -> error -> unit
 
 val encode : Mote_machine.Devices.probe_record list -> string
-(** Serialize a batch under {!current_version}.  [decode (encode b)]
+(** Serialize a batch under format version 1.  [decode (encode b)]
     is [Ok b] for any batch whose fields fit the wire widths (pc and
     value are 16-bit on the mote already; cycles fits 48 bits for any
     simulated horizon). *)

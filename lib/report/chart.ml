@@ -1,7 +1,9 @@
 let glyphs = [| '*'; 'o'; '+'; 'x'; '#'; '@'; '%'; '&' |]
 
-let line ?(width = 64) ?(height = 16) ?(x_label = "x") ?(y_label = "y") ?(log_x = false)
-    ~title series =
+let width = 64
+let height = 16
+
+let line ?(x_label = "x") ?(y_label = "y") ?(log_x = false) ~title series =
   let series = List.filter (fun (_, pts) -> Array.length pts > 0) series in
   let buf = Buffer.create 1024 in
   Buffer.add_string buf ("== " ^ title ^ " ==\n");

@@ -3,13 +3,11 @@
     plotted on a character grid with per-series glyphs and a legend. *)
 
 val line :
-  ?width:int ->
-  ?height:int ->
   ?x_label:string ->
   ?y_label:string ->
   ?log_x:bool ->
   title:string ->
   (string * (float * float) array) list ->
   string
-(** Defaults: 64×16 plot area, linear x.  Empty series are skipped; an
+(** A 64×16 plot area; linear x by default.  Empty series are skipped; an
     entirely empty chart renders just the title. *)

@@ -4,8 +4,10 @@ type t = { intervals : interval array; replicates : int }
 
 let width i = i.hi -. i.lo
 
-let bootstrap ?(replicates = 50) ?(confidence = 0.9) ?(max_iters = 15) rng paths ~samples
-    ~point =
+let confidence = 0.9
+let max_iters = 15
+
+let bootstrap ?(replicates = 50) rng paths ~samples ~point =
   if Array.length samples = 0 then invalid_arg "Confidence.bootstrap: no samples";
   if replicates < 2 then invalid_arg "Confidence.bootstrap: need at least 2 replicates";
   let n = Array.length samples in

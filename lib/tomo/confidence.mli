@@ -18,15 +18,14 @@ val width : interval -> float
 
 val bootstrap :
   ?replicates:int ->
-  ?confidence:float ->
-  ?max_iters:int ->
   Stats.Rng.t ->
   Paths.t ->
   samples:float array ->
   point:float array ->
   t
-(** Defaults: 50 replicates, 90% confidence, 15 EM iterations per
-    replicate (warm-started, so few are needed).  All randomness comes
+(** 90% percentile intervals over [replicates] (default 50) resamples,
+    each running 15 EM iterations warm-started from [point] (so few are
+    needed).  All randomness comes
     from [rng]: a caller bootstrapping several procedures in parallel
     hands each its own {!Stats.Rng.split_n} child, split before any work
     starts (as [ctomo report] does), so the intervals do not depend on

@@ -43,7 +43,9 @@ let clamp_eps oc e = Stdlib.max 1e-6 (Stdlib.min oc.max_eps e)
 (* exp x underflows to exactly +0.0 below ≈ −745.14, so dropping a path
    whose log weight trails the per-value max by more than this changes no
    bit of any sum the reference dense E-step would have computed. *)
-let exact_log_threshold = 746.0
+let log_threshold = 746.0
+
+let sigma_floor = 0.1
 
 let half_log_two_pi = 0.5 *. log (2.0 *. Float.pi)
 
@@ -118,7 +120,7 @@ let fill_log_theta theta ~log_t ~log_f =
    re-estimated) is the outlier mass fraction, clamped.  This path makes
    no bit-exactness promise against {!Dense}; it runs only when the caller
    opts in, and the hex-float goldens in the tests pin its bits. *)
-let robust_step ~sigma_floor ~estimate_sigma ~log_u oc paths ~values ~counts =
+let robust_step ~estimate_sigma ~log_u oc paths ~values ~counts =
   let model = Paths.model paths in
   let k = Model.num_params model in
   let f = Paths.flat paths in
@@ -201,7 +203,7 @@ let robust_step ~sigma_floor ~estimate_sigma ~log_u oc paths ~values ~counts =
    then each value's responsibilities and M-step replay in value order. *)
 let block = 8
 
-let exact_step ~sigma_floor ~estimate_sigma ~log_threshold paths ~values ~counts =
+let exact_step ~estimate_sigma paths ~values ~counts =
   let model = Paths.model paths in
   let k = Model.num_params model in
   let cost = (Paths.flat paths).Paths.sig_cost in
@@ -279,7 +281,6 @@ let exact_step ~sigma_floor ~estimate_sigma ~log_threshold paths ~values ~counts
     }
 
 let estimate ?(max_iters = 100) ?(tol = 1e-5) ?init ?(sigma = 2.0) ?(estimate_sigma = true)
-    ?(sigma_floor = 0.1) ?(log_threshold = exact_log_threshold)
     ?(record_trajectory = true) ?outlier paths ~samples =
   if Array.length samples = 0 then invalid_arg "Em.estimate: no samples";
   let theta =
@@ -291,7 +292,7 @@ let estimate ?(max_iters = 100) ?(tol = 1e-5) ?init ?(sigma = 2.0) ?(estimate_si
   match outlier with
   | None ->
       drive ~eps:0.0 ~robust:false
-        (exact_step ~sigma_floor ~estimate_sigma ~log_threshold paths ~values ~counts)
+        (exact_step ~estimate_sigma paths ~values ~counts)
   | Some oc ->
       (* Uniform support: the widest of the cost envelope and the sample
          range, padded so no observation sits on a density cliff. *)
@@ -301,7 +302,7 @@ let estimate ?(max_iters = 100) ?(tol = 1e-5) ?init ?(sigma = 2.0) ?(estimate_si
       let hi = if hi > lo then hi else lo +. 1.0 in
       let log_u = -.log (hi -. lo) in
       drive ~eps:(clamp_eps oc oc.eps) ~robust:true
-        (robust_step ~sigma_floor ~estimate_sigma ~log_u oc paths ~values ~counts)
+        (robust_step ~estimate_sigma ~log_u oc paths ~values ~counts)
 
 (* The dense per-path reference the sparse kernels were derived from.  Kept
    as a library citizen (not test scaffolding) so the equivalence tests and
@@ -310,7 +311,7 @@ let estimate ?(max_iters = 100) ?(tol = 1e-5) ?init ?(sigma = 2.0) ?(estimate_si
    the exact semantics the optimized kernels replay bit-for-bit. *)
 module Dense = struct
   let estimate ?(max_iters = 100) ?(tol = 1e-5) ?init ?(sigma = 2.0)
-      ?(estimate_sigma = true) ?(sigma_floor = 0.1) ?(record_trajectory = true)
+      ?(estimate_sigma = true) ?(record_trajectory = true)
       paths ~samples =
     if Array.length samples = 0 then invalid_arg "Em.Dense.estimate: no samples";
     let model = Paths.model paths in

@@ -15,10 +15,12 @@
     merged signature (with the per-iteration constants of the Gaussian
     log-pdf hoisted), while the normalizer and the M-step accumulation
     are replayed in raw enumeration order ({!Paths.replay_normalizers},
-    {!Paths.replay_accumulate}).  The result is bit-for-bit identical to
-    the dense per-path reference at the default [log_threshold].  An
-    iteration allocates only θ-sized arrays and a few scalars — nothing
-    per distinct value, signature or raw path. *)
+    {!Paths.replay_accumulate}).  Before exponentiating, a signature whose
+    log weight trails the per-value maximum by more than 746 is skipped:
+    its [exp] would underflow to exactly 0.0, so the skip changes no
+    result bit and the result is bit-for-bit identical to the dense
+    per-path reference.  An iteration allocates only θ-sized arrays and a
+    few scalars — nothing per distinct value, signature or raw path. *)
 
 type result = {
   theta : float array;
@@ -54,21 +56,13 @@ val estimate :
   ?init:float array ->
   ?sigma:float ->
   ?estimate_sigma:bool ->
-  ?sigma_floor:float ->
-  ?log_threshold:float ->
   ?record_trajectory:bool ->
   ?outlier:outlier ->
   Paths.t ->
   samples:float array ->
   result
 (** Defaults: 100 iterations, tolerance 1e-5 on max |Δθ|, uniform θ init,
-    initial σ 2.0 (cycles), σ re-estimated with floor 0.1.
-
-    [log_threshold] drops signatures whose log weight trails the
-    per-value maximum by more than this before exponentiating.  The
-    default ({!exact_log_threshold}) only drops terms whose [exp]
-    underflows to exactly 0.0, so it changes no result bit; smaller
-    values trade exactness for speed.
+    initial σ 2.0 (cycles), σ re-estimated.  σ never falls below 0.1.
 
     [record_trajectory] (default true) controls whether the per-iteration
     (θ, log-likelihood) trajectory is kept.  Hot callers that never read
@@ -82,11 +76,6 @@ val estimate :
     carries the final ε in [outlier_eps].  The robust path makes no
     bit-exactness promise against {!Dense}.
     @raise Invalid_argument on empty samples. *)
-
-val exact_log_threshold : float
-(** The largest [log_threshold] that is a provable no-op: beyond it,
-    [exp] underflows to +0.0 and the dropped terms never reached any
-    accumulator of the dense reference either. *)
 
 val default_sigma : resolution:int -> jitter:float -> float
 (** Noise scale implied by the timer configuration for a {e differenced}
@@ -102,8 +91,8 @@ val group_samples : float array -> (float * float) array
     the optimized kernels are differentially tested against (both by
     [test/test_em_kernels.ml] and by the fuzzer's EM oracle).  Same
     mixture model, same clamping, same convergence rule; every per-path
-    term is evaluated densely, so it is slow but unarguable.  At the
-    default [log_threshold] the optimized {!estimate} must agree with this
+    term is evaluated densely, so it is slow but unarguable.  Without
+    [?outlier] the optimized {!estimate} must agree with this
     bit-for-bit. *)
 module Dense : sig
   val estimate :
@@ -112,7 +101,6 @@ module Dense : sig
     ?init:float array ->
     ?sigma:float ->
     ?estimate_sigma:bool ->
-    ?sigma_floor:float ->
     ?record_trajectory:bool ->
     Paths.t ->
     samples:float array ->

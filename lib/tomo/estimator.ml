@@ -32,12 +32,11 @@ let fallback model =
     outlier_eps = None;
   }
 
-let run ?(method_ = Em) ?(noise_sigma = 1.0) ?max_paths ?max_visits ?max_iters ?paths
-    ?outlier model ~samples =
+let run ?(method_ = Em) ?(noise_sigma = 1.0) ?paths ?outlier model ~samples =
   match method_ with
   | Naive -> { (fallback model) with method_ = Naive }
   | Moments ->
-      let r = Moments.estimate ?max_iters ~noise_sigma model ~samples in
+      let r = Moments.estimate ~noise_sigma model ~samples in
       {
         method_;
         theta = r.Moments.theta;
@@ -53,11 +52,11 @@ let run ?(method_ = Em) ?(noise_sigma = 1.0) ?max_paths ?max_visits ?max_iters ?
       let paths =
         match paths with
         | Some p -> p
-        | None -> Paths.enumerate ?max_paths ?max_visits model
+        | None -> Paths.enumerate model
       in
       (* The estimator surfaces no trajectory, so don't record one. *)
       let r =
-        Em.estimate ?max_iters ~sigma:noise_sigma ~record_trajectory:false ?outlier
+        Em.estimate ~sigma:noise_sigma ~record_trajectory:false ?outlier
           paths ~samples
       in
       {

@@ -39,9 +39,6 @@ val fallback : Model.t -> t
 val run :
   ?method_:method_ ->
   ?noise_sigma:float ->
-  ?max_paths:int ->
-  ?max_visits:int ->
-  ?max_iters:int ->
   ?paths:Paths.t ->
   ?outlier:Em.outlier ->
   Model.t ->

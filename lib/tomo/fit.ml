@@ -62,7 +62,10 @@ let check ?(sigma = 1.0) paths ~theta ~samples =
     truncated = Paths.truncated paths;
   }
 
-let acceptable ?(tv_threshold = 0.15) ?(mass_threshold = 0.02) t =
+let tv_threshold = 0.15
+let mass_threshold = 0.02
+
+let acceptable t =
   t.total_variation <= tv_threshold && t.unexplained_mass <= mass_threshold
 
 let pp fmt t =

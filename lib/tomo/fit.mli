@@ -20,7 +20,7 @@ type t = {
 val check : ?sigma:float -> Paths.t -> theta:float array -> samples:float array -> t
 (** Default σ 1.0. @raise Invalid_argument on empty samples. *)
 
-val acceptable : ?tv_threshold:float -> ?mass_threshold:float -> t -> bool
+val acceptable : t -> bool
 (** Rule of thumb: TV below 0.15 and unexplained mass below 2%. *)
 
 val pp : Format.formatter -> t -> unit

@@ -9,7 +9,10 @@ let judge ?(min_samples = default_min_samples) ~converged ~sample_count () =
   else if not converged then Degraded "estimator hit its iteration cap"
   else Healthy
 
-let apply_ci_width ?(degraded_above = 0.5) ?(rejected_above = 0.95) ~width verdict =
+let degraded_above = 0.5
+let rejected_above = 0.95
+
+let apply_ci_width ~width verdict =
   if width > rejected_above then
     Rejected (Printf.sprintf "CI width %.2f > %.2f" width rejected_above)
   else

@@ -25,11 +25,10 @@ val judge : ?min_samples:int -> converged:bool -> sample_count:int -> unit -> t
 (** Sample floor first (0 or thin ⇒ [Rejected]), then convergence
     (⇒ [Degraded]). *)
 
-val apply_ci_width : ?degraded_above:float -> ?rejected_above:float -> width:float -> t -> t
+val apply_ci_width : width:float -> t -> t
 (** Demote on bootstrap CI width (a fraction of θ mass, in [0,1]):
-    [Healthy] becomes [Degraded] above [degraded_above] (default 0.5),
-    anything becomes [Rejected] above [rejected_above] (default 0.95).
-    Never promotes. *)
+    [Healthy] becomes [Degraded] above 0.5, anything becomes [Rejected]
+    above 0.95.  Never promotes. *)
 
 val worst : t -> t -> t
 (** The more severe of the two ([Rejected] > [Degraded] > [Healthy]);

@@ -1,6 +1,8 @@
 type t = { ambiguous : bool array; collisions : int }
 
-let analyze ?(epsilon = 0.5) paths =
+let epsilon = 0.5
+
+let analyze paths =
   let pth = Paths.paths paths in
   let k = Model.num_params (Paths.model paths) in
   let ambiguous = Array.make k false in

@@ -13,8 +13,8 @@ type t = {
   collisions : int;  (** Path pairs with equal cost but different outcomes. *)
 }
 
-val analyze : ?epsilon:float -> Paths.t -> t
-(** Two costs within [epsilon] (default 0.5 cycles) count as colliding. *)
+val analyze : Paths.t -> t
+(** Two costs within 0.5 cycles count as colliding. *)
 
 val any : t -> bool
 val ambiguous_blocks : t -> Model.t -> int list

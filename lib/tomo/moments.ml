@@ -2,8 +2,12 @@ type result = { theta : float array; iterations : int; objective : float; conver
 
 let clamp p = Stdlib.max 1e-3 (Stdlib.min (1.0 -. 1e-3) p)
 
-let estimate ?(max_iters = 400) ?(tol = 1e-9) ?init ?(learning_rate = 0.15)
-    ?(variance_weight = 0.3) ?(noise_sigma = 0.0) model ~samples =
+let max_iters = 400
+let tol = 1e-9
+let learning_rate = 0.15
+let variance_weight = 0.3
+
+let estimate ?(noise_sigma = 0.0) model ~samples =
   if Array.length samples = 0 then invalid_arg "Moments.estimate: no samples";
   let summary = Stats.Summary.of_array samples in
   let sample_mean = Stats.Summary.mean summary in
@@ -18,7 +22,7 @@ let estimate ?(max_iters = 400) ?(tol = 1e-9) ?init ?(learning_rate = 0.15)
     let dv = Model.variance_time model ~theta -. sample_var in
     (dm *. dm /. mean_scale) +. (variance_weight *. dv *. dv /. var_scale)
   in
-  let theta = ref (match init with Some t -> Array.copy t | None -> Model.uniform_theta model) in
+  let theta = ref (Model.uniform_theta model) in
   let lr = ref learning_rate in
   let best = ref (objective !theta) in
   let iterations = ref 0 in

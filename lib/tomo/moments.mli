@@ -16,18 +16,10 @@ type result = {
   converged : bool;
 }
 
-val estimate :
-  ?max_iters:int ->
-  ?tol:float ->
-  ?init:float array ->
-  ?learning_rate:float ->
-  ?variance_weight:float ->
-  ?noise_sigma:float ->
-  Model.t ->
-  samples:float array ->
-  result
-(** Defaults: 400 iterations, tol 1e-9 on objective improvement, uniform
-    init, learning rate 0.15 with halving on non-improvement,
-    variance term weighted 0.3, noise σ 0 (its variance is subtracted
-    from the sample variance before matching).
+val estimate : ?noise_sigma:float -> Model.t -> samples:float array -> result
+(** At most 400 iterations from uniform θ, stopping when the objective
+    improves by less than 1e-9; learning rate 0.15, halved on
+    non-improvement; variance term weighted 0.3.  Noise σ (default 0)
+    has its variance subtracted from the sample variance before
+    matching.
     @raise Invalid_argument on empty samples. *)

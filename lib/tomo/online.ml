@@ -22,8 +22,9 @@ type t = {
 }
 
 let create ?(decay = 0.999) ?(sigma = 1.0) paths =
-  if decay <= 0.0 || decay > 1.0 then invalid_arg "Online.create: decay outside (0,1]";
-  if sigma <= 0.0 then invalid_arg "Online.create: sigma must be positive";
+  if not (decay > 0.0 && decay <= 1.0) then invalid_arg "Online.create: decay outside (0,1]";
+  if not (sigma > 0.0 && sigma < Float.infinity) then
+    invalid_arg "Online.create: sigma must be positive and finite";
   let k = Model.num_params (Paths.model paths) in
   let ns = Paths.num_signatures paths in
   {

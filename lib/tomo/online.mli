@@ -24,7 +24,9 @@ type t
 val create : ?decay:float -> ?sigma:float -> Paths.t -> t
 (** [decay] in (0,1]: per-observation forgetting factor (1.0 = plain
     running averages; default 0.999 ≈ an effective window of ~1000
-    samples).  [sigma] is the timing-noise scale (default 1.0). *)
+    samples).  [sigma] is the timing-noise scale (default 1.0).
+    @raise Invalid_argument on a decay outside (0,1] or a σ that is not
+    positive and finite (NaN fails both checks). *)
 
 val observe : t -> float -> unit
 (** Feed one end-to-end timing observation. *)

@@ -5,7 +5,9 @@ type plan = {
   samples_needed : int;
 }
 
-let plan ?(replicates = 40) rng paths ~samples ~target_se =
+let replicates = 40
+
+let plan rng paths ~samples ~target_se =
   if Array.length samples = 0 then invalid_arg "Planner.plan: no samples";
   if target_se <= 0.0 then invalid_arg "Planner.plan: target must be positive";
   let point = (Em.estimate ~record_trajectory:false paths ~samples).Em.theta in

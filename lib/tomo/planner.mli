@@ -15,13 +15,8 @@ type plan = {
           target is already met... then equal to current). *)
 }
 
-val plan :
-  ?replicates:int ->
-  Stats.Rng.t ->
-  Paths.t ->
-  samples:float array ->
-  target_se:float ->
-  plan
-(** @raise Invalid_argument on empty samples or non-positive target. *)
+val plan : Stats.Rng.t -> Paths.t -> samples:float array -> target_se:float -> plan
+(** The standard error comes from 40 bootstrap replicates.
+    @raise Invalid_argument on empty samples or non-positive target. *)
 
 val pp : Format.formatter -> plan -> unit

@@ -2,10 +2,12 @@ type window = { index : int; first_sample : int; theta : float array; drift : fl
 
 type t = { windows : window list; max_drift : float }
 
-let estimate ?(window_size = 200) ?(max_iters = 40) ?sigma paths ~samples =
+let max_iters = 40
+
+let estimate ?(window_size = 200) ?sigma paths ~samples =
   if window_size <= 0 then invalid_arg "Windowed.estimate: window size must be positive";
   let n = Array.length samples in
-  if n < window_size / 2 then
+  if 2 * n < window_size then
     invalid_arg "Windowed.estimate: not enough samples for one window";
   (* Window boundaries: full windows, plus a tail if it is substantial —
      at least a quarter window, and never empty. *)
@@ -50,9 +52,6 @@ let estimate ?(window_size = 200) ?(max_iters = 40) ?sigma paths ~samples =
   in
   { windows; max_drift = !max_drift }
 
-let drifted ?(threshold = 0.15) t = t.max_drift > threshold
+let drift_threshold = 0.15
 
-let final_theta t =
-  match List.rev t.windows with
-  | w :: _ -> w.theta
-  | [] -> invalid_arg "Windowed.final_theta: no windows"
+let drifted t = t.max_drift > drift_threshold

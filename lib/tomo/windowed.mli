@@ -23,7 +23,6 @@ type t = {
 
 val estimate :
   ?window_size:int ->
-  ?max_iters:int ->
   ?sigma:float ->
   Paths.t ->
   samples:float array ->
@@ -31,13 +30,10 @@ val estimate :
 (** Default window 200 samples; a trailing partial window is kept if it
     has at least a quarter of [window_size] samples (and at least one),
     otherwise folded into the previous one.  Each window runs
-    {!Em.estimate} for at most [max_iters] iterations (default 40),
-    warm-started from the previous window's θ; σ is re-estimated in every
+    {!Em.estimate} for at most 40 iterations, warm-started from the previous window's θ; σ is re-estimated in every
     window, each time starting from [sigma] (default: {!Em.estimate}'s).
     @raise Invalid_argument when samples are fewer than half a window. *)
 
-val drifted : ?threshold:float -> t -> bool
-(** True when any window-to-window drift exceeds [threshold]
-    (default 0.15) — the "re-run the placement pass" signal. *)
-
-val final_theta : t -> float array
+val drifted : t -> bool
+(** True when any window-to-window drift exceeds 0.15 — the "re-run the
+    placement pass" signal. *)

@@ -400,24 +400,25 @@ let test_record_trajectory () =
   check_theta "same theta with trajectory off" on.Tomo.Em.theta off.Tomo.Em.theta;
   check_float "same ll" on.Tomo.Em.log_likelihood off.Tomo.Em.log_likelihood
 
-(* --- exactness of the default log-threshold --- *)
+(* --- exactness of the underflow skip --- *)
 
+(* Timings at the default config (resolution 1, no jitter) sit exactly on
+   path costs, so σ drops to its 0.1 floor.  A timing on the cheapest
+   path then sees the dearest path trail it by at least (8 / 0.1)² / 2 =
+   3200 in Gaussian log weight, far more than any log-prior difference
+   can make up and past the 746 at which the E-step skips a signature
+   instead of exponentiating it.  The result must still match the dense
+   reference, which exponentiates every path, bit for bit. *)
 let test_log_threshold_default_exact () =
-  let paths, samples = generated_case 2 4 4 in
-  let dflt = Tomo.Em.estimate ~max_iters:15 paths ~samples in
-  let inf_thresh =
-    Tomo.Em.estimate ~max_iters:15 ~log_threshold:infinity paths ~samples
-  in
-  check_theta "default threshold is exact" inf_thresh.Tomo.Em.theta dflt.Tomo.Em.theta;
-  check_float "sigma" inf_thresh.Tomo.Em.sigma dflt.Tomo.Em.sigma;
-  check_float "ll" inf_thresh.Tomo.Em.log_likelihood dflt.Tomo.Em.log_likelihood;
-  (* An aggressive threshold is allowed to drift — it must still converge
-     to something sane. *)
-  let rough = Tomo.Em.estimate ~max_iters:15 ~log_threshold:30.0 paths ~samples in
-  Array.iter
-    (fun t ->
-      if not (t >= 0.0 && t <= 1.0) then Alcotest.failf "rough theta out of range")
-    rough.Tomo.Em.theta
+  let run = P.profile ~config:P.default_config Workloads.filter in
+  let samples = List.assoc "filter_task" run.P.samples in
+  let paths = Tomo.Paths.enumerate (P.model_of run "filter_task") in
+  let spread = Tomo.Paths.max_cost paths -. Tomo.Paths.min_cost paths in
+  if spread < 8.0 then Alcotest.failf "cost spread %g < 8" spread;
+  let sigma = P.noise_sigma P.default_config in
+  let dense = Tomo.Em.Dense.estimate ~max_iters:15 ~sigma paths ~samples in
+  check_float "sigma at its floor" 0.1 dense.Tomo.Em.sigma;
+  check_result "filter_task res1" dense (Tomo.Em.estimate ~max_iters:15 ~sigma paths ~samples)
 
 (* --- signature-space Online vs. the per-path reference --- *)
 

@@ -40,18 +40,6 @@ let test_lifetime () =
   let days2 = Energy.lifetime_days r2 ~horizon_cycles:1_000_000 ~cycles_per_second:1_000_000 in
   Alcotest.(check bool) "less duty, more life" true (days2 > days)
 
-let test_energy_of_run () =
-  let stats =
-    {
-      Mote_os.Node.tasks_run = []; tasks_dropped = 0; packets_delivered = 0;
-      total_cycles = 2000; idle_cycles = 1500; busy_cycles = 500;
-    }
-  in
-  let r = Energy.of_run stats ~tx_words:2 in
-  feq ~tol:1e-12 "uses busy/idle split"
-    (Energy.of_parts ~busy_cycles:500 ~idle_cycles:1500 ~tx_words:2 ()).Energy.total_mj
-    r.Energy.total_mj
-
 (* --- anneal --- *)
 
 let big_branchy_freq () =
@@ -168,7 +156,6 @@ let suite =
     Alcotest.test_case "sleep is cheap" `Quick test_energy_sleep_is_cheap;
     Alcotest.test_case "energy validation" `Quick test_energy_validation;
     Alcotest.test_case "lifetime" `Quick test_lifetime;
-    Alcotest.test_case "energy of run" `Quick test_energy_of_run;
     Alcotest.test_case "anneal validity" `Slow test_anneal_validity_and_quality;
     Alcotest.test_case "anneal deterministic" `Slow test_anneal_deterministic;
     Alcotest.test_case "anneal matches optimal" `Quick test_anneal_matches_optimal_small;

@@ -67,8 +67,9 @@ let test_windowed_stationary () =
   let w = Tomo.Windowed.estimate ~window_size:250 paths ~samples in
   Alcotest.(check int) "four windows" 4 (List.length w.Tomo.Windowed.windows);
   Alcotest.(check bool) "no drift" false (Tomo.Windowed.drifted w);
+  let last = List.nth w.Tomo.Windowed.windows 3 in
   Alcotest.(check bool) "final theta close" true
-    (abs_float ((Tomo.Windowed.final_theta w).(0) -. 0.3) < 0.07)
+    (abs_float (last.Tomo.Windowed.theta.(0) -. 0.3) < 0.07)
 
 let test_windowed_detects_shift () =
   let m = diamond_model () in
@@ -106,7 +107,19 @@ let test_windowed_small_windows () =
             (Printf.sprintf "window %d: start of %d" window_size i)
             (i * window_size) win.Tomo.Windowed.first_sample)
         windows)
-    [ 1; 2; 3; 4; 6 ]
+    [ 1; 2; 3; 4; 6 ];
+  (* Fewer samples than half a window is the windowed estimator's own
+     error, however small the window: one sample for a window of 3, none
+     for a window of 1. *)
+  List.iter
+    (fun (window_size, n) ->
+      match Tomo.Windowed.estimate ~window_size paths ~samples:(Array.sub samples 0 n) with
+      | _ -> Alcotest.failf "window %d: %d samples accepted" window_size n
+      | exception Invalid_argument msg ->
+          Alcotest.(check string)
+            (Printf.sprintf "window %d: %d samples" window_size n)
+            "Windowed.estimate: not enough samples for one window" msg)
+    [ (3, 1); (1, 0) ]
 
 let test_windowed_too_few () =
   let paths, samples = synth_samples ~n:10 0.5 12 in
@@ -346,10 +359,17 @@ let test_online_matches_batch_without_decay () =
 
 let test_online_validation () =
   let paths, _ = synth_samples ~n:10 0.3 34 in
-  Alcotest.(check bool) "bad decay" true
-    (match Tomo.Online.create ~decay:0.0 paths with
-    | _ -> false
-    | exception Invalid_argument _ -> true)
+  let rejected f = match f () with _ -> false | exception Invalid_argument _ -> true in
+  List.iter
+    (fun decay ->
+      Alcotest.(check bool) (Printf.sprintf "decay %g" decay) true
+        (rejected (fun () -> Tomo.Online.create ~decay paths)))
+    [ 0.0; 1.5; Float.nan ];
+  List.iter
+    (fun sigma ->
+      Alcotest.(check bool) (Printf.sprintf "sigma %g" sigma) true
+        (rejected (fun () -> Tomo.Online.create ~sigma paths)))
+    [ 0.0; Float.nan; Float.infinity ]
 
 let suite =
   suite

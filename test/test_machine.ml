@@ -233,7 +233,18 @@ let test_timer_jitter_statistics () =
   done;
   Alcotest.(check bool) "mean near 1000" true
     (abs_float (Stats.Summary.mean s -. 1000.0) < 1.0);
-  Alcotest.(check bool) "spread present" true (Stats.Summary.stddev s > 2.0)
+  Alcotest.(check bool) "spread present" true (Stats.Summary.stddev s > 2.0);
+  let rejected f = match f () with _ -> false | exception Invalid_argument _ -> true in
+  List.iter
+    (fun j ->
+      Alcotest.(check bool) (Printf.sprintf "jitter %g rejected" j) true
+        (rejected (fun () -> Devices.create ~timer_jitter:j ())))
+    [ -1.0; Float.nan; Float.infinity ];
+  List.iter
+    (fun p ->
+      Alcotest.(check bool) (Printf.sprintf "probe loss %g rejected" p) true
+        (rejected (fun () -> Devices.create ~probe_loss:p ())))
+    [ -0.1; 1.0; Float.nan ]
 
 let test_sensor_hookup () =
   let d = Devices.create () in

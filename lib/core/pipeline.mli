@@ -11,7 +11,9 @@ module Freq = Cfgir.Freq
 
 type config = {
   seed : int;  (** Environment seed for the profiling run. *)
-  horizon : int option;  (** Simulated cycles; default the workload's. *)
+  horizon : int option;
+      (** Simulated cycles; default the workload's.  Simulating with
+          [Some h], [h <= 0], raises [Invalid_argument]. *)
   timer_resolution : int;  (** Cycles per timer tick (F3 sweeps this). *)
   timer_jitter : float;  (** Gaussian timer noise, in cycles. *)
   prediction : Mote_machine.Machine.prediction;

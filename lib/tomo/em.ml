@@ -223,6 +223,14 @@ let exact_step ~estimate_sigma paths ~values ~counts =
   let sums = Paths.replay_sums rp in
   let norms = Array.make block 0.0 in
   let tail_norms = Array.make (nv mod block) 0.0 in
+  (* For the exp skip below: the largest branch count and the cost
+     envelope. *)
+  let f = Paths.flat paths in
+  let cmax = ref 0.0 in
+  Array.iter (fun c -> if c > !cmax then cmax := c) f.Paths.taken_cnt;
+  Array.iter (fun c -> if c > !cmax then cmax := c) f.Paths.nottaken_cnt;
+  let log_cmax = log !cmax in
+  let cost_lo = Paths.min_cost paths and cost_hi = Paths.max_cost paths in
   fun theta sg eps ->
     Model.check_theta model theta;
     fill_log_theta theta ~log_t ~log_f;
@@ -257,10 +265,28 @@ let exact_step ~estimate_sigma paths ~values ~counts =
         let value = values.(first + i) and count = counts.(first + i) and row = i * ns in
         let lse = best.(i) +. log norms.(i) in
         ll := !ll +. (count *. lse);
+        (* A responsibility r whose log is below [cut] cannot change an
+           accumulator bit: r times the largest branch count is below the
+           smallest half gap of the taken and either accumulators, and
+           r·d² is below the σ sum's (d² at most the wider of the
+           squared distances to the cheapest and dearest path).  The
+           replay would skip it ({!Paths.skips}), so it is set to 0
+           without its [exp].  The margin of 1 in log space dwarfs the
+           rounding of every term; a 0 gap makes the cut −∞, and NaN
+           skips nothing. *)
+        let cut =
+          if Paths.replay_gaps rp ~taken:taken_acc ~either:either_acc then begin
+            let near = value -. cost_lo and far = value -. cost_hi in
+            let d2 = if near *. near > far *. far then near *. near else far *. far in
+            let by_count = log sums.Paths.gap_floor -. log_cmax in
+            let by_sq = log sums.Paths.sq_gap -. log d2 in
+            lse -. log count +. (if by_count < by_sq then by_count else by_sq) -. 1.0
+          end
+          else neg_infinity
+        in
         for s = 0 to ns - 1 do
-          let r =
-            if expw.(row + s) = 0.0 then 0.0 else count *. exp (lw.(row + s) -. lse)
-          in
+          let w = lw.(row + s) in
+          let r = if expw.(row + s) = 0.0 || w < cut then 0.0 else count *. exp (w -. lse) in
           resp.(s) <- r;
           if r > 0.0 then begin
             let d = value -. cost.(s) in

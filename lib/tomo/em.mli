@@ -17,9 +17,11 @@
     are replayed in raw enumeration order ({!Paths.replay_normalizers},
     {!Paths.replay_accumulate}).  Before exponentiating, a signature whose
     log weight trails the per-value maximum by more than 746 is skipped:
-    its [exp] would underflow to exactly 0.0, so the skip changes no
-    result bit and the result is bit-for-bit identical to the dense
-    per-path reference.  An iteration allocates only θ-sized arrays and a
+    its [exp] would underflow to exactly 0.0.  A responsibility too small
+    to change any M-step accumulator (a log-domain bound against the
+    accumulators' half gaps, {!Paths.skips}) is set to 0 without its
+    [exp].  Neither skip changes a result bit: the result is bit-for-bit
+    identical to the dense per-path reference.  An iteration allocates only θ-sized arrays and a
     few scalars — nothing per distinct value, signature or raw path. *)
 
 type result = {

@@ -15,9 +15,10 @@
     computed once per signature, and only the cheap normalizer sum and
     sufficient-statistic updates are replayed per raw path, in
     enumeration order ({!Paths.replay_normalizers},
-    {!Paths.replay_accumulate} — the same replay batch EM uses).  The result is bit-identical to the per-path
-    update ({!Dense}) — on [ctp_rx_task], 176 signatures stand for 4096
-    raw paths. *)
+    {!Paths.replay_accumulate} — the same replay batch EM uses, which
+    visits only the raw paths whose updates can change a bit).  The
+    result is bit-identical to the per-path update ({!Dense}) — on
+    [ctp_rx_task], 176 signatures stand for 4096 raw paths. *)
 
 type t
 

@@ -50,6 +50,11 @@ type t = {
   truncated : bool;
   signature_of_path : int array;
   flat : flat;
+  raw_off : int array;
+  raw_pos : int array;
+      (* Signature [s]'s raw path indices, ascending, are [raw_pos.(raw_off.(s))]
+         to [raw_pos.(raw_off.(s + 1) − 1)]. *)
+  max_cnt : float array;  (* Per signature: its largest taken or not-taken count. *)
   plan : plan option Atomic.t;
       (* Built by the first replay that has walked enough paths to pay
          for it ({!chain_plan}).  Domains racing to build it build equal
@@ -145,11 +150,14 @@ let slot_bits = 20
 let slot_mask = (1 lsl slot_bits) - 1
 
 (* Costs in chain-slot units: a path-walk update (its sums go through
-   memory, one store-forward after another), filling one product slot,
-   starting a group of lanes, and a sweep's fixed set-up.  Rough
-   measurements; they only decide which of two equal-bit strategies
-   runs, and on small path sets the walk must win. *)
-let chain_cost = 4
+   memory, one store-forward after another, and its raw path is marked
+   and found in the bitset), filling one product slot, starting a group
+   of lanes, and a sweep's fixed set-up.  Rough measurements; they only
+   decide which of two equal-bit strategies runs, and on small path sets
+   the walk must win.  At 4, the walk ran where the sweep was faster:
+   windowed EM on ctp_rx_task under field faults (flat posteriors, about
+   1200 live raw paths a value) took 20–30% longer than at 6. *)
+let chain_cost = 6
 let product_cost = 2
 let group_setup_cost = 40
 let sweep_setup_cost = 64
@@ -304,12 +312,40 @@ let enumerate ?(max_paths = 4096) ?(max_visits = 12) ?max_steps model =
             max_visits));
   let paths = Array.of_list (List.rev !acc) in
   let flat, signature_of_path = canonicalize paths in
+  let ns = Array.length flat.sig_cost in
+  let raw_off = Array.make (ns + 1) 0 in
+  Array.iter (fun s -> raw_off.(s + 1) <- raw_off.(s + 1) + 1) signature_of_path;
+  for s = 0 to ns - 1 do
+    raw_off.(s + 1) <- raw_off.(s + 1) + raw_off.(s)
+  done;
+  let raw_pos = Array.make (Array.length paths) 0 in
+  let next = Array.sub raw_off 0 ns in
+  Array.iteri
+    (fun p s ->
+      raw_pos.(next.(s)) <- p;
+      next.(s) <- next.(s) + 1)
+    signature_of_path;
+  let row_max off cnt s m =
+    let m = ref m in
+    for e = off.(s) to off.(s + 1) - 1 do
+      m := Float.max !m cnt.(e)
+    done;
+    !m
+  in
+  let max_cnt =
+    Array.init ns (fun s ->
+        row_max flat.nottaken_off flat.nottaken_cnt s
+          (row_max flat.taken_off flat.taken_cnt s 0.0))
+  in
   {
     model;
     paths;
     truncated = !truncated;
     signature_of_path;
     flat;
+    raw_off;
+    raw_pos;
+    max_cnt;
     plan = Atomic.make None;
   }
 
@@ -346,7 +382,20 @@ let signature_log_prior t ~log_t ~log_f out =
     out.(s) <- !acc
   done
 
-type sums = { mutable sq : float }
+type sums = { mutable sq : float; mutable gap_floor : float; mutable sq_gap : float }
+
+(* The live walk marks raw paths in a bitset of [mark_bits]-bit words;
+   a word's lowest set bit 2^i is found as [bit_of.(2^i mod 67)], 2
+   being a primitive root mod 67, so 2^0 … 2^61 leave distinct
+   remainders. *)
+let mark_bits = 62
+
+let bit_of =
+  let t = Array.make 67 0 in
+  for i = 0 to mark_bits - 1 do
+    t.((1 lsl i) mod 67) <- i
+  done;
+  t
 
 type replay = {
   set : t;
@@ -354,30 +403,59 @@ type replay = {
       (* Per signature: the raw updates a live signature costs the path
          walk (its raw paths × (1 + sparse entries)). *)
   build_cost : int;  (* Σ path_work: one path walk with every path live. *)
+  prune : bool;  (* Whether {!find_live} looks for no-op terms at all. *)
   mutable walked : int;  (* Path-walk work done so far. *)
   mutable plan : plan option;
   mutable prod : float array;  (* Plan slots; the [zero] slot stays +0.0. *)
   acc : float array;  (* taken k | either k | σ sum | padding sink *)
   sums : sums;
+  gap_taken : float array;
+  gap_either : float array;
+      (* Per parameter: {!half_gap} of the taken and either accumulators
+         as they stood before the current value. *)
+  live : int array;  (* The signatures the current value must replay… *)
+  mutable n_live : int;  (* …in its first [n_live] entries, ascending. *)
+  mark : int array;  (* The live walk's raw-path bitset; all clear between calls. *)
 }
+
+(* Looking for no-op terms costs, per call, a half gap per accumulator
+   (about [gap_cost] walk updates each) and a look at each signature and
+   its sparse entries; it can save at most one full path walk.  Where
+   signatures merge few raw paths (every bundled procedure but
+   ctp_rx_task, whose 176 signatures stand for 4096 paths), that walk
+   costs less than the look, so such path sets never prune. *)
+let gap_cost = 4
+
+let prune_cost ~k set =
+  let f = set.flat in
+  let ns = Array.length f.sig_cost in
+  (gap_cost * ((2 * k) + 1)) + ns + f.taken_off.(ns) + f.nottaken_off.(ns)
 
 let replay (set : t) =
   let f = set.flat in
+  let ns = num_signatures set and k = Model.num_params set.model in
   let path_work =
-    Array.init (num_signatures set) (fun s ->
+    Array.init ns (fun s ->
         int_of_float f.sig_weight.(s)
         * (1 + f.taken_off.(s + 1) - f.taken_off.(s)
           + f.nottaken_off.(s + 1) - f.nottaken_off.(s)))
   in
+  let build_cost = Array.fold_left ( + ) 0 path_work in
   {
     set;
     path_work;
-    build_cost = Array.fold_left ( + ) 0 path_work;
+    build_cost;
+    prune = build_cost > prune_cost ~k set;
     walked = 0;
     plan = None;
     prod = [||];
-    acc = Array.make ((2 * Model.num_params set.model) + 2) 0.0;
-    sums = { sq = 0.0 };
+    acc = Array.make ((2 * k) + 2) 0.0;
+    sums = { sq = 0.0; gap_floor = 0.0; sq_gap = 0.0 };
+    gap_taken = Array.make k 0.0;
+    gap_either = Array.make k 0.0;
+    live = Array.make ns 0;
+    n_live = 0;
+    mark = Array.make ((Array.length set.signature_of_path / mark_bits) + 1) 0;
   }
 
 (* Laying out the plan costs about [plan_cost] path walks over all raw
@@ -458,18 +536,115 @@ let replay_normalizers rp w norms =
     sum_row sig_of w ~ns norms r
   done
 
-(* Few live paths: walk the raw paths and skip the dead ones, updating
-   the accumulators in place. *)
-let accumulate_by_path rp ~threshold ~resp ~sq ~taken ~either =
+(* Round to nearest rounds a +. x back to a when 0 ≤ x < half the gap
+   from a up to the next float; a tie may round up, hence the strict
+   [<].  The gap is read as 0 where nothing may be skipped that way:
+   a = +0.0 (half the smallest subnormal rounds to 0), a = max_float
+   (the gap above it is ∞, though a large x overflows), ∞ and NaN. *)
+let[@inline] half_gap a =
+  let g = Int64.float_of_bits (Int64.succ (Int64.bits_of_float a)) -. a in
+  if g < infinity then 0.5 *. g else 0.0
+
+let[@inline] no_op ~gap x = x < gap || x = 0.0
+
+let skips a x = no_op ~gap:(half_gap a) x
+
+let replay_gaps rp ~taken ~either =
+  rp.prune
+  && begin
+       let gt = rp.gap_taken and ge = rp.gap_either in
+       let floor = ref infinity in
+       for j = 0 to Array.length taken - 1 do
+         let a = half_gap taken.(j) and b = half_gap either.(j) in
+         gt.(j) <- a;
+         ge.(j) <- b;
+         if a < !floor then floor := a;
+         if b < !floor then floor := b
+       done;
+       rp.sums.gap_floor <- !floor;
+       rp.sums.sq_gap <- half_gap rp.sums.sq;
+       true
+     end
+
+(* List the signatures whose terms may change a bit of some
+   accumulator, ascending, and return the path-walk work they cost; stop
+   early once that work reaches [limit] (the chain sweep then runs and
+   needs no list).  A dead signature adds terms x ≤ r × its largest count
+   to taken and either accumulators, and r·d² to the σ sum.  Every term
+   is non-negative, so during one value each accumulator only grows from
+   the a it held before the value, and the gap above it never shrinks: x
+   below half that first gap is a no-op wherever the raw order puts it.
+   A zero term is a no-op on any non-negative sum. *)
+let find_live rp ~limit ~threshold ~resp ~sq ~taken ~either =
+  let set = rp.set in
+  let f = set.flat in
+  let toff = f.taken_off and tidx = f.taken_idx in
+  let foff = f.nottaken_off and fidx = f.nottaken_idx in
+  let gt = rp.gap_taken and ge = rp.gap_either in
+  let max_cnt = set.max_cnt and path_work = rp.path_work and live = rp.live in
+  let prune = replay_gaps rp ~taken ~either in
+  (* A term below the smallest gap of all needs no per-entry lookup. *)
+  let floor = rp.sums.gap_floor and sq_gap = rp.sums.sq_gap in
+  let ns = Array.length f.sig_cost in
+  let s = ref 0 and n = ref 0 and work = ref 0 in
+  while !s < ns && !work < limit do
+    let r = resp.(!s) in
+    if r > threshold then begin
+      let quiet = ref (prune && no_op ~gap:sq_gap sq.(!s)) in
+      let x = r *. max_cnt.(!s) in
+      if !quiet && not (no_op ~gap:floor x) then begin
+        let i = ref toff.(!s) in
+        while !quiet && !i < toff.(!s + 1) do
+          let j = tidx.(!i) in
+          quiet := x < gt.(j) && x < ge.(j);
+          incr i
+        done;
+        let i = ref foff.(!s) in
+        while !quiet && !i < foff.(!s + 1) do
+          quiet := x < ge.(fidx.(!i));
+          incr i
+        done
+      end;
+      if not !quiet then begin
+        live.(!n) <- !s;
+        incr n;
+        work := !work + path_work.(!s)
+      end
+    end;
+    incr s
+  done;
+  rp.n_live <- !n;
+  !work
+
+(* Few live signatures: mark their raw paths, then visit the marked
+   paths in ascending raw order, updating the accumulators in place.
+   Cost: the live paths plus one read per bitset word. *)
+let accumulate_by_path rp ~resp ~sq ~taken ~either =
   let set = rp.set in
   let sig_of = set.signature_of_path and f = set.flat in
   let toff = f.taken_off and tidx = f.taken_idx and tcnt = f.taken_cnt in
   let foff = f.nottaken_off and fidx = f.nottaken_idx and fcnt = f.nottaken_cnt in
+  let mark = rp.mark and raw_off = set.raw_off and raw_pos = set.raw_pos in
+  let lo = ref (Array.length mark) and hi = ref (-1) in
+  for i = 0 to rp.n_live - 1 do
+    let s = rp.live.(i) in
+    for e = raw_off.(s) to raw_off.(s + 1) - 1 do
+      let p = raw_pos.(e) in
+      let q = p / mark_bits in
+      mark.(q) <- mark.(q) lor (1 lsl (p - (q * mark_bits)));
+      if q < !lo then lo := q;
+      if q > !hi then hi := q
+    done
+  done;
   let sq_acc = ref rp.sums.sq in
-  for p = 0 to Array.length sig_of - 1 do
-    let s = sig_of.(p) in
-    let r = resp.(s) in
-    if r > threshold then begin
+  for q = !lo to !hi do
+    let word = ref mark.(q) in
+    mark.(q) <- 0;
+    while !word <> 0 do
+      let low = !word land - !word in
+      word := !word lxor low;
+      let s = sig_of.((q * mark_bits) + bit_of.(low mod 67)) in
+      let r = resp.(s) in
       for i = toff.(s) to toff.(s + 1) - 1 do
         let j = tidx.(i) in
         let rf = r *. tcnt.(i) in
@@ -481,7 +656,7 @@ let accumulate_by_path rp ~threshold ~resp ~sq ~taken ~either =
         either.(j) <- either.(j) +. (r *. fcnt.(i))
       done;
       sq_acc := !sq_acc +. sq.(s)
-    end
+    done
   done;
   rp.sums.sq <- !sq_acc
 
@@ -543,25 +718,30 @@ let replay_accumulate rp ~threshold ~resp ~sq ~taken ~either =
     invalid_arg "Paths.replay_accumulate: short per-signature array";
   if Array.length taken <> k || Array.length either <> k then
     invalid_arg "Paths.replay_accumulate: accumulators must have one slot per parameter";
-  (* Both strategies add the same terms in the same per-accumulator
-     order; pick the cheaper one for this posterior. *)
-  let live_work = ref 0 in
-  for s = 0 to ns - 1 do
-    if resp.(s) > threshold then live_work := !live_work + rp.path_work.(s)
-  done;
-  let np = Array.length set.signature_of_path in
-  match chain_plan rp with
-  | Some pl when np + (chain_cost * !live_work) >= pl.sweep_cost ->
+  (* Both strategies change the accumulators exactly as the dense loop
+     does; pick the cheaper one for the work left after pruning.  The
+     chain sweep wins once [words + chain_cost × live work] reaches its
+     cost, so pruning stops there. *)
+  let words = Array.length rp.mark in
+  let plan = chain_plan rp in
+  let limit =
+    match plan with
+    | Some pl -> (pl.sweep_cost - words + chain_cost - 1) / chain_cost
+    | None -> max_int
+  in
+  let live_work = find_live rp ~limit ~threshold ~resp ~sq ~taken ~either in
+  match plan with
+  | Some pl when live_work >= limit ->
       accumulate_by_chain rp pl ~threshold ~resp ~sq ~taken ~either
   | Some _ | None ->
-      rp.walked <- rp.walked + np + !live_work;
-      accumulate_by_path rp ~threshold ~resp ~sq ~taken ~either
+      rp.walked <- rp.walked + words + live_work;
+      accumulate_by_path rp ~resp ~sq ~taken ~either
 
 let prior_mass t ~theta =
   log_prior t ~theta |> Array.fold_left (fun acc lp -> acc +. exp lp) 0.0
 
-let fold_cost f init t =
-  Array.fold_left (fun acc p -> f acc p.cost) init t.paths
+(* Every raw path's cost is its signature's. *)
+let fold_cost f init t = Array.fold_left f init t.flat.sig_cost
 
 let min_cost t = fold_cost Stdlib.min infinity t
 let max_cost t = fold_cost Stdlib.max neg_infinity t

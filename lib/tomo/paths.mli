@@ -92,9 +92,15 @@ val signature_log_prior :
     rounds exactly as the dense fold did.  Both folds live here, once,
     and neither calls a closure per raw path. *)
 
-type sums = { mutable sq : float }
-(** The running σ sum of {!replay_accumulate}, kept in an all-float
-    record so reading and writing it allocates nothing. *)
+type sums = {
+  mutable sq : float;  (** The running σ sum of {!replay_accumulate}. *)
+  mutable gap_floor : float;
+      (** Set by {!replay_gaps}: the smallest half gap (see {!skips}) of
+          the taken and either accumulators. *)
+  mutable sq_gap : float;  (** Set by {!replay_gaps}: the σ sum's half gap. *)
+}
+(** Floats a replay shares with its caller, kept in an all-float record
+    so reading and writing them allocates nothing. *)
 
 type replay
 (** Per-caller scratch for replays over one path set.  The path set is
@@ -128,21 +134,52 @@ val replay_accumulate :
   taken:float array ->
   either:float array ->
   unit
-(** [replay_accumulate rp ~threshold ~resp ~sq ~taken ~either] adds,
-    for each raw path p of signature s with [resp.(s) > threshold] and
-    in enumeration order: [resp.(s) × count] to [taken.(j)] and
-    [either.(j)] for each taken branch j, then to [either.(j)] for each
-    not-taken branch j (ascending j), and [sq.(s)] to
-    [(replay_sums rp).sq].  Each accumulator receives its terms in
-    exactly the order of the dense per-path loop, so the sums are
-    bit-identical to it.  [resp] and [sq] have one entry per signature,
-    [taken] and [either] one per parameter, and every accumulator must
-    hold a non-negative sum (not −0.0): the kernel may add +0.0 to it.
+(** [replay_accumulate rp ~threshold ~resp ~sq ~taken ~either] leaves
+    the accumulators exactly as the dense per-path loop does when it adds,
+    for each raw path p of signature s with [resp.(s) > threshold] and in
+    enumeration order: [resp.(s) × count] to [taken.(j)] and [either.(j)]
+    for each taken branch j, then to [either.(j)] for each not-taken
+    branch j (ascending j), and [sq.(s)] to [(replay_sums rp).sq].  Each
+    accumulator's bits are those of its terms added in that order.
+    [resp] and [sq] have one entry per signature, [taken] and [either]
+    one per parameter; every [sq.(s)] of a signature over the threshold
+    must be non-negative, and every accumulator must hold a non-negative
+    sum (not −0.0): the kernel may add +0.0 to it.
 
-    Two strategies give the same bits, and the cheaper one runs: when
-    few paths clear the threshold, walk the raw paths and skip the rest;
-    otherwise run each accumulator's terms as an independent chain,
-    several chains side by side in registers. *)
+    Terms that cannot change a bit are skipped.  All terms are
+    non-negative, so while one call runs each accumulator only grows from
+    the value a it held on entry, and the gap up to the next float never
+    shrinks: a term x with [skips a x] is a no-op wherever it falls.  A
+    signature is dead for the call when [resp.(s)] times its largest
+    count is such a term for every taken and either accumulator it
+    touches, and [sq.(s)] is one for the σ sum.  Path sets whose
+    signatures merge too few raw paths for this to pay never look (see
+    {!replay_gaps}).
+
+    Two strategies give the same bits, and the cheaper one for the live
+    signatures' work runs: walk only the live signatures' raw paths, in
+    ascending raw order (a bitset over the raw paths: cost in live paths
+    plus one word per 62 paths); or, when most terms are live (the first
+    value of an EM iteration, whose accumulators are all 0), run each
+    accumulator's terms as an independent chain, several chains side by
+    side in registers. *)
+
+val replay_gaps : replay -> taken:float array -> either:float array -> bool
+(** [replay_gaps rp ~taken ~either] sets [gap_floor] and [sq_gap] of
+    {!replay_sums} for the accumulators as they stand, so a caller can
+    tell which responsibilities the next {!replay_accumulate} would skip
+    before computing them.  It returns [false], and sets nothing, for a
+    replay that never skips terms: on a path set whose signatures merge
+    too few raw paths, looking for no-op terms costs more than a full
+    walk, so only the threshold decides which signatures are live. *)
+
+val skips : float -> float -> bool
+(** [skips a x]: [a +. x = a] in round-to-nearest, for a non-negative
+    accumulator [a] (not −0.0) and a non-negative term [x], and stays
+    true after any non-negative terms are added to [a].  True when [x]
+    is zero, or below half the gap from [a] up to the next float (a
+    strict bound: a tie may round up).  False whenever [x] is NaN or ∞,
+    and, for non-zero [x], whenever [a] is NaN, ∞ or {!Float.max_float}. *)
 
 val prior_mass : t -> theta:float array -> float
 (** Total probability of the enumerated set — 1 minus truncation loss. *)

@@ -109,12 +109,15 @@ let golden_tests =
 
 (* --- the em_jitter regime: many distinct values, σ re-estimated --- *)
 
-let ctp_jitter8 =
+let ctp_jittered jitter =
   lazy
-    (let config = { P.default_config with P.timer_jitter = 8.0 } in
+    (let config = { P.default_config with P.timer_jitter = jitter } in
      let run = P.profile ~config Workloads.ctp in
      let paths = Tomo.Paths.enumerate (P.model_of run "ctp_rx_task") in
      (config, paths, List.assoc "ctp_rx_task" run.P.samples))
+
+let ctp_jitter4 = ctp_jittered 4.0
+let ctp_jitter8 = ctp_jittered 8.0
 
 let check_result name (e : Tomo.Em.result) (a : Tomo.Em.result) =
   check_theta name e.Tomo.Em.theta a.Tomo.Em.theta;
@@ -123,14 +126,21 @@ let check_result name (e : Tomo.Em.result) (a : Tomo.Em.result) =
   check_float (name ^ " log_likelihood") e.Tomo.Em.log_likelihood a.Tomo.Em.log_likelihood;
   Alcotest.(check bool) (name ^ " converged") e.Tomo.Em.converged a.Tomo.Em.converged
 
-let test_dense_jitter8 () =
-  let config, paths, samples = Lazy.force ctp_jitter8 in
-  Alcotest.(check int) "distinct values" 153
+(* Thirty iterations, so that the replay's accumulators are non-zero
+   from the second value of each iteration on and most values skip
+   terms below the accumulators' half gaps; the first value of every
+   iteration starts from all-zero accumulators, where nothing is skipped
+   and every term is live.  Jitter 4 gives sharp posteriors (few live
+   signatures per value), jitter 8 flat ones (σ̂ in the hundreds). *)
+let dense_case lazy_case ~values () =
+  let config, paths, samples = Lazy.force lazy_case in
+  Alcotest.(check int) "distinct values" values
     (Array.length (Tomo.Em.group_samples samples));
   let sigma = P.noise_sigma config in
-  check_result "ctp_rx_task jit8"
-    (Tomo.Em.Dense.estimate ~max_iters:6 ~sigma paths ~samples)
-    (Tomo.Em.estimate ~max_iters:6 ~sigma paths ~samples)
+  check_result
+    (Printf.sprintf "ctp_rx_task jit%g" config.P.timer_jitter)
+    (Tomo.Em.Dense.estimate ~max_iters:30 ~sigma paths ~samples)
+    (Tomo.Em.estimate ~max_iters:30 ~sigma paths ~samples)
 
 (* --- robust-path goldens (no dense oracle: bits pinned as recorded
    before the kernel rewrite) --- *)
@@ -195,12 +205,14 @@ let robust_golden_tests =
 (* --- the exact kernel allocates nothing per value or per raw path --- *)
 
 (* Ten more iterations of [~tol:0.0] EM on ctp_rx_task (4096 raw paths,
-   153 distinct values) may allocate only per-iteration θ-sized arrays
-   and scalars: a bound in (k + 1)-word units that does not grow with the
-   path or value count.  A boxed float per raw-path update (the bug this
-   guards against) costs about 140k words per iteration here. *)
-let test_em_allocation () =
-  let config, paths, samples = Lazy.force ctp_jitter8 in
+   97 or 153 distinct values) may allocate only per-iteration θ-sized
+   arrays and scalars: a bound in (k + 1)-word units that does not grow
+   with the path or value count.  A boxed float per raw-path update (the
+   bug this guards against) costs about 140k words per iteration here;
+   at jitter 4 most values take the live-path walk, at jitter 8 the
+   chain sweep as well. *)
+let test_em_allocation lazy_case () =
+  let config, paths, samples = Lazy.force lazy_case in
   let sigma = P.noise_sigma config in
   let words iters =
     let before = Gc.minor_words () in
@@ -241,29 +253,179 @@ let generated_case seed depth stmts =
   let paths = Tomo.Paths.enumerate ~max_paths:4000 ~max_visits:8 model in
   (paths, samples)
 
+(* --- the no-op rule the replay skips terms by --- *)
+
+(* Whenever [Paths.skips a x] holds, [a +. x] must be [a] bit for bit,
+   and stay so after [a] grows by any non-negative amount (the replay
+   judges a term against the accumulator before the value, then adds it
+   to whatever the accumulator has become).  Accumulators: 0, subnormals,
+   powers of two (whose gap above is twice the gap below), odd and even
+   last mantissa bits (a term of exactly half the gap rounds an odd
+   accumulator up and leaves an even one), max_float, ∞ and NaN.  Terms:
+   0, the half gap itself and its neighbours, tiny and huge values, ∞
+   and NaN; NaN and ∞ terms must never be skipped. *)
+let test_skips () =
+  let bits = Int64.bits_of_float in
+  let odd a = Int64.logand (bits a) 1L = 1L in
+  let tiny = Float.succ 0.0 in
+  let accs =
+    [ 0.0; tiny; 2.0 *. tiny; 3.0 *. tiny; Float.min_float; Float.pred Float.min_float;
+      0.5; 1.0; Float.succ 1.0; Float.pred 1.0; 2.0; 3.0; 1024.0; Float.succ 1024.0; 1e-300;
+      123.456; 1e300; Float.pred Float.max_float; Float.max_float; Float.infinity;
+      Float.nan ]
+  in
+  let rng = Stats.Rng.create 3 in
+  let accs =
+    accs
+    @ List.init 200 (fun _ ->
+          Float.ldexp (1.0 +. Stats.Rng.float rng 1.0) (Stats.Rng.int rng 2100 - 1074))
+  in
+  let checked_odd_tie = ref false and checked_even_tie = ref false in
+  List.iter
+    (fun a ->
+      let h = (Float.succ a -. a) /. 2.0 in
+      let terms =
+        [ 0.0; -0.0; tiny; h; Float.pred h; Float.succ h; h /. 2.0; 2.0 *. h; 1.0; 1e300;
+          Float.infinity; Float.nan ]
+        (* The kernel's terms are never negative. *)
+        |> List.filter (fun x -> not (x < 0.0))
+      in
+      List.iter
+        (fun x ->
+          if Float.is_nan x || x = Float.infinity then begin
+            if Tomo.Paths.skips a x then Alcotest.failf "skips %h %h: NaN/inf term skipped" a x
+          end
+          else if Tomo.Paths.skips a x then begin
+            if bits (a +. x) <> bits a then
+              Alcotest.failf "skips %h %h but the sum is %h" a x (a +. x);
+            List.iter
+              (fun g ->
+                let a' = a +. g in
+                if bits (a' +. x) <> bits a' then
+                  Alcotest.failf "skips %h %h, but after growing to %h the sum is %h" a x a'
+                    (a' +. x))
+              [ tiny; h; 2.0 *. h; 1.0; a; 1e10 ]
+          end;
+          if x = h && h > 0.0 && Float.is_finite a then begin
+            if odd a then checked_odd_tie := true else checked_even_tie := true
+          end)
+        terms;
+      (* Below the half gap of a finite, positive accumulator the rule
+         must skip: it is not vacuous. *)
+      if Float.is_finite a && h > 0.0 && a < Float.max_float
+         && not (Tomo.Paths.skips a (Float.pred h))
+      then Alcotest.failf "skips %h %h: a term below half the gap is live" a (Float.pred h))
+    accs;
+  Alcotest.(check bool) "an odd accumulator met its exact half gap" true !checked_odd_tie;
+  Alcotest.(check bool) "an even accumulator met its exact half gap" true !checked_even_tie;
+  (* The accumulators and terms the kernel sees: non-negative sums. *)
+  Alcotest.(check bool) "zero term on zero sum" true (Tomo.Paths.skips 0.0 0.0);
+  Alcotest.(check bool) "smallest subnormal on zero sum" false (Tomo.Paths.skips 0.0 tiny)
+
 (* --- the raw-order replay, both strategies, against a dense loop --- *)
 
 (* Responsibilities that leave every path live or only one signature
    live, replayed six times into the same sums: a fresh replay walks the
    paths first, then (every path live) switches to the chain sweep once
    it has walked enough to pay for the plan.  Whichever runs, each
-   accumulator must see the dense per-path loop's terms in its order. *)
+   accumulator must end as the dense per-path loop leaves it.  From the
+   second replay on the accumulators are non-zero, so terms below their
+   half gaps are skipped: the "wide" patterns put responsibilities and σ
+   terms anywhere from 1 down to 1e-40, and the "edge" pattern sets each
+   signature's largest term just below, at or just above the smallest
+   half gap among the sums it touches (recomputed here, before every
+   replay, from the dense loop's own sums).  There, the last signature
+   (the last to first appear in raw order) adds terms big enough to
+   carry every sum it touches past a power of two: the gap a term is
+   judged by is the one before the value, not the doubled one after. *)
 let test_replay_strategies () =
+  let half_gap a = (Float.succ a -. a) /. 2.0 in
   let check_set name paths =
     let ns = Tomo.Paths.num_signatures paths in
     let k = Tomo.Model.num_params (Tomo.Paths.model paths) in
     let sig_of = Tomo.Paths.signature_of_path paths in
     let raw = Tomo.Paths.paths paths in
+    let f = Tomo.Paths.flat paths in
     let rng = Stats.Rng.create 11 in
+    let uniform lo hi = Array.init ns (fun _ -> lo +. Stats.Rng.float rng (hi -. lo)) in
+    let wide () = Array.init ns (fun _ -> 10.0 ** -.Stats.Rng.float rng 40.0) in
+    let fixed resp sq _ _ _ _ = (resp, sq) in
+    let nudge v x = match v with 0 -> Float.pred x | 1 -> x | _ -> Float.succ x in
+    let first_resp = uniform 0.5 1.0 and first_sq = uniform 0.0 3.0 in
+    let edge round e_taken e_either e_sq =
+      if round = 1 then (first_resp, first_sq)
+      else
+        let gap = half_gap e_sq in
+        ( Array.init ns (fun s ->
+              let m = ref infinity and c = ref 0.0 in
+              for i = f.Tomo.Paths.taken_off.(s) to f.Tomo.Paths.taken_off.(s + 1) - 1 do
+                let j = f.Tomo.Paths.taken_idx.(i) in
+                m := Float.min !m (Float.min (half_gap e_taken.(j)) (half_gap e_either.(j)));
+                c := Float.max !c f.Tomo.Paths.taken_cnt.(i)
+              done;
+              for i = f.Tomo.Paths.nottaken_off.(s) to f.Tomo.Paths.nottaken_off.(s + 1) - 1 do
+                m := Float.min !m (half_gap e_either.(f.Tomo.Paths.nottaken_idx.(i)));
+                c := Float.max !c f.Tomo.Paths.nottaken_cnt.(i)
+              done;
+              if s = ns - 1 then 4.0 *. (1.0 +. Array.fold_left Float.max 0.0 e_either)
+              else if !c = 0.0 then 0.5
+              else nudge (s mod 3) (!m /. !c)),
+          Array.init ns (fun s ->
+              if s = ns - 1 then 4.0 *. (1.0 +. e_sq)
+              else match s / 3 mod 4 with 0 -> 0.0 | v -> nudge (v - 1) gap) )
+    in
+    (* After a first replay of random responsibilities, one signature at
+       a time carries a term of exactly half the gap of an odd
+       accumulator it touches, the smallest half gap among them, and
+       every other signature is 0.  Round to nearest ties to even, so
+       the dense loop moves that accumulator up one ulp: the replay must
+       count the tie as live. *)
+    let ties = ref 0 in
+    let tie round e_taken e_either _ =
+      if round = 1 then (first_resp, first_sq)
+      else begin
+        let odd a = Int64.logand (Int64.bits_of_float a) 1L = 1L in
+        let resp = Array.make ns 0.0 in
+        let found = ref false in
+        for s = 0 to ns - 1 do
+          if not !found then begin
+            let m = ref infinity and c = ref 0.0 and hit = ref None in
+            let see a cnt =
+              let h = half_gap a in
+              if h < !m || (h = !m && cnt >= !c && odd a) then begin
+                m := Float.min !m h;
+                hit := if odd a then Some cnt else None
+              end;
+              c := Float.max !c cnt
+            in
+            for i = f.Tomo.Paths.taken_off.(s) to f.Tomo.Paths.taken_off.(s + 1) - 1 do
+              let j = f.Tomo.Paths.taken_idx.(i) and cnt = f.Tomo.Paths.taken_cnt.(i) in
+              see e_taken.(j) cnt;
+              see e_either.(j) cnt
+            done;
+            for i = f.Tomo.Paths.nottaken_off.(s) to f.Tomo.Paths.nottaken_off.(s + 1) - 1 do
+              see e_either.(f.Tomo.Paths.nottaken_idx.(i)) f.Tomo.Paths.nottaken_cnt.(i)
+            done;
+            match !hit with
+            | Some cnt when cnt = !c && fst (Float.frexp cnt) = 0.5 && !m > 0.0 ->
+                resp.(s) <- !m /. cnt;
+                found := true;
+                incr ties
+            | _ -> ()
+          end
+        done;
+        (resp, Array.make ns 0.0)
+      end
+    in
     List.iter
-      (fun (label, threshold, resp) ->
-        let sq = Array.init ns (fun _ -> Stats.Rng.float rng 3.0) in
+      (fun (label, threshold, next) ->
         let taken = Array.make k 0.0 and either = Array.make k 0.0 in
         let rp = Tomo.Paths.replay paths in
         let sums = Tomo.Paths.replay_sums rp in
         let e_taken = Array.make k 0.0 and e_either = Array.make k 0.0 in
         let e_sq = ref 0.0 in
-        for _ = 1 to 6 do
+        for round = 1 to 6 do
+          let resp, sq = next round e_taken e_either !e_sq in
           Tomo.Paths.replay_accumulate rp ~threshold ~resp ~sq ~taken ~either;
           Array.iteri
             (fun p path ->
@@ -290,19 +452,33 @@ let test_replay_strategies () =
         check_theta (name ^ " either") e_either either;
         check_float (name ^ " sq") !e_sq sums.Tomo.Paths.sq)
       [
-        ("all live", 0.0, Array.init ns (fun _ -> Stats.Rng.float rng 1.0 +. 1e-3));
-        ("one live", 0.0, Array.init ns (fun s -> if s = ns / 2 then 0.7 else 0.0));
+        ("all live", 0.0, fixed (uniform 1e-3 1.001) (uniform 0.0 3.0));
+        ( "one live",
+          0.0,
+          fixed (Array.init ns (fun s -> if s = ns / 2 then 0.7 else 0.0)) (uniform 0.0 3.0) );
         ( "threshold",
           1e-12,
-          Array.init ns (fun s -> if s mod 3 = 0 then 1e-13 else Stats.Rng.float rng 1.0) );
-      ]
+          fixed
+            (Array.init ns (fun s -> if s mod 3 = 0 then 1e-13 else Stats.Rng.float rng 1.0))
+            (uniform 0.0 3.0) );
+        ("wide", 0.0, fixed (wide ()) (wide ()));
+        ( "wide, some σ terms zero",
+          1e-30,
+          fixed
+            (Array.mapi (fun s r -> if s mod 5 = 0 then 0.5 else r) (wide ()))
+            (Array.mapi (fun s x -> if s mod 2 = 0 then 0.0 else x) (wide ())) );
+        ("edge", 0.0, edge);
+        ("tie", 0.0, tie);
+      ];
+    !ties
   in
   let _, paths, _ = Lazy.force ctp_jitter8 in
-  check_set "ctp_rx_task" paths;
+  if check_set "ctp_rx_task" paths = 0 then
+    Alcotest.fail "ctp_rx_task: no signature could carry an exact tie";
   List.iter
     (fun (seed, depth, stmts) ->
       let paths, _ = generated_case seed depth stmts in
-      check_set (Printf.sprintf "gen seed=%d" seed) paths)
+      ignore (check_set (Printf.sprintf "gen seed=%d" seed) paths))
     [ (1, 3, 2); (2, 4, 4) ]
 
 let test_generated_equivalence () =
@@ -463,12 +639,27 @@ let test_online_signature_exact () =
       (Workloads.filter, "filter_task", 400, None);
     ]
 
+(* A jittered ctp_rx_task stream: hundreds of distinct values, σ from the
+   timer model, so most observations leave only a few signatures live
+   and the replay skips most of the rest as no-ops. *)
+let test_online_jittered () =
+  let config, paths, samples = Lazy.force ctp_jitter4 in
+  let stream = Array.sub samples 0 600 in
+  check_online_stream "ctp_rx_task jit4" ~decay:0.999 ~sigma:(P.noise_sigma config) paths
+    stream
+
 let suite =
   golden_tests @ robust_golden_tests
   @ [
       Alcotest.test_case "ctp jitter 8: optimized = dense reference" `Slow
-        test_dense_jitter8;
-      Alcotest.test_case "EM iteration allocation is O(params)" `Quick test_em_allocation;
+        (dense_case ctp_jitter8 ~values:153);
+      Alcotest.test_case "ctp jitter 4: optimized = dense reference" `Slow
+        (dense_case ctp_jitter4 ~values:97);
+      Alcotest.test_case "EM iteration allocation is O(params)" `Quick
+        (test_em_allocation ctp_jitter8);
+      Alcotest.test_case "EM allocation is O(params) at jitter 4" `Quick
+        (test_em_allocation ctp_jitter4);
+      Alcotest.test_case "skips: a skipped term changes no bit" `Quick test_skips;
       Alcotest.test_case "replay strategies = dense per-path loop" `Quick
         test_replay_strategies;
       Alcotest.test_case "generated programs: optimized = dense reference" `Slow
@@ -480,4 +671,6 @@ let suite =
         test_log_threshold_default_exact;
       Alcotest.test_case "online: signatures = per-path reference" `Quick
         test_online_signature_exact;
+      Alcotest.test_case "online: jittered ctp = per-path reference" `Quick
+        test_online_jittered;
     ]

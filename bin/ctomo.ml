@@ -307,11 +307,11 @@ let report_cmd =
           match paths with
           | Some paths when not (Tomo.Health.is_rejected e.P.health) ->
               let theta = e.P.estimate.Tomo.Estimator.theta in
+              let sigma = Option.get e.P.estimate.Tomo.Estimator.sigma in
               let ci =
                 Tomo.Confidence.bootstrap ~replicates:30 streams.(i) paths ~samples
-                  ~point:theta
+                  ~point:theta ~sigma
               in
-              let sigma = Option.get e.P.estimate.Tomo.Estimator.sigma in
               let fit = Tomo.Fit.check ~sigma paths ~theta ~samples in
               (* The verdict folds in all three degradation signals: the
                  sample floor, EM convergence, and how wide the widest

@@ -44,9 +44,12 @@ let () =
   let samples = List.assoc proc run.P.samples in
   let model = P.model_of run proc in
   let paths = Tomo.Paths.enumerate model in
-  let point = (Tomo.Em.estimate paths ~samples).Tomo.Em.theta in
+  let fit = Tomo.Em.estimate paths ~samples in
   let rng = Stats.Rng.create 7 in
-  let ci = Tomo.Confidence.bootstrap rng paths ~samples ~point in
+  let ci =
+    Tomo.Confidence.bootstrap rng paths ~samples ~point:fit.Tomo.Em.theta
+      ~sigma:fit.Tomo.Em.sigma
+  in
   Printf.printf "\n%s estimates with 90%% bootstrap intervals (%d samples):\n%s\n" proc
     (Array.length samples)
     (Format.asprintf "%a" Tomo.Confidence.pp ci);

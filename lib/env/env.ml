@@ -25,23 +25,29 @@ let adc_max = 1023
 (* Mutable per-channel state threaded through successive readings. *)
 type channel_state = { model : sensor_model; mutable walk : float; mutable active : bool }
 
+(* Configured channels, looked up by a scan of [ids]: a configuration has
+   a handful of channels, and a scan hashes nothing and allocates
+   nothing.  A channel configured twice keeps its last model. *)
 type t = {
   cfg : config;
   rng : Stats.Rng.t;
   radio_rng : Stats.Rng.t;
-  states : (int, channel_state) Hashtbl.t;
+  ids : int array;
+  states : channel_state array;
 }
 
 let create cfg =
   let rng = Stats.Rng.create cfg.seed in
   let radio_rng = Stats.Rng.split rng in
-  let states = Hashtbl.create 8 in
-  List.iter
-    (fun (ch, model) ->
-      let walk = match model with Random_walk { start; _ } -> float_of_int start | _ -> 0.0 in
-      Hashtbl.replace states ch { model; walk; active = false })
-    cfg.channels;
-  { cfg; rng; radio_rng; states }
+  let channels =
+    List.fold_left
+      (fun acc (ch, model) ->
+        let walk = match model with Random_walk { start; _ } -> float_of_int start | _ -> 0.0 in
+        (ch, { model; walk; active = false }) :: List.remove_assoc ch acc)
+      [] cfg.channels
+  in
+  let channels = Array.of_list channels in
+  { cfg; rng; radio_rng; ids = Array.map fst channels; states = Array.map snd channels }
 
 let config t = t.cfg
 
@@ -67,10 +73,17 @@ let rec sample t state model =
        else if Stats.Rng.bernoulli t.rng p_enter then state.active <- true);
       sample t state (if state.active then active else quiet)
 
+let rec index_of ids channel i =
+  if i = Array.length ids then -1
+  else if Array.unsafe_get ids i = channel then i
+  else index_of ids channel (i + 1)
+
 let read t channel =
-  match Hashtbl.find_opt t.states channel with
-  | None -> 0
-  | Some state -> sample t state state.model
+  match index_of t.ids channel 0 with
+  | -1 -> 0
+  | i ->
+      let state = t.states.(i) in
+      sample t state state.model
 
 let attach t devices = Mote_machine.Devices.set_sensor devices (read t)
 

@@ -956,6 +956,7 @@ type interp_run = {
   outcomes : (int, string) result list;
       (* Per call: its cycles, or the fault that ended the run. *)
   run_stats : Machine.stats;
+  pc_sp : int * int;
   regs : int array;
   mem : int array;
   tx_words : int list;
@@ -988,6 +989,7 @@ let interp_run ~run_proc ~prediction ~mem_words ~fuel ~env binary calls =
   {
     outcomes;
     run_stats = Machine.stats m;
+    pc_sp = (Machine.pc m, Machine.sp m);
     regs = Array.init Isa.num_regs (Machine.reg m);
     mem = Array.init mem_words (Machine.read_mem m);
     tx_words = Devices.tx_log devices;
@@ -1031,6 +1033,7 @@ let interpreter_mismatch ?(prediction = Machine.Predict_not_taken) ?(mem_words =
            (Printf.sprintf "stats: loop %s, reference %s" (pp_stats a.run_stats)
               (pp_stats b.run_stats))
        else None);
+      differs "pc and sp" (fun r -> r.pc_sp);
       differs "registers" (fun r -> r.regs);
       differs "memory" (fun r -> r.mem);
       differs "radio tx logs" (fun r -> r.tx_words);

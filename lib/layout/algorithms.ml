@@ -125,47 +125,17 @@ let greedy freq =
 
 let max_blocks = 9
 
-let exhaustive ~better freq =
+let exhaustive ~maximize freq =
   let cfg = Cfgir.Freq.cfg freq in
   let n = Cfg.num_blocks cfg in
   if n > max_blocks then
     invalid_arg
       (Printf.sprintf "Layout: exhaustive search limited to %d blocks, CFG has %d"
          max_blocks n);
-  if n <= 1 then Placement.natural cfg
-  else begin
-    let scorer = Eval.scorer freq in
-    (* Candidates are generated in place: Heap's algorithm permutes
-       positions 1..n-1 while the entry block stays at position 0. *)
-    let candidate = Placement.natural cfg in
-    let best = ref (Array.copy candidate) in
-    let best_score = ref (Eval.score scorer !best) in
-    let consider () =
-      let score = Eval.score scorer candidate in
-      if better score !best_score then begin
-        best := Array.copy candidate;
-        best_score := score
-      end
-    in
-    let swap i j =
-      let t = candidate.(i + 1) in
-      candidate.(i + 1) <- candidate.(j + 1);
-      candidate.(j + 1) <- t
-    in
-    let rec permute k =
-      if k = 1 then consider ()
-      else
-        for i = 0 to k - 1 do
-          permute (k - 1);
-          if k mod 2 = 0 then swap i (k - 1) else swap 0 (k - 1)
-        done
-    in
-    permute (n - 1);
-    !best
-  end
+  if n <= 1 then Placement.natural cfg else Eval.extreme (Eval.scorer freq) ~maximize
 
-let optimal freq = exhaustive ~better:(fun a b -> a < b) freq
-let pessimal freq = exhaustive ~better:(fun a b -> a > b) freq
+let optimal freq = exhaustive ~maximize:false freq
+let pessimal freq = exhaustive ~maximize:true freq
 
 let anneal ?(seed = 1) ?(iterations = 4000) ?(restarts = 3) freq =
   let cfg = Cfgir.Freq.cfg freq in

@@ -17,7 +17,7 @@ let jmp_words = Isa.size (Isa.Jmp 0)
    it, [w_falls] fall through.  Under BTFN a backward branch (target at or
    before the branch's own block — the branch instruction sits at the
    block's end, so a self-loop is backward too) is predicted taken. *)
-let branch_stall policy ~src_pos ~target_pos ~w_takes ~w_falls =
+let[@inline] branch_stall policy ~(src_pos : int) ~target_pos ~(w_takes : float) ~w_falls =
   match policy with
   | Not_taken -> w_takes
   | Btfn -> if target_pos <= src_pos then w_falls else w_takes
@@ -54,53 +54,60 @@ let scorer ?(policy = Not_taken) freq =
   let block_words = Array.fold_left (fun acc b -> acc + b.Cfg.size_words) 0 cfg.Cfg.blocks in
   { cfg; policy; terms; block_words }
 
-let report s placement =
-  Placement.validate s.cfg placement;
-  let pos = Placement.position_of placement in
+(* The taken transfers of a valid [placement] whose inverse is [pos], with
+   no check and no allocation: the objective, summed in block-id order.
+   [report], [score] and [extreme] all take it from here. *)
+let[@inline] taken_at s (placement : Placement.t) (pos : int array) =
   let n = Array.length s.terms in
-  let taken = ref 0.0 and considered = ref 0.0 in
-  let bridges = ref 0 in
-  let size = ref s.block_words in
+  let taken = ref 0.0 in
   for id = 0 to n - 1 do
     let src_pos = pos.(id) in
-    (* The block laid out right after this one; -1 after the last. *)
     let next = if src_pos + 1 < n then placement.(src_pos + 1) else -1 in
     match s.terms.(id) with
     | Branch { tdst; fdst; wt; wf } ->
-        if next = fdst then begin
-          (* Branch kept: takes wt times, to tdst. *)
-          taken :=
-            !taken
-            +. branch_stall s.policy ~src_pos ~target_pos:pos.(tdst) ~w_takes:wt ~w_falls:wf;
-          considered := !considered +. wt +. wf
-        end
-        else if next = tdst then begin
-          (* Condition flipped: takes wf times, to fdst. *)
-          taken :=
-            !taken
-            +. branch_stall s.policy ~src_pos ~target_pos:pos.(fdst) ~w_takes:wf ~w_falls:wt;
-          considered := !considered +. wt +. wf
-        end
-        else begin
-          (* Branch to the taken target plus a bridging jump to the fall
-             target: the jump is itself an always-stalling transfer. *)
+        if next = fdst then
           taken :=
             !taken
             +. branch_stall s.policy ~src_pos ~target_pos:pos.(tdst) ~w_takes:wt ~w_falls:wf
-            +. wf;
+        else if next = tdst then
+          taken :=
+            !taken
+            +. branch_stall s.policy ~src_pos ~target_pos:pos.(fdst) ~w_takes:wf ~w_falls:wt
+        else
+          taken :=
+            !taken
+            +. branch_stall s.policy ~src_pos ~target_pos:pos.(tdst) ~w_takes:wt ~w_falls:wf
+            +. wf
+    | Jump { dst; w } | Fall { dst; w } -> if next <> dst then taken := !taken +. w
+    | Exit -> ()
+  done;
+  !taken
+
+let report s placement =
+  Placement.validate s.cfg placement;
+  let pos = Placement.position_of placement in
+  let taken = taken_at s placement pos in
+  let n = Array.length s.terms in
+  let considered = ref 0.0 in
+  let bridges = ref 0 in
+  let size = ref s.block_words in
+  for id = 0 to n - 1 do
+    (* The block laid out right after this one; -1 after the last. *)
+    let next = if pos.(id) + 1 < n then placement.(pos.(id) + 1) else -1 in
+    match s.terms.(id) with
+    | Branch { tdst; fdst; wt; wf } ->
+        if next = fdst || next = tdst then considered := !considered +. wt +. wf
+        else begin
+          (* Branch to the taken target plus a bridging jump to the fall
+             target. *)
           considered := !considered +. wt +. wf +. wf;
           incr bridges;
           size := !size + jmp_words
         end
     | Jump { dst; w } ->
-        if next = dst then size := !size - jmp_words
-        else begin
-          taken := !taken +. w;
-          considered := !considered +. w
-        end
+        if next = dst then size := !size - jmp_words else considered := !considered +. w
     | Fall { dst; w } ->
         if next <> dst then begin
-          taken := !taken +. w;
           considered := !considered +. w;
           incr bridges;
           size := !size + jmp_words
@@ -108,13 +115,52 @@ let report s placement =
     | Exit -> ()
   done;
   {
-    taken_transfers = !taken;
+    taken_transfers = taken;
     considered = !considered;
-    taken_rate = (if !considered > 0.0 then !taken /. !considered else 0.0);
+    taken_rate = (if !considered > 0.0 then taken /. !considered else 0.0);
     bridge_jumps = !bridges;
     size_words = !size;
   }
 
-let score s placement = (report s placement).taken_transfers
+let score s placement =
+  Placement.validate s.cfg placement;
+  taken_at s placement (Placement.position_of placement)
+
+let extreme s ~maximize =
+  let n = Array.length s.terms in
+  let candidate = Placement.natural s.cfg in
+  Placement.validate s.cfg candidate;
+  (* Heap's algorithm permutes positions 1..n-1 in place, keeping the
+     entry block at position 0 and [pos] the inverse of [candidate]; every
+     candidate is a valid placement, so none is checked again. *)
+  let pos = Placement.position_of candidate in
+  let best = Array.copy candidate in
+  (* A float array holds the best score unboxed. *)
+  let best_score = [| taken_at s candidate pos |] in
+  let consider () =
+    let score = taken_at s candidate pos in
+    if if maximize then score > best_score.(0) else score < best_score.(0) then begin
+      Array.blit candidate 0 best 0 n;
+      best_score.(0) <- score
+    end
+  in
+  let swap i j =
+    let a = candidate.(i + 1) and b = candidate.(j + 1) in
+    candidate.(i + 1) <- b;
+    candidate.(j + 1) <- a;
+    pos.(b) <- i + 1;
+    pos.(a) <- j + 1
+  in
+  let rec permute k =
+    if k = 1 then consider ()
+    else
+      for i = 0 to k - 1 do
+        permute (k - 1);
+        if k mod 2 = 0 then swap i (k - 1) else swap 0 (k - 1)
+      done
+  in
+  if n > 1 then permute (n - 1);
+  best
+
 let evaluate ?policy freq placement = report (scorer ?policy freq) placement
 let taken_transfers ?policy freq placement = score (scorer ?policy freq) placement

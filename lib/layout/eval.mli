@@ -47,8 +47,17 @@ val report : scorer -> Placement.t -> report
     ({!Placement.validate}). *)
 
 val score : scorer -> Placement.t -> float
-(** [(report s p).taken_transfers]: the objective the exhaustive and
-    annealing searches of {!Algorithms} minimize or maximize. *)
+(** [(report s p).taken_transfers], bit for bit: the objective the
+    annealing search of {!Algorithms} minimizes.
+    @raise Invalid_argument if the placement is not valid for the CFG. *)
+
+val extreme : scorer -> maximize:bool -> Placement.t
+(** The placement with the lowest {!score} (the highest with
+    [~maximize:true]) among all that keep the entry block first: every
+    permutation, in the order of Heap's algorithm from the natural
+    placement, each scored to the same bits as {!score}; a later one
+    replaces the best only when strictly better, so ties keep the first.
+    Allocates nothing per permutation.  O(n!·n) for n blocks. *)
 
 val evaluate : ?policy:policy -> Cfgir.Freq.t -> Placement.t -> report
 (** [report (scorer ?policy f) p]. *)

@@ -54,7 +54,7 @@ let read_sensor t ~channel = t.sensor channel
 
 let radio_push_rx t v = Queue.push v t.radio_rx_q
 
-let radio_rx t = match Queue.take_opt t.radio_rx_q with Some v -> v | None -> 0
+let radio_rx t = if Queue.is_empty t.radio_rx_q then 0 else Queue.take t.radio_rx_q
 
 let radio_rx_pending t = Queue.length t.radio_rx_q
 

@@ -45,6 +45,7 @@ type t = {
   mutable unconditional_transfers : int;
   mutable calls : int;
   mutable returns : int;
+  mutable fuel_left : int;  (** Fuel left to [loop] while its locals are written back. *)
   mutable branch_hook : (pc:int -> taken:bool -> unit) option;
   mutable trace_hook : (pc:int -> instr:int Isa.instr -> cycles:int -> unit) option;
 }
@@ -76,6 +77,7 @@ let create ?(mem_words = 4096) ?(prediction = Predict_not_taken) ~program ~devic
     unconditional_transfers = 0;
     calls = 0;
     returns = 0;
+    fuel_left = 0;
     branch_hook = None;
     trace_hook = None;
   }
@@ -84,6 +86,8 @@ let program t = t.program
 let devices t = t.devices
 let cycles t = t.cycles
 let halted t = t.halted
+let pc t = t.pc
+let sp t = t.sp
 
 let stats t =
   {
@@ -104,7 +108,7 @@ let reg t r =
   t.regs.(r)
 
 (* 16-bit two's-complement wrap. *)
-let wrap v = ((v + 32768) land 0xFFFF) - 32768
+let[@inline] wrap v = ((v + 32768) land 0xFFFF) - 32768
 
 let set_reg t r v =
   check_reg r;
@@ -132,7 +136,7 @@ let pop t =
   t.sp <- t.sp + 1;
   v
 
-let eval_cond t = function
+let[@inline] eval_cond t = function
   | Isa.Eq -> t.flag_z
   | Isa.Ne -> not t.flag_z
   | Isa.Lt -> t.flag_n
@@ -140,7 +144,7 @@ let eval_cond t = function
   | Isa.Le -> t.flag_n || t.flag_z
   | Isa.Gt -> not (t.flag_n || t.flag_z)
 
-let alu op a b =
+let[@inline] alu op a b =
   match op with
   | Isa.Add -> a + b
   | Isa.Sub -> a - b
@@ -151,7 +155,7 @@ let alu op a b =
   | Isa.Shl -> a lsl (b land 15)
   | Isa.Shr -> (a land 0xFFFF) lsr (b land 15)
 
-let set_flags t v =
+let[@inline] set_flags t v =
   t.flag_z <- v = 0;
   t.flag_n <- v < 0
 
@@ -174,106 +178,234 @@ let port_out t port v =
   | Isa.P_sensor _ -> fault "cannot write to sensor"
   | Isa.P_radio_rx -> fault "cannot write to radio.rx"
 
-(* The interpreter: one loop over the code and base-cost arrays, with the
-   instruction dispatch written out in place.  It performs the same checks,
-   in the same order, as the per-instruction [Reference.step] below (fuel,
-   pc bounds, trace hook, registers, memory, stack), so the two agree on
-   every statistic, device effect and fault message. *)
-let run_until_done ?(fuel = 10_000_000) t =
-  let code = t.code and base_cost = t.base_cost and regs = t.regs in
-  let n = Array.length code in
+(* The interpreter loop.  It keeps pc, cycles, the instruction count and
+   the fuel in locals, which the compiler can hold in registers as long
+   as no local is live across a call that returns.  So every call out of
+   the loop (a hook, a port) is bracketed: the locals are written back to
+   [t] before it and read back from [t] after it, and a fault raises an
+   exception built by a cold function that first writes them back.  Each
+   check raises exactly what [Reference.step] raises at the same point,
+   with the same state, so the two agree on every statistic, device
+   effect, hook call and fault.
+
+   The fuel is implicit: [limit] is the instruction count at which the
+   next fuel check fails, and [t.fuel_left] holds [limit - count] while
+   the locals are written back. *)
+
+let[@inline] write_back t ~pc ~cycles ~count ~limit =
+  t.pc <- pc;
+  t.cycles <- cycles;
+  t.instructions <- count;
+  t.fuel_left <- limit - count
+
+(* A fault in the loop: what it raises, and with which number. *)
+type trap = Fuel | Pc | Register | Index | Load | Store | Overflow | Underflow
+
+(* The loop's cold path: write the locals back and build the exception
+   to raise, with [Reference]'s message.  The loop raises it right after
+   the call, so no local is live across the call. *)
+let[@inline never] trap t ~pc ~cycles ~count kind arg =
+  t.pc <- pc;
+  t.cycles <- cycles;
+  t.instructions <- count;
+  match kind with
+  | Fuel -> Fault (Printf.sprintf "out of fuel at pc=%d" arg)
+  | Pc -> Fault (Printf.sprintf "pc outside program: %d" arg)
+  | Register -> Fault (Printf.sprintf "bad register r%d" arg)
+  | Index -> Invalid_argument "index out of bounds"
+  | Load -> Fault (Printf.sprintf "load outside memory: %d" arg)
+  | Store -> Fault (Printf.sprintf "store outside memory: %d" arg)
+  | Overflow -> Fault "stack overflow"
+  | Underflow -> Fault "stack underflow"
+
+(* Register read and write for the loop: [regs] is [t.regs]. *)
+let[@inline] get t (regs : int array) r ~pc ~cycles ~count =
+  if r < 0 || r >= Array.length regs then raise (trap t ~pc ~cycles ~count Index r);
+  Array.unsafe_get regs r
+
+let[@inline] set t (regs : int array) r v ~pc ~cycles ~count =
+  if r < 0 || r >= Array.length regs then raise (trap t ~pc ~cycles ~count Register r);
+  Array.unsafe_set regs r (wrap v)
+
+(* A [Br] under a branch hook, finished on [t] with the loop's locals
+   written back, so that none of them is live across the hook call. *)
+let[@inline never] branch_hooked t hook ~at ~taken ~target =
+  hook ~pc:at ~taken;
   let btfn = match t.prediction with Predict_btfn -> true | Predict_not_taken -> false in
-  let remaining = ref fuel in
-  let running = ref true in
-  while !running do
-    if !remaining <= 0 then fault "out of fuel at pc=%d" t.pc;
-    decr remaining;
-    let at = t.pc in
-    if at < 0 || at >= n then fault "pc outside program: %d" at;
-    let ins = Array.unsafe_get code at in
-    (match t.trace_hook with
-    | Some hook -> hook ~pc:at ~instr:ins ~cycles:t.cycles
-    | None -> ());
-    t.instructions <- t.instructions + 1;
-    t.cycles <- t.cycles + Array.unsafe_get base_cost at;
-    match ins with
-    | Isa.Nop -> t.pc <- at + 1
-    | Isa.Halt ->
-        t.halted <- true;
-        running := false
-    | Isa.Movi (r, i) ->
-        set_reg t r i;
-        t.pc <- at + 1
-    | Isa.Mov (d, s) ->
-        set_reg t d regs.(s);
-        t.pc <- at + 1
-    | Isa.Alu (op, d, a, b) ->
-        set_reg t d (alu op regs.(a) regs.(b));
-        t.pc <- at + 1
-    | Isa.Alui (op, d, a, i) ->
-        set_reg t d (alu op regs.(a) i);
-        t.pc <- at + 1
-    | Isa.Cmp (a, b) ->
-        set_flags t (wrap (regs.(a) - regs.(b)));
-        t.pc <- at + 1
-    | Isa.Cmpi (a, i) ->
-        set_flags t (wrap (regs.(a) - i));
-        t.pc <- at + 1
-    | Isa.Ld (d, a, off) ->
-        set_reg t d (read_mem t (regs.(a) + off));
-        t.pc <- at + 1
-    | Isa.St (a, off, s) ->
-        write_mem t (regs.(a) + off) regs.(s);
-        t.pc <- at + 1
-    | Isa.Push r ->
-        push t regs.(r);
-        t.pc <- at + 1
-    | Isa.Pop r ->
-        set_reg t r (pop t);
-        t.pc <- at + 1
-    | Isa.Br (c, target) ->
-        let taken = eval_cond t c in
-        t.cond_branches <- t.cond_branches + 1;
-        (match t.branch_hook with Some hook -> hook ~pc:at ~taken | None -> ());
-        if taken <> (btfn && target < at) then begin
-          t.mispredicted_branches <- t.mispredicted_branches + 1;
-          t.cycles <- t.cycles + Isa.taken_penalty
-        end;
-        if taken then begin
-          t.taken_cond_branches <- t.taken_cond_branches + 1;
-          t.pc <- target
-        end
-        else t.pc <- at + 1
-    | Isa.Jmp target ->
-        t.unconditional_transfers <- t.unconditional_transfers + 1;
-        t.cycles <- t.cycles + Isa.taken_penalty;
-        t.pc <- target
-    | Isa.Call target ->
-        t.calls <- t.calls + 1;
-        t.cycles <- t.cycles + Isa.taken_penalty;
-        push t (at + 1);
-        t.pc <- target
-    | Isa.Ret ->
-        t.returns <- t.returns + 1;
-        t.cycles <- t.cycles + Isa.taken_penalty;
-        let addr = pop t in
-        if addr = sentinel then running := false else t.pc <- addr
-    | Isa.In (r, port) ->
-        set_reg t r (port_in t port);
-        t.pc <- at + 1
-    | Isa.Out (port, r) ->
-        port_out t port regs.(r);
-        t.pc <- at + 1
-  done
+  if taken <> (btfn && target < at) then begin
+    t.mispredicted_branches <- t.mispredicted_branches + 1;
+    t.cycles <- t.cycles + Isa.taken_penalty
+  end;
+  if taken then begin
+    t.taken_cond_branches <- t.taken_cond_branches + 1;
+    t.pc <- target
+  end
+  else t.pc <- at + 1
+
+(* The invocation returned to the sentinel, or halted. *)
+exception Ended
+
+let loop t ~fuel =
+  let code = t.code and base_cost = t.base_cost and regs = t.regs and mem = t.mem in
+  let n = Array.length code and mem_words = Array.length mem in
+  let pc = ref t.pc and cycles = ref t.cycles and count = ref t.instructions in
+  let limit = ref (t.instructions + fuel) in
+  try
+    while true do
+      let next = !pc in
+      if !count >= !limit then raise (trap t ~pc:next ~cycles:!cycles ~count:!count Fuel next);
+      if next < 0 || next >= n then raise (trap t ~pc:next ~cycles:!cycles ~count:!count Pc next);
+      (match t.trace_hook with
+      | None -> ()
+      | Some hook ->
+          (* The fuel check just passed took one unit. *)
+          write_back t ~pc:next ~cycles:!cycles ~count:!count ~limit:(!limit - 1);
+          hook ~pc:next ~instr:(Array.unsafe_get code next) ~cycles:t.cycles;
+          pc := t.pc;
+          cycles := t.cycles;
+          count := t.instructions;
+          limit := t.instructions + t.fuel_left + 1);
+      let at = !pc in
+      count := !count + 1;
+      cycles := !cycles + Array.unsafe_get base_cost at;
+      match Array.unsafe_get code at with
+      | Isa.Nop -> pc := at + 1
+      | Isa.Halt ->
+          t.halted <- true;
+          write_back t ~pc:at ~cycles:!cycles ~count:!count ~limit:!limit;
+          raise_notrace Ended
+      | Isa.Movi (r, i) ->
+          set t regs r i ~pc:at ~cycles:!cycles ~count:!count;
+          pc := at + 1
+      | Isa.Mov (d, s) ->
+          let v = get t regs s ~pc:at ~cycles:!cycles ~count:!count in
+          set t regs d v ~pc:at ~cycles:!cycles ~count:!count;
+          pc := at + 1
+      | Isa.Alu (op, d, a, b) ->
+          let vb = get t regs b ~pc:at ~cycles:!cycles ~count:!count in
+          let va = get t regs a ~pc:at ~cycles:!cycles ~count:!count in
+          set t regs d (alu op va vb) ~pc:at ~cycles:!cycles ~count:!count;
+          pc := at + 1
+      | Isa.Alui (op, d, a, i) ->
+          let va = get t regs a ~pc:at ~cycles:!cycles ~count:!count in
+          set t regs d (alu op va i) ~pc:at ~cycles:!cycles ~count:!count;
+          pc := at + 1
+      | Isa.Cmp (a, b) ->
+          let vb = get t regs b ~pc:at ~cycles:!cycles ~count:!count in
+          let va = get t regs a ~pc:at ~cycles:!cycles ~count:!count in
+          set_flags t (wrap (va - vb));
+          pc := at + 1
+      | Isa.Cmpi (a, i) ->
+          let va = get t regs a ~pc:at ~cycles:!cycles ~count:!count in
+          set_flags t (wrap (va - i));
+          pc := at + 1
+      | Isa.Ld (d, a, off) ->
+          let addr = get t regs a ~pc:at ~cycles:!cycles ~count:!count + off in
+          if addr < 0 || addr >= mem_words then
+            raise (trap t ~pc:at ~cycles:!cycles ~count:!count Load addr);
+          set t regs d (Array.unsafe_get mem addr) ~pc:at ~cycles:!cycles ~count:!count;
+          pc := at + 1
+      | Isa.St (a, off, s) ->
+          let v = get t regs s ~pc:at ~cycles:!cycles ~count:!count in
+          let addr = get t regs a ~pc:at ~cycles:!cycles ~count:!count + off in
+          if addr < 0 || addr >= mem_words then
+            raise (trap t ~pc:at ~cycles:!cycles ~count:!count Store addr);
+          Array.unsafe_set mem addr (wrap v);
+          pc := at + 1
+      | Isa.Push r ->
+          let v = get t regs r ~pc:at ~cycles:!cycles ~count:!count in
+          let sp = t.sp - 1 in
+          t.sp <- sp;
+          if sp < 0 then raise (trap t ~pc:at ~cycles:!cycles ~count:!count Overflow 0);
+          Array.unsafe_set mem sp v;
+          pc := at + 1
+      | Isa.Pop r ->
+          let sp = t.sp in
+          if sp >= mem_words then raise (trap t ~pc:at ~cycles:!cycles ~count:!count Underflow 0);
+          (* Below 0 only after a stack overflow left it there. *)
+          if sp < 0 then raise (trap t ~pc:at ~cycles:!cycles ~count:!count Index 0);
+          t.sp <- sp + 1;
+          set t regs r (Array.unsafe_get mem sp) ~pc:at ~cycles:!cycles ~count:!count;
+          pc := at + 1
+      | Isa.Br (c, target) -> (
+          let taken = eval_cond t c in
+          t.cond_branches <- t.cond_branches + 1;
+          match t.branch_hook with
+          | Some hook ->
+              write_back t ~pc:at ~cycles:!cycles ~count:!count ~limit:!limit;
+              branch_hooked t hook ~at ~taken ~target;
+              pc := t.pc;
+              cycles := t.cycles;
+              count := t.instructions;
+              limit := t.instructions + t.fuel_left
+          | None ->
+              let btfn =
+                match t.prediction with Predict_btfn -> true | Predict_not_taken -> false
+              in
+              if taken <> (btfn && target < at) then begin
+                t.mispredicted_branches <- t.mispredicted_branches + 1;
+                cycles := !cycles + Isa.taken_penalty
+              end;
+              if taken then begin
+                t.taken_cond_branches <- t.taken_cond_branches + 1;
+                pc := target
+              end
+              else pc := at + 1)
+      | Isa.Jmp target ->
+          t.unconditional_transfers <- t.unconditional_transfers + 1;
+          cycles := !cycles + Isa.taken_penalty;
+          pc := target
+      | Isa.Call target ->
+          t.calls <- t.calls + 1;
+          cycles := !cycles + Isa.taken_penalty;
+          let sp = t.sp - 1 in
+          t.sp <- sp;
+          if sp < 0 then raise (trap t ~pc:at ~cycles:!cycles ~count:!count Overflow 0);
+          Array.unsafe_set mem sp (at + 1);
+          pc := target
+      | Isa.Ret ->
+          t.returns <- t.returns + 1;
+          cycles := !cycles + Isa.taken_penalty;
+          let sp = t.sp in
+          if sp >= mem_words then raise (trap t ~pc:at ~cycles:!cycles ~count:!count Underflow 0);
+          if sp < 0 then raise (trap t ~pc:at ~cycles:!cycles ~count:!count Index 0);
+          t.sp <- sp + 1;
+          let addr = Array.unsafe_get mem sp in
+          if addr = sentinel then begin
+            write_back t ~pc:at ~cycles:!cycles ~count:!count ~limit:!limit;
+            raise_notrace Ended
+          end
+          else pc := addr
+      | Isa.In (r, port) ->
+          write_back t ~pc:at ~cycles:!cycles ~count:!count ~limit:!limit;
+          set_reg t r (port_in t port);
+          pc := t.pc + 1;
+          cycles := t.cycles;
+          count := t.instructions;
+          limit := t.instructions + t.fuel_left
+      | Isa.Out (port, r) ->
+          let v = get t regs r ~pc:at ~cycles:!cycles ~count:!count in
+          write_back t ~pc:at ~cycles:!cycles ~count:!count ~limit:!limit;
+          port_out t port v;
+          pc := t.pc + 1;
+          cycles := t.cycles;
+          count := t.instructions;
+          limit := t.instructions + t.fuel_left
+    done
+  with Ended -> ()
+
+let default_fuel = 10_000_000
+
+let run_until_done ?(fuel = default_fuel) t = loop t ~fuel
 
 (* One invocation of the procedure at [entry]: a sentinel return address
    marks the bottom frame, and [run] executes until the matching [Ret]. *)
-let invoke run ?fuel t entry =
+let[@inline] invoke run t ~fuel entry =
   let before = t.cycles in
   t.halted <- false;
   push t sentinel;
   t.pc <- entry;
-  run ?fuel t;
+  run t ~fuel;
   t.cycles - before
 
 let proc_entry t name =
@@ -281,8 +413,10 @@ let proc_entry t name =
   | Some p -> p.Program.entry
   | None -> raise Not_found
 
-let run_at ?fuel t entry = invoke run_until_done ?fuel t entry
-let run_proc ?fuel t name = run_at ?fuel t (proc_entry t name)
+(* No optional argument: a scheduler calls this once per task. *)
+let run_at t ~fuel entry = invoke loop t ~fuel entry
+
+let run_proc ?(fuel = default_fuel) t name = run_at t ~fuel (proc_entry t name)
 
 let from_symbol run ?fuel t name =
   match Program.find_symbol t.program name with
@@ -395,7 +529,8 @@ module Reference = struct
       running := step t
     done
 
-  let run_proc ?fuel t name = invoke run_until_done ?fuel t (proc_entry t name)
+  let run_proc ?(fuel = default_fuel) t name =
+    invoke (fun t ~fuel -> run_until_done ~fuel t) t ~fuel (proc_entry t name)
   let run_from_symbol ?fuel t name = from_symbol run_until_done ?fuel t name
 end
 

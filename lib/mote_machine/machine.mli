@@ -12,10 +12,13 @@
     across invocations (mote programs keep state in statics).
 
     Execution is one interpreter loop over the program's instruction array
-    and a per-pc base-cost table built by {!create}; the branch and trace
-    hooks are tested inside that loop, so there is no separate fast path.
-    {!Reference} keeps the original one-instruction-at-a-time interpreter
-    as the specification the loop is tested against. *)
+    and a per-pc base-cost table built by {!create}.  The loop keeps pc,
+    cycles, the instruction count and the fuel in locals, and writes them
+    back to the machine before every hook call, port access and fault;
+    the branch and trace hooks are tested inside that loop, so there is no
+    separate fast path.  {!Reference} keeps the original
+    one-instruction-at-a-time interpreter as the specification the loop is
+    tested against. *)
 
 open Mote_isa
 
@@ -72,6 +75,16 @@ val cycles : t -> int
 val stats : t -> stats
 val halted : t -> bool
 
+val pc : t -> int
+(** The program counter.  After a return to the sentinel or a [Halt],
+    the address of that instruction; after a fault, of the instruction
+    that faulted, or for a fuel or pc fault, of the one that could not
+    start. *)
+
+val sp : t -> int
+(** Stack pointer: the word index of the top of stack, [mem_words] when
+    empty. *)
+
 val reg : t -> Isa.reg -> int
 val read_mem : t -> int -> int
 val write_mem : t -> int -> int -> unit
@@ -84,7 +97,7 @@ val set_trace_hook :
   t -> (pc:int -> instr:int Isa.instr -> cycles:int -> unit) option -> unit
 (** Invoked before every instruction executes (with the cycle count at
     that point) — execution tracing for debugging; costs nothing when
-    unset. *)
+    unset.  Neither hook may reset or run the machine it watches. *)
 
 val run_proc : ?fuel:int -> t -> string -> int
 (** [run_proc t name] executes one invocation of the procedure and returns
@@ -94,10 +107,11 @@ val run_proc : ?fuel:int -> t -> string -> int
     exceeded.
     @raise Not_found if the procedure does not exist. *)
 
-val run_at : ?fuel:int -> t -> int -> int
-(** [run_at t entry] is {!run_proc} for the procedure whose first
+val run_at : t -> fuel:int -> int -> int
+(** [run_at t ~fuel entry] is {!run_proc} for the procedure whose first
     instruction is at address [entry]: callers that invoke the same
-    procedure many times resolve its name once. *)
+    procedure many times resolve its name once.  [fuel] is required, so a
+    scheduler's per-task call passes no option. *)
 
 val run_from_symbol : ?fuel:int -> t -> string -> unit
 (** Jump to a symbol and run until [Halt] — for whole-program tests. *)

@@ -24,16 +24,22 @@ let invocations stats proc = Option.value ~default:0 (List.assoc_opt proc stats.
    name lookup or hashing. *)
 type slot = { name : string; entry : int; mutable runs : int }
 
+(* Timers are kept in task order: the order [deliver_due] posts them in. *)
 type timer_state = { mutable next_fire : int; period : int; timer_task : int }
 
+(* The task queue is a ring buffer of slot indices.  [post] keeps it
+   within [queue_capacity]; boot tasks are queued without that check, so
+   the ring has room for them as well. *)
 type t = {
   machine : Machine.t;
   env : Env.t;
   slots : slot array;
-  queue : int Queue.t;
+  ring : int array;
+  mutable head : int;  (** Index of the oldest queued task. *)
+  mutable length : int;
   queue_capacity : int;
-  timers : timer_state list;
-  radio_tasks : int list;
+  timers : timer_state array;
+  radio_tasks : int array;
   (* Radio arrivals are generated lazily in chunks up to this cycle, in
      ascending arrival order: each chunk is sorted and starts where the
      previous one ended, so the due events are always a prefix. *)
@@ -48,6 +54,12 @@ type t = {
 }
 
 let radio_chunk = 1 lsl 17
+
+let push_task t slot =
+  let ring = t.ring in
+  let tail = t.head + t.length in
+  ring.(if tail >= Array.length ring then tail - Array.length ring else tail) <- slot;
+  t.length <- t.length + 1
 
 let create ~machine ~env ~tasks ?(queue_capacity = 16) () =
   if queue_capacity <= 0 then invalid_arg "Node.create: queue capacity must be positive";
@@ -75,7 +87,6 @@ let create ~machine ~env ~tasks ?(queue_capacity = 16) () =
   (match Mote_isa.Program.find_proc program Mote_lang.Compile.init_proc_name with
   | Some _ -> ignore (Machine.run_proc machine Mote_lang.Compile.init_proc_name)
   | None -> ());
-  let queue = Queue.create () in
   let timers =
     List.filter_map
       (fun { proc; source } ->
@@ -85,10 +96,17 @@ let create ~machine ~env ~tasks ?(queue_capacity = 16) () =
             Some { next_fire = offset; period; timer_task = slot_of proc }
         | Boot | On_radio_rx -> None)
       tasks
+    |> Array.of_list
   in
   let radio_tasks =
     List.filter_map
       (fun { proc; source } -> match source with On_radio_rx -> Some (slot_of proc) | _ -> None)
+      tasks
+    |> Array.of_list
+  in
+  let boots =
+    List.filter_map
+      (fun { proc; source } -> match source with Boot -> Some (slot_of proc) | _ -> None)
       tasks
   in
   let t =
@@ -96,7 +114,9 @@ let create ~machine ~env ~tasks ?(queue_capacity = 16) () =
       machine;
       env;
       slots;
-      queue;
+      ring = Array.make (queue_capacity + List.length boots) 0;
+      head = 0;
+      length = 0;
       queue_capacity;
       timers;
       radio_tasks;
@@ -109,9 +129,7 @@ let create ~machine ~env ~tasks ?(queue_capacity = 16) () =
       tx_drained = 0;
     }
   in
-  List.iter
-    (fun { proc; source } -> match source with Boot -> Queue.push (slot_of proc) queue | _ -> ())
-    tasks;
+  List.iter (push_task t) boots;
   t
 
 let machine t = t.machine
@@ -119,8 +137,7 @@ let machine t = t.machine
 let cycles t = Machine.cycles t.machine
 
 let post t slot =
-  if Queue.length t.queue >= t.queue_capacity then t.dropped <- t.dropped + 1
-  else Queue.push slot t.queue
+  if t.length >= t.queue_capacity then t.dropped <- t.dropped + 1 else push_task t slot
 
 (* Extend the pre-generated radio arrival schedule to cover [upto]. *)
 let extend_radio t upto =
@@ -135,27 +152,28 @@ let extend_radio t upto =
 let inject_packet t payload =
   Devices.radio_push_rx (Machine.devices t.machine) payload;
   t.packets <- t.packets + 1;
-  List.iter (post t) t.radio_tasks
+  for i = 0 to Array.length t.radio_tasks - 1 do
+    post t t.radio_tasks.(i)
+  done
 
 (* Deliver every event with a timestamp <= now. *)
 let deliver_due t now =
-  List.iter
-    (fun timer ->
-      while timer.next_fire <= now do
-        post t timer.timer_task;
-        timer.next_fire <- timer.next_fire + timer.period
-      done)
-    t.timers;
+  for i = 0 to Array.length t.timers - 1 do
+    let timer = t.timers.(i) in
+    while timer.next_fire <= now do
+      post t timer.timer_task;
+      timer.next_fire <- timer.next_fire + timer.period
+    done
+  done;
   extend_radio t now;
-  let rec pop_due () =
+  let continue = ref true in
+  while !continue do
     match t.radio_pending with
     | (at, payload) :: future when at <= now ->
         t.radio_pending <- future;
-        inject_packet t payload;
-        pop_due ()
-    | _ -> ()
-  in
-  pop_due ()
+        inject_packet t payload
+    | _ -> continue := false
+  done
 
 let drain_tx t =
   let devices = Machine.devices t.machine in
@@ -164,12 +182,13 @@ let drain_tx t =
   fresh
 
 let next_event_time t =
-  let timer_next =
-    List.fold_left (fun acc timer -> Stdlib.min acc timer.next_fire) max_int t.timers
-  in
+  let next = ref max_int in
+  for i = 0 to Array.length t.timers - 1 do
+    if t.timers.(i).next_fire < !next then next := t.timers.(i).next_fire
+  done;
   match t.radio_pending with
-  | (at, _) :: _ -> Stdlib.min timer_next at
-  | [] -> timer_next
+  | (at, _) :: _ -> Stdlib.min !next at
+  | [] -> !next
 
 let fuel_per_task = 2_000_000
 
@@ -178,24 +197,27 @@ let run t ~until =
   while !continue && Machine.cycles t.machine < until do
     let now = Machine.cycles t.machine in
     deliver_due t now;
-    match Queue.take_opt t.queue with
-    | Some i ->
-        let slot = t.slots.(i) in
-        ignore (Machine.run_at ~fuel:fuel_per_task t.machine slot.entry);
-        slot.runs <- slot.runs + 1
-    | None ->
-        extend_radio t (Stdlib.min until (now + radio_chunk));
-        let next = next_event_time t in
-        if next = max_int || next >= until then begin
-          (* Nothing left to do before the deadline: sleep through it. *)
-          t.idle_cycles <- t.idle_cycles + (until - now);
-          Machine.idle t.machine (until - now);
-          continue := false
-        end
-        else begin
-          t.idle_cycles <- t.idle_cycles + (next - now);
-          Machine.idle t.machine (next - now)
-        end
+    if t.length > 0 then begin
+      let slot = t.slots.(t.ring.(t.head)) in
+      t.head <- (if t.head + 1 = Array.length t.ring then 0 else t.head + 1);
+      t.length <- t.length - 1;
+      ignore (Machine.run_at t.machine ~fuel:fuel_per_task slot.entry);
+      slot.runs <- slot.runs + 1
+    end
+    else begin
+      extend_radio t (Stdlib.min until (now + radio_chunk));
+      let next = next_event_time t in
+      if next = max_int || next >= until then begin
+        (* Nothing left to do before the deadline: sleep through it. *)
+        t.idle_cycles <- t.idle_cycles + (until - now);
+        Machine.idle t.machine (until - now);
+        continue := false
+      end
+      else begin
+        t.idle_cycles <- t.idle_cycles + (next - now);
+        Machine.idle t.machine (next - now)
+      end
+    end
   done;
   let total_cycles = Machine.cycles t.machine - t.created_at_cycles in
   {

@@ -7,7 +7,9 @@
     posts fail when the queue is full); drops are counted, not fatal.
 
     Task names are resolved to entry addresses and run counters once, in
-    {!create}; dispatch looks nothing up by name.  Radio arrivals are
+    {!create}; dispatch looks nothing up by name.  Timers are int arrays
+    and the task queue is a ring buffer of slot indices, so running a task
+    allocates nothing.  Radio arrivals are
     generated ahead in chunks and kept in ascending arrival order, so
     delivering the due ones pops a prefix of the schedule: the cost of an
     event loop iteration does not grow with the pending schedule. *)

@@ -51,31 +51,57 @@ type lossy_result = { samples : sample_set; discarded : int }
 module Collector = struct
   type frame = {
     proc : string;
+    samples : float list ref;  (** The [proc]'s samples closed since the last [drain]. *)
     t_entry : int;
     mutable child : int;
     mutable corrupted : bool;
   }
 
+  (* Each record's procedure is looked up by pc in [proc_of_pc], built
+     once per collector: an index into [names], [entries] and [cells], or
+     -1 outside every procedure.  Procedures that share a name share a
+     cell. *)
   type t = {
-    program : Program.t;
     resolution : int;
     max_window : int option;
+    proc_of_pc : int array;
+    names : string array;
+    entries : int array;
+    cells : float list ref array;  (** Newest sample first. *)
     mutable stack : frame list;
     mutable discarded : int;
-    closed : (string, float list ref) Hashtbl.t;
-        (* Samples closed since the last [drain], newest first. *)
   }
 
   let create ?max_window ~program ~resolution () =
-    { program; resolution; max_window; stack = []; discarded = 0; closed = Hashtbl.create 8 }
+    let procs = Array.of_list (Program.procs program) in
+    let proc_of_pc = Array.make (Program.length program) (-1) in
+    Array.iteri
+      (fun i (p : Program.proc_info) ->
+        for pc = p.Program.entry to p.Program.finish - 1 do
+          if proc_of_pc.(pc) < 0 then proc_of_pc.(pc) <- i
+        done)
+      procs;
+    let names = Array.map (fun (p : Program.proc_info) -> p.Program.name) procs in
+    let cells = Array.map (fun _ -> ref []) names in
+    Array.iteri
+      (fun i name ->
+        match Array.find_index (String.equal name) names with
+        | Some j when j < i -> cells.(i) <- cells.(j)
+        | _ -> ())
+      names;
+    {
+      resolution;
+      max_window;
+      proc_of_pc;
+      names;
+      entries = Array.map (fun (p : Program.proc_info) -> p.Program.entry) procs;
+      cells;
+      stack = [];
+      discarded = 0;
+    }
 
   let discarded t = t.discarded
   let open_frames t = List.length t.stack
-
-  let record_sample t proc v =
-    match Hashtbl.find_opt t.closed proc with
-    | Some cell -> cell := v :: !cell
-    | None -> Hashtbl.replace t.closed proc (ref [ v ])
 
   let poison t = List.iter (fun f -> f.corrupted <- true) t.stack
 
@@ -86,6 +112,10 @@ module Collector = struct
         t.discarded <- t.discarded + 1;
         t.stack <- rest;
         poison t
+
+  let rec is_open name = function
+    | [] -> false
+    | f :: rest -> String.equal f.proc name || is_open name rest
 
   (* Close the top frame as [proc]'s exit if it matches; otherwise, if
      [proc] is open deeper, unwind (discarding) to it; otherwise the entry
@@ -107,14 +137,14 @@ module Collector = struct
         end
         else begin
           if frame.corrupted then t.discarded <- t.discarded + 1
-          else record_sample t frame.proc (float_of_int (inclusive - frame.child));
+          else frame.samples := float_of_int (inclusive - frame.child) :: !(frame.samples);
           (match rest with
           | parent :: _ -> parent.child <- parent.child + inclusive
           | [] -> ());
           t.stack <- rest
         end
     | _ ->
-        if List.exists (fun f -> f.proc = proc) t.stack then begin
+        if is_open proc t.stack then begin
           discard_top t;
           close t proc t_exit
         end
@@ -126,33 +156,40 @@ module Collector = struct
         end
 
   let feed t { Mote_machine.Devices.pc; value; _ } =
-    match Program.proc_at t.program pc with
-    | None ->
-        t.discarded <- t.discarded + 1;
-        poison t
-    | Some proc ->
-        let name = proc.Program.name in
-        if pc = proc.Program.entry + 1 then begin
-          (* Recursion is impossible in mote programs, so an entry for an
-             already-open procedure proves its previous exit was lost:
-             everything open is torn. *)
-          if List.exists (fun f -> f.proc = name) t.stack then begin
-            t.discarded <- t.discarded + List.length t.stack;
-            t.stack <- []
-          end;
-          t.stack <- { proc = name; t_entry = wrap16 value; child = 0; corrupted = false } :: t.stack
-        end
-        else close t name (wrap16 value)
+    let proc = if pc >= 0 && pc < Array.length t.proc_of_pc then t.proc_of_pc.(pc) else -1 in
+    if proc < 0 then begin
+      t.discarded <- t.discarded + 1;
+      poison t
+    end
+    else begin
+      let name = t.names.(proc) in
+      if pc = t.entries.(proc) + 1 then begin
+        (* Recursion is impossible in mote programs, so an entry for an
+           already-open procedure proves its previous exit was lost:
+           everything open is torn. *)
+        if is_open name t.stack then begin
+          t.discarded <- t.discarded + List.length t.stack;
+          t.stack <- []
+        end;
+        let frame =
+          { proc = name; samples = t.cells.(proc); t_entry = wrap16 value; child = 0; corrupted = false }
+        in
+        t.stack <- frame :: t.stack
+      end
+      else close t name (wrap16 value)
+    end
 
   let drain t =
-    let samples =
-      Hashtbl.fold
-        (fun proc cell acc -> (proc, Array.of_list (List.rev !cell)) :: acc)
-        t.closed []
-      |> List.sort compare
-    in
-    Hashtbl.reset t.closed;
-    samples
+    let samples = ref [] in
+    Array.iteri
+      (fun i name ->
+        let cell = t.cells.(i) in
+        if !cell <> [] then begin
+          samples := (name, Array.of_list (List.rev !cell)) :: !samples;
+          cell := []
+        end)
+      t.names;
+    List.sort compare !samples
 end
 
 let collect_lossy_records ?max_window ~program ~resolution records =

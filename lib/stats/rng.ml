@@ -1,24 +1,34 @@
-type t = { mutable state : int64 }
+(* The 64-bit state lives unboxed in 8 bytes: a mutable [int64] field
+   would box a fresh state on every draw.  Only this module reads or
+   writes the bytes, always whole and in native byte order. *)
+type t = Bytes.t
+
+external get_state : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external set_state : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
-let create seed = { state = Int64.of_int seed }
+let of_state s =
+  let t = Bytes.create 8 in
+  set_state t 0 s;
+  t
 
-let copy t = { state = t.state }
+let create seed = of_state (Int64.of_int seed)
+
+let copy t = Bytes.copy t
 
 (* SplitMix64 output function (Steele, Lea, Flood 2014). *)
-let mix z =
+let[@inline] mix z =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
-let bits64 t =
-  t.state <- Int64.add t.state golden_gamma;
-  mix t.state
+let[@inline] bits64 t =
+  let s = Int64.add (get_state t 0) golden_gamma in
+  set_state t 0 s;
+  mix s
 
-let split t =
-  let child_seed = bits64 t in
-  { state = child_seed }
+let split t = of_state (bits64 t)
 
 let split_n t n =
   if n < 0 then invalid_arg "Rng.split_n: negative count";
@@ -33,9 +43,9 @@ let stream ~seed ~index =
   let jumped =
     Int64.add base (Int64.mul golden_gamma (Int64.of_int (index + 1)))
   in
-  { state = mix jumped }
+  of_state (mix jumped)
 
-let int t bound =
+let[@inline] int t bound =
   if bound <= 0 then invalid_arg "Rng.int: bound must be positive";
   (* Rejection-free for our purposes: modulo bias is negligible for
      bound << 2^62 and determinism is what matters here.  Masking with
@@ -43,7 +53,7 @@ let int t bound =
   let v = Int64.to_int (bits64 t) land max_int in
   v mod bound
 
-let unit_float t =
+let[@inline] unit_float t =
   (* 53 random bits mapped to [0,1). *)
   let v = Int64.shift_right_logical (bits64 t) 11 in
   Int64.to_float v *. (1.0 /. 9007199254740992.0)

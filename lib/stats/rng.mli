@@ -6,7 +6,8 @@
     and supports cheap splitting for independent streams. *)
 
 type t
-(** Mutable generator state. *)
+(** Mutable generator state: the 64-bit SplitMix64 state, held unboxed, so
+    a draw allocates nothing inside this module. *)
 
 val create : int -> t
 (** [create seed] returns a fresh generator.  Equal seeds yield equal

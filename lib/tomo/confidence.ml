@@ -7,7 +7,7 @@ let width i = i.hi -. i.lo
 let confidence = 0.9
 let max_iters = 15
 
-let bootstrap ?(replicates = 50) rng paths ~samples ~point =
+let bootstrap ?(replicates = 50) rng paths ~samples ~point ~sigma =
   if Array.length samples = 0 then invalid_arg "Confidence.bootstrap: no samples";
   if replicates < 2 then invalid_arg "Confidence.bootstrap: need at least 2 replicates";
   let n = Array.length samples in
@@ -16,7 +16,7 @@ let bootstrap ?(replicates = 50) rng paths ~samples ~point =
   for b = 0 to replicates - 1 do
     let resampled = Array.init n (fun _ -> samples.(Stats.Rng.int rng n)) in
     let r =
-      Em.estimate ~max_iters ~init:point ~record_trajectory:false paths
+      Em.estimate ~max_iters ~init:point ~sigma ~record_trajectory:false paths
         ~samples:resampled
     in
     Array.blit r.Em.theta 0 estimates.(b) 0 k

@@ -22,10 +22,15 @@ val bootstrap :
   Paths.t ->
   samples:float array ->
   point:float array ->
+  sigma:float ->
   t
 (** 90% percentile intervals over [replicates] (default 50) resamples,
-    each running 15 EM iterations warm-started from [point] (so few are
-    needed).  All randomness comes
+    each running 15 EM iterations warm-started from the point estimate:
+    θ from [point] and σ from [sigma], the point estimate's σ̂ (so few
+    iterations are needed).  Both are required: a replicate that started
+    from EM's default σ would re-fit the noise scale first and walk θ away
+    from the point estimate, and its interval could exclude its own
+    point.  All randomness comes
     from [rng]: a caller bootstrapping several procedures in parallel
     hands each its own {!Stats.Rng.split_n} child, split before any work
     starts (as [ctomo report] does), so the intervals do not depend on

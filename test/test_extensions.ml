@@ -31,9 +31,10 @@ let synth_samples ?(n = 2000) theta seed =
 
 let test_ci_contains_truth () =
   let paths, samples = synth_samples 0.4 5 in
-  let point = (Tomo.Em.estimate paths ~samples).Tomo.Em.theta in
+  let fit = Tomo.Em.estimate paths ~samples in
   let ci =
-    Tomo.Confidence.bootstrap (Stats.Rng.create 1) paths ~samples ~point
+    Tomo.Confidence.bootstrap (Stats.Rng.create 1) paths ~samples ~point:fit.Tomo.Em.theta
+      ~sigma:fit.Tomo.Em.sigma
   in
   Alcotest.(check bool) "interval contains truth" true (Tomo.Confidence.contains ci 0 0.4);
   Alcotest.(check bool) "interval is narrow" true
@@ -43,9 +44,10 @@ let test_ci_shrinks_with_samples () =
   let paths, small = synth_samples ~n:100 0.4 6 in
   let _, large = synth_samples ~n:4000 0.4 7 in
   let width samples =
-    let point = (Tomo.Em.estimate paths ~samples).Tomo.Em.theta in
+    let fit = Tomo.Em.estimate paths ~samples in
     let ci =
-      Tomo.Confidence.bootstrap ~replicates:60 (Stats.Rng.create 2) paths ~samples ~point
+      Tomo.Confidence.bootstrap ~replicates:60 (Stats.Rng.create 2) paths ~samples
+        ~point:fit.Tomo.Em.theta ~sigma:fit.Tomo.Em.sigma
     in
     Tomo.Confidence.width ci.Tomo.Confidence.intervals.(0)
   in
@@ -56,6 +58,7 @@ let test_ci_empty_samples () =
   Alcotest.(check bool) "empty rejected" true
     (match
        Tomo.Confidence.bootstrap (Stats.Rng.create 1) paths ~samples:[||] ~point:[| 0.5 |]
+         ~sigma:2.0
      with
     | _ -> false
     | exception Invalid_argument _ -> true)
@@ -293,11 +296,51 @@ let test_generator_deterministic () =
   let b = Workloads.Generator.generate () in
   Alcotest.(check bool) "same program for same seed" true (a = b)
 
+(* The bootstrap of [ctomo report -w ctp --jitter 8 --horizon 200000]
+   (pinned in test/cli/report.t), replayed as report runs it: at jitter 8
+   σ̂ is in the hundreds, and replicates that restarted EM at the default
+   σ walked θ away from the point estimate, so ctp_rx_task's θ[3] = 0.845
+   came out with the interval [0.272, 0.813].  Warm-started at σ̂ too,
+   every interval contains its point. *)
+let test_ci_contains_point_at_jitter_8 () =
+  let module P = Codetomo.Pipeline in
+  let w = Workloads.ctp in
+  let config =
+    { P.default_config with P.seed = 42; timer_jitter = 8.0; horizon = Some 200_000 }
+  in
+  let run = P.profile ~config w in
+  let procs = w.Workloads.profiled in
+  let streams = Stats.Rng.split_n (Stats.Rng.create (42 + 31)) (List.length procs) in
+  List.iteri
+    (fun i proc ->
+      let e, samples, paths =
+        P.estimate_proc ~opts:{ P.default_opts with P.max_paths = Some 20_000 } run proc
+      in
+      match paths with
+      | None -> Alcotest.failf "%s: no path set" proc
+      | Some paths ->
+          let point = e.P.estimate.Tomo.Estimator.theta in
+          let sigma = Option.get e.P.estimate.Tomo.Estimator.sigma in
+          let ci =
+            Tomo.Confidence.bootstrap ~replicates:30 streams.(i) paths ~samples ~point ~sigma
+          in
+          Array.iteri
+            (fun k (itv : Tomo.Confidence.interval) ->
+              Alcotest.(check bool)
+                (Printf.sprintf "%s theta[%d] = %.3f in [%.3f, %.3f]" proc k point.(k)
+                   itv.Tomo.Confidence.lo itv.Tomo.Confidence.hi)
+                true
+                (Tomo.Confidence.contains ci k point.(k)))
+            ci.Tomo.Confidence.intervals)
+    procs
+
 let suite =
   [
     Alcotest.test_case "ci contains truth" `Quick test_ci_contains_truth;
     Alcotest.test_case "ci shrinks" `Slow test_ci_shrinks_with_samples;
     Alcotest.test_case "ci empty" `Quick test_ci_empty_samples;
+    Alcotest.test_case "ci contains its point at jitter 8" `Quick
+      test_ci_contains_point_at_jitter_8;
     Alcotest.test_case "windowed stationary" `Quick test_windowed_stationary;
     Alcotest.test_case "windowed detects shift" `Quick test_windowed_detects_shift;
     Alcotest.test_case "windowed tail folding" `Quick test_windowed_tail_folding;

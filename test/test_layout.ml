@@ -564,3 +564,112 @@ let suite =
       Alcotest.test_case "scorer = reference evaluate" `Quick
         test_scorer_report_matches_reference;
     ]
+
+(* --- the allocation-free exhaustive search against the scoring loop it
+   replaced --- *)
+
+(* [Algorithms.exhaustive] as it was before the search moved into
+   [Eval.extreme]: the candidate permuted in place by Heap's algorithm,
+   each one scored by [Eval.report] (which validates it and inverts it
+   afresh), the first strictly better kept. *)
+let scored_exhaustive ~better freq =
+  let cfg = Freq.cfg freq in
+  let n = Cfg.num_blocks cfg in
+  if n <= 1 then Placement.natural cfg
+  else begin
+    let scorer = Eval.scorer freq in
+    let score p = (Eval.report scorer p).Eval.taken_transfers in
+    let candidate = Placement.natural cfg in
+    let best = ref (Array.copy candidate) in
+    let best_score = ref (score !best) in
+    let consider () =
+      let s = score candidate in
+      if better s !best_score then begin
+        best := Array.copy candidate;
+        best_score := s
+      end
+    in
+    let swap i j =
+      let t = candidate.(i + 1) in
+      candidate.(i + 1) <- candidate.(j + 1);
+      candidate.(j + 1) <- t
+    in
+    let rec permute k =
+      if k = 1 then consider ()
+      else
+        for i = 0 to k - 1 do
+          permute (k - 1);
+          if k mod 2 = 0 then swap i (k - 1) else swap 0 (k - 1)
+        done
+    in
+    permute (n - 1);
+    !best
+  end
+
+(* A CFG of [n] blocks with random terminators and block sizes: branches
+   (self-loops and equal targets included), jumps, fall-throughs and
+   returns. *)
+let random_cfg rng n =
+  let pick () = Stats.Rng.int rng n in
+  let blocks =
+    Array.init n (fun id ->
+        let term =
+          match Stats.Rng.int rng 4 with
+          | 0 -> Cfg.T_branch (Isa.Ne, pick (), pick ())
+          | 1 -> Cfg.T_jump (pick ())
+          | 2 -> Cfg.T_fall (pick ())
+          | _ -> Cfg.T_ret
+        in
+        {
+          Cfg.id;
+          first = id;
+          last = id;
+          base_cost = 1;
+          size_words = 1 + Stats.Rng.int rng 3;
+          callees = [];
+          term;
+        })
+  in
+  let cfg =
+    {
+      Cfg.proc = { Program.name = "random"; entry = 0; finish = n };
+      blocks;
+      preds = Array.make n [];
+    }
+  in
+  let preds = Array.make n [] in
+  List.iter (fun (src, dst, _) -> preds.(dst) <- src :: preds.(dst)) (Cfg.edges cfg);
+  { cfg with Cfg.preds = Array.map List.rev preds }
+
+let test_extreme_matches_scored_loop () =
+  let rng = Stats.Rng.create 4242 in
+  let placement = Alcotest.(array int) in
+  List.iter
+    (fun n ->
+      for trial = 1 to 6 do
+        let cfg = random_cfg rng n in
+        let weight =
+          match trial mod 4 with
+          | 0 -> fun () -> 0.0
+          | 1 -> fun () -> 5.0
+          | 2 -> fun () -> float_of_int (Stats.Rng.int rng 3)
+          | _ -> fun () -> Stats.Rng.float rng 100.0
+        in
+        let f = Freq.create cfg ~invocations:10.0 in
+        List.iter (fun (src, dst, kind) -> Freq.bump f ~src ~dst ~kind (weight ())) (Cfg.edges cfg);
+        let label what = Printf.sprintf "%d blocks, trial %d: %s" n trial what in
+        Alcotest.check placement (label "optimal")
+          (scored_exhaustive ~better:(fun a b -> a < b) f)
+          (Algorithms.optimal f);
+        Alcotest.check placement (label "pessimal")
+          (scored_exhaustive ~better:(fun a b -> a > b) f)
+          (Algorithms.pessimal f)
+      done)
+    [ 2; 3; 4; 5; 6; 7; 8; 9 ]
+
+let suite =
+  suite
+  @ [
+      Alcotest.test_case "exhaustive = scored loop (random CFGs)" `Quick
+        test_extreme_matches_scored_loop;
+    ]

@@ -407,8 +407,12 @@ let test_loop_matches_reference_on_workloads () =
     Workloads.all
 
 (* Faults end both interpreters with the same message, after the same
-   trace (every pc and cycle count the trace hook saw). *)
+   trace (every pc and cycle count the trace hook saw), and leave the
+   same state behind: statistics, pc, sp, registers and memory.  Every
+   case runs with and without a trace hook, since the loop leaves its
+   fast path around the hook. *)
 let test_loop_matches_reference_on_faults () =
+  let raw i = Asm.I i in
   let cases =
     [
       ( "fuel",
@@ -422,32 +426,125 @@ let test_loop_matches_reference_on_faults () =
         "store outside memory: -2" );
       ("stack overflow", [ Asm.Proc "main"; Asm.push 0; Asm.call "main"; Asm.ret ], "stack overflow");
       ("stack underflow", [ Asm.Proc "main"; Asm.pop 0; Asm.pop 0; Asm.ret ], "stack underflow");
+      ("movi register", [ Asm.Proc "main"; Asm.movi 16 1; Asm.ret ], "bad register r16");
+      ( "mov register",
+        [ Asm.Proc "main"; Asm.movi 0 3; raw (Isa.Mov (17, 0)); Asm.ret ],
+        "bad register r17" );
+      ( "alu register",
+        [ Asm.Proc "main"; Asm.movi 0 3; raw (Isa.Alu (Isa.Add, 20, 0, 0)); Asm.ret ],
+        "bad register r20" );
+      ( "alui register",
+        [ Asm.Proc "main"; raw (Isa.Alui (Isa.Mul, -1, 0, 5)); Asm.ret ],
+        "bad register r-1" );
+      ( "ld register",
+        [ Asm.Proc "main"; Asm.movi 0 100; raw (Isa.Ld (16, 0, 1)); Asm.ret ],
+        "bad register r16" );
+      ( "pop register",
+        [ Asm.Proc "main"; Asm.movi 0 7; Asm.push 0; raw (Isa.Pop 16); Asm.ret ],
+        "bad register r16" );
+      ( "in register",
+        [ Asm.Proc "main"; raw (Isa.In (99, Isa.P_timer)); Asm.ret ],
+        "bad register r99" );
+      ("pc past the end", [ Asm.Proc "main"; Asm.movi 0 1; Asm.addi 0 0 2 ], "pc outside program: 2");
+      ( "ret outside the program",
+        [ Asm.Proc "main"; Asm.movi 0 9999; Asm.push 0; Asm.ret ],
+        "pc outside program: 9999" );
+      ( "read radio.tx",
+        [ Asm.Proc "main"; Asm.movi 0 1; raw (Isa.In (0, Isa.P_radio_tx)); Asm.ret ],
+        "cannot read from radio.tx" );
+      ( "write timer",
+        [ Asm.Proc "main"; Asm.movi 0 1; raw (Isa.Out (Isa.P_timer, 0)); Asm.ret ],
+        "cannot write to timer" );
     ]
   in
+  let leave_procedure = [ "pc past the end" ] in
   List.iter
     (fun (label, items, expected) ->
       let program = build items in
-      check_agrees label
-        (Fuzz.Oracles.interpreter_mismatch ~fuel:1001 ~env:Env.default_config program
-           [ "main" ]);
-      let run run_proc =
+      (* The differential oracle counts branches per CFG block, so it
+         needs a program whose control stays inside its procedures: only
+         a case named in [leave_procedure] may fail to build a CFG. *)
+      (match Cfgir.Cfg.of_program program with
+      | exception Cfgir.Cfg.Malformed _ when List.mem label leave_procedure -> ()
+      | _ when List.mem label leave_procedure -> Alcotest.failf "%s: CFG is not malformed" label
+      | _ ->
+          check_agrees label
+            (Fuzz.Oracles.interpreter_mismatch ~fuel:1001 ~env:Env.default_config program
+               [ "main" ]));
+      let run ~traced run_proc =
         let m = Machine.create ~program ~devices:(Devices.create ()) () in
         let trace = ref [] in
-        Machine.set_trace_hook m (Some (fun ~pc ~instr:_ ~cycles -> trace := (pc, cycles) :: !trace));
+        if traced then
+          Machine.set_trace_hook m
+            (Some (fun ~pc ~instr:_ ~cycles -> trace := (pc, cycles) :: !trace));
         match run_proc ?fuel:(Some 100_000) m "main" with
         | _ -> Alcotest.failf "%s: no fault" label
-        | exception Machine.Fault msg -> (msg, !trace)
+        | exception Machine.Fault msg ->
+            let state =
+              ( Machine.stats m,
+                (Machine.pc m, Machine.sp m),
+                Array.init Isa.num_regs (Machine.reg m),
+                Array.init 4096 (Machine.read_mem m) )
+            in
+            (msg, !trace, state)
       in
-      let fast_msg, fast_trace = run Machine.run_proc in
-      let ref_msg, ref_trace = run Machine.Reference.run_proc in
-      Alcotest.(check string) (label ^ ": loop message") expected fast_msg;
-      Alcotest.(check string) (label ^ ": reference message") expected ref_msg;
-      Alcotest.(check bool) (label ^ ": same trace") true (fast_trace = ref_trace))
+      List.iter
+        (fun traced ->
+          let label = if traced then label ^ " (traced)" else label in
+          let fast_msg, fast_trace, fast_state = run ~traced Machine.run_proc in
+          let ref_msg, ref_trace, ref_state = run ~traced Machine.Reference.run_proc in
+          Alcotest.(check string) (label ^ ": loop message") expected fast_msg;
+          Alcotest.(check string) (label ^ ": reference message") expected ref_msg;
+          Alcotest.(check bool) (label ^ ": same trace") true (fast_trace = ref_trace);
+          let stats ((s : Machine.stats), _, _, _) =
+            [
+              s.instructions; s.cycles; s.cond_branches; s.taken_cond_branches;
+              s.mispredicted_branches; s.unconditional_transfers; s.calls; s.returns;
+            ]
+          in
+          Alcotest.(check (list int)) (label ^ ": same stats") (stats ref_state) (stats fast_state);
+          let (_, (ref_pc, ref_sp), ref_regs, ref_mem) = ref_state
+          and (_, (pc, sp), regs, mem) = fast_state in
+          Alcotest.(check int) (label ^ ": same pc") ref_pc pc;
+          Alcotest.(check int) (label ^ ": same sp") ref_sp sp;
+          Alcotest.(check (array int)) (label ^ ": same registers") ref_regs regs;
+          Alcotest.(check bool) (label ^ ": same memory") true (ref_mem = mem))
+        [ false; true ])
     cases
+
+(* A stack overflow leaves sp at -1; popping there indexes outside
+   memory in both interpreters alike. *)
+let test_pop_after_overflow () =
+  let program =
+    build
+      [
+        Asm.Proc "main"; Asm.push 0; Asm.call "main"; Asm.ret; Asm.Proc "drop"; Asm.Label "drop_at";
+        Asm.pop 1; Asm.ret;
+      ]
+  in
+  let run (run_proc, run_from_symbol) =
+    let m = Machine.create ~mem_words:64 ~program ~devices:(Devices.create ()) () in
+    (match run_proc ?fuel:None m "main" with
+    | _ -> Alcotest.fail "no overflow"
+    | exception Machine.Fault _ -> ());
+    let outcome =
+      match run_from_symbol ?fuel:None m "drop_at" with
+      | () -> "returned"
+      | exception Invalid_argument msg -> "invalid argument: " ^ msg
+      | exception Machine.Fault msg -> "fault: " ^ msg
+    in
+    (outcome, Machine.stats m, Machine.pc m, Machine.sp m)
+  in
+  let fast = run (Machine.run_proc, Machine.run_from_symbol)
+  and reference = run (Machine.Reference.run_proc, Machine.Reference.run_from_symbol) in
+  let outcome, _, _, _ = fast in
+  Alcotest.(check string) "outcome" "invalid argument: index out of bounds" outcome;
+  Alcotest.(check bool) "same state" true (fast = reference)
 
 let suite =
   suite
   @ [
+      Alcotest.test_case "pop after overflow" `Quick test_pop_after_overflow;
       Alcotest.test_case "loop = reference on workloads" `Quick
         test_loop_matches_reference_on_workloads;
       Alcotest.test_case "loop = reference on faults" `Quick

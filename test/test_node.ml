@@ -148,6 +148,108 @@ let test_drain_tx_multi () =
   Alcotest.(check (list int)) "tx_since" (List.filteri (fun i _ -> i >= 10) log)
     (Devices.tx_since devices 10)
 
+(* Goldens recorded before the task loop moved to arrays and a ring
+   buffer: every workload's natural binary (jitter 0, seed 42) and
+   instrumented binary (jitter 3, seed 5) over its full horizon, and a
+   queue-stressing node (12 boot tasks over a capacity of 8, 40 timers,
+   two radio tasks) extended over three [run] calls.  A scheduling change
+   that moves a single task shows up in one of these numbers. *)
+let workload_goldens =
+  [
+    ("blink", false, [ ("blink_task", 4992) ], 0, 0, 170352, 2829636, 100471, 9360, 0, 0);
+    ("blink", true, [ ("blink_task", 4992) ], 0, 0, 210296, 2789692, 120446, 9359, 9984, 0);
+    ( "sense", false, [ ("report_task", 286); ("sense_task", 4440) ], 0, 0, 204794, 3795190,
+      127810, 4158, 0, 1256 );
+    ( "sense", true, [ ("report_task", 286); ("sense_task", 4440) ], 0, 0, 242448, 3757536,
+      146612, 4220, 9452, 1204 );
+    ("filter", false, [ ("filter_task", 4994) ], 0, 0, 326019, 3673969, 209824, 8641, 0, 1091);
+    ("filter", true, [ ("filter_task", 4994) ], 0, 0, 365156, 3634832, 229149, 8749, 9988, 1079);
+    ( "ctp", false, [ ("ctp_beacon_task", 251); ("ctp_rx_task", 2929) ], 0, 2929, 262633,
+      4737343, 168769, 8524, 0, 795 );
+    ( "ctp", true, [ ("ctp_beacon_task", 251); ("ctp_rx_task", 3016) ], 0, 3016, 298933,
+      4701043, 188472, 8828, 6534, 828 );
+    ( "monitor", false, [ ("monitor_task", 3331) ], 0, 0, 415148, 3584840, 251728, 14364, 0,
+      208 );
+    ( "monitor", true, [ ("monitor_task", 3331) ], 0, 0, 495360, 3504628, 291968, 14332, 19986,
+      208 );
+  ]
+
+let test_workload_goldens () =
+  List.iter
+    (fun (name, instrumented, runs, dropped, packets, busy, idle, instrs, mispredicted, probes, tx) ->
+      let w = Workloads.find name in
+      let c = Workloads.compiled w in
+      let binary =
+        if instrumented then
+          Mote_isa.Asm.assemble (Profilekit.Probes.instrument c.Compile.items)
+        else c.Compile.program
+      in
+      let jitter, seed = if instrumented then (3.0, 5) else (0.0, 42) in
+      let devices =
+        Devices.create ~timer_resolution:1 ~timer_jitter:jitter
+          ~rng:(Stats.Rng.create (seed + 7919))
+          ()
+      in
+      let machine = Machine.create ~program:binary ~devices () in
+      let env = Env.create { (w.Workloads.env_config) with Env.seed } in
+      let node = Node.create ~machine ~env ~tasks:w.Workloads.tasks () in
+      let s = Node.run node ~until:w.Workloads.horizon in
+      let m = Machine.stats machine in
+      let label what = Printf.sprintf "%s%s %s" name (if instrumented then "+probes" else "") what in
+      Alcotest.(check (list (pair string int))) (label "tasks run") runs s.Node.tasks_run;
+      Alcotest.(check int) (label "dropped") dropped s.Node.tasks_dropped;
+      Alcotest.(check int) (label "packets") packets s.Node.packets_delivered;
+      Alcotest.(check int) (label "busy") busy s.Node.busy_cycles;
+      Alcotest.(check int) (label "idle") idle s.Node.idle_cycles;
+      Alcotest.(check int) (label "instructions") instrs m.Machine.instructions;
+      Alcotest.(check int) (label "mispredicted") mispredicted m.Machine.mispredicted_branches;
+      Alcotest.(check int) (label "probe records") probes
+        (List.length (Devices.probe_log devices));
+      Alcotest.(check int) (label "tx words") tx (Devices.tx_count devices))
+    workload_goldens
+
+let test_queue_golden () =
+  let c = Compile.compile simple_program in
+  let tasks =
+    List.init 12 (fun _ -> { Node.proc = "boot_task"; source = Node.Boot })
+    @ List.init 40 (fun i ->
+          {
+            Node.proc = "tick_task";
+            source = Node.Periodic { period = 7_000 + (i * 13); offset = i * 3 };
+          })
+    @ [
+        { Node.proc = "rx_task"; source = Node.On_radio_rx };
+        { Node.proc = "rx_task"; source = Node.On_radio_rx };
+      ]
+  in
+  let devices = Devices.create () in
+  let machine = Machine.create ~program:c.Compile.program ~devices () in
+  let env =
+    Env.create
+      {
+        Env.seed = 3;
+        channels = [];
+        radio = Env.Poisson { per_kilocycle = 2.0; payload_lo = 1; payload_hi = 9 };
+      }
+  in
+  let node = Node.create ~machine ~env ~tasks ~queue_capacity:8 () in
+  List.iter
+    (fun (until, runs, dropped, packets, busy, idle) ->
+      let s = Node.run node ~until in
+      let label what = Printf.sprintf "until %d: %s" until what in
+      Alcotest.(check (list (pair string int))) (label "tasks run") runs s.Node.tasks_run;
+      Alcotest.(check int) (label "dropped") dropped s.Node.tasks_dropped;
+      Alcotest.(check int) (label "packets") packets s.Node.packets_delivered;
+      Alcotest.(check int) (label "busy") busy s.Node.busy_cycles;
+      Alcotest.(check int) (label "idle") idle s.Node.idle_cycles)
+    [
+      (20_000, [ ("boot_task", 12); ("rx_task", 62); ("tick_task", 90) ], 30, 31, 2066, 17922);
+      ( 150_000, [ ("boot_task", 12); ("rx_task", 572); ("tick_task", 820) ], 30, 286, 18256,
+        131737 );
+      ( 400_000, [ ("boot_task", 12); ("rx_task", 1610); ("tick_task", 2196) ], 30, 805, 50000,
+        349988 );
+    ]
+
 let suite =
   [
     Alcotest.test_case "unknown task" `Quick test_unknown_task_rejected;
@@ -159,4 +261,6 @@ let suite =
     Alcotest.test_case "run extends" `Quick test_run_extends;
     Alcotest.test_case "node runs init" `Quick test_globals_initialized_by_node;
     Alcotest.test_case "drain tx repeatedly" `Quick test_drain_tx_multi;
+    Alcotest.test_case "workload run goldens" `Quick test_workload_goldens;
+    Alcotest.test_case "queue and radio golden" `Quick test_queue_golden;
   ]

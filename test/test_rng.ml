@@ -150,6 +150,49 @@ let qcheck_tests =
            i >= 0 && i < Array.length w && w.(i) >= 0.0));
   ]
 
+(* Hex goldens recorded before the generator state became 8 unboxed
+   bytes: the first three outputs of [bits64], [unit_float], [int] and
+   [Dist.gaussian] from a fresh generator of each kind.  Any change to the
+   state update, the mixer or a derived draw shows up here bit for bit. *)
+let rng_goldens =
+  [
+    ( "create",
+      (fun () -> Stats.Rng.create 12345),
+      [ 0x22118258a9d111a0L; 0x346edce5f713f8edL; 0x1e9a57bc80e6721dL ],
+      [ "0x1.108c12c54e888p-3"; "0x1.a376e72fb89fcp-3"; "0x1.e9a57bc80e67p-4" ],
+      [ 741225; 278312; 875853 ],
+      [ "0x1.32920fea3c8c5p-3"; "0x1.ceb0bc4b18639p-3"; "-0x1.3c97cd760e125p-1" ] );
+    ( "split",
+      (fun () -> Stats.Rng.split (Stats.Rng.create 777)),
+      [ 0x7369e2460e9c0bc5L; 0x7df00993facaa7a7L; 0xc45b20daab7dcdc4L ],
+      [ "0x1.cda789183a702p-2"; "0x1.f7c0264feb2a8p-2"; "0x1.88b641b556fb9p-1" ],
+      [ 104905; 471114; 146577 ],
+      [ "-0x1.17ec9b88f80a3p+0"; "0x1.8581d571028d8p+0"; "0x1.8acdeb890fdbcp-2" ] );
+    ( "stream",
+      (fun () -> Stats.Rng.stream ~seed:9 ~index:4),
+      [ 0xee02f680f4248374L; 0x8d5b1fedff8143aeL; 0x3589baf76b88ca52L ],
+      [ "0x1.dc05ed01e849p-1"; "0x1.1ab63fdbff028p-1"; "0x1.ac4dd7bb5c464p-3" ],
+      [ 297834; 608896; 693079 ],
+      [ "-0x1.17460d43a1178p+1"; "-0x1.f558bdad3f8c6p-2"; "-0x1.e3fe12c98ff8fp-5" ] );
+  ]
+
+let test_hex_goldens () =
+  let hex = List.map (Printf.sprintf "%h") in
+  List.iter
+    (fun (name, make, bits, units, ints, gaussians) ->
+      let draw f =
+        let rng = make () in
+        List.init 3 (fun _ -> f rng)
+      in
+      Alcotest.(check (list int64)) (name ^ " bits64") bits (draw Stats.Rng.bits64);
+      Alcotest.(check (list string)) (name ^ " unit_float") units
+        (hex (draw Stats.Rng.unit_float));
+      Alcotest.(check (list int)) (name ^ " int") ints
+        (draw (fun rng -> Stats.Rng.int rng 1_000_003));
+      Alcotest.(check (list string)) (name ^ " gaussian") gaussians
+        (hex (draw (fun rng -> Stats.Dist.gaussian rng ~mu:0.0 ~sigma:1.0))))
+    rng_goldens
+
 let suite =
   [
     Alcotest.test_case "determinism" `Quick test_determinism;
@@ -168,5 +211,6 @@ let suite =
     Alcotest.test_case "choose member" `Quick test_choose_member;
     Alcotest.test_case "categorical weights" `Quick test_categorical_weights;
     Alcotest.test_case "categorical zero weights" `Quick test_categorical_zero_weights;
+    Alcotest.test_case "hex goldens" `Quick test_hex_goldens;
   ]
   @ qcheck_tests

@@ -12,54 +12,7 @@ let exponential rng ~rate =
   if rate <= 0.0 then invalid_arg "Dist.exponential: rate must be positive";
   -.log (1.0 -. Rng.unit_float rng) /. rate
 
-let poisson rng ~lambda =
-  if lambda < 0.0 then invalid_arg "Dist.poisson: negative lambda";
-  if lambda = 0.0 then 0
-  else if lambda < 64.0 then begin
-    let l = exp (-.lambda) in
-    let rec loop k p =
-      let p = p *. Rng.unit_float rng in
-      if p <= l then k else loop (k + 1) p
-    in
-    loop 0 1.0
-  end
-  else
-    let x = gaussian rng ~mu:lambda ~sigma:(sqrt lambda) in
-    max 0 (int_of_float (Float.round x))
-
-let geometric rng ~p =
-  if p <= 0.0 || p > 1.0 then invalid_arg "Dist.geometric: p outside (0,1]";
-  if p = 1.0 then 0
-  else
-    let u = 1.0 -. Rng.unit_float rng in
-    int_of_float (Float.of_int 0 +. floor (log u /. log (1.0 -. p)))
-
 let bernoulli rng ~p = Rng.bernoulli rng p
-
-let dirichlet_pair rng ~alpha =
-  (* Beta(a,a) via two Gamma(a) draws (Marsaglia–Tsang needs a >= 1; for
-     a < 1 use the boost X = G(a+1) * U^(1/a)). *)
-  let rec gamma a =
-    if a < 1.0 then
-      let u = Rng.unit_float rng in
-      gamma (a +. 1.0) *. (u ** (1.0 /. a))
-    else begin
-      let d = a -. (1.0 /. 3.0) in
-      let c = 1.0 /. sqrt (9.0 *. d) in
-      let rec try_once () =
-        let x = gaussian rng ~mu:0.0 ~sigma:1.0 in
-        let v = (1.0 +. (c *. x)) ** 3.0 in
-        if v <= 0.0 then try_once ()
-        else
-          let u = Rng.unit_float rng in
-          if log u < (0.5 *. x *. x) +. d -. (d *. v) +. (d *. log v) then d *. v
-          else try_once ()
-      in
-      try_once ()
-    end
-  in
-  let x = gamma alpha and y = gamma alpha in
-  x /. (x +. y)
 
 let gaussian_pdf ~mu ~sigma x =
   let z = (x -. mu) /. sigma in
@@ -69,7 +22,3 @@ let gaussian_log_pdf ~mu ~sigma x =
   let z = (x -. mu) /. sigma in
   (-0.5 *. z *. z) -. log sigma -. (0.5 *. log (2.0 *. Float.pi))
 
-let geometric_pmf ~p k =
-  if k < 0 then 0.0 else p *. ((1.0 -. p) ** float_of_int k)
-
-let geometric_tail ~p k = if k <= 0 then 1.0 else (1.0 -. p) ** float_of_int k

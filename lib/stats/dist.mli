@@ -1,8 +1,9 @@
-(** Probability distributions: samplers and a few densities.
+(** Probability distributions: the samplers behind the simulated sensors,
+    radio traffic and timer jitter, and the Gaussian densities behind the
+    estimators' timing-noise likelihoods.
 
     Samplers take an {!Rng.t} explicitly so call sites control their random
-    stream.  Densities are provided where the estimators need them (Gaussian
-    likelihoods for timing noise, geometric tails for loop models). *)
+    stream. *)
 
 val uniform : Rng.t -> lo:float -> hi:float -> float
 (** Uniform on [lo, hi). *)
@@ -13,19 +14,7 @@ val gaussian : Rng.t -> mu:float -> sigma:float -> float
 val exponential : Rng.t -> rate:float -> float
 (** Exponential with rate [rate] > 0. *)
 
-val poisson : Rng.t -> lambda:float -> int
-(** Poisson counts; Knuth's method for small lambda, normal approximation
-    above 64 to stay O(1). *)
-
-val geometric : Rng.t -> p:float -> int
-(** Number of failures before first success, support {0,1,...}, for success
-    probability [p] in (0,1]. *)
-
 val bernoulli : Rng.t -> p:float -> bool
-
-val dirichlet_pair : Rng.t -> alpha:float -> float
-(** Draw [x] from Beta(alpha, alpha): a random branch probability used by
-    synthetic model generators.  Symmetric so neither side is favoured. *)
 
 val gaussian_pdf : mu:float -> sigma:float -> float -> float
 (** Density of Normal(mu, sigma²) at a point. *)
@@ -33,8 +22,3 @@ val gaussian_pdf : mu:float -> sigma:float -> float -> float
 val gaussian_log_pdf : mu:float -> sigma:float -> float -> float
 (** Log-density; safe for tiny densities that underflow {!gaussian_pdf}. *)
 
-val geometric_pmf : p:float -> int -> float
-(** [geometric_pmf ~p k] = [p (1-p)^k]. *)
-
-val geometric_tail : p:float -> int -> float
-(** [geometric_tail ~p k] = P(X >= k) = [(1-p)^k]. *)

@@ -8,50 +8,9 @@ let mae a b =
   Array.iteri (fun i x -> sum := !sum +. abs_float (x -. b.(i))) a;
   !sum /. float_of_int (Array.length a)
 
-let rmse a b =
-  check a b "Metrics.rmse";
-  let sum = ref 0.0 in
-  Array.iteri
-    (fun i x ->
-      let d = x -. b.(i) in
-      sum := !sum +. (d *. d))
-    a;
-  sqrt (!sum /. float_of_int (Array.length a))
-
 let max_abs_error a b =
   check a b "Metrics.max_abs_error";
   let m = ref 0.0 in
   Array.iteri (fun i x -> m := Stdlib.max !m (abs_float (x -. b.(i)))) a;
   !m
 
-let kl_divergence p q =
-  check p q "Metrics.kl_divergence";
-  let acc = ref 0.0 in
-  Array.iteri
-    (fun i pi ->
-      if pi > 0.0 then acc := !acc +. (pi *. log (pi /. Stdlib.max q.(i) 1e-12)))
-    p;
-  !acc
-
-let total_variation p q =
-  check p q "Metrics.total_variation";
-  let acc = ref 0.0 in
-  Array.iteri (fun i pi -> acc := !acc +. abs_float (pi -. q.(i))) p;
-  0.5 *. !acc
-
-let relative_error ~actual ~expected =
-  abs_float (actual -. expected) /. Stdlib.max (abs_float expected) 1e-12
-
-let bootstrap_ci rng data ~iterations ~confidence =
-  if Array.length data = 0 then invalid_arg "Metrics.bootstrap_ci: empty data";
-  let n = Array.length data in
-  let means =
-    Array.init iterations (fun _ ->
-        let acc = ref 0.0 in
-        for _ = 1 to n do
-          acc := !acc +. data.(Rng.int rng n)
-        done;
-        !acc /. float_of_int n)
-  in
-  let alpha = (1.0 -. confidence) /. 2.0 in
-  (Summary.quantile means alpha, Summary.quantile means (1.0 -. alpha))

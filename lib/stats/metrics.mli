@@ -4,20 +4,5 @@
 val mae : float array -> float array -> float
 (** Mean absolute error; arrays must have equal, positive length. *)
 
-val rmse : float array -> float array -> float
-
 val max_abs_error : float array -> float array -> float
 
-val kl_divergence : float array -> float array -> float
-(** KL(p || q) for probability vectors; q entries are floored at 1e-12 to
-    avoid infinities from empirical zeros. *)
-
-val total_variation : float array -> float array -> float
-(** 0.5 * L1 distance between probability vectors. *)
-
-val relative_error : actual:float -> expected:float -> float
-(** |actual - expected| / max(|expected|, 1e-12). *)
-
-val bootstrap_ci :
-  Rng.t -> float array -> iterations:int -> confidence:float -> float * float
-(** Percentile-bootstrap confidence interval for the mean. *)

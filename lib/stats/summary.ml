@@ -27,9 +27,6 @@ let min t = t.min
 let max t = t.max
 let total t = t.mean *. float_of_int t.n
 
-let second_moment t =
-  if t.n = 0 then 0.0 else (t.mean *. t.mean) +. (t.m2 /. float_of_int t.n)
-
 let merge a b =
   if a.n = 0 then { b with n = b.n }
   else if b.n = 0 then { a with n = a.n }

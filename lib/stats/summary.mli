@@ -17,9 +17,6 @@ val min : t -> float
 val max : t -> float
 val total : t -> float
 
-val second_moment : t -> float
-(** E[X²] estimate: mean² + biased variance. *)
-
 val merge : t -> t -> t
 (** Combine two summaries as if their streams were concatenated. *)
 

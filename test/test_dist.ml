@@ -39,38 +39,6 @@ let test_exponential () =
   close ~tol:0.02 "exponential mean" 0.5 mean;
   close ~tol:0.02 "exponential std" 0.5 std
 
-let test_poisson_small () =
-  let mean, _ = moments 50_000 (fun r -> float_of_int (Stats.Dist.poisson r ~lambda:3.5)) in
-  close "poisson mean" 3.5 mean
-
-let test_poisson_large () =
-  let mean, std =
-    moments 20_000 (fun r -> float_of_int (Stats.Dist.poisson r ~lambda:100.0))
-  in
-  close ~tol:0.5 "poisson mean (normal approx)" 100.0 mean;
-  close ~tol:0.5 "poisson std (normal approx)" 10.0 std
-
-let test_poisson_zero () =
-  Alcotest.(check int) "lambda 0" 0 (Stats.Dist.poisson (rng ()) ~lambda:0.0)
-
-let test_geometric () =
-  (* Mean of failures-before-success is (1-p)/p. *)
-  let p = 0.25 in
-  let mean, _ = moments 50_000 (fun r -> float_of_int (Stats.Dist.geometric r ~p)) in
-  close ~tol:0.1 "geometric mean" 3.0 mean
-
-let test_geometric_one () =
-  Alcotest.(check int) "p=1 is always 0" 0 (Stats.Dist.geometric (rng ()) ~p:1.0)
-
-let test_dirichlet_pair () =
-  let mean, _ = moments 20_000 (fun r -> Stats.Dist.dirichlet_pair r ~alpha:2.0) in
-  close "beta(2,2) mean" 0.5 mean;
-  let r = rng () in
-  for _ = 1 to 500 do
-    let v = Stats.Dist.dirichlet_pair r ~alpha:0.5 in
-    Alcotest.(check bool) "in (0,1)" true (v > 0.0 && v < 1.0)
-  done
-
 let test_gaussian_pdf_integrates () =
   (* Trapezoid over +-6 sigma. *)
   let mu = 1.0 and sigma = 2.0 in
@@ -93,42 +61,12 @@ let test_log_pdf_consistent () =
       close ~tol:1e-9 "log pdf" (log p) lp)
     xs
 
-let test_geometric_pmf_sums () =
-  let p = 0.3 in
-  let total = ref 0.0 in
-  for k = 0 to 200 do
-    total := !total +. Stats.Dist.geometric_pmf ~p k
-  done;
-  close ~tol:1e-9 "pmf sums to 1" 1.0 !total
-
-let test_geometric_tail () =
-  let p = 0.4 in
-  (* tail(k) = sum_{j>=k} pmf(j) *)
-  let tail_direct k =
-    let acc = ref 0.0 in
-    for j = k to 300 do
-      acc := !acc +. Stats.Dist.geometric_pmf ~p j
-    done;
-    !acc
-  in
-  List.iter
-    (fun k -> close ~tol:1e-9 "tail identity" (tail_direct k) (Stats.Dist.geometric_tail ~p k))
-    [ 0; 1; 3; 10 ]
-
 let suite =
   [
     Alcotest.test_case "uniform" `Quick test_uniform;
     Alcotest.test_case "gaussian" `Quick test_gaussian;
     Alcotest.test_case "gaussian negative sigma" `Quick test_gaussian_negative_sigma;
     Alcotest.test_case "exponential" `Quick test_exponential;
-    Alcotest.test_case "poisson small" `Quick test_poisson_small;
-    Alcotest.test_case "poisson large" `Quick test_poisson_large;
-    Alcotest.test_case "poisson zero" `Quick test_poisson_zero;
-    Alcotest.test_case "geometric" `Quick test_geometric;
-    Alcotest.test_case "geometric p=1" `Quick test_geometric_one;
-    Alcotest.test_case "dirichlet pair" `Quick test_dirichlet_pair;
     Alcotest.test_case "gaussian pdf integrates" `Quick test_gaussian_pdf_integrates;
     Alcotest.test_case "log pdf consistent" `Quick test_log_pdf_consistent;
-    Alcotest.test_case "geometric pmf sums" `Quick test_geometric_pmf_sums;
-    Alcotest.test_case "geometric tail" `Quick test_geometric_tail;
   ]

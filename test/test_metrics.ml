@@ -5,48 +5,8 @@ let feq ?(tol = 1e-9) name a b =
 
 let test_mae () = feq "mae" 1.5 (Stats.Metrics.mae [| 1.0; 2.0 |] [| 2.0; 4.0 |])
 
-let test_rmse () =
-  feq "rmse" (sqrt 2.5) (Stats.Metrics.rmse [| 1.0; 2.0 |] [| 2.0; 4.0 |])
-
 let test_max_abs () =
   feq "max abs" 2.0 (Stats.Metrics.max_abs_error [| 1.0; 2.0 |] [| 2.0; 4.0 |])
-
-let test_kl_zero_iff_equal () =
-  let p = [| 0.2; 0.3; 0.5 |] in
-  feq "kl(p,p)=0" 0.0 (Stats.Metrics.kl_divergence p p);
-  let q = [| 0.5; 0.3; 0.2 |] in
-  Alcotest.(check bool) "kl > 0" true (Stats.Metrics.kl_divergence p q > 0.0)
-
-let test_tv () =
-  feq "tv" 0.3 (Stats.Metrics.total_variation [| 0.2; 0.8 |] [| 0.5; 0.5 |])
-
-let test_relative_error () =
-  feq "relative" 0.1 (Stats.Metrics.relative_error ~actual:110.0 ~expected:100.0);
-  Alcotest.(check bool) "zero expected doesn't divide by zero" true
-    (Float.is_finite (Stats.Metrics.relative_error ~actual:1.0 ~expected:0.0))
-
-let test_bootstrap_ci () =
-  let rng = Stats.Rng.create 99 in
-  let data = Array.init 500 (fun _ -> Stats.Dist.gaussian rng ~mu:5.0 ~sigma:1.0) in
-  let lo, hi = Stats.Metrics.bootstrap_ci rng data ~iterations:500 ~confidence:0.95 in
-  Alcotest.(check bool) "ci contains true mean" true (lo < 5.0 && 5.0 < hi);
-  Alcotest.(check bool) "ci is narrow" true (hi -. lo < 0.5)
-
-let qcheck_tests =
-  [
-    QCheck_alcotest.to_alcotest
-      (QCheck.Test.make ~name:"rmse >= mae" ~count:200
-         QCheck.(
-           pair
-             (list_of_size (Gen.int_range 1 20) (float_range (-10.0) 10.0))
-             (list_of_size (Gen.int_range 1 20) (float_range (-10.0) 10.0)))
-         (fun (a, b) ->
-           let n = min (List.length a) (List.length b) in
-           QCheck.assume (n > 0);
-           let a = Array.of_list (List.filteri (fun i _ -> i < n) a) in
-           let b = Array.of_list (List.filteri (fun i _ -> i < n) b) in
-           Stats.Metrics.rmse a b >= Stats.Metrics.mae a b -. 1e-9));
-  ]
 
 let test_mismatch_msg () =
   match Stats.Metrics.mae [| 1.0 |] [| 1.0; 2.0 |] with
@@ -56,12 +16,6 @@ let test_mismatch_msg () =
 let suite =
   [
     Alcotest.test_case "mae" `Quick test_mae;
-    Alcotest.test_case "rmse" `Quick test_rmse;
     Alcotest.test_case "max abs" `Quick test_max_abs;
     Alcotest.test_case "length mismatch" `Quick test_mismatch_msg;
-    Alcotest.test_case "kl" `Quick test_kl_zero_iff_equal;
-    Alcotest.test_case "total variation" `Quick test_tv;
-    Alcotest.test_case "relative error" `Quick test_relative_error;
-    Alcotest.test_case "bootstrap ci" `Quick test_bootstrap_ci;
   ]
-  @ qcheck_tests

@@ -17,14 +17,6 @@ let test_single () =
   feq "mean" 7.0 (Stats.Summary.mean s);
   feq "variance of single" 0.0 (Stats.Summary.variance s)
 
-let test_second_moment () =
-  let data = [| 1.0; 5.0; -2.0; 8.0 |] in
-  let s = Stats.Summary.of_array data in
-  let direct =
-    Array.fold_left (fun acc x -> acc +. (x *. x)) 0.0 data /. 4.0
-  in
-  feq ~tol:1e-9 "E[X^2]" direct (Stats.Summary.second_moment s)
-
 let test_merge () =
   let a = [| 1.0; 2.0; 9.5 |] and b = [| -4.0; 0.5; 3.0; 3.0 |] in
   let merged = Stats.Summary.merge (Stats.Summary.of_array a) (Stats.Summary.of_array b) in
@@ -79,7 +71,6 @@ let suite =
   [
     Alcotest.test_case "basic" `Quick test_basic;
     Alcotest.test_case "single" `Quick test_single;
-    Alcotest.test_case "second moment" `Quick test_second_moment;
     Alcotest.test_case "merge" `Quick test_merge;
     Alcotest.test_case "merge empty" `Quick test_merge_empty;
     Alcotest.test_case "quantile" `Quick test_quantile;

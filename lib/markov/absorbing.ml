@@ -20,10 +20,6 @@ let expected_visits t ~start =
   check_start t start;
   Array.copy t.fundamental.(start)
 
-let expected_steps t ~start =
-  check_start t start;
-  Array.fold_left ( +. ) 0.0 t.fundamental.(start)
-
 let mean_reward_vector t ~rewards =
   if Array.length rewards <> Chain.size t.chain then
     invalid_arg "Absorbing.mean_reward: reward size mismatch";
@@ -45,11 +41,3 @@ let variance_reward t ~rewards ~start =
   let rhs = Array.mapi (fun i c -> (c *. c) +. (2.0 *. c *. qm.(i))) rewards in
   let s = Linalg.Matrix.mat_vec t.fundamental rhs in
   Stdlib.max 0.0 (s.(start) -. (m.(start) *. m.(start)))
-
-let visit_variance t ~start =
-  check_start t start;
-  let n = Chain.size t.chain in
-  (* Var(visits to j from i) = N_ij (2 N_jj - 1) - N_ij². *)
-  Array.init n (fun j ->
-      let nij = t.fundamental.(start).(j) in
-      Stdlib.max 0.0 ((nij *. ((2.0 *. t.fundamental.(j).(j)) -. 1.0)) -. (nij *. nij)))

@@ -19,16 +19,9 @@ val expected_visits : t -> start:int -> float array
 (** Row of N: expected number of visits to each transient state before
     absorption when starting from [start]. *)
 
-val expected_steps : t -> start:int -> float
-(** Expected number of transitions before absorption. *)
-
 val mean_reward : t -> rewards:float array -> start:int -> float
 (** E[Σ visits·reward] — the analytic mean end-to-end time. *)
 
 val variance_reward : t -> rewards:float array -> start:int -> float
 (** Var[Σ visits·reward], from the first-step second-moment recursion
     (I − Q) s = c² + 2 c ∘ (Q m). *)
-
-val visit_variance : t -> start:int -> float array
-(** Variance of the per-state visit counts (diagonal formula
-    N(2 N_dg − I) − N∘N applied from [start]). *)

@@ -51,31 +51,3 @@ let step rng t i =
       if u < acc then Some j else scan (j + 1) acc
   in
   scan 0 0.0
-
-let stationary ?(iterations = 10_000) ?(eps = 1e-12) t =
-  let n = size t in
-  if n = 0 then [||]
-  else begin
-    let v = ref (Array.make n (1.0 /. float_of_int n)) in
-    let continue = ref true in
-    let iter = ref 0 in
-    while !continue && !iter < iterations do
-      let next = Linalg.Matrix.vec_mat !v t.p in
-      (* Damping makes periodic chains converge to their average cycle
-         occupancy instead of oscillating. *)
-      let damped = Array.mapi (fun i x -> (0.5 *. x) +. (0.5 *. !v.(i))) next in
-      let delta =
-        Array.mapi (fun i x -> abs_float (x -. !v.(i))) damped
-        |> Array.fold_left Stdlib.max 0.0
-      in
-      v := damped;
-      incr iter;
-      if delta < eps then continue := false
-    done;
-    Linalg.Simplex.normalize !v
-  end
-
-let n_step t k =
-  if k < 0 then invalid_arg "Chain.n_step: negative step count";
-  let rec go acc k = if k = 0 then acc else go (Linalg.Matrix.mul acc t.p) (k - 1) in
-  go (Linalg.Matrix.identity (size t)) k

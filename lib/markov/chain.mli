@@ -1,8 +1,9 @@
-(** Finite discrete-time Markov chains.
+(** Absorbing Markov chains over the transient states of a procedure.
 
-    States are integers [0 .. size-1].  A chain stores its (row-stochastic)
-    transition matrix; rows that sum to less than one implicitly leak the
-    remainder to an external absorbing sink (used by {!Absorbing}). *)
+    States are integers [0 .. size-1].  A chain stores its sub-stochastic
+    transition matrix: the mass a row lacks (its {!leak}) goes to an
+    implicit absorbing sink, which stands for returning from the
+    procedure.  {!Absorbing} analyses a chain; {!Walk} samples it. *)
 
 type t
 
@@ -27,11 +28,3 @@ val successors : t -> int -> (int * float) list
 
 val step : Stats.Rng.t -> t -> int -> int option
 (** Sample the next state; [None] when the leak mass fires (absorption). *)
-
-val stationary : ?iterations:int -> ?eps:float -> t -> float array
-(** Power-iteration stationary distribution of a stochastic chain starting
-    from uniform.  For periodic chains this returns the Cesàro-style damped
-    average (damping 0.5 per step). *)
-
-val n_step : t -> int -> Linalg.Matrix.t
-(** [n_step t k] is the k-step transition matrix. *)

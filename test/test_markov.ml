@@ -36,19 +36,6 @@ let test_step_distribution () =
   let p = float_of_int !go /. 20_000.0 in
   Alcotest.(check bool) "step matches prob" true (abs_float (p -. 0.3) < 0.02)
 
-let test_stationary () =
-  (* Classic 2-state stochastic chain: stationary = (b, a)/(a+b) for flip
-     probabilities a (0->1) and b (1->0). *)
-  let c = Chain.create (M.of_rows [| [| 0.9; 0.1 |]; [| 0.3; 0.7 |] |]) in
-  let pi = Chain.stationary c in
-  feq ~tol:1e-6 "pi0" 0.75 pi.(0);
-  feq ~tol:1e-6 "pi1" 0.25 pi.(1)
-
-let test_n_step () =
-  let c = Chain.create (M.of_rows [| [| 0.0; 1.0 |]; [| 1.0; 0.0 |] |]) in
-  let p2 = Chain.n_step c 2 in
-  Alcotest.(check bool) "period-2 returns" true (M.equal p2 (M.identity 2))
-
 let test_absorbing_expected_visits () =
   (* Geometric loop: state 0 self-loops w.p. q, exits w.p. 1-q.
      Expected visits = 1/(1-q). *)
@@ -84,18 +71,6 @@ let test_variance_vs_monte_carlo () =
     (abs_float (Stats.Summary.mean s -. mean) < 0.05 *. mean);
   Alcotest.(check bool) "variance close" true
     (abs_float (Stats.Summary.variance s -. var) < 0.05 *. var)
-
-let test_expected_steps () =
-  let c = two_state 0.5 in
-  let a = Absorbing.analyze c in
-  feq "steps" 1.5 (Absorbing.expected_steps a ~start:0)
-
-let test_visit_variance_geometric () =
-  (* Geometric(1-q) visit count: Var = q/(1-q)^2. *)
-  let q = 0.5 in
-  let c = Chain.of_edges ~size:1 [ (0, 0, q) ] in
-  let a = Absorbing.analyze c in
-  feq "visit variance" 2.0 (Absorbing.visit_variance a ~start:0).(0)
 
 let test_walk_records () =
   let rng = Stats.Rng.create 3 in
@@ -145,14 +120,10 @@ let suite =
     Alcotest.test_case "create validates" `Quick test_create_validates;
     Alcotest.test_case "accessors" `Quick test_accessors;
     Alcotest.test_case "step distribution" `Quick test_step_distribution;
-    Alcotest.test_case "stationary" `Quick test_stationary;
-    Alcotest.test_case "n-step" `Quick test_n_step;
     Alcotest.test_case "expected visits" `Quick test_absorbing_expected_visits;
     Alcotest.test_case "mean reward" `Quick test_absorbing_mean_reward;
     Alcotest.test_case "variance analytic" `Quick test_absorbing_variance_analytic;
     Alcotest.test_case "variance vs monte carlo" `Slow test_variance_vs_monte_carlo;
-    Alcotest.test_case "expected steps" `Quick test_expected_steps;
-    Alcotest.test_case "visit variance" `Quick test_visit_variance_geometric;
     Alcotest.test_case "walk records" `Quick test_walk_records;
     Alcotest.test_case "walk max steps" `Quick test_walk_max_steps;
     Alcotest.test_case "edge counts" `Quick test_edge_counts;

@@ -20,22 +20,7 @@ let of_rows rows =
 
 let rows m = Array.length m
 let cols m = if Array.length m = 0 then 0 else Array.length m.(0)
-let get m i j = m.(i).(j)
-let set m i j v = m.(i).(j) <- v
 let copy m = Array.map Array.copy m
-
-let transpose m =
-  let r = rows m and c = cols m in
-  Array.init c (fun j -> Array.init r (fun i -> m.(i).(j)))
-
-let zip_with f a b =
-  if rows a <> rows b || cols a <> cols b then invalid_arg "Matrix: shape mismatch";
-  Array.mapi (fun i row -> Array.mapi (fun j x -> f x b.(i).(j)) row) a
-
-let add a b = zip_with ( +. ) a b
-let sub a b = zip_with ( -. ) a b
-let scale k m = Array.map (Array.map (fun x -> k *. x)) m
-let map f m = Array.map (Array.map f) m
 
 let mul a b =
   if cols a <> rows b then invalid_arg "Matrix.mul: inner dimensions differ";
@@ -48,6 +33,10 @@ let mul a b =
           done;
           !acc))
 
+let sub a b =
+  if rows a <> rows b || cols a <> cols b then invalid_arg "Matrix: shape mismatch";
+  Array.mapi (fun i row -> Array.mapi (fun j x -> x -. b.(i).(j)) row) a
+
 let mat_vec m v =
   if cols m <> Array.length v then invalid_arg "Matrix.mat_vec: size mismatch";
   Array.map
@@ -57,15 +46,6 @@ let mat_vec m v =
       !acc)
     m
 
-let vec_mat v m =
-  if rows m <> Array.length v then invalid_arg "Matrix.vec_mat: size mismatch";
-  Array.init (cols m) (fun j ->
-      let acc = ref 0.0 in
-      for i = 0 to rows m - 1 do
-        acc := !acc +. (v.(i) *. m.(i).(j))
-      done;
-      !acc)
-
 let max_abs m =
   Array.fold_left
     (fun acc row -> Array.fold_left (fun acc x -> Stdlib.max acc (abs_float x)) acc row)
@@ -73,15 +53,3 @@ let max_abs m =
 
 let equal ?(eps = 1e-9) a b =
   rows a = rows b && cols a = cols b && max_abs (sub a b) <= eps
-
-let pp fmt m =
-  Format.fprintf fmt "@[<v>";
-  Array.iter
-    (fun row ->
-      Format.fprintf fmt "[";
-      Array.iteri
-        (fun j x -> Format.fprintf fmt (if j = 0 then "%8.4f" else " %8.4f") x)
-        row;
-      Format.fprintf fmt "]@,")
-    m;
-  Format.fprintf fmt "@]"

@@ -12,18 +12,9 @@ val of_rows : float array array -> t
 
 val rows : t -> int
 val cols : t -> int
-val get : t -> int -> int -> float
-val set : t -> int -> int -> float -> unit
 val copy : t -> t
-val transpose : t -> t
-val add : t -> t -> t
 val sub : t -> t -> t
-val scale : float -> t -> t
 val mul : t -> t -> t
 val mat_vec : t -> float array -> float array
-val vec_mat : float array -> t -> float array
-
-val map : (float -> float) -> t -> t
 
 val equal : ?eps:float -> t -> t -> bool
-val pp : Format.formatter -> t -> unit

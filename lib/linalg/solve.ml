@@ -1,13 +1,12 @@
 exception Singular
 
 (* LU decomposition with partial pivoting, in place on a copy.
-   Returns (lu, perm, sign). *)
+   Returns (lu, perm). *)
 let lu_decompose a =
   let n = Matrix.rows a in
   if Matrix.cols a <> n then invalid_arg "Solve: matrix must be square";
   let lu = Matrix.copy a in
   let perm = Array.init n (fun i -> i) in
-  let sign = ref 1.0 in
   for k = 0 to n - 1 do
     (* Pivot selection. *)
     let pivot = ref k in
@@ -20,8 +19,7 @@ let lu_decompose a =
       lu.(!pivot) <- tmp;
       let tp = perm.(k) in
       perm.(k) <- perm.(!pivot);
-      perm.(!pivot) <- tp;
-      sign := -. !sign
+      perm.(!pivot) <- tp
     end;
     if abs_float lu.(k).(k) < 1e-12 then raise Singular;
     for i = k + 1 to n - 1 do
@@ -32,7 +30,7 @@ let lu_decompose a =
       done
     done
   done;
-  (lu, perm, !sign)
+  (lu, perm)
 
 let back_substitute lu perm b =
   let n = Array.length b in
@@ -54,11 +52,11 @@ let back_substitute lu perm b =
 
 let lu_solve a b =
   if Matrix.rows a <> Array.length b then invalid_arg "Solve.lu_solve: size mismatch";
-  let lu, perm, _ = lu_decompose a in
+  let lu, perm = lu_decompose a in
   back_substitute lu perm b
 
 let solve_many a b =
-  let lu, perm, _ = lu_decompose a in
+  let lu, perm = lu_decompose a in
   let cols_b = Matrix.cols b in
   let n = Matrix.rows b in
   let out = Matrix.make n cols_b 0.0 in
@@ -70,24 +68,3 @@ let solve_many a b =
   out
 
 let inverse a = solve_many a (Matrix.identity (Matrix.rows a))
-
-let determinant a =
-  match lu_decompose a with
-  | lu, _, sign ->
-      let n = Matrix.rows a in
-      let acc = ref sign in
-      for i = 0 to n - 1 do
-        acc := !acc *. lu.(i).(i)
-      done;
-      !acc
-  | exception Singular -> 0.0
-
-let least_squares a b =
-  let at = Matrix.transpose a in
-  let ata = Matrix.mul at a in
-  let n = Matrix.rows ata in
-  for i = 0 to n - 1 do
-    ata.(i).(i) <- ata.(i).(i) +. 1e-9
-  done;
-  let atb = Matrix.mat_vec at b in
-  lu_solve ata atb

@@ -1,7 +1,8 @@
-(** Linear solvers: LU with partial pivoting, inverse, least squares.
+(** Linear solvers: LU with partial pivoting and the inverse built on it.
 
-    These back the absorbing-chain computations ((I - Q)⁻¹) and the
-    method-of-moments estimator (normal equations). *)
+    These back the absorbing-chain fundamental matrix ((I - Q)⁻¹) and the
+    flow-conservation system that reconstructs edge counts from branch
+    counts. *)
 
 exception Singular
 (** Raised when a factorization meets a (numerically) zero pivot. *)
@@ -11,9 +12,3 @@ val lu_solve : Matrix.t -> float array -> float array
 
 val inverse : Matrix.t -> Matrix.t
 (** @raise Singular on singular input. *)
-
-val determinant : Matrix.t -> float
-
-val least_squares : Matrix.t -> float array -> float array
-(** Minimizes ‖A x − b‖₂ via Tikhonov-damped normal equations
-    (ridge 1e-9) — adequate for the small, well-scaled systems here. *)

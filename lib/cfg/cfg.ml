@@ -206,41 +206,7 @@ let back_edges t =
 
 let loop_headers t = back_edges t |> List.map snd |> List.sort_uniq compare
 
-let is_dag t = back_edges t = []
-
 let static_cond_branches t = List.length (branch_blocks t)
-
-let total_cost_lower_bound t =
-  let n = num_blocks t in
-  let dist = Array.make n max_int in
-  dist.(0) <- t.blocks.(0).base_cost;
-  (* Bellman-Ford style relaxation; n iterations suffice on n nodes. *)
-  for _ = 1 to n do
-    Array.iter
-      (fun b ->
-        if dist.(b.id) < max_int then
-          List.iter
-            (fun (dst, kind) ->
-              let edge_cost =
-                match kind with K_taken | K_jump -> Isa.taken_penalty | K_fall -> 0
-              in
-              let d = dist.(b.id) + edge_cost + t.blocks.(dst).base_cost in
-              if d < dist.(dst) then dist.(dst) <- d)
-            (successors t b.id))
-      t.blocks
-  done;
-  exit_blocks t
-  |> List.fold_left
-       (fun acc id ->
-         if dist.(id) = max_int then acc
-         else
-           let exit_cost =
-             match t.blocks.(id).term with
-             | T_ret -> dist.(id) + Isa.taken_penalty
-             | _ -> dist.(id)
-           in
-           Stdlib.min acc exit_cost)
-       max_int
 
 let to_dot t =
   let buf = Buffer.create 256 in

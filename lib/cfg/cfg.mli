@@ -81,13 +81,7 @@ val back_edges : t -> (int * int) list
 
 val loop_headers : t -> int list
 
-val is_dag : t -> bool
-(** No back edges among reachable blocks. *)
-
 val static_cond_branches : t -> int
-val total_cost_lower_bound : t -> int
-(** Cost of the cheapest entry→exit path ignoring probabilities (used for
-    sanity checks on measured timings). *)
 
 val to_dot : t -> string
 (** Graphviz rendering for debugging and documentation. *)

@@ -55,8 +55,6 @@ let scale t k =
   Hashtbl.iter (fun key w -> Hashtbl.replace out.weights key (w *. k)) t.weights;
   out
 
-let per_invocation t = if t.invocations = 0.0 then t else scale t (1.0 /. t.invocations)
-
 let pp fmt t =
   Format.fprintf fmt "@[<v>profile %s (%.0f invocations)@,"
     t.cfg.Cfg.proc.Mote_isa.Program.name t.invocations;

@@ -43,7 +43,4 @@ val theta_vector : t -> float array
 val scale : t -> float -> t
 (** Multiply all weights and the invocation count. *)
 
-val per_invocation : t -> t
-(** Normalize so that invocations = 1. *)
-
 val pp : Format.formatter -> t -> unit

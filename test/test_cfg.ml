@@ -71,8 +71,8 @@ let test_diamond_edges () =
 
 let test_diamond_is_dag () =
   let cfg = diamond () in
-  Alcotest.(check bool) "dag" true (Cfg.is_dag cfg);
-  Alcotest.(check (list (pair int int))) "no back edges" [] (Cfg.back_edges cfg)
+  Alcotest.(check (list (pair int int))) "no back edges" [] (Cfg.back_edges cfg);
+  Alcotest.(check (list int)) "no loop headers" [] (Cfg.loop_headers cfg)
 
 let test_diamond_dominators () =
   let cfg = diamond () in
@@ -83,7 +83,6 @@ let test_diamond_dominators () =
 
 let test_loop_detection () =
   let cfg = loop_cfg () in
-  Alcotest.(check bool) "not a dag" false (Cfg.is_dag cfg);
   (* Back edge from the jmp block to the loop header (block 1). *)
   (match Cfg.back_edges cfg with
   | [ (_, header) ] -> Alcotest.(check int) "header" 1 header
@@ -128,12 +127,6 @@ let test_reachability () =
   let r = Cfg.reachable cfg in
   Alcotest.(check bool) "entry reachable" true r.(0);
   Alcotest.(check bool) "dead block" false r.(1)
-
-let test_lower_bound () =
-  let cfg = diamond () in
-  (* Cheapest path: entry(2) + taken penalty(2) + arm2(1) + join(2) + ret penalty(2) = 9;
-     via arm1: 2 + arm1(2) + jump penalty(2) + 2 + 2 = 10. *)
-  Alcotest.(check int) "lower bound" 9 (Cfg.total_cost_lower_bound cfg)
 
 let test_to_dot () =
   let dot = Cfg.to_dot (diamond ()) in
@@ -182,10 +175,7 @@ let test_freq_scale () =
   let half = Freq.scale f 0.5 in
   Alcotest.(check (float 1e-9)) "scaled invocations" 5.0 (Freq.invocations half);
   Alcotest.(check (float 1e-9)) "scaled weight" 2.0
-    (Freq.get half ~src:0 ~dst:2 ~kind:Cfg.K_taken);
-  let unit = Freq.per_invocation f in
-  Alcotest.(check (float 1e-9)) "per invocation" 0.4
-    (Freq.get unit ~src:0 ~dst:2 ~kind:Cfg.K_taken)
+    (Freq.get half ~src:0 ~dst:2 ~kind:Cfg.K_taken)
 
 let test_freq_non_branch_theta () =
   let cfg = diamond () in
@@ -206,7 +196,6 @@ let suite =
     Alcotest.test_case "callees" `Quick test_callees;
     Alcotest.test_case "escaping branch" `Quick test_escaping_branch_rejected;
     Alcotest.test_case "reachability" `Quick test_reachability;
-    Alcotest.test_case "lower bound" `Quick test_lower_bound;
     Alcotest.test_case "to_dot" `Quick test_to_dot;
     Alcotest.test_case "of_program" `Quick test_of_program;
     Alcotest.test_case "freq basic" `Quick test_freq_basic;

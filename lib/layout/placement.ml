@@ -19,11 +19,6 @@ let position_of t =
   Array.iteri (fun i id -> pos.(id) <- i) t;
   pos
 
-let next_in_layout t id =
-  let pos = position_of t in
-  let i = pos.(id) in
-  if i + 1 < Array.length t then Some t.(i + 1) else None
-
 let pp fmt t =
   Format.fprintf fmt "[%s]"
     (String.concat "; " (Array.to_list (Array.map (Printf.sprintf "B%d") t)))

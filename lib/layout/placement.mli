@@ -15,7 +15,4 @@ val validate : Cfgir.Cfg.t -> t -> unit
 val position_of : t -> int array
 (** Inverse permutation: block id → position. *)
 
-val next_in_layout : t -> int -> int option
-(** Block physically following the given block, if any. *)
-
 val pp : Format.formatter -> t -> unit

@@ -49,9 +49,7 @@ let test_placement_validate () =
 
 let test_placement_helpers () =
   let p = [| 0; 2; 3; 1 |] in
-  Alcotest.(check (array int)) "positions" [| 0; 3; 1; 2 |] (Placement.position_of p);
-  Alcotest.(check (option int)) "next of 2" (Some 3) (Placement.next_in_layout p 2);
-  Alcotest.(check (option int)) "next of last" None (Placement.next_in_layout p 1)
+  Alcotest.(check (array int)) "positions" [| 0; 3; 1; 2 |] (Placement.position_of p)
 
 let test_eval_natural () =
   let cfg = Cfg.of_proc_name (diamond_program ()) "f" in

@@ -80,16 +80,3 @@ let counts_of_memory ~original machine =
          in
          (proc, (block_id, (read 0, read 1))))
   |> group_by_proc
-
-let thetas_of_memory ~original machine =
-  counts_of_memory ~original machine
-  |> List.map (fun (proc, entries) ->
-         ( proc,
-           List.map
-             (fun (block_id, (taken, fall)) ->
-               let total = taken + fall in
-               let p =
-                 if total = 0 then 0.5 else float_of_int taken /. float_of_int total
-               in
-               (block_id, p))
-             entries ))

@@ -36,9 +36,3 @@ val counts_of_memory :
   (string * (int * (int * int)) list) list
 (** Read the counters out of the instrumented machine's RAM:
     per procedure, [(branch block id, (taken, fall))]. *)
-
-val thetas_of_memory :
-  original:Program.t ->
-  Mote_machine.Machine.t ->
-  (string * (int * float) list) list
-(** Observed taken probabilities; 0.5 for never-executed branches. *)

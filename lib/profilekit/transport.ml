@@ -52,10 +52,6 @@ let validate c =
       ("reorder", c.reorder);
     ]
 
-let is_identity c =
-  c.reboot = 0.0 && c.burst_enter = 0.0 && c.drop = 0.0 && c.corrupt = 0.0
-  && c.duplicate = 0.0 && c.reorder = 0.0
-
 type stats = {
   sent : int;
   delivered : int;

@@ -53,10 +53,6 @@ val validate : config -> unit
     @raise Invalid_argument naming the first field that does not (NaN
     included). *)
 
-val is_identity : config -> bool
-(** True when every fault rate is zero — {!perturb} is then the identity
-    on any log. *)
-
 type stats = {
   sent : int;  (** Records offered to the transport. *)
   delivered : int;  (** Records in the perturbed log (duplicates included). *)

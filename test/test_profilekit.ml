@@ -208,11 +208,11 @@ let test_thetas_of_counters () =
     if !seq mod 4 = 0 then 500 else 50
   in
   let c, _, machine = run_with_edges ~n:400 steered_program "task" sensor in
-  let thetas = Edges.thetas_of_memory ~original:c.Compile.program machine in
-  match List.assoc "task" thetas with
-  | [ (_, p) ] ->
+  let counts = Edges.counts_of_memory ~original:c.Compile.program machine in
+  match List.assoc "task" counts with
+  | [ (_, (taken, fall)) ] ->
       (* Taken = else branch = (x <= 100) = 3/4 of runs. *)
-      Alcotest.(check (float 0.01)) "theta" 0.75 p
+      Alcotest.(check (pair int int)) "taken, fall" (300, 100) (taken, fall)
   | _ -> Alcotest.fail "expected one branch"
 
 (* --- oracle --- *)

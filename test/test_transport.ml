@@ -53,8 +53,6 @@ let stormy =
 
 let test_identity () =
   let log = Lazy.force probe_log in
-  Alcotest.(check bool) "default is identity" true (Transport.is_identity Transport.default);
-  Alcotest.(check bool) "stormy is not" false (Transport.is_identity stormy);
   let out, stats = Transport.perturb ~seed:99 Transport.default log in
   Alcotest.(check bool) "log unchanged" true (out = log);
   Alcotest.(check int) "sent" (List.length log) stats.Transport.sent;

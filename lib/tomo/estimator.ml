@@ -1,7 +1,6 @@
 type method_ = Em | Moments | Naive
 
 let method_name = function Em -> "em" | Moments -> "moments" | Naive -> "naive"
-let all_methods = [ Em; Moments; Naive ]
 
 type t = {
   method_ : method_;
@@ -70,5 +69,3 @@ let run ?(method_ = Em) ?(noise_sigma = 1.0) ?paths ?outlier model ~samples =
         converged = r.Em.converged;
         outlier_eps = r.Em.outlier_eps;
       }
-
-let mae_against t truth = Stats.Metrics.mae t.theta truth

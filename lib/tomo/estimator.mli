@@ -13,7 +13,6 @@ type method_ =
   | Naive  (** θ = 0.5 everywhere: the no-profile prior. *)
 
 val method_name : method_ -> string
-val all_methods : method_ list
 
 type t = {
   method_ : method_;
@@ -50,6 +49,3 @@ val run :
     the same model.  [~outlier] switches the EM to its contamination-
     robust variant ({!Em.estimate}).  Both are ignored by the other
     methods. *)
-
-val mae_against : t -> float array -> float
-(** Mean absolute θ error against a ground-truth vector. *)

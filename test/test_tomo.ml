@@ -299,11 +299,11 @@ let test_estimator_em () =
 let test_estimator_mae () =
   let m = diamond_model () in
   let r = Tomo.Estimator.run ~method_:Tomo.Estimator.Naive m ~samples:[| 1.0 |] in
-  feq "mae" 0.2 (Tomo.Estimator.mae_against r [| 0.7 |])
+  feq "mae" 0.2 (Stats.Metrics.mae r.Tomo.Estimator.theta [| 0.7 |])
 
 let test_method_names () =
   Alcotest.(check (list string)) "names" [ "em"; "moments"; "naive" ]
-    (List.map Tomo.Estimator.method_name Tomo.Estimator.all_methods)
+    (List.map Tomo.Estimator.method_name Tomo.Estimator.[ Em; Moments; Naive ])
 
 let qcheck_tests =
   [

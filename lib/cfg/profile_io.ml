@@ -15,6 +15,13 @@ let kind_of_string = function
   | "jump" -> Cfg.K_jump
   | s -> fail "unknown edge kind %S" s
 
+(* Invocation counts and edge weights are counts: a NaN, infinite or
+   negative one would silently skew the layout built from the profile. *)
+let count_of_string what s =
+  match float_of_string_opt s with
+  | Some v when Float.is_finite v && v >= 0.0 -> v
+  | _ -> fail "bad %s %S: not a finite non-negative number" what s
+
 let to_string profiles =
   let buf = Buffer.create 512 in
   Buffer.add_string buf (magic ^ "\n");
@@ -59,11 +66,7 @@ let of_string ~lookup text =
               | Some b -> b
               | None -> fail "bad block count %S" blocks
             in
-            let inv =
-              match float_of_string_opt inv with
-              | Some v -> v
-              | None -> fail "bad invocation count %S" inv
-            in
+            let inv = count_of_string "invocation count" inv in
             (match lookup name with
             | None -> current := Some (name, None) (* unknown: skip its edges *)
             | Some cfg ->
@@ -81,11 +84,7 @@ let of_string ~lookup text =
                   | Some v -> v
                   | None -> fail "bad block id %S" s
                 in
-                let weight =
-                  match float_of_string_opt w with
-                  | Some v -> v
-                  | None -> fail "bad weight %S" w
-                in
+                let weight = count_of_string "weight" w in
                 try
                   Freq.bump freq ~src:(int_of src) ~dst:(int_of dst)
                     ~kind:(kind_of_string kind) weight

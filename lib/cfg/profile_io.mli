@@ -21,8 +21,10 @@ val to_string : (string * Freq.t) list -> string
 val of_string : lookup:(string -> Cfg.t option) -> string -> (string * Freq.t) list
 (** Re-attach each saved profile to its CFG via [lookup].  Procedures the
     lookup does not know are skipped.
-    @raise Format_error on syntax errors or when a profile's block count
-    does not match the CFG it is being attached to (stale profile). *)
+    @raise Format_error on syntax errors, on an invocation count or edge
+    weight that is not a finite non-negative number, or when a profile's
+    block count does not match the CFG it is being attached to (stale
+    profile). *)
 
 val save : path:string -> (string * Freq.t) list -> unit
 val load : path:string -> lookup:(string -> Cfg.t option) -> (string * Freq.t) list

@@ -266,6 +266,33 @@ let test_profile_io_syntax_errors () =
   Alcotest.(check bool) "edge before proc" true
     (bad "codetomo-profile 1\nedge 0 1 fall 1.0\n")
 
+let test_profile_io_bad_counts () =
+  let cfg, _ = persisted_pair () in
+  let message text =
+    match Pio.of_string ~lookup:(fun _ -> Some cfg) text with
+    | _ -> Alcotest.fail "expected Format_error"
+    | exception Pio.Format_error m -> m
+  in
+  let with_weight w =
+    Printf.sprintf "codetomo-profile 1\nproc f blocks 4 invocations 10\nedge 0 2 taken %s\n" w
+  in
+  let with_invocations n = Printf.sprintf "codetomo-profile 1\nproc f blocks 4 invocations %s\n" n in
+  List.iter
+    (fun w ->
+      Alcotest.(check string) ("weight " ^ w)
+        (Printf.sprintf "bad weight %S: not a finite non-negative number" w)
+        (message (with_weight w)))
+    [ "nan"; "inf"; "-inf"; "-5"; "x" ];
+  List.iter
+    (fun n ->
+      Alcotest.(check string) ("invocations " ^ n)
+        (Printf.sprintf "bad invocation count %S: not a finite non-negative number" n)
+        (message (with_invocations n)))
+    [ "nan"; "inf"; "-1"; "x" ];
+  (* Zero is a count like any other. *)
+  Alcotest.(check int) "zero weight accepted" 1
+    (List.length (Pio.of_string ~lookup:(fun _ -> Some cfg) (with_weight "0")))
+
 let suite =
   suite
   @ [
@@ -274,4 +301,5 @@ let suite =
       Alcotest.test_case "profile io unknown proc" `Quick test_profile_io_unknown_proc_skipped;
       Alcotest.test_case "profile io stale" `Quick test_profile_io_stale_detected;
       Alcotest.test_case "profile io syntax" `Quick test_profile_io_syntax_errors;
+      Alcotest.test_case "profile io bad counts" `Quick test_profile_io_bad_counts;
     ]

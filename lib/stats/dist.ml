@@ -12,8 +12,6 @@ let exponential rng ~rate =
   if rate <= 0.0 then invalid_arg "Dist.exponential: rate must be positive";
   -.log (1.0 -. Rng.unit_float rng) /. rate
 
-let bernoulli rng ~p = Rng.bernoulli rng p
-
 let gaussian_pdf ~mu ~sigma x =
   let z = (x -. mu) /. sigma in
   exp (-0.5 *. z *. z) /. (sigma *. sqrt (2.0 *. Float.pi))

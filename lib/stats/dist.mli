@@ -14,8 +14,6 @@ val gaussian : Rng.t -> mu:float -> sigma:float -> float
 val exponential : Rng.t -> rate:float -> float
 (** Exponential with rate [rate] > 0. *)
 
-val bernoulli : Rng.t -> p:float -> bool
-
 val gaussian_pdf : mu:float -> sigma:float -> float -> float
 (** Density of Normal(mu, sigma²) at a point. *)
 

@@ -586,9 +586,8 @@ let s12 () =
   section "S12. Scalability: estimator cost and accuracy vs generated program size";
   (* One task per generated program: generation, simulation and EM all
      derive from the row's own seed, so the fan-out is deterministic
-     (the EM-ms column is the task's own wall-clock time, not the
-     process CPU time that sums every domain, and varies run to run
-     either way). *)
+     (the EM-ms column is wall-clock, since process CPU time would sum
+     every domain's work, and varies run to run either way). *)
   let rows =
     pmap
       (fun (depth, stmts, seed) ->

@@ -7,7 +7,6 @@ module Cfg = Cfgir.Cfg
 module Freq = Cfgir.Freq
 module Program = Mote_isa.Program
 module Machine = Mote_machine.Machine
-module Node = Mote_os.Node
 module Table = Report.Table
 module Chart = Report.Chart
 
@@ -348,43 +347,22 @@ let t6 () =
   let rows =
     List.concat (pmap
       (fun w ->
-        let c = Codetomo.Session.compiled (sess ()) w in
-        let base = c.Mote_lang.Compile.program in
-        let probes =
-          Mote_isa.Asm.assemble (Profilekit.Probes.instrument c.Mote_lang.Compile.items)
-        in
-        let edges =
-          Mote_isa.Asm.assemble (Profilekit.Edges.instrument c.Mote_lang.Compile.items)
-        in
-        let pr = Profilekit.Overhead.probes_report ~base ~instrumented:probes in
-        let er = Profilekit.Overhead.edges_report ~base ~instrumented:edges in
-        let cycles binary =
-          (P.run_binary w binary ~label:"overhead").P.busy_cycles
-        in
-        let base_cycles = cycles base in
-        let row label (r : Profilekit.Overhead.report) binary =
-          let busy = cycles binary in
-          [
-            w.Workloads.name;
-            label;
-            string_of_int r.Profilekit.Overhead.flash_words;
-            string_of_int r.Profilekit.Overhead.flash_overhead_words;
-            Printf.sprintf "%.1f%%" r.Profilekit.Overhead.flash_overhead_pct;
-            string_of_int r.Profilekit.Overhead.ram_words;
-            string_of_int busy;
-            Printf.sprintf "%.1f%%"
-              (100.0 *. float_of_int (busy - base_cycles) /. float_of_int base_cycles);
-          ]
-        in
-        [
-          [
-            w.Workloads.name; "none";
-            string_of_int (Program.flash_words base); "0"; "0.0%"; "0";
-            string_of_int base_cycles; "0.0%";
-          ];
-          row "probes" pr probes;
-          row "edges" er edges;
-        ])
+        let compiled = Codetomo.Session.compiled (sess ()) w in
+        List.map
+          (fun ((v : P.variant), (r : Profilekit.Overhead.report), busy_pct) ->
+            [
+              w.Workloads.name;
+              v.P.label;
+              string_of_int r.Profilekit.Overhead.flash_words;
+              string_of_int r.Profilekit.Overhead.flash_overhead_words;
+              Printf.sprintf "%.1f%%" r.Profilekit.Overhead.flash_overhead_pct;
+              string_of_int r.Profilekit.Overhead.ram_words;
+              string_of_int v.P.busy_cycles;
+              (match busy_pct with
+              | Some p -> Printf.sprintf "%.1f%%" p
+              | None -> "n/a");
+            ])
+          (P.overhead ~compiled w))
       Workloads.all)
   in
   emit_table ~name:"t6"
@@ -698,33 +676,36 @@ let f14 () =
   let inst =
     Mote_isa.Asm.assemble (Profilekit.Probes.instrument compiled.Mote_lang.Compile.items)
   in
-  (* Each loss rate simulates on its own machine with its own seed-11
-     device RNG, so the sweep fans out without reordering draws. *)
+  (* One simulation serves every loss rate: the probe log does not depend
+     on the rate.  Each rate then loses records independently, one
+     Bernoulli draw per record from its own seed-11 stream, in log order
+     (no draws at rate 0), so the sweep fans out without reordering
+     draws. *)
+  let _, devices, oracle = P.simulate P.default_config w inst in
+  let log = Mote_machine.Devices.probe_log devices in
+  let truth = Profilekit.Oracle.theta_vector oracle ~proc:"filter_task" in
+  let paths =
+    Tomo.Paths.enumerate (Tomo.Model.of_cfg (Cfg.of_proc_name inst "filter_task"))
+  in
   let rows =
     pmap
       (fun loss ->
-        let devices =
-          Mote_machine.Devices.create ~probe_loss:loss
-            ~rng:(Stats.Rng.create 11) ()
+        let rng = Stats.Rng.create 11 in
+        let kept =
+          if loss = 0.0 then log
+          else List.filter (fun _ -> not (Stats.Rng.bernoulli rng loss)) log
         in
-        let machine = Mote_machine.Machine.create ~program:inst ~devices () in
-        let env = Env.create w.Workloads.env_config in
-        let node_ = Node.create ~machine ~env ~tasks:w.Workloads.tasks () in
-        let oracle = Profilekit.Oracle.attach machine in
-        ignore (Node.run node_ ~until:w.Workloads.horizon);
         let r =
-          Profilekit.Probes.collect_lossy ~max_window:200 ~program:inst ~devices ()
+          Profilekit.Probes.collect_lossy_records ~max_window:200 ~program:inst
+            ~resolution:P.default_config.P.timer_resolution kept
         in
         let samples =
           Profilekit.Probes.samples_for r.Profilekit.Probes.samples "filter_task"
         in
-        let truth = Profilekit.Oracle.theta_vector oracle ~proc:"filter_task" in
-        let model = Tomo.Model.of_cfg (Cfg.of_proc_name inst "filter_task") in
-        let paths = Tomo.Paths.enumerate model in
         let est = Tomo.Em.estimate paths ~samples in
         [
           pct loss;
-          string_of_int (Mote_machine.Devices.probes_dropped devices);
+          string_of_int (List.length log - List.length kept);
           string_of_int (Array.length samples);
           string_of_int r.Profilekit.Probes.discarded;
           f ~decimals:4 (Stats.Metrics.mae est.Tomo.Em.theta truth);

@@ -203,40 +203,20 @@ let overhead_cmd =
   let run w seed resolution jitter horizon =
     guarded @@ fun () ->
     let config = config_of seed resolution jitter horizon None in
-    let c = Workloads.compiled w in
-    let base = c.Mote_lang.Compile.program in
-    let probes =
-      Mote_isa.Asm.assemble (Profilekit.Probes.instrument c.Mote_lang.Compile.items)
-    in
-    let edges =
-      Mote_isa.Asm.assemble (Profilekit.Edges.instrument c.Mote_lang.Compile.items)
-    in
-    let pr = Profilekit.Overhead.probes_report ~base ~instrumented:probes in
-    let er = Profilekit.Overhead.edges_report ~base ~instrumented:edges in
-    let busy binary = (P.run_binary ~config w binary ~label:"x").P.busy_cycles in
-    let base_busy = busy base in
-    let row label flash extra ram b =
+    let row ((v : P.variant), (r : Profilekit.Overhead.report), busy_pct) =
       [
-        label;
-        string_of_int flash;
-        string_of_int extra;
-        string_of_int ram;
-        string_of_int b;
-        Printf.sprintf "%.1f%%" (100.0 *. float_of_int (b - base_busy) /. float_of_int base_busy);
+        v.P.label;
+        string_of_int r.Profilekit.Overhead.flash_words;
+        string_of_int r.Profilekit.Overhead.flash_overhead_words;
+        string_of_int r.Profilekit.Overhead.ram_words;
+        string_of_int v.P.busy_cycles;
+        (match busy_pct with Some p -> Printf.sprintf "%.1f%%" p | None -> "n/a");
       ]
     in
     print_endline
       (Report.Table.render
          ~headers:[ "instr."; "flash(w)"; "+flash"; "ram(w)"; "busy"; "+busy%" ]
-         [
-           row "none" (Program.flash_words base) 0 0 base_busy;
-           row "probes" pr.Profilekit.Overhead.flash_words
-             pr.Profilekit.Overhead.flash_overhead_words pr.Profilekit.Overhead.ram_words
-             (busy probes);
-           row "edges" er.Profilekit.Overhead.flash_words
-             er.Profilekit.Overhead.flash_overhead_words er.Profilekit.Overhead.ram_words
-             (busy edges);
-         ])
+         (List.map row (P.overhead ~config w)))
   in
   Cmd.v
     (Cmd.info "overhead" ~doc:"Compare instrumentation overheads on one workload")

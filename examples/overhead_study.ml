@@ -7,7 +7,6 @@
    Run with:  dune exec examples/overhead_study.exe *)
 
 module P = Codetomo.Pipeline
-module Program = Mote_isa.Program
 
 let () =
   (* 1. Static + dynamic overhead of the two instrumentation schemes. *)
@@ -15,24 +14,14 @@ let () =
     "ram(w)" "+cycles%";
   List.iter
     (fun w ->
-      let c = Workloads.compiled w in
-      let base = c.Mote_lang.Compile.program in
-      let probes =
-        Mote_isa.Asm.assemble (Profilekit.Probes.instrument c.Mote_lang.Compile.items)
-      in
-      let edges =
-        Mote_isa.Asm.assemble (Profilekit.Edges.instrument c.Mote_lang.Compile.items)
-      in
-      let busy binary = (P.run_binary w binary ~label:"x").P.busy_cycles in
-      let base_busy = busy base in
-      let report name r binary =
-        Printf.printf "%-9s %-7s %9d %7.1f%% %8d %9.1f%%\n" w.Workloads.name name
-          r.Profilekit.Overhead.flash_words r.Profilekit.Overhead.flash_overhead_pct
-          r.Profilekit.Overhead.ram_words
-          (100.0 *. float_of_int (busy binary - base_busy) /. float_of_int base_busy)
-      in
-      report "probes" (Profilekit.Overhead.probes_report ~base ~instrumented:probes) probes;
-      report "edges" (Profilekit.Overhead.edges_report ~base ~instrumented:edges) edges)
+      List.iter
+        (fun ((v : P.variant), (r : Profilekit.Overhead.report), busy_pct) ->
+          if v.P.label <> "none" then
+            Printf.printf "%-9s %-7s %9d %7.1f%% %8d %10s\n" w.Workloads.name v.P.label
+              r.Profilekit.Overhead.flash_words r.Profilekit.Overhead.flash_overhead_pct
+              r.Profilekit.Overhead.ram_words
+              (match busy_pct with Some p -> Printf.sprintf "%.1f%%" p | None -> "n/a"))
+        (P.overhead w))
     Workloads.all;
 
   (* 2. What the probes give up: estimates carry uncertainty.  Quantify it

@@ -50,11 +50,6 @@ let thetas t = List.map (fun id -> (id, taken_probability t id)) (Cfg.branch_blo
 
 let theta_vector t = Array.of_list (List.map snd (thetas t))
 
-let scale t k =
-  let out = create t.cfg ~invocations:(t.invocations *. k) in
-  Hashtbl.iter (fun key w -> Hashtbl.replace out.weights key (w *. k)) t.weights;
-  out
-
 let pp fmt t =
   Format.fprintf fmt "@[<v>profile %s (%.0f invocations)@,"
     t.cfg.Cfg.proc.Mote_isa.Program.name t.invocations;

@@ -40,7 +40,4 @@ val theta_vector : t -> float array
 (** Taken probabilities in {!Cfg.branch_blocks} order — the canonical
     parameter vector compared across estimators. *)
 
-val scale : t -> float -> t
-(** Multiply all weights and the invocation count. *)
-
 val pp : Format.formatter -> t -> unit

@@ -374,6 +374,41 @@ let run_binary ?(config = default_config) (workload : Workloads.t) binary ~label
     flash_words = Program.flash_words binary;
   }
 
+let overhead ?(config = default_config) ?compiled (workload : Workloads.t) =
+  let compiled =
+    match compiled with Some c -> c | None -> Workloads.compiled workload
+  in
+  let base = compiled.Mote_lang.Compile.program in
+  let image instrument = Asm.assemble (instrument compiled.Mote_lang.Compile.items) in
+  let probes = image Profilekit.Probes.instrument in
+  let edges = image Profilekit.Edges.instrument in
+  let none =
+    {
+      Profilekit.Overhead.flash_words = Program.flash_words base;
+      flash_overhead_words = 0;
+      flash_overhead_pct = 0.0;
+      ram_words = 0;
+    }
+  in
+  let base_run = run_binary ~config workload base ~label:"none" in
+  let row (run : variant) report =
+    let pct =
+      if base_run.busy_cycles = 0 then None
+      else
+        Some
+          (100.0 *. float_of_int (run.busy_cycles - base_run.busy_cycles)
+          /. float_of_int base_run.busy_cycles)
+    in
+    (run, report, pct)
+  in
+  [
+    row base_run none;
+    row (run_binary ~config workload probes ~label:"probes")
+      (Profilekit.Overhead.probes_report ~base ~instrumented:probes);
+    row (run_binary ~config workload edges ~label:"edges")
+      (Profilekit.Overhead.edges_report ~base ~instrumented:edges);
+  ]
+
 let natural_binary run = run.compiled.Mote_lang.Compile.program
 
 let placed_binary run ~profiles ~algorithm =

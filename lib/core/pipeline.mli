@@ -35,7 +35,8 @@ val default_config : config
 
     Each stage has exactly one implementation, here, which the CLI, the
     bench and [Fleet] compose: {!simulate}, {!estimate_proc},
-    {!freq_of_theta}, and {!fresh_inputs} with {!run_binary}. *)
+    {!freq_of_theta}, {!fresh_inputs} with {!run_binary}, and
+    {!overhead}. *)
 
 (** {1 Profiling} *)
 
@@ -249,6 +250,21 @@ val run_binary :
   ?config:config -> Workloads.t -> Mote_isa.Program.t -> label:string -> variant
 (** Execute an arbitrary binary of the workload under the workload's
     environment (fresh machine, given seed) and collect its dynamics. *)
+
+val overhead :
+  ?config:config ->
+  ?compiled:Mote_lang.Compile.t ->
+  Workloads.t ->
+  (variant * Profilekit.Overhead.report * float option) list
+(** The overhead stage (experiment T6): the workload's base binary, its
+    probe image ({!Profilekit.Probes.instrument}) and its edge-counter
+    image ({!Profilekit.Edges.instrument}), in that order, each run
+    through {!run_binary} under [config] (default {!default_config}) and
+    labelled ["none"], ["probes"] and ["edges"].  Each comes with its
+    static {!Profilekit.Overhead.report} (the base's adds nothing) and
+    its busy-cycle overhead over the base run, in percent — [None] when
+    the base run is idle, since no ratio exists.  [?compiled] as in
+    {!profile}. *)
 
 val natural_binary : profile_run -> Mote_isa.Program.t
 

@@ -80,11 +80,10 @@ let frame_vars (c : Compile.t) proc =
   | None -> []
 
 (* Run [binary] against a fresh environment seeded with [env_seed]:
-   [__init] once, then [invocations] invocations of the task.  [c] only
-   supplies the symbol tables used to read state back — the binary may be
-   an optimized, instrumented or rewritten variant, as long as it keeps
-   the same data layout (none of the passes under test move data). *)
-let observe ~env_seed ~invocations (c : Compile.t) binary =
+   [__init] once, then [invocations] invocations of the task.  Every
+   oracle that executes a generated binary runs it here and reads what it
+   needs off the machine (its devices hold the probe log). *)
+let run_program ~env_seed ~invocations binary =
   let devices = Devices.create () in
   let env = Env.create (Gen.env_config ~seed:env_seed) in
   Env.attach env devices;
@@ -97,7 +96,15 @@ let observe ~env_seed ~invocations (c : Compile.t) binary =
   with
   | exception Machine.Fault msg -> Error (Printf.sprintf "machine fault: %s" msg)
   | exception Not_found -> Error "task procedure missing from binary"
-  | () ->
+  | () -> Ok m
+
+(* [run_program], then the observation.  [c] only supplies the symbol
+   tables used to read state back — the binary may be an optimized,
+   instrumented or rewritten variant, as long as it keeps the same data
+   layout (none of the passes under test move data). *)
+let observe ~env_seed ~invocations (c : Compile.t) binary =
+  Result.map
+    (fun m ->
       let read_var proc name =
         (name, Machine.read_mem m (Compile.var_address c ~proc name))
       in
@@ -111,15 +118,16 @@ let observe ~env_seed ~invocations (c : Compile.t) binary =
             (a, Array.init Gen.array_size (fun i -> Machine.read_mem m (base + i))))
           c.array_addrs
       in
-      Ok
-        {
-          vars;
-          arrays;
-          tx = Devices.tx_log devices;
-          leds = Devices.leds devices;
-          led_writes = Devices.led_writes devices;
-          stats = Machine.stats m;
-        }
+      let devices = Machine.devices m in
+      {
+        vars;
+        arrays;
+        tx = Devices.tx_log devices;
+        leds = Devices.leds devices;
+        led_writes = Devices.led_writes devices;
+        stats = Machine.stats m;
+      })
+    (run_program ~env_seed ~invocations binary)
 
 let pp_ints l = "[" ^ String.concat ";" (List.map string_of_int l) ^ "]"
 
@@ -245,27 +253,11 @@ let probe_counts samples =
   List.map (fun (proc, arr) -> (proc, Array.length arr)) samples
   |> List.sort compare
 
-(* Run an instrumented binary and hand back the devices themselves — the
-   faults oracle needs the raw probe log, not just the collected samples. *)
-let run_for_devices ~env_seed ~invocations instrumented =
-  let devices = Devices.create () in
-  let env = Env.create (Gen.env_config ~seed:env_seed) in
-  Env.attach env devices;
-  let m = Machine.create ~program:instrumented ~devices () in
-  match
-    ignore (Machine.run_proc m Compile.init_proc_name);
-    for _ = 1 to invocations do
-      ignore (Machine.run_proc m Gen.task_name)
-    done
-  with
-  | exception Machine.Fault msg -> Error (Printf.sprintf "machine fault: %s" msg)
-  | exception Not_found -> Error "task procedure missing from binary"
-  | () -> Ok devices
-
 let run_instrumented ~env_seed ~invocations instrumented =
-  match run_for_devices ~env_seed ~invocations instrumented with
+  match run_program ~env_seed ~invocations instrumented with
   | Error msg -> Error msg
-  | Ok devices -> (
+  | Ok m -> (
+      let devices = Machine.devices m in
       match Probes.collect ~program:instrumented ~devices with
       | exception Probes.Unbalanced msg ->
           Error (Printf.sprintf "unbalanced probe log: %s" msg)
@@ -395,6 +387,16 @@ let diff_results (a : Tomo.Em.result) (b : Tomo.Em.result) =
       (List.combine a.trajectory b.trajectory);
   List.rev !out
 
+(* The oracles' path set: [model] enumerated under the fuzz bounds, or
+   the reason it is too complex to enumerate. *)
+let enumerate p model =
+  match
+    Tomo.Paths.enumerate ~max_paths:p.max_paths ~max_visits:p.max_visits
+      ~max_steps:p.enum_steps model
+  with
+  | exception Tomo.Paths.Too_complex msg -> Error msg
+  | paths -> Ok paths
+
 let em_agreement p ~env_seed (c : Compile.t) =
   let instrumented = Asm.assemble (Probes.instrument c.Compile.items) in
   match run_instrumented ~env_seed ~invocations:p.em_invocations instrumented with
@@ -407,13 +409,9 @@ let em_agreement p ~env_seed (c : Compile.t) =
         let model = Tomo.Model.of_cfg cfg in
         if Tomo.Model.num_params model = 0 then Skip "no branch parameters"
         else
-          match
-            Tomo.Paths.enumerate ~max_paths:p.max_paths ~max_visits:p.max_visits
-              ~max_steps:p.enum_steps model
-          with
-          | exception Tomo.Paths.Too_complex msg ->
-              Skip (Printf.sprintf "path enumeration: %s" msg)
-          | paths -> (
+          match enumerate p model with
+          | Error msg -> Skip (Printf.sprintf "path enumeration: %s" msg)
+          | Ok paths -> (
               let sparse =
                 Tomo.Em.estimate ~max_iters:p.em_max_iters ~record_trajectory:true
                   paths ~samples
@@ -594,9 +592,10 @@ let faults p rng ~env_seed (c : Compile.t) =
   let fault_seed = Stats.Rng.int rng 1_000_000 in
   let fconfig = draw_fault_config rng in
   let instrumented = Asm.assemble (Probes.instrument c.Compile.items) in
-  match run_for_devices ~env_seed ~invocations:p.em_invocations instrumented with
+  match run_program ~env_seed ~invocations:p.em_invocations instrumented with
   | Error msg -> Fail (Printf.sprintf "instrumented run: %s" msg)
-  | Ok devices -> (
+  | Ok m -> (
+      let devices = Machine.devices m in
       let log = Devices.probe_log devices in
       if log = [] then Skip "empty probe log"
       else
@@ -642,14 +641,7 @@ let faults p rng ~env_seed (c : Compile.t) =
                         in
                         let paths =
                           if Tomo.Model.num_params model_i = 0 then None
-                          else
-                            match
-                              Tomo.Paths.enumerate ~max_paths:p.max_paths
-                                ~max_visits:p.max_visits ~max_steps:p.enum_steps
-                                model_i
-                            with
-                            | exception Tomo.Paths.Too_complex _ -> None
-                            | paths -> Some paths
+                          else Result.to_option (enumerate p model_i)
                         in
                         let min_cost, max_cost =
                           match paths with
@@ -888,9 +880,10 @@ let streaming p rng ~env_seed (c : Compile.t) =
   let decay = if Stats.Rng.bool rng then 1.0 else 0.999 in
   let sigma = 0.5 +. Stats.Rng.float rng 4.0 in
   let instrumented = Asm.assemble (Probes.instrument c.Compile.items) in
-  match run_for_devices ~env_seed ~invocations:p.em_invocations instrumented with
+  match run_program ~env_seed ~invocations:p.em_invocations instrumented with
   | Error msg -> Fail (Printf.sprintf "instrumented run: %s" msg)
-  | Ok devices -> (
+  | Ok m -> (
+      let devices = Machine.devices m in
       let log = Devices.probe_log devices in
       if log = [] then Skip "empty probe log"
       else
@@ -925,12 +918,9 @@ let streaming p rng ~env_seed (c : Compile.t) =
                   in
                   if Array.length samples = 0 || Tomo.Model.num_params model = 0 then None
                   else
-                    match
-                      Tomo.Paths.enumerate ~max_paths:p.max_paths ~max_visits:p.max_visits
-                        ~max_steps:p.enum_steps model
-                    with
-                    | exception Tomo.Paths.Too_complex _ -> None
-                    | paths ->
+                    match enumerate p model with
+                    | Error _ -> None
+                    | Ok paths ->
                         let lo = Tomo.Paths.min_cost paths
                         and hi = Tomo.Paths.max_cost paths in
                         let stream =

@@ -30,16 +30,10 @@ let of_edges ~size edges =
 let size t = Linalg.Matrix.rows t.p
 let prob t i j = t.p.(i).(j)
 let matrix t = Linalg.Matrix.copy t.p
-let row t i = Array.copy t.p.(i)
 
 let leak t i =
   let sum = Array.fold_left ( +. ) 0.0 t.p.(i) in
   Stdlib.max 0.0 (1.0 -. sum)
-
-let successors t i =
-  let out = ref [] in
-  Array.iteri (fun j v -> if v > 0.0 then out := (j, v) :: !out) t.p.(i);
-  List.rev !out
 
 let step rng t i =
   let u = Stats.Rng.unit_float rng in

@@ -19,12 +19,8 @@ val prob : t -> int -> int -> float
 val matrix : t -> Linalg.Matrix.t
 (** A defensive copy of the transition matrix. *)
 
-val row : t -> int -> float array
 val leak : t -> int -> float
 (** Probability mass leaving the chain from a state (1 − row sum). *)
-
-val successors : t -> int -> (int * float) list
-(** Positive-probability transitions out of a state. *)
 
 val step : Stats.Rng.t -> t -> int -> int option
 (** Sample the next state; [None] when the leak mass fires (absorption). *)

@@ -3,7 +3,6 @@ type probe_record = { pc : int; cycles : int; value : int }
 type t = {
   timer_resolution : int;
   timer_jitter : float;
-  probe_loss : float;
   rng : Stats.Rng.t;
   mutable sensor : int -> int;
   radio_rx_q : int Queue.t;
@@ -12,21 +11,17 @@ type t = {
   mutable leds : int;
   mutable led_writes : int;
   mutable probes : probe_record list; (* newest first *)
-  mutable probes_dropped : int;
   counters : (int, int) Hashtbl.t;
 }
 
-let create ?(timer_resolution = 1) ?(timer_jitter = 0.0) ?(probe_loss = 0.0) ?rng () =
+let create ?(timer_resolution = 1) ?(timer_jitter = 0.0) ?rng () =
   if timer_resolution <= 0 then invalid_arg "Devices.create: resolution must be positive";
   if not (timer_jitter >= 0.0 && timer_jitter < Float.infinity) then
     invalid_arg "Devices.create: jitter must be finite and non-negative";
-  if not (probe_loss >= 0.0 && probe_loss < 1.0) then
-    invalid_arg "Devices.create: probe loss outside [0,1)";
   let rng = match rng with Some r -> r | None -> Stats.Rng.create 7 in
   {
     timer_resolution;
     timer_jitter;
-    probe_loss;
     rng;
     sensor = (fun _ -> 0);
     radio_rx_q = Queue.create ();
@@ -35,7 +30,6 @@ let create ?(timer_resolution = 1) ?(timer_jitter = 0.0) ?(probe_loss = 0.0) ?rn
     leds = 0;
     led_writes = 0;
     probes = [];
-    probes_dropped = 0;
     counters = Hashtbl.create 64;
   }
 
@@ -80,14 +74,9 @@ let set_leds t v =
 let leds t = t.leds
 let led_writes t = t.led_writes
 
-(* An unreliable uplink loses records independently at [probe_loss]. *)
-let probe t ~pc ~cycles ~value =
-  if t.probe_loss > 0.0 && Stats.Rng.bernoulli t.rng t.probe_loss then
-    t.probes_dropped <- t.probes_dropped + 1
-  else t.probes <- { pc; cycles; value } :: t.probes
+let probe t ~pc ~cycles ~value = t.probes <- { pc; cycles; value } :: t.probes
 
 let probe_log t = List.rev t.probes
-let probes_dropped t = t.probes_dropped
 
 let bump_counter t id =
   let current = Option.value ~default:0 (Hashtbl.find_opt t.counters id) in

@@ -14,17 +14,15 @@ type t
 val create :
   ?timer_resolution:int ->
   ?timer_jitter:float ->
-  ?probe_loss:float ->
   ?rng:Stats.Rng.t ->
   unit ->
   t
 (** [timer_resolution] in cycles per tick (default 1);
     [timer_jitter] is the std-dev of Gaussian noise in cycles added before
-    quantization (default 0); [probe_loss] in [0,1) loses records
-    independently, like an unreliable log uplink (default 0).  [rng]
-    drives jitter and loss (default seed 7).
-    @raise Invalid_argument on a non-positive resolution, a negative,
-    infinite or NaN jitter, or a loss outside [0,1) (NaN included). *)
+    quantization (default 0).  [rng] drives the jitter, and nothing else
+    (default seed 7).
+    @raise Invalid_argument on a non-positive resolution or a negative,
+    infinite or NaN jitter. *)
 
 val timer_resolution : t -> int
 
@@ -62,10 +60,9 @@ val led_writes : t -> int
 
 val probe : t -> pc:int -> cycles:int -> value:int -> unit
 val probe_log : t -> probe_record list
-(** Probe writes, oldest first (drops excluded). *)
-
-val probes_dropped : t -> int
-(** Records lost to [probe_loss]. *)
+(** Every probe write, oldest first.  The log is lossless: record loss
+    on the way to the base station is {!Profilekit.Transport}'s to
+    model. *)
 
 val bump_counter : t -> int -> unit
 val counter : t -> int -> int

@@ -1,9 +1,10 @@
 (** Static instrumentation-overhead accounting for experiment T6.
 
     Dynamic (cycle) overhead comes from actually running each binary under
-    the same environment seed; that orchestration lives in the core
-    pipeline.  Here we account for what can be read off the binaries:
-    flash occupancy and the RAM the instrumentation needs. *)
+    one config; [Codetomo.Pipeline.overhead] does that, and attaches the
+    reports below to its runs.  Here we account for what can be
+    read off the binaries: flash occupancy and the RAM the
+    instrumentation needs. *)
 
 open Mote_isa
 

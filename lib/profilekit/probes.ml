@@ -199,11 +199,6 @@ let collect_lossy_records ?max_window ~program ~resolution records =
   let samples = Collector.drain c in
   { samples; discarded = Collector.discarded c + Collector.open_frames c }
 
-let collect_lossy ?max_window ~program ~devices () =
-  collect_lossy_records ?max_window ~program
-    ~resolution:(Mote_machine.Devices.timer_resolution devices)
-    (Mote_machine.Devices.probe_log devices)
-
 (* The strict collector is the lossy one that must not discard: every
    log that fails to nest (a stray probe, an exit with no or the wrong
    open entry) makes the Collector abandon a frame.  The one well-nested

@@ -56,32 +56,6 @@ type lossy_result = {
           still open when the log ends. *)
 }
 
-val collect_lossy :
-  ?max_window:int ->
-  program:Mote_isa.Program.t ->
-  devices:Mote_machine.Devices.t ->
-  unit ->
-  lossy_result
-(** Pair up the probe log of an instrumented binary, tolerant of records
-    lost in flight (an unreliable uplink — see
-    {!Mote_machine.Devices.create} — or a buffer that filled up): instead of raising {!Unbalanced}
-    like {!collect}, the collector resynchronizes.  An
-    exit whose procedure is open deeper in the stack closes (and discards)
-    the intervening frames; an exit with no matching open frame is
-    skipped; an entry for an already-open procedure tears the whole stack
-    (recursion being impossible, its previous exit must have been lost);
-    any frame that was open while something was discarded is itself
-    discarded, so surviving samples are exactly the fully-observed,
-    fully-nested windows.  [max_window] (cycles) additionally discards
-    windows longer than any plausible invocation — the signature of an
-    exit pairing with a stale entry across a doubly-lost boundary.
-
-    Caveat: if a nested invocation loses {e both} its records, nothing in
-    the log betrays it and the enclosing window silently absorbs the
-    child's time.  When {!Mote_machine.Devices.probes_dropped} exceeds
-    what [discarded] accounts for, treat caller samples with
-    suspicion (leaf procedures are unaffected). *)
-
 (** The resynchronizing lossy collector as a resumable state machine: feed
     records one at a time, in any batch split, and drain the windows they
     close.  Its only state across records is the open-frame stack, and
@@ -121,14 +95,34 @@ val collect_lossy_records :
   resolution:int ->
   Mote_machine.Devices.probe_record list ->
   lossy_result
-(** {!collect_lossy} on an explicit record list — feed it the output of
-    {!Transport.perturb} to model a full field deployment.  One
-    {!Collector} run over the whole list; frames still open at its end
-    never completed, so they count as [discarded]. *)
+(** Pair up the probe records of an instrumented binary, tolerant of
+    records lost in flight: feed it the output of {!Transport.perturb}
+    to model a field deployment (a lossy uplink, a buffer that filled
+    up).  Instead of raising {!Unbalanced} like {!collect}, the collector
+    resynchronizes.  An exit whose procedure is open deeper in the stack
+    closes (and discards) the intervening frames; an exit with no
+    matching open frame is skipped; an entry for an already-open
+    procedure tears the whole stack (recursion being impossible, its
+    previous exit must have been lost); any frame that was open while
+    something was discarded is itself discarded, so surviving samples
+    are exactly the fully-observed, fully-nested windows.  [max_window]
+    (cycles) additionally discards windows longer than any plausible
+    invocation — the signature of an exit pairing with a stale entry
+    across a doubly-lost boundary.  One {!Collector} run over the whole
+    list; frames still open at its end never completed, so they count
+    as [discarded].
+
+    Caveat: if a nested invocation loses {e both} its records, nothing in
+    the log betrays it and the enclosing window silently absorbs the
+    child's time.  When the {!Transport.stats} drop counts
+    ([dropped_drop + dropped_burst + dropped_reboot]) exceed what
+    [discarded] accounts for, treat caller samples with suspicion (leaf
+    procedures are unaffected). *)
 
 val collect : program:Program.t -> devices:Mote_machine.Devices.t -> sample_set
 (** The strict collector: one {!Collector} run over the device's probe
     log that must not discard.  If any frame had to be abandoned the log
     does not nest properly and {!Unbalanced} is raised; otherwise the
-    samples are exactly {!collect_lossy}'s.  Invocations still open at
-    the end of the log (a run cut mid-task) are dropped silently. *)
+    samples are exactly {!collect_lossy_records}'s on that log.
+    Invocations still open at the end of the log (a run cut mid-task)
+    are dropped silently. *)

@@ -1,9 +1,7 @@
-type align = Left | Right
-
 let fmt_float ?(decimals = 2) v = Printf.sprintf "%.*f" decimals v
 let fmt_pct ?(decimals = 1) v = Printf.sprintf "%.*f%%" decimals (v *. 100.0)
 
-let render ~headers ?aligns rows =
+let render ~headers rows =
   let cols = List.length headers in
   List.iteri
     (fun i row ->
@@ -11,22 +9,14 @@ let render ~headers ?aligns rows =
         invalid_arg (Printf.sprintf "Table.render: row %d has %d cells, expected %d" i
                        (List.length row) cols))
     rows;
-  let aligns =
-    match aligns with
-    | Some a ->
-        if List.length a <> cols then invalid_arg "Table.render: aligns length mismatch";
-        a
-    | None -> List.mapi (fun i _ -> if i = 0 then Left else Right) headers
-  in
   let widths = Array.of_list (List.map String.length headers) in
   List.iter
     (List.iteri (fun i cell -> widths.(i) <- Stdlib.max widths.(i) (String.length cell)))
     rows;
-  let pad align width s =
-    let gap = width - String.length s in
-    match align with
-    | Left -> s ^ String.make gap ' '
-    | Right -> String.make gap ' ' ^ s
+  (* The first column (the row's name) is left-aligned, the rest right. *)
+  let pad i s =
+    let gap = String.make (widths.(i) - String.length s) ' ' in
+    if i = 0 then s ^ gap else gap ^ s
   in
   let line ch junction =
     junction
@@ -37,7 +27,7 @@ let render ~headers ?aligns rows =
   let render_row cells =
     "|"
     ^ String.concat "|"
-        (List.mapi (fun i cell -> " " ^ pad (List.nth aligns i) widths.(i) cell ^ " ") cells)
+        (List.mapi (fun i cell -> " " ^ pad i cell ^ " ") cells)
     ^ "|"
   in
   let buf = Buffer.create 256 in

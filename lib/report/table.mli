@@ -1,11 +1,9 @@
 (** Aligned plain-text tables — every "Table N" in the evaluation is
     rendered through this. *)
 
-type align = Left | Right
-
-val render : headers:string list -> ?aligns:align list -> string list list -> string
-(** Box-drawn table.  [aligns] defaults to left for the first column and
-    right for the rest (the usual name-then-numbers shape).
+val render : headers:string list -> string list list -> string
+(** Box-drawn table, left-aligned in the first column and right-aligned in
+    the rest (the usual name-then-numbers shape).
     @raise Invalid_argument on ragged rows. *)
 
 val fmt_float : ?decimals:int -> float -> string

@@ -1,4 +1,3 @@
-let uniform rng ~lo ~hi = lo +. Rng.unit_float rng *. (hi -. lo)
 
 let gaussian rng ~mu ~sigma =
   if sigma < 0.0 then invalid_arg "Dist.gaussian: negative sigma";

@@ -5,9 +5,6 @@
     Samplers take an {!Rng.t} explicitly so call sites control their random
     stream. *)
 
-val uniform : Rng.t -> lo:float -> hi:float -> float
-(** Uniform on [lo, hi). *)
-
 val gaussian : Rng.t -> mu:float -> sigma:float -> float
 (** Normal draw via Box–Muller.  [sigma] must be non-negative. *)
 

@@ -168,15 +168,6 @@ let test_freq_default_theta () =
   let f = Freq.create cfg ~invocations:0.0 in
   Alcotest.(check (float 1e-9)) "unvisited branch is 0.5" 0.5 (Freq.taken_probability f 0)
 
-let test_freq_scale () =
-  let cfg = diamond () in
-  let f = Freq.create cfg ~invocations:10.0 in
-  Freq.bump f ~src:0 ~dst:2 ~kind:Cfg.K_taken 4.0;
-  let half = Freq.scale f 0.5 in
-  Alcotest.(check (float 1e-9)) "scaled invocations" 5.0 (Freq.invocations half);
-  Alcotest.(check (float 1e-9)) "scaled weight" 2.0
-    (Freq.get half ~src:0 ~dst:2 ~kind:Cfg.K_taken)
-
 let test_freq_non_branch_theta () =
   let cfg = diamond () in
   let f = Freq.create cfg ~invocations:1.0 in
@@ -201,7 +192,6 @@ let suite =
     Alcotest.test_case "freq basic" `Quick test_freq_basic;
     Alcotest.test_case "freq unknown edge" `Quick test_freq_unknown_edge;
     Alcotest.test_case "freq default theta" `Quick test_freq_default_theta;
-    Alcotest.test_case "freq scale" `Quick test_freq_scale;
     Alcotest.test_case "freq non-branch theta" `Quick test_freq_non_branch_theta;
   ]
 

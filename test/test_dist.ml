@@ -16,15 +16,6 @@ let close ?(tol = 0.05) name expected actual =
     true
     (abs_float (actual -. expected) < tol)
 
-let test_uniform () =
-  let mean, _ = moments 50_000 (fun r -> Stats.Dist.uniform r ~lo:2.0 ~hi:4.0) in
-  close "uniform mean" 3.0 mean;
-  let r = rng () in
-  for _ = 1 to 1000 do
-    let v = Stats.Dist.uniform r ~lo:2.0 ~hi:4.0 in
-    Alcotest.(check bool) "uniform range" true (v >= 2.0 && v < 4.0)
-  done
-
 let test_gaussian () =
   let mean, std = moments 50_000 (fun r -> Stats.Dist.gaussian r ~mu:10.0 ~sigma:3.0) in
   close "gaussian mean" 10.0 mean;
@@ -63,7 +54,6 @@ let test_log_pdf_consistent () =
 
 let suite =
   [
-    Alcotest.test_case "uniform" `Quick test_uniform;
     Alcotest.test_case "gaussian" `Quick test_gaussian;
     Alcotest.test_case "gaussian negative sigma" `Quick test_gaussian_negative_sigma;
     Alcotest.test_case "exponential" `Quick test_exponential;

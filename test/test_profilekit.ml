@@ -378,13 +378,29 @@ let test_lossy_equals_strict_when_lossless () =
     ignore (Machine.run_proc m "task")
   done;
   let strict = Probes.collect ~program:inst ~devices in
-  let lossy = Probes.collect_lossy ~program:inst ~devices () in
+  let lossy =
+    Probes.collect_lossy_records ~program:inst ~resolution:1 (Devices.probe_log devices)
+  in
   Alcotest.(check int) "nothing discarded" 0 lossy.Probes.discarded;
   Alcotest.(check bool) "same samples" true (strict = lossy.Probes.samples)
 
+(* Independent record loss on the uplink: one Bernoulli draw per record
+   from [Stats.Rng.create seed], in log order, and none at rate 0.
+   Returns a device holding the surviving records, and the number lost. *)
+let drop_records ~loss ~seed devices =
+  let rng = Stats.Rng.create seed in
+  let kept = Devices.create () in
+  let lost = ref 0 in
+  List.iter
+    (fun { Devices.pc; cycles; value } ->
+      if loss > 0.0 && Stats.Rng.bernoulli rng loss then incr lost
+      else Devices.probe kept ~pc ~cycles ~value)
+    (Devices.probe_log devices);
+  (kept, !lost)
+
 let test_lossy_uplink_estimation_survives () =
   (* 15% record loss: surviving windows still estimate the branch well. *)
-  let devices = Devices.create ~probe_loss:0.15 ~rng:(Stats.Rng.create 4) () in
+  let devices = Devices.create () in
   let seq = ref 0 in
   Devices.set_sensor devices (fun _ ->
       incr seq;
@@ -393,9 +409,13 @@ let test_lossy_uplink_estimation_survives () =
   for _ = 1 to 2000 do
     ignore (Machine.run_proc m "task")
   done;
-  let r = Probes.collect_lossy ~max_window:50 ~program:inst ~devices () in
+  let received, lost = drop_records ~loss:0.15 ~seed:4 devices in
+  let r =
+    Probes.collect_lossy_records ~max_window:50 ~program:inst ~resolution:1
+      (Devices.probe_log received)
+  in
   let samples = Probes.samples_for r.Probes.samples "task" in
-  Alcotest.(check bool) "loss actually happened" true (Devices.probes_dropped devices > 100);
+  Alcotest.(check bool) "loss actually happened" true (lost > 100);
   Alcotest.(check bool) "majority of windows survive" true (Array.length samples > 1000);
   let model = Tomo.Model.of_cfg (Cfg.of_proc_name inst "task") in
   let paths = Tomo.Paths.enumerate model in
@@ -421,7 +441,7 @@ let test_lossy_nested_poisoning () =
     (fun i { Devices.pc; cycles; value } ->
       if i <> 2 then Devices.probe d2 ~pc ~cycles ~value)
     log;
-  let r = Probes.collect_lossy ~program:inst ~devices:d2 () in
+  let r = Probes.collect_lossy_records ~program:inst ~resolution:1 (Devices.probe_log d2) in
   Alcotest.(check int) "no samples survive" 0
     (List.fold_left (fun acc (_, s) -> acc + Array.length s) 0 r.Probes.samples);
   Alcotest.(check int) "both frames discarded" 2 r.Probes.discarded
@@ -569,19 +589,19 @@ let test_collector_state_bounded () =
 (* The strict collector is the lossy one that must not discard.  On
    real workload runs, clean and over a lossy probe uplink: either
    [collect] raises, exactly when the Collector abandoned a window, or
-   its samples are [collect_lossy]'s bit for bit.  A window merely left
+   its samples are [collect_lossy_records]'s bit for bit.  A window merely left
    open at the end of the log (the run cut mid-task) is no reason to
    raise. *)
-let device_log name ~probe_loss ~seed =
+let device_log name ~loss ~seed =
   let w = Workloads.find name in
   let compiled = Workloads.compiled w in
   let program = Asm.assemble (Probes.instrument compiled.Compile.items) in
-  let devices = Devices.create ~probe_loss ~rng:(Stats.Rng.create seed) () in
+  let devices = Devices.create () in
   let machine = Machine.create ~program ~devices () in
   let env = Env.create { w.Workloads.env_config with Env.seed = 42 + seed } in
   let node = Mote_os.Node.create ~machine ~env ~tasks:w.Workloads.tasks () in
   ignore (Mote_os.Node.run node ~until:200_000);
-  (program, devices)
+  (program, fst (drop_records ~loss ~seed devices))
 
 let hex_samples set =
   List.map (fun (proc, a) -> (proc, Array.to_list (Array.map (Printf.sprintf "%h") a))) set
@@ -594,7 +614,10 @@ let check_strict_is_lossy ~what ~program devices =
   in
   List.iter (Collector.feed c) (Devices.probe_log devices);
   let abandoned = Collector.discarded c in
-  let lossy = Probes.collect_lossy ~program ~devices () in
+  let lossy =
+    Probes.collect_lossy_records ~program ~resolution:(Devices.timer_resolution devices)
+      (Devices.probe_log devices)
+  in
   match Probes.collect ~program ~devices with
   | exception Probes.Unbalanced _ ->
       Alcotest.(check bool) (what ^ ": raises only after an abandoned window") true
@@ -614,7 +637,7 @@ let test_strict_is_lossy_without_discards () =
     (fun name ->
       List.iter
         (fun seed ->
-          let program, devices = device_log name ~probe_loss:0.0 ~seed in
+          let program, devices = device_log name ~loss:0.0 ~seed in
           let what = Printf.sprintf "%s/clean/seed %d" name seed in
           check_strict_is_lossy ~what ~program devices;
           Alcotest.(check bool) (what ^ ": a clean log collects") true
@@ -631,11 +654,12 @@ let test_strict_is_lossy_without_discards () =
             log;
           check_strict_is_lossy ~what:(what ^ "/cut") ~program cut;
           Alcotest.(check bool) (what ^ "/cut: open frame dropped silently") true
-            ((Probes.collect_lossy ~program ~devices:cut ()).Probes.discarded > 0
+            ((Probes.collect_lossy_records ~program ~resolution:1 (Devices.probe_log cut))
+               .Probes.discarded > 0
             && match Probes.collect ~program ~devices:cut with
                | _ -> true
                | exception Probes.Unbalanced _ -> false);
-          let program, devices = device_log name ~probe_loss:0.05 ~seed in
+          let program, devices = device_log name ~loss:0.05 ~seed in
           check_strict_is_lossy
             ~what:(Printf.sprintf "%s/lossy/seed %d" name seed)
             ~program devices;

@@ -20,14 +20,6 @@ let test_table_ragged () =
     | _ -> false
     | exception Invalid_argument _ -> true)
 
-let test_table_aligns_mismatch () =
-  Alcotest.(check bool) "aligns mismatch rejected" true
-    (match
-       Report.Table.render ~headers:[ "a"; "b" ] ~aligns:[ Report.Table.Left ] []
-     with
-    | _ -> false
-    | exception Invalid_argument _ -> true)
-
 let test_fmt_helpers () =
   Alcotest.(check string) "float" "3.14" (Report.Table.fmt_float ~decimals:2 3.14159);
   Alcotest.(check string) "pct" "12.3%" (Report.Table.fmt_pct 0.1234)
@@ -75,7 +67,6 @@ let suite =
   [
     Alcotest.test_case "table renders" `Quick test_table_renders;
     Alcotest.test_case "table ragged" `Quick test_table_ragged;
-    Alcotest.test_case "table aligns mismatch" `Quick test_table_aligns_mismatch;
     Alcotest.test_case "fmt helpers" `Quick test_fmt_helpers;
     Alcotest.test_case "chart renders" `Quick test_chart_renders;
     Alcotest.test_case "chart empty" `Quick test_chart_empty;

@@ -203,6 +203,28 @@ let test_pessimal =
            (Layout.Algorithms.pessimal
               (List.assoc "filter_task" run.Codetomo.Pipeline.oracle_freqs))))
 
+(* One compare_layouts on the filter profile with a warm path-set memo:
+   EM from the cached path sets, the four placements (filter_task's
+   exhaustive pessimal one included), and the evaluation — one run of the
+   natural binary, which scores the other layouts too. *)
+let filter_paths : (string, Tomo.Paths.t) Hashtbl.t = Hashtbl.create 8
+
+let test_compare_layouts =
+  let ctx =
+    Codetomo.Pipeline.Ctx.make
+      ~paths_cache:(fun key enumerate ->
+        match Hashtbl.find_opt filter_paths key with
+        | Some paths -> paths
+        | None ->
+            let paths = enumerate () in
+            Hashtbl.replace filter_paths key paths;
+            paths)
+      ()
+  in
+  Test.make ~name:"compare_layouts (filter, warm path cache)"
+    (Staged.stage (fun () ->
+         ignore (Codetomo.Pipeline.compare_layouts ~ctx (Lazy.force prepared_filter))))
+
 let benchmark () =
   ignore (Lazy.force prepared_sense);
   ignore (Lazy.force prepared_ctp);
@@ -215,7 +237,7 @@ let benchmark () =
       [
         test_simulator; test_cfg; test_paths; test_em; test_paths_merge;
         test_em_sparse; test_log_prior; test_placement; test_ingest; test_online;
-        test_run_binary; test_pessimal;
+        test_run_binary; test_pessimal; test_compare_layouts;
       ]
   in
   let results = Benchmark.all cfg instances grouped in

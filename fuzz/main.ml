@@ -2,7 +2,7 @@
 
      fuzz/main.exe --cases 500 --seed 1 -j 4
 
-   runs 500 cases of the seven-oracle differential harness; the report is
+   runs 500 cases of the eight-oracle differential harness; the report is
    byte-identical at any -j.  Exit status 1 when any oracle failed.
    [--only I] replays a single case (as printed in a failure's repro
    line), shrinking any failure it reproduces. *)

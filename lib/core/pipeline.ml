@@ -2,6 +2,7 @@ module Freq = Cfgir.Freq
 module Cfg = Cfgir.Cfg
 module Program = Mote_isa.Program
 module Asm = Mote_isa.Asm
+module Isa = Mote_isa.Isa
 module Machine = Mote_machine.Machine
 module Devices = Mote_machine.Devices
 module Node = Mote_os.Node
@@ -48,14 +49,16 @@ let horizon_of config (w : Workloads.t) =
   | Some h when h > 0 -> h
   | Some h -> invalid_arg (Printf.sprintf "Pipeline: horizon must be positive, got %d" h)
 
-let make_node ~config ~(workload : Workloads.t) ~binary =
+let make_machine ~config binary =
   let devices =
     Devices.create ~timer_resolution:config.timer_resolution
       ~timer_jitter:config.timer_jitter
       ~rng:(Stats.Rng.create (config.seed + 7919))
       ()
   in
-  let machine = Machine.create ~prediction:config.prediction ~program:binary ~devices () in
+  Machine.create ~prediction:config.prediction ~program:binary ~devices ()
+
+let make_node ~config ~(workload : Workloads.t) machine =
   let env =
     Env.create { (workload.Workloads.env_config) with Env.seed = config.seed }
   in
@@ -92,8 +95,8 @@ let collect_telemetry ~config ~program ~devices =
 (* Evaluation runs ({!run_binary}) build the same node but skip the
    oracle, whose branch hook would slow them. *)
 let simulate config (workload : Workloads.t) binary =
-  let node = make_node ~config ~workload ~binary in
-  let machine = Node.machine node in
+  let machine = make_machine ~config binary in
+  let node = make_node ~config ~workload machine in
   let oracle = Profilekit.Oracle.attach machine in
   let node_stats = Node.run node ~until:(horizon_of config workload) in
   Profilekit.Oracle.detach oracle;
@@ -354,12 +357,10 @@ type variant = {
   idle_cycles : int;
   tx_words : int;
   flash_words : int;
+  derived : bool;
 }
 
-let run_binary ?(config = default_config) (workload : Workloads.t) binary ~label =
-  let node = make_node ~config ~workload ~binary in
-  let node_stats = Node.run node ~until:(horizon_of config workload) in
-  let machine = Node.machine node in
+let variant_of ~label binary machine (node_stats : Node.run_stats) =
   let stats = Machine.stats machine in
   {
     label;
@@ -372,7 +373,13 @@ let run_binary ?(config = default_config) (workload : Workloads.t) binary ~label
     idle_cycles = node_stats.Node.idle_cycles;
     tx_words = Devices.tx_count (Machine.devices machine);
     flash_words = Program.flash_words binary;
+    derived = false;
   }
+
+let run_binary ?(config = default_config) (workload : Workloads.t) binary ~label =
+  let machine = make_machine ~config binary in
+  let node = make_node ~config ~workload machine in
+  variant_of ~label binary machine (Node.run node ~until:(horizon_of config workload))
 
 let overhead ?(config = default_config) ?compiled (workload : Workloads.t) =
   let compiled =
@@ -411,8 +418,11 @@ let overhead ?(config = default_config) ?compiled (workload : Workloads.t) =
 
 let natural_binary run = run.compiled.Mote_lang.Compile.program
 
+let placements ~profiles ~algorithm =
+  List.map (fun (name, freq) -> (name, algorithm freq)) profiles
+
 let placed_binary run ~profiles ~algorithm =
-  Layout.Rewrite.apply_all (natural_binary run) ~algorithm ~profiles
+  Layout.Rewrite.program (natural_binary run) ~placements:(placements ~profiles ~algorithm)
 
 (* Invert a profile: heavy edges become light and vice versa, so chain
    merging actively separates hot pairs. *)
@@ -436,6 +446,136 @@ let worst_binary run =
 
 let fresh_inputs config = { config with seed = config.seed + 1000 }
 
+(* A binary's counts are derived from the natural run only under the
+   predict-not-taken model the delta tables count, and only when it never
+   reads the clock: a timer read would return another value at the
+   variant's clock. *)
+let derivable config binary =
+  config.prediction = Machine.Predict_not_taken
+  && not
+       (Array.exists
+          (function Isa.In (_, Isa.P_timer) -> true | _ -> false)
+          (Program.code binary))
+
+(* One run of [natural] under [config] that also shadows each placed
+   binary: the natural variant, and each placed binary with [Some]
+   variant when its shadow stayed live, [None] when it must run in full.
+   The branch hook adds each outcome's table entry to every placed
+   binary's charge and taken count. *)
+let run_shadowed ~config workload natural placed =
+  let tables = Array.of_list (List.map snd placed) in
+  let n = Array.length tables in
+  let charges = Array.init n (fun _ -> { Node.cycles = 0; instructions = 0 }) in
+  let taken = Array.make n 0 in
+  let machine = make_machine ~config natural in
+  Machine.set_branch_hook machine
+    (Some
+       (fun ~pc ~taken:outcome ->
+         (* [i] is in bounds: the tables cover every pc of [natural]. *)
+         let i = (2 * pc) + Bool.to_int outcome in
+         for v = 0 to n - 1 do
+           let d = Array.unsafe_get tables v and c = Array.unsafe_get charges v in
+           c.Node.cycles <- c.Node.cycles + Array.unsafe_get d.Layout.Delta.cycles i;
+           c.Node.instructions <- c.Node.instructions + Array.unsafe_get d.Layout.Delta.jumps i;
+           Array.unsafe_set taken v (Array.unsafe_get taken v + Array.unsafe_get d.Layout.Delta.taken i)
+         done));
+  let node = make_node ~config ~workload machine in
+  let shadows =
+    Array.mapi
+      (fun v c -> Node.shadow node ~entry:(fun proc -> List.assoc proc tables.(v).Layout.Delta.entries) c)
+      charges
+  in
+  let node_stats = Node.run ~shadows node ~until:(horizon_of config workload) in
+  Machine.set_branch_hook machine None;
+  let base = variant_of ~label:"" natural machine node_stats in
+  let derive v binary (node_stats : Node.run_stats) clock =
+    let s = base.stats and jumps = charges.(v).Node.instructions and dt = taken.(v) in
+    let stats =
+      {
+        s with
+        Machine.instructions = s.Machine.instructions + jumps;
+        cycles = clock;
+        taken_cond_branches = s.Machine.taken_cond_branches + dt;
+        mispredicted_branches = s.Machine.mispredicted_branches + dt;
+        unconditional_transfers = s.Machine.unconditional_transfers + jumps;
+      }
+    in
+    {
+      base with
+      binary;
+      stats;
+      taken_rate = Machine.taken_transfer_rate stats;
+      taken_transfers = stats.Machine.mispredicted_branches + stats.Machine.unconditional_transfers;
+      busy_cycles = node_stats.Node.busy_cycles;
+      idle_cycles = node_stats.Node.idle_cycles;
+      flash_words = Program.flash_words binary;
+      derived = true;
+    }
+  in
+  ( base,
+    List.mapi
+      (fun v (binary, _) ->
+        ( binary,
+          Option.map
+            (fun (node_stats, clock) -> derive v binary node_stats clock)
+            (Node.shadow_run node shadows.(v)) ))
+      placed )
+
+let evaluate_layouts ?(ctx = Ctx.none) config workload ~natural:(natural_label, natural) placed =
+  let variants =
+    (natural_label, natural, [])
+    :: List.map
+         (fun (label, placements) -> (label, Layout.Rewrite.program natural ~placements, placements))
+         placed
+  in
+  (* Evaluation is deterministic given (binary, config), so each distinct
+     binary is scored once and its dynamics are copied under every label
+     that placed it (tomography often places exactly as the oracle
+     profile does). *)
+  let distinct =
+    List.fold_left
+      (fun acc (_, binary, placements) ->
+        if List.mem_assoc binary acc then acc else (binary, placements) :: acc)
+      [] variants
+    |> List.rev
+  in
+  let others = List.tl distinct in
+  let tables =
+    if derivable config natural then
+      List.fold_right
+        (fun (binary, placements) acc ->
+          match (acc, Layout.Delta.create natural ~placements) with
+          | Some acc, Some d -> Some ((binary, d) :: acc)
+          | _ -> None)
+        others (Some [])
+    else None
+  in
+  (* A binary no shadow could follow runs in full.  Each full run gets its
+     own fresh machine/environment pair seeded from [config], so the runs
+     are independent and fan out through the pool without changing any
+     number. *)
+  let full binaries =
+    pmap ?pool:ctx.Ctx.pool
+      (fun binary -> (binary, run_binary ~config workload binary ~label:""))
+      binaries
+  in
+  let runs =
+    match tables with
+    | None -> full (List.map fst distinct)
+    | Some placed ->
+        let base, shadowed = run_shadowed ~config workload natural placed in
+        let fallbacks =
+          full (List.filter_map (function b, None -> Some b | _, Some _ -> None) shadowed)
+        in
+        (natural, base)
+        :: List.map
+             (function b, Some v -> (b, v) | b, None -> (b, List.assoc b fallbacks))
+             shadowed
+  in
+  List.map
+    (fun (label, binary, _) -> { (List.assoc binary runs) with label; binary })
+    variants
+
 let compare_layouts ?(ctx = Ctx.none) ?eval_config ?opts run =
   let eval_config =
     match eval_config with Some c -> c | None -> fresh_inputs run.config
@@ -454,34 +594,13 @@ let compare_layouts ?(ctx = Ctx.none) ?eval_config ?opts run =
     | [] -> "tomography"
     | fs -> Printf.sprintf "tomography[%d fallback]" (List.length fs)
   in
-  let tomo_freqs = estimated_freqs run usable in
-  let natural = natural_binary run in
-  let tomo =
-    placed_binary run ~profiles:tomo_freqs ~algorithm:Layout.Algorithms.pettis_hansen
+  let pettis_hansen profiles =
+    placements ~profiles ~algorithm:Layout.Algorithms.pettis_hansen
   in
-  let perfect =
-    placed_binary run ~profiles:run.oracle_freqs
-      ~algorithm:Layout.Algorithms.pettis_hansen
-  in
-  let worst = worst_binary run in
-  let variants =
-    [ ("natural", natural); ("worst", worst); (tomo_label, tomo); ("perfect", perfect) ]
-  in
-  (* Evaluation is deterministic given (binary, eval_config), so each
-     distinct binary runs once and its dynamics are copied under every
-     label that placed it (tomography often places exactly as the oracle
-     profile does).  Each run gets its own fresh machine/environment pair
-     seeded from [eval_config], so the runs are independent and can fan
-     out through the pool without changing any number. *)
-  let distinct =
-    List.fold_left
-      (fun acc (_, binary) -> if List.mem binary acc then acc else binary :: acc)
-      [] variants
-    |> List.rev
-  in
-  let runs =
-    pmap ?pool:ctx.Ctx.pool
-      (fun binary -> (binary, run_binary ~config:eval_config run.workload binary ~label:""))
-      distinct
-  in
-  List.map (fun (label, binary) -> { (List.assoc binary runs) with label; binary }) variants
+  evaluate_layouts ~ctx eval_config run.workload
+    ~natural:("natural", natural_binary run)
+    [
+      ("worst", placements ~profiles:run.oracle_freqs ~algorithm:worst_placement);
+      (tomo_label, pettis_hansen (estimated_freqs run usable));
+      ("perfect", pettis_hansen run.oracle_freqs);
+    ]

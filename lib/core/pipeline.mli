@@ -237,6 +237,10 @@ type variant = {
   idle_cycles : int;
   tx_words : int;  (** Radio payload words transmitted during the run. *)
   flash_words : int;
+  derived : bool;
+      (** [true] when the counts were derived from the natural binary's
+          run ({!evaluate_layouts}), [false] when this binary ran in full.
+          Every other field is the same either way. *)
 }
 
 val fresh_inputs : config -> config
@@ -249,7 +253,8 @@ val fresh_inputs : config -> config
 val run_binary :
   ?config:config -> Workloads.t -> Mote_isa.Program.t -> label:string -> variant
 (** Execute an arbitrary binary of the workload under the workload's
-    environment (fresh machine, given seed) and collect its dynamics. *)
+    environment (fresh machine, given seed) and collect its dynamics
+    ([derived] is [false]). *)
 
 val overhead :
   ?config:config ->
@@ -278,18 +283,41 @@ val worst_binary : profile_run -> Mote_isa.Program.t
 (** Pessimal placement from the oracle profile (exhaustive on small
     procedures, inverted Pettis–Hansen above that). *)
 
+val evaluate_layouts :
+  ?ctx:Ctx.t ->
+  config ->
+  Workloads.t ->
+  natural:string * Mote_isa.Program.t ->
+  (string * (string * Layout.Placement.t) list) list ->
+  variant list
+(** [evaluate_layouts config workload ~natural:(label, binary) placed]
+    evaluates [binary] and, for each [(label, placements)] of [placed],
+    [Layout.Rewrite.program binary ~placements], all under [config]; the
+    variants come back in that order, each equal field for field to
+    {!run_binary} of its binary under [config] (bar [derived]).
+
+    Evaluation is deterministic given the binary and the config, so each
+    distinct binary is scored once and labels that share a binary share
+    its dynamics.  [binary] runs once, in full.  Its run also follows
+    every other distinct binary through {!Layout.Delta}'s tables and a
+    {!Mote_os.Node} shadow, and a binary whose shadow stays live to the
+    end gets its counts from that run ([derived = true]).  A binary whose
+    shadow drops out runs in full, through [ctx]'s pool; so does every
+    binary when [binary] reads the timer, when [config] predicts
+    backward-taken/forward-not-taken (the tables count not-taken
+    prediction only), or when {!Layout.Delta.create} finds no tables.  If
+    a run raises, the exception is the one the full runs, in variant
+    order, would raise first. *)
+
 val compare_layouts :
   ?ctx:Ctx.t -> ?eval_config:config -> ?opts:opts -> profile_run -> variant list
 (** The T4/F5 experiment for one workload: natural, worst-case,
-    tomography-guided and perfect-profile binaries, all run under the same
-    evaluation environment (default: {!fresh_inputs} of the profiling
-    config).  Evaluation is deterministic given the binary and the
-    evaluation config, so each distinct binary runs once and variants
-    whose binaries are equal (often tomography and perfect) share that
-    run's dynamics under their own labels.  [ctx]'s pool runs the
-    distinct evaluations on separate domains; each owns a fresh
-    machine/environment seeded from the evaluation config, so parallel
-    output is bit-identical to serial.
+    tomography-guided and perfect-profile binaries, all evaluated through
+    {!evaluate_layouts} under the same evaluation config (default:
+    {!fresh_inputs} of the profiling config).  The natural binary runs
+    once and the others are derived from its run where the schedule
+    guard allows; [ctx]'s pool runs the rest.  Output is bit-identical to
+    running every binary through {!run_binary}, serially or in parallel.
 
     [opts] is forwarded to {!estimate} whole.  A procedure whose
     health comes back {!Tomo.Health.Rejected} contributes {e no} profile

@@ -16,7 +16,8 @@
     candidates are equal anyway.
 
     Fan-out goes through the session's {!Par.Pool}: per-procedure
-    estimation, the four {!Pipeline.compare_layouts} variant runs, and
+    estimation, the {!Pipeline.compare_layouts} layouts its shared
+    evaluation run cannot score, and
     any caller-side sweep via {!map_list}.  Every task derives its
     randomness from its own key (workload seed, sweep index), never
     from a generator shared across tasks, so a session at [domains = 4]
@@ -90,8 +91,10 @@ val compare_layouts :
   ?config:Pipeline.config ->
   Workloads.t ->
   Pipeline.variant list
-(** Memoized {!Pipeline.compare_layouts}: the four variant evaluations
-    run on the pool, once per (workload, config, eval config, options). *)
+(** Memoized {!Pipeline.compare_layouts}, once per (workload, config,
+    eval config, options): one run of the natural binary scores the other
+    layouts where the schedule guard allows, and those it cannot run on
+    the pool. *)
 
 val clear : t -> unit
 (** Drop every memoized artifact (the pool is untouched). *)

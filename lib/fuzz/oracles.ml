@@ -1,4 +1,4 @@
-(* The seven differential oracles.
+(* The eight differential oracles.
 
    Each oracle takes one generated program (plus its own RNG stream where
    it needs randomness) and returns a verdict.  Failures carry a message
@@ -19,6 +19,8 @@ module Devices = Mote_machine.Devices
 module Cfg = Cfgir.Cfg
 module Probes = Profilekit.Probes
 module Transport = Profilekit.Transport
+module Node = Mote_os.Node
+module P = Codetomo.Pipeline
 
 type verdict = Pass | Skip of string | Fail of string
 
@@ -1062,3 +1064,116 @@ let interpreter p rng ~env_seed (c : Compile.t) =
   match List.find_map (fun run -> run ()) runs with
   | None -> Pass
   | Some msg -> Fail ("interpreter loop diverged from Machine.Reference: " ^ msg)
+
+(* ------------------------------------------------------------------ *)
+(* Oracle 8: layouts scored from one evaluation run.                  *)
+(* ------------------------------------------------------------------ *)
+
+(* The first field that differs between two evaluations of a binary. *)
+let diff_variants (a : P.variant) (b : P.variant) =
+  let fields =
+    [
+      ("stats", pp_stats a.P.stats, pp_stats b.P.stats);
+      ("taken_transfers", string_of_int a.P.taken_transfers, string_of_int b.P.taken_transfers);
+      ("busy_cycles", string_of_int a.P.busy_cycles, string_of_int b.P.busy_cycles);
+      ("idle_cycles", string_of_int a.P.idle_cycles, string_of_int b.P.idle_cycles);
+      ("tx_words", string_of_int a.P.tx_words, string_of_int b.P.tx_words);
+      ("flash_words", string_of_int a.P.flash_words, string_of_int b.P.flash_words);
+      ("taken_rate", hex a.P.taken_rate, hex b.P.taken_rate);
+    ]
+  in
+  match List.find_opt (fun (_, x, y) -> x <> y) fields with
+  | Some (name, x, y) -> Printf.sprintf "%s: %s vs %s" name x y
+  | None -> "binary or label"
+
+let layout_eval p rng ~env_seed (program : Ast.program) (c : Compile.t) =
+  let natural = c.Compile.program in
+  match run_program ~env_seed ~invocations:1 natural with
+  | Error msg -> (Skip ("natural run faults: " ^ msg), (0, 0))
+  | Ok m ->
+      (* One task's cycles, roughly ([__init] included).  Periods range
+         up to twice that, so about half the cases overload the node:
+         timers fire while a task runs, and the guard has to fail. *)
+      let task = Stdlib.max 1 (Machine.cycles m) in
+      let period = 1 + Stats.Rng.int rng (2 * task) in
+      let offset = Stats.Rng.int rng task in
+      let radio = Stats.Rng.bool rng in
+      let env = Gen.env_config ~seed:env_seed in
+      let workload =
+        {
+          Workloads.name = "fuzz";
+          description = "a generated program as periodic and radio tasks";
+          program;
+          tasks =
+            { Node.proc = Gen.task_name; source = Node.Periodic { period; offset } }
+            :: (if radio then [ { Node.proc = Gen.task_name; source = Node.On_radio_rx } ]
+                else []);
+          env_config =
+            (if radio then
+               {
+                 env with
+                 Env.radio =
+                   Env.Poisson
+                     { per_kilocycle = 1000.0 /. float_of_int task; payload_lo = 0; payload_hi = 255 };
+               }
+             else env);
+          profiled = [];
+          horizon = task * p.invocations;
+        }
+      in
+      let config = { P.default_config with P.seed = env_seed } in
+      let placed =
+        List.init p.placement_rounds (fun i ->
+            (Printf.sprintf "placed %d" (i + 1), random_placements rng natural))
+      in
+      let full binary label = P.run_binary ~config workload binary ~label in
+      begin
+        match P.evaluate_layouts config workload ~natural:("natural", natural) placed with
+        | exception (Machine.Fault msg as e) -> (
+            (* It must raise what the full runs, in order, raise first. *)
+            let binaries =
+              natural
+              :: List.map (fun (_, placements) -> Layout.Rewrite.program natural ~placements) placed
+            in
+            match
+              List.find_map
+                (fun binary ->
+                  match full binary "" with exception e' -> Some (binary, e') | _ -> None)
+                binaries
+            with
+            | Some (binary, e') when e' = e ->
+                ( (if binary = natural then Skip ("natural run faults: " ^ msg) else Pass),
+                  (0, 0) )
+            | _ -> (Fail ("evaluate_layouts raised what no full run raises first: " ^ msg), (0, 0)))
+        | variants -> (
+            let runs =
+              List.fold_left
+                (fun (seen, d, f) (v : P.variant) ->
+                  if List.mem v.P.binary seen then (seen, d, f)
+                  else if v.P.derived then (v.P.binary :: seen, d + 1, f)
+                  else (v.P.binary :: seen, d, f + 1))
+                ([ natural ], 0, 0) variants
+            in
+            let _, derived, fell_back = runs in
+            let mismatch =
+              List.find_map
+                (fun (v : P.variant) ->
+                  let alone = full v.P.binary v.P.label in
+                  if { v with P.derived = false } = alone then None
+                  else
+                    Some
+                      (Printf.sprintf "%s (%s): %s" v.P.label
+                         (if v.P.derived then "derived" else "full")
+                         (diff_variants v alone)))
+                variants
+            in
+            match mismatch with
+            | None -> (Pass, (derived, fell_back))
+            | Some msg ->
+                ( Fail
+                    (Printf.sprintf "period %d%s: evaluate_layouts differs from run_binary: %s"
+                       period
+                       (if radio then " + radio" else "")
+                       msg),
+                  (derived, fell_back) ))
+      end

@@ -1,4 +1,4 @@
-(** The seven differential oracles of the fuzzing harness.
+(** The eight differential oracles of the fuzzing harness.
 
     Every oracle runs one generated program through two pipelines that the
     design says must agree, and reports where they do not:
@@ -25,7 +25,10 @@
     + {!interpreter}: the interpreter loop behind
       {!Mote_machine.Machine.run_proc} equals the per-instruction
       {!Mote_machine.Machine.Reference} on every binary variant, both
-      prediction policies, fuel exhaustion and memory faults.
+      prediction policies, fuel exhaustion and memory faults;
+    + {!layout_eval}: every layout {!Codetomo.Pipeline.evaluate_layouts}
+      derives from one evaluation run equals a full
+      {!Codetomo.Pipeline.run_binary} of its binary.
 
     Verdicts distinguish {!Skip} (the case structurally carries no signal
     for this oracle) from {!Fail} (a real disagreement, message included). *)
@@ -167,3 +170,21 @@ val interpreter :
     prediction policies, the natural binary under the small fuel budget
     (out-of-fuel faults), and the instrumented binary in the small
     memory (load, store and stack faults).  Never skips. *)
+
+val layout_eval :
+  params ->
+  Stats.Rng.t ->
+  env_seed:int ->
+  Mote_lang.Ast.program ->
+  Mote_lang.Compile.t ->
+  verdict * (int * int)
+(** The layout-eval oracle.  Runs the generated program as a periodic
+    task — period drawn up to twice one invocation's cycles, so about
+    half the cases overload the node — plus, on a coin flip, a radio task
+    under Poisson arrivals, for [invocations] task lengths, and evaluates
+    the natural binary with [placement_rounds] random placements through
+    {!Codetomo.Pipeline.evaluate_layouts}.  Every variant must equal a
+    separate {!Codetomo.Pipeline.run_binary} of its binary, field by
+    field.  Also returns how many distinct placed binaries were derived
+    from the natural run and how many ran in full.  Skips only when the
+    natural binary faults. *)

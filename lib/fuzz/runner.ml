@@ -21,6 +21,7 @@ type oracle =
   | Faults
   | Streaming
   | Interpreter
+  | Layout_eval
 
 let oracle_name = function
   | Gen_check -> "gen-check"
@@ -31,6 +32,7 @@ let oracle_name = function
   | Faults -> "faults"
   | Streaming -> "streaming"
   | Interpreter -> "interpreter"
+  | Layout_eval -> "layout-eval"
 
 let oracle_of_name = function
   | "gen-check" -> Some Gen_check
@@ -41,10 +43,11 @@ let oracle_of_name = function
   | "faults" -> Some Faults
   | "streaming" -> Some Streaming
   | "interpreter" -> Some Interpreter
+  | "layout-eval" -> Some Layout_eval
   | _ -> None
 
 let all_oracles =
-  [ Gen_check; Optimize; Rewrite; Em; Convergence; Faults; Streaming; Interpreter ]
+  [ Gen_check; Optimize; Rewrite; Em; Convergence; Faults; Streaming; Interpreter; Layout_eval ]
 
 (* ------------------------------------------------------------------ *)
 (* Case execution.                                                    *)
@@ -52,10 +55,11 @@ let all_oracles =
 
 (* Streams per case, in fixed order: program generation, environment
    seeding, placement randomness (rewrite oracle), convergence oracle,
-   fault injection (faults oracle), streaming oracle, interpreter oracle.
-   Adding a stream at the END keeps old (seed, case) repros valid. *)
+   fault injection (faults oracle), streaming oracle, interpreter oracle,
+   layout-eval oracle.  Adding a stream at the END keeps old (seed, case)
+   repros valid. *)
 let case_streams ~seed index =
-  Stats.Rng.split_n (Stats.Rng.stream ~seed ~index) 7
+  Stats.Rng.split_n (Stats.Rng.stream ~seed ~index) 8
 
 let env_seed_of rng = Stats.Rng.int rng 1_000_000
 
@@ -63,6 +67,7 @@ type case_result = {
   index : int;
   program : Ast.program;
   verdicts : (oracle * Oracles.verdict) list;
+  layout_runs : int * int;
 }
 
 let run_case ?(params = Oracles.default_params) ?(config = Gen.default_config)
@@ -70,31 +75,36 @@ let run_case ?(params = Oracles.default_params) ?(config = Gen.default_config)
   let s = case_streams ~seed index in
   let program = Gen.program ~config s.(0) in
   let env_seed = env_seed_of s.(1) in
-  let verdicts =
+  let verdicts, layout_runs =
     match Check.program program with
     | Error msgs ->
-        [
-          ( Gen_check,
-            Oracles.Fail
-              ("generated program fails Check: " ^ String.concat "; " msgs) );
-        ]
+        ( [
+            ( Gen_check,
+              Oracles.Fail
+                ("generated program fails Check: " ^ String.concat "; " msgs) );
+          ],
+          (0, 0) )
     | Ok () -> (
         match Compile.compile program with
         | exception Invalid_argument msg ->
-            [ (Gen_check, Oracles.Fail ("generated program fails compile: " ^ msg)) ]
+            ([ (Gen_check, Oracles.Fail ("generated program fails compile: " ^ msg)) ], (0, 0))
         | c ->
-            [
-              (Gen_check, Oracles.Pass);
-              (Optimize, Oracles.optimize params ~env_seed program c);
-              (Rewrite, Oracles.rewrite params s.(2) ~env_seed c);
-              (Em, Oracles.em_agreement params ~env_seed c);
-              (Convergence, Oracles.convergence params s.(3) c);
-              (Faults, Oracles.faults params s.(4) ~env_seed c);
-              (Streaming, Oracles.streaming params s.(5) ~env_seed c);
-              (Interpreter, Oracles.interpreter params s.(6) ~env_seed c);
-            ])
+            let verdicts =
+              [
+                (Gen_check, Oracles.Pass);
+                (Optimize, Oracles.optimize params ~env_seed program c);
+                (Rewrite, Oracles.rewrite params s.(2) ~env_seed c);
+                (Em, Oracles.em_agreement params ~env_seed c);
+                (Convergence, Oracles.convergence params s.(3) c);
+                (Faults, Oracles.faults params s.(4) ~env_seed c);
+                (Streaming, Oracles.streaming params s.(5) ~env_seed c);
+                (Interpreter, Oracles.interpreter params s.(6) ~env_seed c);
+              ]
+            in
+            let layout, runs = Oracles.layout_eval params s.(7) ~env_seed program c in
+            (verdicts @ [ (Layout_eval, layout) ], runs))
   in
-  { index; program; verdicts }
+  { index; program; verdicts; layout_runs }
 
 (* Re-run one oracle on a *candidate* program under case [index]'s exact
    streams — the shrinking predicate.  The generation stream is split but
@@ -139,7 +149,9 @@ let oracle_fails ?(params = Oracles.default_params) ~seed ~index oracle candidat
               | Convergence -> is_fail (Oracles.convergence params s.(3) c)
               | Faults -> is_fail (Oracles.faults params s.(4) ~env_seed c)
               | Streaming -> is_fail (Oracles.streaming params s.(5) ~env_seed c)
-              | Interpreter -> is_fail (Oracles.interpreter params s.(6) ~env_seed c))))
+              | Interpreter -> is_fail (Oracles.interpreter params s.(6) ~env_seed c)
+              | Layout_eval ->
+                  is_fail (fst (Oracles.layout_eval params s.(7) ~env_seed candidate c)))))
 
 (* Gen_check findings fail Check or compile, which Shrink.minimize's
    validity filter would reject — minimize them with a hand-rolled greedy
@@ -206,6 +218,7 @@ type report = {
   cases : int;
   pass : (oracle * int) list;
   skip : (oracle * int) list;
+  layout_runs : int * int;
   failures : failure list;
 }
 
@@ -265,7 +278,12 @@ let run ?(params = Oracles.default_params) ?(config = Gen.default_config) ~seed
           })
       failing
   in
-  { seed; cases; pass; skip; failures }
+  let layout_runs =
+    List.fold_left
+      (fun (d, f) (r : case_result) -> (d + fst r.layout_runs, f + snd r.layout_runs))
+      (0, 0) results
+  in
+  { seed; cases; pass; skip; layout_runs; failures }
 
 let pp_failure ppf f =
   Format.fprintf ppf "@[<v>FAIL case %d oracle=%s@,%s@," f.f_case
@@ -280,9 +298,12 @@ let pp_report ppf r =
   Format.fprintf ppf "@[<v>fuzz: seed=%d cases=%d@," r.seed r.cases;
   List.iter
     (fun o ->
-      Format.fprintf ppf "  %-12s %4d pass  %4d skip  %4d fail@," (oracle_name o)
+      Format.fprintf ppf "  %-12s %4d pass  %4d skip  %4d fail" (oracle_name o)
         (List.assoc o r.pass) (List.assoc o r.skip)
-        (List.length (List.filter (fun f -> f.f_oracle = o) r.failures)))
+        (List.length (List.filter (fun f -> f.f_oracle = o) r.failures));
+      if o = Layout_eval then
+        Format.fprintf ppf "  %4d derived  %4d full" (fst r.layout_runs) (snd r.layout_runs);
+      Format.fprintf ppf "@,")
     all_oracles;
   List.iter
     (fun f ->

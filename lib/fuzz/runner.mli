@@ -16,6 +16,7 @@ type oracle =
   | Faults
   | Streaming
   | Interpreter
+  | Layout_eval
 (** [Gen_check] is the implicit zeroth oracle: every generated program
     must pass {!Mote_lang.Check} and compile. *)
 
@@ -25,6 +26,9 @@ type case_result = {
   index : int;
   program : Mote_lang.Ast.program;
   verdicts : (oracle * Oracles.verdict) list;
+  layout_runs : int * int;
+      (** The layout-eval oracle's distinct placed binaries: derived from
+          the natural run, and run in full. *)
 }
 
 val run_case :
@@ -61,6 +65,7 @@ type report = {
   cases : int;
   pass : (oracle * int) list;
   skip : (oracle * int) list;
+  layout_runs : int * int;  (** Summed over the cases. *)
   failures : failure list;
 }
 

@@ -5,6 +5,15 @@ module Program = Mote_isa.Program
 
 let block_label proc id = Printf.sprintf "%s$B%d" proc id
 
+type exit = Keep | Flip | Bridge | Jump | Adjacent | Stop
+
+let exit term ~next =
+  match term with
+  | Cfg.T_branch (_, tdst, fdst) ->
+      if next = Some fdst then Keep else if next = Some tdst then Flip else Bridge
+  | Cfg.T_jump dst | Cfg.T_fall dst -> if next = Some dst then Adjacent else Jump
+  | Cfg.T_ret | Cfg.T_halt -> Stop
+
 let items program ~placements =
   let procs =
     Program.procs program |> List.sort (fun a b -> compare a.Program.entry b.Program.entry)
@@ -45,19 +54,17 @@ let items program ~placements =
         done;
         let next = if i + 1 < n then Some placement.(i + 1) else None in
         let lbl = block_label name in
-        match b.Cfg.term with
-        | Cfg.T_branch (cond, tdst, fdst) ->
-            if next = Some fdst then push (Asm.I (Isa.Br (cond, lbl tdst)))
-            else if next = Some tdst then
-              push (Asm.I (Isa.Br (Isa.negate_cond cond, lbl fdst)))
-            else begin
-              push (Asm.I (Isa.Br (cond, lbl tdst)));
-              push (Asm.I (Isa.Jmp (lbl fdst)))
-            end
-        | Cfg.T_jump dst | Cfg.T_fall dst ->
-            if next <> Some dst then push (Asm.I (Isa.Jmp (lbl dst)))
-        | Cfg.T_ret -> push (Asm.I Isa.Ret)
-        | Cfg.T_halt -> push (Asm.I Isa.Halt))
+        match (b.Cfg.term, exit b.Cfg.term ~next) with
+        | Cfg.T_branch (cond, tdst, _), Keep -> push (Asm.I (Isa.Br (cond, lbl tdst)))
+        | Cfg.T_branch (cond, _, fdst), Flip ->
+            push (Asm.I (Isa.Br (Isa.negate_cond cond, lbl fdst)))
+        | Cfg.T_branch (cond, tdst, fdst), Bridge ->
+            push (Asm.I (Isa.Br (cond, lbl tdst)));
+            push (Asm.I (Isa.Jmp (lbl fdst)))
+        | (Cfg.T_jump dst | Cfg.T_fall dst), Jump -> push (Asm.I (Isa.Jmp (lbl dst)))
+        | Cfg.T_ret, _ -> push (Asm.I Isa.Ret)
+        | Cfg.T_halt, _ -> push (Asm.I Isa.Halt)
+        | (Cfg.T_jump _ | Cfg.T_fall _), _ | Cfg.T_branch _, (Jump | Adjacent | Stop) -> ())
       placement;
     List.rev !out
   in

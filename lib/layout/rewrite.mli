@@ -8,6 +8,25 @@
     relinked symbolically and reassembled, so the output is a complete,
     runnable binary. *)
 
+(** What the rewrite emits for a block's terminator, given the block laid
+    out right after it.  {!Delta}'s per-edge tables read these cases, and
+    {!Eval}'s static rules mirror them. *)
+type exit =
+  | Keep  (** The branch as it was: the fall successor is next. *)
+  | Flip
+      (** The taken successor is next: the condition is negated and the
+          branch points at the fall successor. *)
+  | Bridge
+      (** Neither successor is next: the branch to the taken successor,
+          then a bridging jump to the fall successor. *)
+  | Jump  (** A jump or fall whose successor is not next: a jump. *)
+  | Adjacent  (** A jump or fall whose successor is next: nothing. *)
+  | Stop  (** [Ret] or [Halt], as in the source. *)
+
+val exit : Cfgir.Cfg.terminator -> next:int option -> exit
+(** [next] is the id of the block laid out right after, [None] after the
+    last. *)
+
 val items :
   Mote_isa.Program.t ->
   placements:(string * Placement.t) list ->

@@ -38,7 +38,11 @@ let timer_resolution t = t.timer_resolution
 let read_timer t ~cycles =
   let noisy =
     if t.timer_jitter = 0.0 then float_of_int cycles
-    else Stats.Dist.gaussian t.rng ~mu:(float_of_int cycles) ~sigma:t.timer_jitter
+    else
+      (* Centred at 0 and shifted here, so no boxed [mu] is passed.  The
+         same bits: [0.0 +. x] is [x] but for [x = -0.0], whose sign the
+         sum with [cycles] drops anyway. *)
+      float_of_int cycles +. Stats.Dist.gaussian t.rng ~mu:0.0 ~sigma:t.timer_jitter
   in
   let ticks = int_of_float (floor (noisy /. float_of_int t.timer_resolution)) in
   Stdlib.max 0 ticks

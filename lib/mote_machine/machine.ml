@@ -85,6 +85,7 @@ let create ?(mem_words = 4096) ?(prediction = Predict_not_taken) ~program ~devic
 let program t = t.program
 let devices t = t.devices
 let cycles t = t.cycles
+let instructions t = t.instructions
 let halted t = t.halted
 let pc t = t.pc
 let sp t = t.sp

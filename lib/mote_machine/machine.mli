@@ -72,6 +72,11 @@ val create :
 val program : t -> Program.t
 val devices : t -> Devices.t
 val cycles : t -> int
+
+val instructions : t -> int
+(** Instructions executed so far: [(stats t).instructions] without
+    building the record. *)
+
 val stats : t -> stats
 val halted : t -> bool
 

@@ -40,10 +40,13 @@ type t = {
   queue_capacity : int;
   timers : timer_state array;
   radio_tasks : int array;
-  (* Radio arrivals are generated lazily in chunks up to this cycle, in
-     ascending arrival order: each chunk is sorted and starts where the
-     previous one ended, so the due events are always a prefix. *)
+  (* Radio arrivals are generated lazily in chunks, in ascending arrival
+     order: each chunk is sorted and starts where the previous one ended,
+     so the due events are always a prefix.  The node sees the arrivals
+     below [radio_horizon]; a shadow's guard may have generated further
+     ahead, up to [radio_generated]. *)
   mutable radio_horizon : int;
+  mutable radio_generated : int;
   mutable radio_pending : (int * int) list;
   (* Accumulated statistics. *)
   mutable dropped : int;
@@ -121,6 +124,7 @@ let create ~machine ~env ~tasks ?(queue_capacity = 16) () =
       timers;
       radio_tasks;
       radio_horizon = 0;
+      radio_generated = 0;
       radio_pending = [];
       dropped = 0;
       packets = 0;
@@ -139,15 +143,23 @@ let cycles t = Machine.cycles t.machine
 let post t slot =
   if t.length >= t.queue_capacity then t.dropped <- t.dropped + 1 else push_task t slot
 
-(* Extend the pre-generated radio arrival schedule to cover [upto]. *)
-let extend_radio t upto =
-  while t.radio_horizon <= upto do
-    let from_cycle = t.radio_horizon in
-    let to_cycle = t.radio_horizon + radio_chunk in
+(* Generate the radio arrival schedule past [upto]. *)
+let generate_radio t upto =
+  while t.radio_generated <= upto do
+    let from_cycle = t.radio_generated in
+    let to_cycle = from_cycle + radio_chunk in
     let arrivals = Env.radio_arrivals t.env ~from_cycle ~to_cycle in
     t.radio_pending <- t.radio_pending @ arrivals;
-    t.radio_horizon <- to_cycle
+    t.radio_generated <- to_cycle
   done
+
+(* The chunk boundary a radio horizon [h] moves to once it covers [upto]. *)
+let advance_horizon h upto = if h > upto then h else h + ((upto - h) / radio_chunk + 1) * radio_chunk
+
+(* Extend the radio arrival schedule the node sees to cover [upto]. *)
+let extend_radio t upto =
+  t.radio_horizon <- advance_horizon t.radio_horizon upto;
+  generate_radio t (t.radio_horizon - 1)
 
 let inject_packet t payload =
   Devices.radio_push_rx (Machine.devices t.machine) payload;
@@ -181,33 +193,259 @@ let drain_tx t =
   t.tx_drained <- Devices.tx_count devices;
   fresh
 
-let next_event_time t =
-  let next = ref max_int in
+(* The earliest pending event after cycle [x]: each timer's first fire
+   past [x], and the first radio arrival past [x] if it lies below
+   [horizon] (generated that far already).  Right after delivering at
+   [x] this is the next event. *)
+let first_event_after t x ~horizon =
+  let first = ref max_int in
   for i = 0 to Array.length t.timers - 1 do
-    if t.timers.(i).next_fire < !next then next := t.timers.(i).next_fire
+    let { next_fire; period; _ } = t.timers.(i) in
+    let fire =
+      if next_fire > x then next_fire else next_fire + ((((x - next_fire) / period) + 1) * period)
+    in
+    if fire < !first then first := fire
   done;
-  match t.radio_pending with
-  | (at, _) :: _ -> Stdlib.min !next at
-  | [] -> !next
+  let pending = ref t.radio_pending and scanning = ref true in
+  while !scanning do
+    match !pending with
+    | (at, _) :: rest when at <= x -> pending := rest
+    | (at, _) :: _ ->
+        if at < horizon && at < !first then first := at;
+        scanning := false
+    | [] -> scanning := false
+  done;
+  !first
 
 let fuel_per_task = 2_000_000
 
-let run t ~until =
+type charge = { mutable cycles : int; mutable instructions : int }
+
+type shadow = {
+  charge : charge;
+  entry_cycles : int array;  (** By slot: charged at each dispatch. *)
+  entry_instructions : int array;
+  mutable live : bool;
+  mutable clock : int;
+  mutable start : int;
+  mutable idle : int;
+  mutable horizon : int;  (** The shadow's own radio horizon. *)
+  mutable charged_cycles : int;  (** [charge] already applied to [clock]. *)
+  mutable charged_instructions : int;
+}
+
+let shadow t ~entry charge =
+  let costs = Array.map (fun slot -> entry slot.name) t.slots in
+  (* [create] already ran the binary's [__init]: charge its entry chain. *)
+  (match Mote_isa.Program.find_proc (Machine.program t.machine) Mote_lang.Compile.init_proc_name with
+  | Some _ ->
+      let cycles, instructions = entry Mote_lang.Compile.init_proc_name in
+      charge.cycles <- charge.cycles + cycles;
+      charge.instructions <- charge.instructions + instructions
+  | None -> ());
+  {
+    charge;
+    entry_cycles = Array.map fst costs;
+    entry_instructions = Array.map snd costs;
+    live = false;
+    clock = 0;
+    start = 0;
+    idle = 0;
+    horizon = 0;
+    charged_cycles = 0;
+    charged_instructions = 0;
+  }
+
+(* The guard.  Between two dispatches [run] makes one or more decisions:
+   deliver the due events, then dispatch, or sleep to the next event,
+   or sleep through [until].  A [plan] is where a node holding this
+   node's queue and pending events ends up from [clock], with radio
+   horizon [horizon], without delivering anything: whether it dispatches
+   next, the time of its last delivery ([min_int]: none), its clock at
+   the dispatch or the end, and its horizon then.  Only the last delivery
+   before a dispatch can post: an earlier one left the queue empty. *)
+type plan = { dispatch : bool; last : int; wake : int; horizon : int }
+
+let posting_due t now =
+  let due = ref false in
+  for i = 0 to Array.length t.timers - 1 do
+    if t.timers.(i).next_fire <= now then due := true
+  done;
+  !due
+  || Array.length t.radio_tasks > 0
+     && match t.radio_pending with (at, _) :: _ -> at <= now | [] -> false
+
+let[@inline] imin (a : int) b = if a < b then a else b
+
+let rec decide t ~until now horizon =
+  let horizon = advance_horizon horizon now in
+  generate_radio t now;
+  if t.length > 0 || posting_due t now then { dispatch = true; last = now; wake = now; horizon }
+  else begin
+    let horizon = advance_horizon horizon (imin until (now + radio_chunk)) in
+    generate_radio t (horizon - 1);
+    let next = first_event_after t now ~horizon in
+    if next = max_int || next >= until then { dispatch = false; last = now; wake = until; horizon }
+    else decide t ~until next horizon
+  end
+
+let plan t ~until ~clock ~horizon =
+  if clock >= until then { dispatch = false; last = min_int; wake = clock; horizon }
+  else decide t ~until clock horizon
+
+(* The common case after a task: the queue is empty, and the earliest
+   pending event [e] — a timer fire, or an arrival that posts — lies
+   before [until] ([e = max_int] when that does not hold).  A node whose
+   clock is before [e] sleeps to it, sees it (a timer always, an arrival
+   below its horizon), delivers it and runs a task: [plan]'s result,
+   computed without its search. *)
+let plan_after t ~until ~e ~timer ~clock ~horizon =
+  if e = max_int || clock >= e then plan t ~until ~clock ~horizon
+  else
+    let seen = advance_horizon (advance_horizon horizon clock) (imin until (clock + radio_chunk)) in
+    if e < timer && e >= seen then plan t ~until ~clock ~horizon
+    else { dispatch = true; last = e; wake = e; horizon = advance_horizon seen e }
+
+(* Invariant: at each dispatch a live shadow has delivered the same
+   events in the same batches, run the same tasks and holds the same
+   queue as the node; only its clock differs.  So before the node's next
+   decisions, the shadow's plan must agree with the node's on whether a
+   task runs next and on which events are delivered before it: none of
+   the pending events may lie between the two last deliveries.  Returns
+   the node's own plan. *)
+let guard_plans t shadows ~until =
+  let now = Machine.cycles t.machine in
+  let timer = ref max_int in
+  for i = 0 to Array.length t.timers - 1 do
+    timer := imin !timer t.timers.(i).next_fire
+  done;
+  let timer = !timer in
+  let e =
+    if t.length > 0 || now >= until then max_int
+    else begin
+      generate_radio t (imin timer (until - 1));
+      let e = match t.radio_pending with (at, _) :: _ when at < timer -> at | _ -> timer in
+      if e < until && (e = timer || Array.length t.radio_tasks > 0) then e else max_int
+    end
+  in
+  let node = plan_after t ~until ~e ~timer ~clock:now ~horizon:t.radio_horizon in
+  for i = 0 to Array.length shadows - 1 do
+    let sh = shadows.(i) in
+    if sh.live then begin
+      (* From the node's own clock and horizon a shadow plans the same. *)
+      let p =
+        if sh.clock = now && sh.horizon = t.radio_horizon then node
+        else plan_after t ~until ~e ~timer ~clock:sh.clock ~horizon:sh.horizon
+      in
+      let lo = imin node.last p.last and hi = if node.last < p.last then p.last else node.last in
+      if
+        p.dispatch <> node.dispatch
+        || lo <> hi
+           && begin
+                generate_radio t hi;
+                first_event_after t lo ~horizon:max_int <= hi
+              end
+      then sh.live <- false
+      else begin
+        sh.idle <- sh.idle + (p.wake - sh.clock);
+        sh.clock <- p.wake;
+        sh.horizon <- p.horizon
+      end
+    end
+  done;
+  node
+
+(* The node must do what its own plan said, or no shadow can be trusted. *)
+let confirm shadows (expected : plan) ~dispatch ~last =
+  if expected.dispatch <> dispatch || expected.last <> last then
+    Array.iter (fun sh -> sh.live <- false) shadows
+
+(* Start at the node's clock plus what the charge holds so far ([__init]'s
+   extra cost).  [__init] ran on a larger fuel than a task, so holding it
+   to a task's fuel is conservative. *)
+let start_shadows t shadows =
+  if t.idle_cycles <> 0 || Machine.cycles t.machine <> t.created_at_cycles then
+    invalid_arg "Node.run: shadows follow a node's first run";
+  let now = Machine.cycles t.machine and instructions = Machine.instructions t.machine in
+  Array.iter
+    (fun sh ->
+      sh.clock <- now + sh.charge.cycles;
+      sh.start <- sh.clock;
+      sh.idle <- 0;
+      sh.horizon <- t.radio_horizon;
+      sh.charged_cycles <- sh.charge.cycles;
+      sh.charged_instructions <- sh.charge.instructions;
+      sh.live <- instructions + sh.charge.instructions <= fuel_per_task)
+    shadows
+
+(* After a task of [cycles] cycles and [instructions] instructions: the
+   shadow's task costs the charge made since the last one more, and must
+   fit the same fuel. *)
+let guard_task shadows slot ~cycles ~instructions =
+  for i = 0 to Array.length shadows - 1 do
+    let sh = shadows.(i) in
+    let charge = sh.charge in
+    charge.cycles <- charge.cycles + sh.entry_cycles.(slot);
+    charge.instructions <- charge.instructions + sh.entry_instructions.(slot);
+    if sh.live then begin
+      if instructions + charge.instructions - sh.charged_instructions > fuel_per_task then
+        sh.live <- false
+      else sh.clock <- sh.clock + cycles + charge.cycles - sh.charged_cycles
+    end;
+    sh.charged_cycles <- charge.cycles;
+    sh.charged_instructions <- charge.instructions
+  done
+
+let stats_of t ~total_cycles ~idle_cycles =
+  {
+    tasks_run =
+      Array.to_list t.slots
+      |> List.filter_map (fun slot -> if slot.runs > 0 then Some (slot.name, slot.runs) else None)
+      |> List.sort compare;
+    tasks_dropped = t.dropped;
+    packets_delivered = t.packets;
+    total_cycles;
+    idle_cycles;
+    busy_cycles = total_cycles - idle_cycles;
+  }
+
+let rec any_live shadows i =
+  i < Array.length shadows && (shadows.(i).live || any_live shadows (i + 1))
+
+let run ?(shadows = [||]) t ~until =
+  let expected =
+    ref { dispatch = false; last = min_int; wake = 0; horizon = 0 }
+  in
+  if Array.length shadows > 0 then begin
+    start_shadows t shadows;
+    expected := guard_plans t shadows ~until
+  end;
+  (* Once every shadow has dropped out, the run is a plain one. *)
+  let shadowed = ref (any_live shadows 0) in
   let continue = ref true in
   while !continue && Machine.cycles t.machine < until do
     let now = Machine.cycles t.machine in
     deliver_due t now;
     if t.length > 0 then begin
-      let slot = t.slots.(t.ring.(t.head)) in
+      if !shadowed then confirm shadows !expected ~dispatch:true ~last:now;
+      let index = t.ring.(t.head) in
+      let slot = t.slots.(index) in
       t.head <- (if t.head + 1 = Array.length t.ring then 0 else t.head + 1);
       t.length <- t.length - 1;
-      ignore (Machine.run_at t.machine ~fuel:fuel_per_task slot.entry);
-      slot.runs <- slot.runs + 1
+      let before = if !shadowed then Machine.instructions t.machine else 0 in
+      let cycles = Machine.run_at t.machine ~fuel:fuel_per_task slot.entry in
+      slot.runs <- slot.runs + 1;
+      if !shadowed then begin
+        guard_task shadows index ~cycles ~instructions:(Machine.instructions t.machine - before);
+        expected := guard_plans t shadows ~until;
+        shadowed := any_live shadows 0
+      end
     end
     else begin
-      extend_radio t (Stdlib.min until (now + radio_chunk));
-      let next = next_event_time t in
+      extend_radio t (imin until (now + radio_chunk));
+      let next = first_event_after t now ~horizon:t.radio_horizon in
       if next = max_int || next >= until then begin
+        if !shadowed then confirm shadows !expected ~dispatch:false ~last:now;
         (* Nothing left to do before the deadline: sleep through it. *)
         t.idle_cycles <- t.idle_cycles + (until - now);
         Machine.idle t.machine (until - now);
@@ -219,15 +457,11 @@ let run t ~until =
       end
     end
   done;
-  let total_cycles = Machine.cycles t.machine - t.created_at_cycles in
-  {
-    tasks_run =
-      Array.to_list t.slots
-      |> List.filter_map (fun slot -> if slot.runs > 0 then Some (slot.name, slot.runs) else None)
-      |> List.sort compare;
-    tasks_dropped = t.dropped;
-    packets_delivered = t.packets;
-    total_cycles;
-    idle_cycles = t.idle_cycles;
-    busy_cycles = total_cycles - t.idle_cycles;
-  }
+  stats_of t
+    ~total_cycles:(Machine.cycles t.machine - t.created_at_cycles)
+    ~idle_cycles:t.idle_cycles
+
+let shadow_run t sh =
+  if sh.live then
+    Some (stats_of t ~total_cycles:(sh.clock - sh.start) ~idle_cycles:sh.idle, sh.clock)
+  else None

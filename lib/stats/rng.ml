@@ -53,10 +53,10 @@ let[@inline] int t bound =
   let v = Int64.to_int (bits64 t) land max_int in
   v mod bound
 
-let[@inline] unit_float t =
-  (* 53 random bits mapped to [0,1). *)
-  let v = Int64.shift_right_logical (bits64 t) 11 in
-  Int64.to_float v *. (1.0 /. 9007199254740992.0)
+let[@inline] bits53 t = Int64.to_int (Int64.shift_right_logical (bits64 t) 11)
+
+(* 53 random bits mapped to [0,1): exact, since both fit a double. *)
+let[@inline] unit_float t = float_of_int (bits53 t) *. (1.0 /. 9007199254740992.0)
 
 let float t bound = unit_float t *. bound
 

@@ -47,6 +47,12 @@ val float : t -> float -> float
 val unit_float : t -> float
 (** Uniform on [0,1). *)
 
+val bits53 : t -> int
+(** The 53 bits {!unit_float} scales, as a non-negative int:
+    [unit_float t] is [float_of_int (bits53 t) /. 2{^53}] bit for bit.  A
+    sampler in another module builds its uniform variates from these, so
+    no boxed float crosses the module boundary. *)
+
 val bool : t -> bool
 (** Fair coin. *)
 

@@ -52,11 +52,32 @@ let test_log_pdf_consistent () =
       close ~tol:1e-9 "log pdf" (log p) lp)
     xs
 
+(* A draw allocates at most its boxed float result (2 words): the
+   uniform variates it is built from cross no module boundary as floats. *)
+let test_draws_allocate_only_the_result () =
+  let per_draw f =
+    let r = rng () in
+    let n = 10_000 in
+    let before = Gc.minor_words () in
+    for _ = 1 to n do
+      ignore (Sys.opaque_identity (f r))
+    done;
+    (Gc.minor_words () -. before) /. float_of_int n
+  in
+  let check name f =
+    let words = per_draw f in
+    Alcotest.(check bool) (Printf.sprintf "%s: %.2f words per draw" name words) true (words <= 2.01)
+  in
+  check "gaussian" (fun r -> Stats.Dist.gaussian r ~mu:10.0 ~sigma:3.0);
+  check "exponential" (fun r -> Stats.Dist.exponential r ~rate:2.0)
+
 let suite =
   [
     Alcotest.test_case "gaussian" `Quick test_gaussian;
     Alcotest.test_case "gaussian negative sigma" `Quick test_gaussian_negative_sigma;
     Alcotest.test_case "exponential" `Quick test_exponential;
+    Alcotest.test_case "draws allocate only the result" `Quick
+      test_draws_allocate_only_the_result;
     Alcotest.test_case "gaussian pdf integrates" `Quick test_gaussian_pdf_integrates;
     Alcotest.test_case "log pdf consistent" `Quick test_log_pdf_consistent;
   ]

@@ -250,6 +250,64 @@ let test_queue_golden () =
         349988 );
     ]
 
+(* A shadow charged nothing follows the node exactly, even on a node
+   whose queue overflows under radio traffic; one charged a few cycles per
+   task keeps its lead only until the node next sleeps; one that would be
+   late for a timer fire drops out; and only a first run takes shadows. *)
+let test_shadows () =
+  let stressed () =
+    let tasks =
+      List.init 12 (fun _ -> { Node.proc = "boot_task"; source = Node.Boot })
+      @ List.init 40 (fun i ->
+            { Node.proc = "tick_task"; source = Node.Periodic { period = 7_000 + (i * 13); offset = i * 3 } })
+      @ [ { Node.proc = "rx_task"; source = Node.On_radio_rx } ]
+    in
+    let c = Compile.compile simple_program in
+    let machine = Machine.create ~program:c.Compile.program ~devices:(Devices.create ()) () in
+    let env =
+      Env.create
+        {
+          Env.seed = 3;
+          channels = [];
+          radio = Env.Poisson { per_kilocycle = 2.0; payload_lo = 1; payload_hi = 9 };
+        }
+    in
+    (machine, Node.create ~machine ~env ~tasks ~queue_capacity:8 ())
+  in
+  let machine, node = stressed () in
+  let sh = Node.shadow node ~entry:(fun _ -> (0, 0)) { Node.cycles = 0; instructions = 0 } in
+  let s = Node.run ~shadows:[| sh |] node ~until:150_000 in
+  Alcotest.(check bool) "stressed: drops" true (s.Node.tasks_dropped > 0);
+  Alcotest.(check bool) "stressed: free shadow = node" true
+    (Node.shadow_run node sh = Some (s, Machine.cycles machine));
+  Alcotest.check_raises "second run" (Invalid_argument "Node.run: shadows follow a node's first run")
+    (fun () -> ignore (Node.run ~shadows:[| sh |] node ~until:200_000));
+  let charged period =
+    let _, machine, node =
+      make_node [ { Node.proc = "tick_task"; source = Node.Periodic { period; offset = 10 } } ]
+    in
+    let sh =
+      Node.shadow node ~entry:(fun proc -> if proc = "tick_task" then (5, 0) else (0, 0))
+        { Node.cycles = 0; instructions = 0 }
+    in
+    let s = Node.run ~shadows:[| sh |] node ~until:100_000 in
+    (s, Machine.cycles machine, Node.shadow_run node sh)
+  in
+  let s, cycles, shadowed = charged 1_000 in
+  let runs = Node.invocations s "tick_task" in
+  Alcotest.(check bool) "5 cycles more per task, same end" true
+    (shadowed
+    = Some
+        ( {
+            s with
+            Node.busy_cycles = s.Node.busy_cycles + (5 * runs);
+            idle_cycles = s.Node.idle_cycles - (5 * runs);
+          },
+          cycles ));
+  let s, _, shadowed = charged 1 in
+  Alcotest.(check bool) "overloaded: the node drops" true (s.Node.tasks_dropped > 0);
+  Alcotest.(check bool) "overloaded: the shadow drops out" true (shadowed = None)
+
 let suite =
   [
     Alcotest.test_case "unknown task" `Quick test_unknown_task_rejected;
@@ -263,4 +321,5 @@ let suite =
     Alcotest.test_case "drain tx repeatedly" `Quick test_drain_tx_multi;
     Alcotest.test_case "workload run goldens" `Quick test_workload_goldens;
     Alcotest.test_case "queue and radio golden" `Quick test_queue_golden;
+    Alcotest.test_case "shadows" `Quick test_shadows;
   ]

@@ -136,27 +136,115 @@ let test_compare_layouts_ordering () =
         (rate "tomography" < rate "natural"))
     (Lazy.force runs)
 
-(* filter places identically from the estimated and the oracle profile,
-   so its tomography and perfect variants share one evaluation run: each
-   variant must still equal, field for field, a separate [run_binary] of
-   its own binary on the fresh inputs. *)
-let test_compare_layouts_shared_run () =
-  let run = run_of "filter" in
-  let variants = P.compare_layouts run in
-  Alcotest.(check (list string)) "labels in order"
-    [ "natural"; "worst"; "tomography"; "perfect" ]
-    (List.map (fun v -> v.P.label) variants);
-  let binary label = (List.find (fun v -> v.P.label = label) variants).P.binary in
-  Alcotest.(check bool) "tomography binary = perfect binary" true
-    (binary "tomography" = binary "perfect");
+(* Every variant must equal, field for field, a separate [run_binary] of
+   its own binary under [config], whether its counts were derived from
+   the natural run or it ran in full. *)
+let check_full_runs ~what ~config w variants =
   List.iter
     (fun v ->
-      let alone =
-        P.run_binary ~config:(P.fresh_inputs config) Workloads.filter v.P.binary
-          ~label:v.P.label
-      in
-      Alcotest.(check bool) (v.P.label ^ " = separate run_binary") true (alone = v))
+      let alone = P.run_binary ~config w v.P.binary ~label:v.P.label in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: %s = separate run_binary" what v.P.label)
+        true
+        ({ v with P.derived = false } = alone))
     variants
+
+(* (derived, run in full) over the distinct binaries other than the
+   natural one, which always runs in full. *)
+let derived_counts variants =
+  let natural = (List.hd variants).P.binary in
+  let _, derived, full =
+    List.fold_left
+      (fun (seen, d, f) v ->
+        if List.mem v.P.binary seen then (seen, d, f)
+        else if v.P.derived then (v.P.binary :: seen, d + 1, f)
+        else (v.P.binary :: seen, d, f + 1))
+      ([ natural ], 0, 0) variants
+  in
+  (derived, full)
+
+(* The natural binary runs once; the other layouts are derived from that
+   run unless the schedule guard sends them to a full run.  The counts
+   are deterministic: on ctp a radio arrival sometimes falls between the
+   natural and a layout's clock. *)
+let test_compare_layouts_shared_run () =
+  let filter = P.compare_layouts (run_of "filter") in
+  Alcotest.(check (list string)) "labels in order"
+    [ "natural"; "worst"; "tomography"; "perfect" ]
+    (List.map (fun v -> v.P.label) filter);
+  let binary label = (List.find (fun v -> v.P.label = label) filter).P.binary in
+  Alcotest.(check bool) "filter: tomography binary = perfect binary" true
+    (binary "tomography" = binary "perfect");
+  let counts =
+    List.map
+      (fun (w : Workloads.t) ->
+        let d, f =
+          List.fold_left
+            (fun (d, f) seed ->
+              let config = { P.default_config with P.seed } in
+              let variants = P.compare_layouts (P.profile ~config w) in
+              check_full_runs
+                ~what:(Printf.sprintf "%s seed %d" w.Workloads.name seed)
+                ~config:(P.fresh_inputs config) w variants;
+              let d', f' = derived_counts variants in
+              (d + d', f + f'))
+            (0, 0) [ 1; 2; 3 ]
+        in
+        (w.Workloads.name, Printf.sprintf "%d derived, %d full" d f))
+      Workloads.all
+  in
+  Alcotest.(check (list (pair string string)))
+    "derived and full runs per workload, seeds 1-3"
+    [
+      ("blink", "6 derived, 0 full");
+      ("sense", "9 derived, 0 full");
+      ("filter", "6 derived, 0 full");
+      ("ctp", "3 derived, 6 full");
+      ("monitor", "6 derived, 0 full");
+    ]
+    counts
+
+(* The guard's fallbacks: an overloaded node whose queue drops tasks, a
+   binary that reads the timer, and the BTFN prediction model all run
+   every layout in full, with the same numbers. *)
+let test_layout_fallbacks () =
+  let run = run_of "filter" in
+  let eval_config = P.fresh_inputs config in
+  let placements =
+    List.map (fun (proc, f) -> (proc, Layout.Algorithms.pettis_hansen f)) run.P.oracle_freqs
+  in
+  let overloaded =
+    {
+      Workloads.filter with
+      Workloads.tasks =
+        [ { Node.proc = "filter_task"; source = Node.Periodic { period = 40; offset = 13 } } ];
+    }
+  in
+  let node_stats, _, _ = P.simulate eval_config overloaded (P.natural_binary run) in
+  Alcotest.(check bool) "overloaded: the queue drops tasks" true (node_stats.Node.tasks_dropped > 0);
+  let cases =
+    [
+      ( "overloaded",
+        eval_config,
+        overloaded,
+        P.natural_binary run,
+        placements );
+      ("reads the timer", eval_config, Workloads.filter, run.P.instrumented, []);
+      ( "btfn",
+        { eval_config with P.prediction = Mote_machine.Machine.Predict_btfn },
+        Workloads.filter,
+        P.natural_binary run,
+        placements );
+    ]
+  in
+  List.iter
+    (fun (what, config, w, natural, placements) ->
+      let variants =
+        P.evaluate_layouts config w ~natural:("natural", natural) [ ("placed", placements) ]
+      in
+      check_full_runs ~what ~config w variants;
+      Alcotest.(check (pair int int)) (what ^ ": placed runs in full") (0, 1) (derived_counts variants))
+    cases
 
 let test_compare_layouts_cycles () =
   List.iter
@@ -313,6 +401,7 @@ let suite =
     Alcotest.test_case "layout ordering" `Slow test_compare_layouts_ordering;
     Alcotest.test_case "layout cycles" `Slow test_compare_layouts_cycles;
     Alcotest.test_case "shared evaluation run" `Slow test_compare_layouts_shared_run;
+    Alcotest.test_case "layout fallbacks" `Slow test_layout_fallbacks;
     Alcotest.test_case "run_binary determinism" `Slow test_run_binary_determinism;
     Alcotest.test_case "noise sigma" `Quick test_noise_sigma;
     Alcotest.test_case "quantized profiling" `Slow test_quantized_profiling_still_estimates;

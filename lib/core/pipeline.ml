@@ -227,8 +227,9 @@ let materialize_paths ctx opts ~key model =
 (* The per-procedure estimation stage, for any image's model (the plain
    and the watermarked profiling binaries differ):
    truncate → materialize paths → sanitize → sample floor → estimate →
-   health verdict.  With every knob at its default this is the exact
-   pipeline (no sanitization, a floor of 1 that only intercepts the
+   health verdict (sample floor, convergence, then the fitted noise
+   against the timer's).  With every knob at its default this is the
+   exact pipeline (no sanitization, a floor of 1 that only intercepts the
    empty-sample [Invalid_argument], the exact EM).  The EM path set also
    provides the sanitizer's cost envelope. *)
 let estimate_samples ctx opts ~sigma ~key ~model ~truth ~proc samples =
@@ -259,9 +260,14 @@ let estimate_samples ctx opts ~sigma ~key ~model ~truth ~proc samples =
         Tomo.Estimator.run ~method_:opts.method_ ~noise_sigma:sigma ?paths
           ?outlier:opts.outlier model ~samples
       in
+      let verdict =
+        Tomo.Health.judge ~min_samples:floor ~converged:e.Tomo.Estimator.converged
+          ~sample_count:n ()
+      in
       ( e,
-        Tomo.Health.judge ~min_samples:floor
-          ~converged:e.Tomo.Estimator.converged ~sample_count:n () )
+        match e.Tomo.Estimator.sigma with
+        | Some fitted -> Tomo.Health.apply_noise ~sigma:fitted ~noise:sigma verdict
+        | None -> verdict )
   in
   let mae =
     if Array.length truth = 0 then 0.0

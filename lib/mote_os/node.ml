@@ -42,10 +42,8 @@ type t = {
   radio_tasks : int array;
   (* Radio arrivals are generated lazily in chunks, in ascending arrival
      order: each chunk is sorted and starts where the previous one ended,
-     so the due events are always a prefix.  The node sees the arrivals
-     below [radio_horizon]; a shadow's guard may have generated further
-     ahead, up to [radio_generated]. *)
-  mutable radio_horizon : int;
+     so the due events are always a prefix.  Every arrival below
+     [radio_generated] is known. *)
   mutable radio_generated : int;
   mutable radio_pending : (int * int) list;
   (* Accumulated statistics. *)
@@ -123,7 +121,6 @@ let create ~machine ~env ~tasks ?(queue_capacity = 16) () =
       queue_capacity;
       timers;
       radio_tasks;
-      radio_horizon = 0;
       radio_generated = 0;
       radio_pending = [];
       dropped = 0;
@@ -153,14 +150,6 @@ let generate_radio t upto =
     t.radio_generated <- to_cycle
   done
 
-(* The chunk boundary a radio horizon [h] moves to once it covers [upto]. *)
-let advance_horizon h upto = if h > upto then h else h + ((upto - h) / radio_chunk + 1) * radio_chunk
-
-(* Extend the radio arrival schedule the node sees to cover [upto]. *)
-let extend_radio t upto =
-  t.radio_horizon <- advance_horizon t.radio_horizon upto;
-  generate_radio t (t.radio_horizon - 1)
-
 let inject_packet t payload =
   Devices.radio_push_rx (Machine.devices t.machine) payload;
   t.packets <- t.packets + 1;
@@ -177,7 +166,7 @@ let deliver_due t now =
       timer.next_fire <- timer.next_fire + timer.period
     done
   done;
-  extend_radio t now;
+  generate_radio t now;
   let continue = ref true in
   while !continue do
     match t.radio_pending with
@@ -193,11 +182,9 @@ let drain_tx t =
   t.tx_drained <- Devices.tx_count devices;
   fresh
 
-(* The earliest pending event after cycle [x]: each timer's first fire
-   past [x], and the first radio arrival past [x] if it lies below
-   [horizon] (generated that far already).  Right after delivering at
-   [x] this is the next event. *)
-let first_event_after t x ~horizon =
+(* The earliest known event after cycle [x]: each timer's first fire
+   past [x], and the first radio arrival past [x] generated so far. *)
+let first_event_after t x =
   let first = ref max_int in
   for i = 0 to Array.length t.timers - 1 do
     let { next_fire; period; _ } = t.timers.(i) in
@@ -211,11 +198,26 @@ let first_event_after t x ~horizon =
     match !pending with
     | (at, _) :: rest when at <= x -> pending := rest
     | (at, _) :: _ ->
-        if at < horizon && at < !first then first := at;
+        if at < !first then first := at;
         scanning := false
     | [] -> scanning := false
   done;
   !first
+
+(* The planner's one search, shared by the node and its shadows: the
+   earliest event after cycle [x] — a timer fire or a radio arrival —
+   with [max_int] or a cycle at or past [until] meaning none before
+   [until].  Right after delivering at [x] this is the next event.  The
+   radio schedule is generated chunk by chunk until the event found lies
+   below what is generated, or what is generated reaches [until]: a
+   stretch of the schedule with no arrival is slept past, not through. *)
+let rec next_event t ~until x =
+  let next = first_event_after t x in
+  if next < t.radio_generated || t.radio_generated >= until then next
+  else begin
+    generate_radio t t.radio_generated;
+    next_event t ~until x
+  end
 
 let fuel_per_task = 2_000_000
 
@@ -229,7 +231,6 @@ type shadow = {
   mutable clock : int;
   mutable start : int;
   mutable idle : int;
-  mutable horizon : int;  (** The shadow's own radio horizon. *)
   mutable charged_cycles : int;  (** [charge] already applied to [clock]. *)
   mutable charged_instructions : int;
 }
@@ -251,7 +252,6 @@ let shadow t ~entry charge =
     clock = 0;
     start = 0;
     idle = 0;
-    horizon = 0;
     charged_cycles = 0;
     charged_instructions = 0;
   }
@@ -259,12 +259,12 @@ let shadow t ~entry charge =
 (* The guard.  Between two dispatches [run] makes one or more decisions:
    deliver the due events, then dispatch, or sleep to the next event,
    or sleep through [until].  A [plan] is where a node holding this
-   node's queue and pending events ends up from [clock], with radio
-   horizon [horizon], without delivering anything: whether it dispatches
-   next, the time of its last delivery ([min_int]: none), its clock at
-   the dispatch or the end, and its horizon then.  Only the last delivery
-   before a dispatch can post: an earlier one left the queue empty. *)
-type plan = { dispatch : bool; last : int; wake : int; horizon : int }
+   node's queue and pending events ends up from [clock] without
+   delivering anything: whether it dispatches next, the time of its last
+   delivery ([min_int]: none), and its clock at the dispatch or the end.
+   Only the last delivery before a dispatch can post: an earlier one left
+   the queue empty. *)
+type plan = { dispatch : bool; last : int; wake : int }
 
 let posting_due t now =
   let due = ref false in
@@ -277,34 +277,27 @@ let posting_due t now =
 
 let[@inline] imin (a : int) b = if a < b then a else b
 
-let rec decide t ~until now horizon =
-  let horizon = advance_horizon horizon now in
+let rec decide t ~until now =
   generate_radio t now;
-  if t.length > 0 || posting_due t now then { dispatch = true; last = now; wake = now; horizon }
+  if t.length > 0 || posting_due t now then { dispatch = true; last = now; wake = now }
   else begin
-    let horizon = advance_horizon horizon (imin until (now + radio_chunk)) in
-    generate_radio t (horizon - 1);
-    let next = first_event_after t now ~horizon in
-    if next = max_int || next >= until then { dispatch = false; last = now; wake = until; horizon }
-    else decide t ~until next horizon
+    let next = next_event t ~until now in
+    if next >= until then { dispatch = false; last = now; wake = until }
+    else decide t ~until next
   end
 
-let plan t ~until ~clock ~horizon =
-  if clock >= until then { dispatch = false; last = min_int; wake = clock; horizon }
-  else decide t ~until clock horizon
+let plan t ~until ~clock =
+  if clock >= until then { dispatch = false; last = min_int; wake = clock }
+  else decide t ~until clock
 
 (* The common case after a task: the queue is empty, and the earliest
    pending event [e] — a timer fire, or an arrival that posts — lies
    before [until] ([e = max_int] when that does not hold).  A node whose
-   clock is before [e] sleeps to it, sees it (a timer always, an arrival
-   below its horizon), delivers it and runs a task: [plan]'s result,
-   computed without its search. *)
-let plan_after t ~until ~e ~timer ~clock ~horizon =
-  if e = max_int || clock >= e then plan t ~until ~clock ~horizon
-  else
-    let seen = advance_horizon (advance_horizon horizon clock) (imin until (clock + radio_chunk)) in
-    if e < timer && e >= seen then plan t ~until ~clock ~horizon
-    else { dispatch = true; last = e; wake = e; horizon = advance_horizon seen e }
+   clock is before [e] sleeps to it, delivers it and runs a task:
+   [plan]'s result, computed without its search. *)
+let plan_after t ~until ~e ~clock =
+  if e = max_int || clock >= e then plan t ~until ~clock
+  else { dispatch = true; last = e; wake = e }
 
 (* Invariant: at each dispatch a live shadow has delivered the same
    events in the same batches, run the same tasks and holds the same
@@ -328,28 +321,24 @@ let guard_plans t shadows ~until =
       if e < until && (e = timer || Array.length t.radio_tasks > 0) then e else max_int
     end
   in
-  let node = plan_after t ~until ~e ~timer ~clock:now ~horizon:t.radio_horizon in
+  let node = plan_after t ~until ~e ~clock:now in
   for i = 0 to Array.length shadows - 1 do
     let sh = shadows.(i) in
     if sh.live then begin
-      (* From the node's own clock and horizon a shadow plans the same. *)
-      let p =
-        if sh.clock = now && sh.horizon = t.radio_horizon then node
-        else plan_after t ~until ~e ~timer ~clock:sh.clock ~horizon:sh.horizon
-      in
+      (* From the node's own clock a shadow plans the same. *)
+      let p = if sh.clock = now then node else plan_after t ~until ~e ~clock:sh.clock in
       let lo = imin node.last p.last and hi = if node.last < p.last then p.last else node.last in
       if
         p.dispatch <> node.dispatch
         || lo <> hi
            && begin
                 generate_radio t hi;
-                first_event_after t lo ~horizon:max_int <= hi
+                first_event_after t lo <= hi
               end
       then sh.live <- false
       else begin
         sh.idle <- sh.idle + (p.wake - sh.clock);
-        sh.clock <- p.wake;
-        sh.horizon <- p.horizon
+        sh.clock <- p.wake
       end
     end
   done;
@@ -372,7 +361,6 @@ let start_shadows t shadows =
       sh.clock <- now + sh.charge.cycles;
       sh.start <- sh.clock;
       sh.idle <- 0;
-      sh.horizon <- t.radio_horizon;
       sh.charged_cycles <- sh.charge.cycles;
       sh.charged_instructions <- sh.charge.instructions;
       sh.live <- instructions + sh.charge.instructions <= fuel_per_task)
@@ -414,7 +402,7 @@ let rec any_live shadows i =
 
 let run ?(shadows = [||]) t ~until =
   let expected =
-    ref { dispatch = false; last = min_int; wake = 0; horizon = 0 }
+    ref { dispatch = false; last = min_int; wake = 0 }
   in
   if Array.length shadows > 0 then begin
     start_shadows t shadows;
@@ -442,9 +430,8 @@ let run ?(shadows = [||]) t ~until =
       end
     end
     else begin
-      extend_radio t (imin until (now + radio_chunk));
-      let next = first_event_after t now ~horizon:t.radio_horizon in
-      if next = max_int || next >= until then begin
+      let next = next_event t ~until now in
+      if next >= until then begin
         if !shadowed then confirm shadows !expected ~dispatch:false ~last:now;
         (* Nothing left to do before the deadline: sleep through it. *)
         t.idle_cycles <- t.idle_cycles + (until - now);

@@ -38,11 +38,17 @@ type sample_set = (string * float array) list
 exception Unbalanced of string
 
 (* Timestamps travel through 16-bit registers, so tick counts wrap at
-   2^16 — differences are taken modulo 2^16, which is correct as long as a
-   single window spans fewer than 65536 ticks (mote procedures are run-to-
-   completion tasks, orders of magnitude shorter). *)
+   2^16.  A difference is read as a signed 16-bit number, in
+   [-32768, 32767] ticks: correct as long as a window spans fewer than
+   32768 ticks (mote procedures are run-to-completion tasks, orders of
+   magnitude shorter).  Under timer jitter an exit can read a tick or two
+   before its entry; the estimator's noise model (cost plus symmetric
+   Gaussian noise) expects such a window, as -1, not as 65535. *)
 let wrap16 v = v land 0xFFFF
-let diff16 later earlier = (later - earlier) land 0xFFFF
+
+let diff16 later earlier =
+  let d = (later - earlier) land 0xFFFF in
+  if d >= 0x8000 then d - 0x10000 else d
 
 let samples_for set proc = Option.value ~default:[||] (List.assoc_opt proc set)
 
@@ -126,11 +132,12 @@ module Collector = struct
     | frame :: rest when frame.proc = proc ->
         let inclusive = diff16 t_exit frame.t_entry * t.resolution in
         let implausible =
-          match t.max_window with Some m -> inclusive > m | None -> false
+          match t.max_window with Some m -> abs inclusive > m | None -> false
         in
         if implausible then begin
-          (* A window longer than any plausible invocation: this exit
-             paired with a stale entry across lost records. *)
+          (* A window longer than any plausible invocation, or as far
+             below zero: this exit paired with a stale entry across lost
+             records, or a timestamp was corrupted. *)
           t.discarded <- t.discarded + 1;
           t.stack <- rest;
           poison t
@@ -138,6 +145,8 @@ module Collector = struct
         else begin
           if frame.corrupted then t.discarded <- t.discarded + 1
           else frame.samples := float_of_int (inclusive - frame.child) :: !(frame.samples);
+          (* Signed: a child window read below zero gives its parent's
+             exclusive sample that much back. *)
           (match rest with
           | parent :: _ -> parent.child <- parent.child + inclusive
           | [] -> ());

@@ -15,7 +15,10 @@
     {!collect} converts the device's probe log into {e exclusive} per-
     invocation durations: nested callee windows are subtracted the way
     gprof does it, so a procedure's samples reflect its own code plus the
-    fixed {!call_residual} per call it makes. *)
+    fixed {!call_residual} per call it makes.  Each window is the signed
+    16-bit difference of its two timestamps, so under timer jitter a
+    short window can come out a few ticks below zero, as the estimator's
+    noise model allows. *)
 
 open Mote_isa
 
@@ -106,11 +109,12 @@ val collect_lossy_records :
     previous exit must have been lost); any frame that was open while
     something was discarded is itself discarded, so surviving samples
     are exactly the fully-observed, fully-nested windows.  [max_window]
-    (cycles) additionally discards windows longer than any plausible
-    invocation — the signature of an exit pairing with a stale entry
-    across a doubly-lost boundary.  One {!Collector} run over the whole
-    list; frames still open at its end never completed, so they count
-    as [discarded].
+    (cycles) additionally discards windows whose magnitude exceeds it:
+    longer than any plausible invocation, or as far below zero — the
+    signature of an exit pairing with a stale entry across a doubly-lost
+    boundary, or of a corrupted timestamp.  One {!Collector} run over
+    the whole list; frames still open at its end never completed, so
+    they count as [discarded].
 
     Caveat: if a nested invocation loses {e both} its records, nothing in
     the log betrays it and the enclosing window silently absorbs the

@@ -22,13 +22,20 @@ let bootstrap ?(replicates = 50) rng paths ~samples ~point ~sigma =
     Array.blit r.Em.theta 0 estimates.(b) 0 k
   done;
   let alpha = (1.0 -. confidence) /. 2.0 in
+  (* Replicates warm-started from an unconverged point all keep drifting
+     the same way, so their percentiles can miss the point altogether.
+     Their spread is taken around their own median and placed on the
+     point: the median lies between the two percentiles, so the point lies
+     in its interval. *)
   let intervals =
     Array.init k (fun j ->
         let column = Array.init replicates (fun b -> estimates.(b).(j)) in
+        let centre = Stats.Summary.quantile column 0.5 in
+        let p = point.(j) in
         {
-          lo = Stats.Summary.quantile column alpha;
-          point = point.(j);
-          hi = Stats.Summary.quantile column (1.0 -. alpha);
+          lo = Float.max 0.0 (p +. (Stats.Summary.quantile column alpha -. centre));
+          point = p;
+          hi = Float.min 1.0 (p +. (Stats.Summary.quantile column (1.0 -. alpha) -. centre));
         })
   in
   { intervals; replicates }

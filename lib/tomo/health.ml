@@ -21,6 +21,17 @@ let apply_ci_width ~width verdict =
         Degraded (Printf.sprintf "CI width %.2f > %.2f" width degraded_above)
     | v -> v
 
+let noise_ratio = 4.0
+
+let apply_noise ~sigma ~noise verdict =
+  if not (sigma > noise_ratio *. noise) then verdict
+  else
+    let reason = Printf.sprintf "noise %.1f > %gx timer noise %.1f" sigma noise_ratio noise in
+    match verdict with
+    | Healthy -> Degraded reason
+    | Degraded r -> Degraded (r ^ "; " ^ reason)
+    | Rejected _ -> verdict
+
 let severity = function Healthy -> 0 | Degraded _ -> 1 | Rejected _ -> 2
 let worst a b = if severity b > severity a then b else a
 let is_rejected = function Rejected _ -> true | _ -> false

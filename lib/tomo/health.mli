@@ -30,6 +30,14 @@ val apply_ci_width : width:float -> t -> t
     [Healthy] becomes [Degraded] above 0.5, anything becomes [Rejected]
     above 0.95.  Never promotes. *)
 
+val apply_noise : sigma:float -> noise:float -> t -> t
+(** Demote on noise consistency: when the estimator's fitted noise scale
+    [sigma] exceeds 4× [noise], the scale the timer configuration
+    implies, [Healthy] becomes [Degraded] and a [Degraded] verdict gains
+    this reason after its own.  Windows the timing model cannot produce
+    (a wrapped or corrupted timestamp, an unmodelled path) show up there
+    first.  Never promotes. *)
+
 val worst : t -> t -> t
 (** The more severe of the two ([Rejected] > [Degraded] > [Healthy]);
     among equals, the first. *)

@@ -296,43 +296,47 @@ let test_generator_deterministic () =
   let b = Workloads.Generator.generate () in
   Alcotest.(check bool) "same program for same seed" true (a = b)
 
-(* The bootstrap of [ctomo report -w ctp --jitter 8 --horizon 200000]
-   (pinned in test/cli/report.t), replayed as report runs it: at jitter 8
-   σ̂ is in the hundreds, and replicates that restarted EM at the default
-   σ walked θ away from the point estimate, so ctp_rx_task's θ[3] = 0.845
-   came out with the interval [0.272, 0.813].  Warm-started at σ̂ too,
-   every interval contains its point. *)
+(* The bootstraps of [ctomo report -w ctp --jitter 8 --horizon 200000]
+   and [ctomo report -w sense --jitter 8] (pinned in test/cli/report.t),
+   replayed as report runs them.  At jitter 8 σ̂ is in the hundreds, and
+   replicates that restarted EM at the default σ walked θ away from the
+   point estimate: ctp_rx_task's θ[3] = 0.845 came out with the interval
+   [0.272, 0.813].  Warm-started at σ̂ too, replicates of an unconverged
+   point still drift on together: report_task's θ[1] = 0.055 came out
+   with [0.035, 0.036].  Centred on the point, every interval contains
+   it. *)
 let test_ci_contains_point_at_jitter_8 () =
   let module P = Codetomo.Pipeline in
-  let w = Workloads.ctp in
-  let config =
-    { P.default_config with P.seed = 42; timer_jitter = 8.0; horizon = Some 200_000 }
-  in
-  let run = P.profile ~config w in
-  let procs = w.Workloads.profiled in
-  let streams = Stats.Rng.split_n (Stats.Rng.create (42 + 31)) (List.length procs) in
-  List.iteri
-    (fun i proc ->
-      let e, samples, paths =
-        P.estimate_proc ~opts:{ P.default_opts with P.max_paths = Some 20_000 } run proc
-      in
-      match paths with
-      | None -> Alcotest.failf "%s: no path set" proc
-      | Some paths ->
-          let point = e.P.estimate.Tomo.Estimator.theta in
-          let sigma = Option.get e.P.estimate.Tomo.Estimator.sigma in
-          let ci =
-            Tomo.Confidence.bootstrap ~replicates:30 streams.(i) paths ~samples ~point ~sigma
+  List.iter
+    (fun ((w : Workloads.t), horizon) ->
+      let config = { P.default_config with P.seed = 42; timer_jitter = 8.0; horizon } in
+      let run = P.profile ~config w in
+      let procs = w.Workloads.profiled in
+      let streams = Stats.Rng.split_n (Stats.Rng.create (42 + 31)) (List.length procs) in
+      List.iteri
+        (fun i proc ->
+          let e, samples, paths =
+            P.estimate_proc ~opts:{ P.default_opts with P.max_paths = Some 20_000 } run proc
           in
-          Array.iteri
-            (fun k (itv : Tomo.Confidence.interval) ->
-              Alcotest.(check bool)
-                (Printf.sprintf "%s theta[%d] = %.3f in [%.3f, %.3f]" proc k point.(k)
-                   itv.Tomo.Confidence.lo itv.Tomo.Confidence.hi)
-                true
-                (Tomo.Confidence.contains ci k point.(k)))
-            ci.Tomo.Confidence.intervals)
-    procs
+          match paths with
+          | None -> Alcotest.failf "%s: no path set" proc
+          | Some paths ->
+              let point = e.P.estimate.Tomo.Estimator.theta in
+              let sigma = Option.get e.P.estimate.Tomo.Estimator.sigma in
+              let ci =
+                Tomo.Confidence.bootstrap ~replicates:30 streams.(i) paths ~samples ~point
+                  ~sigma
+              in
+              Array.iteri
+                (fun k (itv : Tomo.Confidence.interval) ->
+                  Alcotest.(check bool)
+                    (Printf.sprintf "%s theta[%d] = %.3f in [%.3f, %.3f]" proc k point.(k)
+                       itv.Tomo.Confidence.lo itv.Tomo.Confidence.hi)
+                    true
+                    (Tomo.Confidence.contains ci k point.(k)))
+                ci.Tomo.Confidence.intervals)
+        procs)
+    [ (Workloads.ctp, Some 200_000); (Workloads.sense, None) ]
 
 let suite =
   [

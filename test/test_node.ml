@@ -308,6 +308,43 @@ let test_shadows () =
   Alcotest.(check bool) "overloaded: the node drops" true (s.Node.tasks_dropped > 0);
   Alcotest.(check bool) "overloaded: the shadow drops out" true (shadowed = None)
 
+(* A node whose only task is [On_radio_rx], under sparse traffic: most
+   131072-cycle stretches of the schedule hold no arrival, and the node
+   must sleep past them to the next one rather than to [until].  Every
+   arrival [Env.radio_arrivals] yields before [until] is delivered; the
+   schedule is drawn in the node's 2^17-cycle chunks, as the node draws
+   it.  A free shadow follows the node through the same run. *)
+let test_sparse_radio_only () =
+  let env_cfg =
+    {
+      Env.seed = 5;
+      channels = [];
+      radio = Env.Poisson { per_kilocycle = 0.002; payload_lo = 1; payload_hi = 5 };
+    }
+  in
+  let until = 20_000_000 in
+  let chunk = 1 lsl 17 in
+  let env = Env.create env_cfg in
+  let rec arrivals from acc =
+    if from >= until then acc
+    else
+      let batch = Env.radio_arrivals env ~from_cycle:from ~to_cycle:(from + chunk) in
+      arrivals (from + chunk) (acc + List.length (List.filter (fun (at, _) -> at < until) batch))
+  in
+  let expected = arrivals 0 0 in
+  Alcotest.(check bool) (Printf.sprintf "traffic is sparse but present (%d)" expected) true
+    (expected > 10 && expected * chunk < until);
+  let ((_, machine, node) as t) =
+    make_node ~env_cfg [ { Node.proc = "rx_task"; source = Node.On_radio_rx } ]
+  in
+  let sh = Node.shadow node ~entry:(fun _ -> (0, 0)) { Node.cycles = 0; instructions = 0 } in
+  let s = Node.run ~shadows:[| sh |] node ~until in
+  Alcotest.(check int) "every arrival delivered" expected s.Node.packets_delivered;
+  Alcotest.(check int) "one run per packet" expected (Node.invocations s "rx_task");
+  Alcotest.(check int) "rx_count global" expected (read_global t "rx_count");
+  Alcotest.(check bool) "free shadow = node" true
+    (Node.shadow_run node sh = Some (s, Machine.cycles machine))
+
 let suite =
   [
     Alcotest.test_case "unknown task" `Quick test_unknown_task_rejected;
@@ -322,4 +359,5 @@ let suite =
     Alcotest.test_case "workload run goldens" `Quick test_workload_goldens;
     Alcotest.test_case "queue and radio golden" `Quick test_queue_golden;
     Alcotest.test_case "shadows" `Quick test_shadows;
+    Alcotest.test_case "sparse radio-only node" `Quick test_sparse_radio_only;
   ]

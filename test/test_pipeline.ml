@@ -390,6 +390,119 @@ let test_rejected_never_rewritten () =
   Alcotest.(check int) "same busy cycles as natural" natural.P.busy_cycles
     tomo.P.busy_cycles
 
+(* Model fidelity under timer jitter.  A window is its path's exact cost
+   plus the difference of two jittered reads, which has standard
+   deviation √2·σ; an exclusive window also subtracts each callee's
+   window, one more difference per call.  With σ = 8, every collected
+   window of the five workloads lies within 6·√(1 + calls)·√2·σ of some
+   enumerated path cost (calls: the procedure's call sites, none in a
+   loop here).  A window that wrapped to 65535 ticks lies nowhere near
+   one. *)
+let test_window_fidelity_at_jitter_8 () =
+  let jitter = 8.0 in
+  List.iter
+    (fun (w : Workloads.t) ->
+      List.iter
+        (fun seed ->
+          let run =
+            P.profile ~config:{ P.default_config with P.seed; timer_jitter = jitter } w
+          in
+          List.iter
+            (fun (proc, samples) ->
+              let cfg = Cfgir.Cfg.of_proc_name run.P.instrumented proc in
+              let calls =
+                Array.fold_left
+                  (fun n (b : Cfgir.Cfg.block) -> n + List.length b.Cfgir.Cfg.callees)
+                  0 cfg.Cfgir.Cfg.blocks
+              in
+              let bound = 6.0 *. sqrt (float_of_int (1 + calls)) *. sqrt 2.0 *. jitter in
+              let paths = Tomo.Paths.enumerate (P.model_of run proc) in
+              let costs = (Tomo.Paths.flat paths).Tomo.Paths.sig_cost in
+              let distance t =
+                Array.fold_left
+                  (fun acc c -> Float.min acc (Float.abs (t -. c)))
+                  Float.infinity costs
+              in
+              let worst = Array.fold_left (fun acc t -> Float.max acc (distance t)) 0.0 samples in
+              Alcotest.(check bool)
+                (Printf.sprintf "%s/%s seed %d: every window within %.1f of a path cost (worst %.1f)"
+                   w.Workloads.name proc seed bound worst)
+                true (worst <= bound))
+            run.P.samples)
+        [ 1; 42; 142; 242 ])
+    Workloads.all
+
+(* Accuracy at F3b's jitter-8 point: with default options on F3's seeds,
+   sense_task's mean MAE is at most 0.15 and the fitted noise scale stays
+   within 2× of the timer's on every seed. *)
+let test_sense_accuracy_at_jitter_8 () =
+  let config = { P.default_config with P.timer_jitter = 8.0 } in
+  let noise = P.noise_sigma config in
+  let maes =
+    List.map
+      (fun seed ->
+        let run = P.profile ~config:{ config with P.seed } Workloads.sense in
+        let e, _, _ = P.estimate_proc run "sense_task" in
+        let sigma = Option.get e.P.estimate.Tomo.Estimator.sigma in
+        Alcotest.(check bool)
+          (Printf.sprintf "seed %d: fitted noise %.1f within 2x of %.1f" seed sigma noise)
+          true
+          (sigma <= 2.0 *. noise && sigma >= noise /. 2.0);
+        e.P.mae)
+      [ 42; 142; 242 ]
+  in
+  let mean = List.fold_left ( +. ) 0.0 maes /. 3.0 in
+  Alcotest.(check bool)
+    (Printf.sprintf "mean sense_task MAE %.3f <= 0.15" mean)
+    true (mean <= 0.15)
+
+(* The noise-consistency verdict.  On jitter-free runs σ̂ sits at the
+   timer's own scale, so no clean verdict changes; one window the timing
+   model cannot produce (a 16-bit wrap, 65535 cycles) among ctp_rx_task's
+   jitter-8 windows inflates σ̂ far past the timer's noise, and the
+   verdict says so. *)
+let test_noise_verdict () =
+  List.iter
+    (fun (name, run) ->
+      List.iter
+        (fun (e : P.estimation) ->
+          let sigma = Option.get e.P.estimate.Tomo.Estimator.sigma in
+          Alcotest.(check bool)
+            (Printf.sprintf "%s/%s: fitted noise %g within 4x of %g" name e.P.proc sigma
+               (P.noise_sigma run.P.config))
+            true
+            (sigma <= 4.0 *. P.noise_sigma run.P.config))
+        (P.estimate run))
+    (Lazy.force runs);
+  let run =
+    P.profile ~config:{ config with P.seed = 1; timer_jitter = 8.0 } Workloads.ctp
+  in
+  let samples = List.assoc "ctp_rx_task" run.P.samples in
+  let wrapped =
+    { run with P.samples = [ ("ctp_rx_task", Array.append samples [| 65535.0 |]) ] }
+  in
+  let clean, _, _ = P.estimate_proc run "ctp_rx_task" in
+  let e, _, _ = P.estimate_proc wrapped "ctp_rx_task" in
+  let sigma e = Option.get e.P.estimate.Tomo.Estimator.sigma in
+  Alcotest.(check bool)
+    (Printf.sprintf "clean: fitted noise %.1f within 4x of %.1f" (sigma clean)
+       (P.noise_sigma run.P.config))
+    true
+    (sigma clean <= 4.0 *. P.noise_sigma run.P.config);
+  let says_noise r =
+    let key = "timer noise" in
+    let rec from i =
+      i + String.length key <= String.length r
+      && (String.sub r i (String.length key) = key || from (i + 1))
+    in
+    from 0
+  in
+  match e.P.health with
+  | Tomo.Health.Degraded r when says_noise r -> ()
+  | h ->
+      Alcotest.failf "one wrapped window: fitted noise %.1f reads %s" (sigma e)
+        (Tomo.Health.to_string h)
+
 let suite =
   [
     Alcotest.test_case "profile produces samples" `Slow test_profile_produces_samples;
@@ -404,6 +517,9 @@ let suite =
     Alcotest.test_case "layout fallbacks" `Slow test_layout_fallbacks;
     Alcotest.test_case "run_binary determinism" `Slow test_run_binary_determinism;
     Alcotest.test_case "noise sigma" `Quick test_noise_sigma;
+    Alcotest.test_case "window fidelity at jitter 8" `Slow test_window_fidelity_at_jitter_8;
+    Alcotest.test_case "sense accuracy at jitter 8" `Slow test_sense_accuracy_at_jitter_8;
+    Alcotest.test_case "noise verdict" `Slow test_noise_verdict;
     Alcotest.test_case "quantized profiling" `Slow test_quantized_profiling_still_estimates;
     Alcotest.test_case "faulted pipeline completes" `Slow test_faulted_pipeline_completes;
     Alcotest.test_case "sanitized beats unsanitized" `Slow test_sanitized_beats_unsanitized;

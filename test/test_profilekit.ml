@@ -465,6 +465,51 @@ let test_window_straddles_timer_wrap () =
   Alcotest.(check (float 0.0)) "window across wrap is exact" reference
     samples.(Array.length samples - 1)
 
+(* One [top] → [leaf] invocation's four records (top entry, leaf entry,
+   leaf exit, top exit) with their timestamps replaced by [values]. *)
+let nested_records values =
+  let devices = Devices.create () in
+  let (_, inst, m) = instrumented_machine ~devices caller_callee_program in
+  ignore (Machine.run_proc m "top");
+  let records =
+    List.map2
+      (fun (r : Devices.probe_record) value -> { r with Devices.value })
+      (Devices.probe_log devices) values
+  in
+  (inst, records)
+
+let test_negative_window () =
+  (* The leaf's exit reads one tick before its entry, across the 16-bit
+     wrap: a window of -1, not 65535, and its parent's exclusive time
+     gets that tick back. *)
+  let inst, records = nested_records [ 10; 0; 0xFFFF; 30 ] in
+  let r = Probes.collect_lossy_records ~program:inst ~resolution:1 records in
+  Alcotest.(check int) "nothing discarded" 0 r.Probes.discarded;
+  Alcotest.(check (array (float 0.0))) "leaf window" [| -1.0 |]
+    (Probes.samples_for r.Probes.samples "leaf");
+  Alcotest.(check (array (float 0.0))) "top exclusive" [| 21.0 |]
+    (Probes.samples_for r.Probes.samples "top");
+  let r = Probes.collect_lossy_records ~program:inst ~resolution:4 records in
+  Alcotest.(check (array (float 0.0))) "leaf window, resolution 4" [| -4.0 |]
+    (Probes.samples_for r.Probes.samples "leaf")
+
+let test_negative_window_max_window () =
+  (* [max_window] bounds a window's magnitude: 40 ticks below zero pass a
+     bound of 50, 60 below do not, and the discarded leaf poisons its
+     caller as a window 60 too long would. *)
+  let kept_inst, kept = nested_records [ 100; 200; 160; 300 ] in
+  let r = Probes.collect_lossy_records ~max_window:50 ~program:kept_inst ~resolution:1 kept in
+  Alcotest.(check (array (float 0.0))) "-40 kept" [| -40.0 |]
+    (Probes.samples_for r.Probes.samples "leaf");
+  List.iter
+    (fun (what, values) ->
+      let inst, records = nested_records values in
+      let r = Probes.collect_lossy_records ~max_window:50 ~program:inst ~resolution:1 records in
+      Alcotest.(check int) (what ^ ": no samples") 0
+        (List.fold_left (fun acc (_, s) -> acc + Array.length s) 0 r.Probes.samples);
+      Alcotest.(check int) (what ^ ": both frames discarded") 2 r.Probes.discarded)
+    [ ("-60", [ 100; 200; 140; 300 ]); ("+60", [ 100; 200; 260; 300 ]) ]
+
 let suite =
   suite
   @ [
@@ -476,6 +521,8 @@ let suite =
       Alcotest.test_case "lossy nested poisoning" `Quick test_lossy_nested_poisoning;
       Alcotest.test_case "window straddles timer wrap" `Quick
         test_window_straddles_timer_wrap;
+      Alcotest.test_case "negative window" `Quick test_negative_window;
+      Alcotest.test_case "negative window max_window" `Quick test_negative_window_max_window;
     ]
 
 (* --- the resumable collector --- *)

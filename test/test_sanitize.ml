@@ -109,6 +109,23 @@ let test_health_ci_width () =
   | Degraded _ -> ()
   | h -> Alcotest.failf "degraded must not promote, got %s" (to_string h))
 
+let test_health_noise () =
+  let open Health in
+  (match apply_noise ~sigma:1175.0 ~noise:11.3 Healthy with
+  | Degraded _ -> ()
+  | h -> Alcotest.failf "a 1175-cycle sigma on an 11.3-cycle timer read %s" (to_string h));
+  Alcotest.(check bool) "at the floor: untouched" true
+    (is_healthy (apply_noise ~sigma:0.1 ~noise:0.1 Healthy));
+  Alcotest.(check bool) "within 4x: untouched" true
+    (is_healthy (apply_noise ~sigma:45.0 ~noise:11.3 Healthy));
+  Alcotest.(check bool) "no promotion" true
+    (is_rejected (apply_noise ~sigma:0.1 ~noise:11.3 (Rejected "x")));
+  match apply_noise ~sigma:1175.0 ~noise:11.3 (Degraded "first") with
+  | Degraded r ->
+      Alcotest.(check string) "the reason follows an earlier one"
+        "first; noise 1175.0 > 4x timer noise 11.3" r
+  | h -> Alcotest.failf "expected degraded, got %s" (to_string h)
+
 let test_health_worst () =
   let open Health in
   Alcotest.(check bool) "rejected beats degraded" true
@@ -131,4 +148,5 @@ let suite =
     Alcotest.test_case "health: judge" `Quick test_health_judge;
     Alcotest.test_case "health: CI width" `Quick test_health_ci_width;
     Alcotest.test_case "health: worst" `Quick test_health_worst;
+    Alcotest.test_case "health: noise" `Quick test_health_noise;
   ]

@@ -435,7 +435,8 @@ let a8 () =
         let mae = mean (List.map (fun e -> e.P.mae) est) in
         let freqs = P.estimated_freqs run est in
         let binary =
-          P.placed_binary run ~profiles:freqs ~algorithm:Layout.Algorithms.pettis_hansen
+          Layout.Rewrite.apply_all (P.natural_binary run)
+            ~algorithm:Layout.Algorithms.pettis_hansen ~profiles:freqs
         in
         let v = P.run_binary ~config:(P.fresh_inputs run.P.config) w binary ~label:"x" in
         [
@@ -519,14 +520,21 @@ let a11 () =
       (fun w ->
         let run = profile w in
         let placed =
-          P.placed_binary run ~profiles:run.P.oracle_freqs
-            ~algorithm:Layout.Algorithms.pettis_hansen
+          List.map
+            (fun (proc, freq) -> (proc, Layout.Algorithms.pettis_hansen freq))
+            run.P.oracle_freqs
         in
         List.map
           (fun (policy_name, prediction) ->
             let config = { (P.fresh_inputs run.P.config) with P.prediction } in
-            let natural = P.run_binary ~config w (P.natural_binary run) ~label:"nat" in
-            let opt = P.run_binary ~config w placed ~label:"opt" in
+            let natural, opt =
+              match
+                P.evaluate_layouts config w ~natural:("nat", P.natural_binary run)
+                  [ ("opt", placed) ]
+              with
+              | [ natural; opt ] -> (natural, opt)
+              | _ -> assert false
+            in
             let reduction =
               if natural.P.taken_transfers = 0 then 0.0
               else

@@ -164,14 +164,14 @@ let place_cmd =
             | cfg -> Some cfg
             | exception Not_found -> None
           in
-          let profiles = Cfgir.Profile_io.load ~path ~lookup in
-          let placed =
-            P.placed_binary run ~profiles ~algorithm:Layout.Algorithms.pettis_hansen
+          let placements =
+            List.map
+              (fun (proc, freq) -> (proc, Layout.Algorithms.pettis_hansen freq))
+              (Cfgir.Profile_io.load ~path ~lookup)
           in
-          Par.Pool.map_list pool
-            (fun (label, binary) ->
-              P.run_binary ~config:(P.fresh_inputs config) w binary ~label)
-            [ ("natural", original); ("saved-profile", placed) ]
+          P.evaluate_layouts ~ctx:(P.Ctx.of_pool pool) (P.fresh_inputs config) w
+            ~natural:("natural", original)
+            [ ("saved-profile", placements) ]
     in
     let rows =
       List.map

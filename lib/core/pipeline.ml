@@ -427,9 +427,6 @@ let natural_binary run = run.compiled.Mote_lang.Compile.program
 let placements ~profiles ~algorithm =
   List.map (fun (name, freq) -> (name, algorithm freq)) profiles
 
-let placed_binary run ~profiles ~algorithm =
-  Layout.Rewrite.program (natural_binary run) ~placements:(placements ~profiles ~algorithm)
-
 (* Invert a profile: heavy edges become light and vice versa, so chain
    merging actively separates hot pairs. *)
 let invert_freq freq =
@@ -448,7 +445,8 @@ let worst_placement freq =
       Layout.Algorithms.pettis_hansen (invert_freq freq)
 
 let worst_binary run =
-  placed_binary run ~profiles:run.oracle_freqs ~algorithm:worst_placement
+  Layout.Rewrite.apply_all (natural_binary run) ~algorithm:worst_placement
+    ~profiles:run.oracle_freqs
 
 let fresh_inputs config = { config with seed = config.seed + 1000 }
 

@@ -35,8 +35,9 @@ val default_config : config
 
     Each stage has exactly one implementation, here, which the CLI, the
     bench and [Fleet] compose: {!simulate}, {!estimate_proc},
-    {!freq_of_theta}, {!fresh_inputs} with {!run_binary}, and
-    {!overhead}. *)
+    {!freq_of_theta}, {!fresh_inputs} with {!evaluate_layouts} (the one
+    natural-versus-placed comparison; {!run_binary} scores a single
+    binary), and {!overhead}. *)
 
 (** {1 Profiling} *)
 
@@ -272,12 +273,6 @@ val overhead :
     {!profile}. *)
 
 val natural_binary : profile_run -> Mote_isa.Program.t
-
-val placed_binary :
-  profile_run ->
-  profiles:(string * Freq.t) list ->
-  algorithm:(Freq.t -> Layout.Placement.t) ->
-  Mote_isa.Program.t
 
 val worst_binary : profile_run -> Mote_isa.Program.t
 (** Pessimal placement from the oracle profile (exhaustive on small

@@ -27,7 +27,7 @@ type t
 
 val create : ?domains:int -> ?pool:Par.Pool.t -> unit -> t
 (** [create ()] builds a session with a fresh pool of
-    [Par.Pool.default_domains ()] domains ([CODETOMO_DOMAINS] wins over
+    {!Par.Pool.create}'s default size ([CODETOMO_DOMAINS] wins over
     [Domain.recommended_domain_count]).  [~domains] overrides the size;
     [~pool] adopts an existing pool instead (the caller keeps ownership
     and {!close} will not shut it down). *)

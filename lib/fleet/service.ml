@@ -191,53 +191,41 @@ let run ?session config =
              Stats.Metrics.mae theta truth)
          fusions)
   in
-  (* Natural-layout evaluations don't change across placements — one run
-     per node, on that node's own evaluation inputs. *)
-  let natural_evals = ref None in
-  let eval_fleet binary ~label =
-    let evals =
-      pmap
-        (fun (nr : Sim.node_run) ->
-          let cfg =
-            P.fresh_inputs { config.pipeline with P.seed = nr.Sim.node.Sim.env_seed }
-          in
-          P.run_binary ~config:cfg w binary ~label)
-        node_runs
-    in
-    List.fold_left (fun acc (v : P.variant) -> acc + v.P.taken_transfers) 0 evals
-  in
   let place ~at_round fusions =
-    let profiles, fallbacks =
+    let placements, fallbacks =
       List.fold_left
-        (fun (profiles, fallbacks) (proc, (fu : Fusion.result)) ->
+        (fun (placements, fallbacks) (proc, (fu : Fusion.result)) ->
           match fu.Fusion.fused with
-          | None -> (profiles, fallbacks + 1)
+          | None -> (placements, fallbacks + 1)
           | Some theta ->
               let invocations =
                 float_of_int
                   (List.fold_left (fun acc (_, _, ing) -> acc + Ingest.fed ing proc) 0 states)
               in
-              ((proc, P.freq_of_theta original ~proc ~theta ~invocations) :: profiles, fallbacks))
+              let freq = P.freq_of_theta original ~proc ~theta ~invocations in
+              ((proc, Layout.Algorithms.pettis_hansen freq) :: placements, fallbacks))
         ([], 0) fusions
     in
-    let profiles = List.rev profiles in
     let label =
       if fallbacks = 0 then "fleet-tomography"
       else Printf.sprintf "fleet-tomography[%d fallback]" fallbacks
     in
-    let placed_binary =
-      Layout.Rewrite.apply_all original ~algorithm:Layout.Algorithms.pettis_hansen
-        ~profiles
+    (* Each node scores both layouts on its own evaluation inputs, in one
+       run of the natural binary wherever the placed one can be derived
+       from it. *)
+    let placed = [ (label, List.rev placements) ] in
+    let evals =
+      pmap
+        (fun (nr : Sim.node_run) ->
+          P.evaluate_layouts
+            (P.fresh_inputs { config.pipeline with P.seed = nr.Sim.node.Sim.env_seed })
+            w ~natural:("natural", original) placed)
+        node_runs
     in
-    let natural_taken =
-      match !natural_evals with
-      | Some n -> n
-      | None ->
-          let n = eval_fleet original ~label:"natural" in
-          natural_evals := Some n;
-          n
+    let taken i =
+      List.fold_left (fun acc vs -> acc + (List.nth vs i).P.taken_transfers) 0 evals
     in
-    let placed_taken = eval_fleet placed_binary ~label in
+    let natural_taken = taken 0 and placed_taken = taken 1 in
     {
       at_round;
       label;

@@ -16,10 +16,12 @@
     Determinism: node simulation, batch perturbation and ingest are all
     keyed by (seed, node, round), rounds are barriers, and fusion folds
     node states in roster order — so the report is byte-identical at any
-    domain count.  Node work (simulation, ingest, placement evaluation)
-    shards across the session's pool; the session's compiled/paths
-    caches are reused, so the fleet enumerates each procedure's path set
-    exactly once no matter how many nodes vote on it. *)
+    domain count.  Node work (simulation, ingest, and placement
+    evaluation — one {!Codetomo.Pipeline.evaluate_layouts} call per node
+    per placement) shards across the session's pool; the session's
+    compiled/paths caches are reused, so the fleet enumerates each
+    procedure's path set exactly once no matter how many nodes vote on
+    it. *)
 
 type config = {
   workload : Workloads.t;
@@ -58,9 +60,14 @@ type placement = {
           procedures had no admissible evidence and kept their natural
           layout. *)
   natural_taken : int;
-      (** Stalling transfers summed over every node's evaluation run of
-          the natural binary. *)
-  placed_taken : int;  (** Same, for the fleet-placed binary. *)
+      (** Stalling transfers of the natural binary, summed over the
+          nodes: each node's count is the natural variant of its own
+          {!Codetomo.Pipeline.evaluate_layouts} call, under
+          {!Codetomo.Pipeline.fresh_inputs} of the pipeline config at
+          the node's environment seed. *)
+  placed_taken : int;
+      (** Same, for the fleet-placed binary (Pettis–Hansen on the fused
+          profile), the placed variant of that same call. *)
   reduction : float;  (** [1 - placed/natural]. *)
   fallbacks : int;
 }

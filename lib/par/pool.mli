@@ -24,16 +24,14 @@ type t
 
 val create : ?domains:int -> unit -> t
 (** [create ~domains ()] spawns [domains - 1] workers.  [domains]
-    defaults to {!default_domains}; values are clamped to [1, 128].
+    defaults to [CODETOMO_DOMAINS] when that is set to a positive
+    integer, otherwise to [Domain.recommended_domain_count ()]; values
+    are clamped to [1, 128].
     At [domains = 1] no worker is spawned and every map runs on the
     caller — the serial fast path. *)
 
 val domains : t -> int
 (** Total parallelism, caller included. *)
-
-val default_domains : unit -> int
-(** [CODETOMO_DOMAINS] when set to a positive integer, otherwise
-    [Domain.recommended_domain_count ()]. *)
 
 val map : t -> ('a -> 'b) -> 'a array -> 'b array
 (** [map pool f a] is [Array.map f a], computed by all participants.

@@ -303,6 +303,87 @@ let discarded_is_cumulative () =
          rr.Fleet.Service.discarded)
        0 r.Fleet.Service.round_reports)
 
+(* Every placement a campaign reports is the fleet-wide sum of two full
+   runs per node on that node's evaluation inputs: one of the natural
+   binary and one of Rewrite.apply_all of the fused profile.  With a fixed
+   batch, a campaign cut short at round r has ingested exactly what the
+   longer campaign had at r, so its final fused theta rebuilds the
+   placement made at r.  Under BTFN every layout runs in full. *)
+let placements_equal_full_runs () =
+  let w = Workloads.find "filter" in
+  let original = (Workloads.compiled w).Compile.program in
+  let check name (config : Fleet.Service.config) ~placed_at =
+    let report = Fleet.Service.run config in
+    let fleet_taken binary =
+      List.fold_left
+        (fun acc (node : Fleet.Sim.node) ->
+          let eval_config =
+            P.fresh_inputs { config.Fleet.Service.pipeline with P.seed = node.Fleet.Sim.env_seed }
+          in
+          acc + (P.run_binary ~config:eval_config w binary ~label:"").P.taken_transfers)
+        0 report.Fleet.Service.roster
+    in
+    let natural_taken = fleet_taken original in
+    let placements =
+      List.filter_map (fun (rr : Fleet.Service.round_report) -> rr.Fleet.Service.placement)
+        report.Fleet.Service.round_reports
+    in
+    Alcotest.(check (list int)) (name ^ ": placement rounds") placed_at
+      (List.map (fun (p : Fleet.Service.placement) -> p.Fleet.Service.at_round) placements);
+    List.iter
+      (fun (p : Fleet.Service.placement) ->
+        let r = p.Fleet.Service.at_round in
+        let label what = Printf.sprintf "%s round %d: %s" name r what in
+        let cut =
+          Fleet.Service.run
+            { config with Fleet.Service.rounds = r; replace_every = 0 }
+        in
+        Alcotest.(check bool) (label "cut campaign places alike") true
+          (cut.Fleet.Service.final = p);
+        (* filter profiles one procedure, so the fleet's fed count is its
+           invocation count. *)
+        let invocations =
+          float_of_int (List.nth cut.Fleet.Service.round_reports (r - 1)).Fleet.Service.fed
+        in
+        let profiles =
+          List.filter_map
+            (fun (proc, theta) ->
+              Option.map
+                (fun theta -> (proc, P.freq_of_theta original ~proc ~theta ~invocations))
+                theta)
+            cut.Fleet.Service.fused
+        in
+        let placed =
+          Layout.Rewrite.apply_all original ~algorithm:Layout.Algorithms.pettis_hansen
+            ~profiles
+        in
+        Alcotest.(check bool) (label "placement reduces") true
+          (p.Fleet.Service.placed_taken < natural_taken);
+        Alcotest.(check int) (label "natural taken") natural_taken p.Fleet.Service.natural_taken;
+        Alcotest.(check int) (label "placed taken") (fleet_taken placed)
+          p.Fleet.Service.placed_taken)
+      placements
+  in
+  let config =
+    {
+      (Fleet.Service.default_config w) with
+      Fleet.Service.nodes = 4;
+      rounds = 6;
+      batch = Some 150;
+      faults = Transport.field ();
+      pipeline = short_config;
+      replace_every = 2;
+    }
+  in
+  check "not-taken" config ~placed_at:[ 2; 4; 6 ];
+  check "btfn"
+    {
+      config with
+      Fleet.Service.rounds = 4;
+      pipeline = { short_config with P.prediction = Mote_machine.Machine.Predict_btfn };
+    }
+    ~placed_at:[ 2; 4 ]
+
 let suite =
   [
     Alcotest.test_case "node run = Pipeline.profile" `Quick node_run_equals_profile;
@@ -313,4 +394,5 @@ let suite =
     Alcotest.test_case "fusion arity mismatch" `Quick fusion_arity_mismatch;
     Alcotest.test_case "anchor + -j determinism" `Slow fleet_anchor_and_determinism;
     Alcotest.test_case "discarded is cumulative" `Quick discarded_is_cumulative;
+    Alcotest.test_case "placements = full runs" `Quick placements_equal_full_runs;
   ]

@@ -377,8 +377,8 @@ let test_loop_matches_reference_on_workloads () =
           ("natural", Pipeline.natural_binary run);
           ("instrumented", run.Pipeline.instrumented);
           ( "pettis-hansen",
-            Pipeline.placed_binary run ~profiles:run.Pipeline.oracle_freqs
-              ~algorithm:Layout.Algorithms.pettis_hansen );
+            Layout.Rewrite.apply_all (Pipeline.natural_binary run)
+              ~algorithm:Layout.Algorithms.pettis_hansen ~profiles:run.Pipeline.oracle_freqs );
           ("pessimal", Pipeline.worst_binary run);
         ]
       in

@@ -767,8 +767,8 @@ let r13 () =
           if sanitized then
             {
               P.default_opts with
-              P.sanitize = Some Tomo.Sanitize.default;
-              outlier = Some Tomo.Em.default_outlier;
+              P.sanitize = true;
+              robust = true;
               min_samples = Tomo.Health.default_min_samples;
             }
           else P.default_opts

@@ -272,15 +272,10 @@ let report_cmd =
     let run = P.profile ~config w in
     Printf.printf "=== %s: %s ===\n\n" w.Workloads.name w.Workloads.description;
     print_transport run;
-    (* Estimation with uncertainty and fit diagnostics.  Each procedure
-       gets its own pre-split bootstrap stream, so the fan-out order
-       (and hence -j) cannot change a single interval. *)
-    let procs = w.Workloads.profiled in
-    let rng = Stats.Rng.create (seed + 31) in
-    let streams = Stats.Rng.split_n rng (List.length procs) in
+    (* Estimation with uncertainty and fit diagnostics. *)
     let per_proc =
       Par.Pool.map_list pool
-        (fun (i, proc) ->
+        (fun proc ->
           let e, samples, paths =
             P.estimate_proc ~opts:{ opts with P.max_paths = Some 20_000 } run proc
           in
@@ -288,14 +283,11 @@ let report_cmd =
           | Some paths when not (Tomo.Health.is_rejected e.P.health) ->
               let theta = e.P.estimate.Tomo.Estimator.theta in
               let sigma = Option.get e.P.estimate.Tomo.Estimator.sigma in
-              let ci =
-                Tomo.Confidence.bootstrap ~replicates:30 streams.(i) paths ~samples
-                  ~point:theta ~sigma
-              in
+              let ci = Tomo.Confidence.information paths ~samples ~point:theta ~sigma in
               let fit = Tomo.Fit.check ~sigma paths ~theta ~samples in
               (* The verdict folds in all three degradation signals: the
                  sample floor, EM convergence, and how wide the widest
-                 bootstrap interval came out. *)
+                 interval came out. *)
               let width =
                 Array.fold_left
                   (fun acc itv -> Stdlib.max acc (Tomo.Confidence.width itv))
@@ -303,7 +295,7 @@ let report_cmd =
               in
               (e, Tomo.Health.apply_ci_width ~width e.P.health, Some (ci, fit))
           | _ -> (e, e.P.health, None))
-        (List.mapi (fun i proc -> (i, proc)) procs)
+        w.Workloads.profiled
     in
     List.iter
       (fun (e, health, result) ->

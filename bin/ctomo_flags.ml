@@ -67,8 +67,8 @@ let domains_arg =
     & opt (some int) None
     & info [ "j"; "domains" ] ~docv:"N"
         ~doc:
-          "Domains for the parallel stages (per-procedure estimation, the \
-           four layout evaluations, bootstrap CIs).  Defaults to \
+          "Domains for the parallel stages (per-procedure estimation and \
+           intervals, the four layout evaluations).  Defaults to \
            $(b,CODETOMO_DOMAINS), else the recommended domain count.  \
            Output is bit-identical at any value.")
 
@@ -154,14 +154,7 @@ let min_samples_arg =
    the knobs every batch estimator takes; [opts_term] adds the method
    choice (report always runs EM, so it takes the former). *)
 let robustness_term =
-  let make sanitize robust min_samples =
-    {
-      P.default_opts with
-      P.sanitize = (if sanitize then Some Tomo.Sanitize.default else None);
-      outlier = (if robust then Some Tomo.Em.default_outlier else None);
-      min_samples;
-    }
-  in
+  let make sanitize robust min_samples = { P.default_opts with P.sanitize; robust; min_samples } in
   Term.(const make $ sanitize_arg $ robust_arg $ min_samples_arg)
 
 let opts_term =

@@ -1,8 +1,8 @@
 (* Why estimate from timing at all?  Because the alternative — counting
    every branch edge — costs real flash, RAM and cycles on a mote.  This
-   example quantifies the trade on every bundled workload, and uses the
-   profiling-duration planner and bootstrap confidence intervals to show
-   what the cheap probes buy and what they give up.
+   example quantifies the trade on every bundled workload, and uses
+   observed-information confidence intervals and the sample count they
+   extrapolate to show what the cheap probes buy and what they give up.
 
    Run with:  dune exec examples/overhead_study.exe *)
 
@@ -25,8 +25,8 @@ let () =
     Workloads.all;
 
   (* 2. What the probes give up: estimates carry uncertainty.  Quantify it
-     with bootstrap confidence intervals and ask the planner how long to
-     profile for a target precision. *)
+     with observed-information confidence intervals and extrapolate how
+     long to profile for a target precision. *)
   let w = Workloads.ctp in
   let run = P.profile w in
   let proc = "ctp_rx_task" in
@@ -34,13 +34,17 @@ let () =
   let model = P.model_of run proc in
   let paths = Tomo.Paths.enumerate model in
   let fit = Tomo.Em.estimate paths ~samples in
-  let rng = Stats.Rng.create 7 in
   let ci =
-    Tomo.Confidence.bootstrap rng paths ~samples ~point:fit.Tomo.Em.theta
+    Tomo.Confidence.information paths ~samples ~point:fit.Tomo.Em.theta
       ~sigma:fit.Tomo.Em.sigma
   in
-  Printf.printf "\n%s estimates with 90%% bootstrap intervals (%d samples):\n%s\n" proc
-    (Array.length samples)
+  Printf.printf "\n%s estimates with 90%% observed-information intervals (%d samples):\n%s\n"
+    proc (Array.length samples)
     (Format.asprintf "%a" Tomo.Confidence.pp ci);
-  let plan = Tomo.Planner.plan rng paths ~samples ~target_se:0.01 in
-  Printf.printf "planner: %s\n" (Format.asprintf "%a" Tomo.Planner.pp plan)
+  let target_se = 0.01 in
+  Printf.printf "largest se %.4f; samples for se %.2f: %s\n"
+    (Array.fold_left Float.max 0.0 ci.Tomo.Confidence.se)
+    target_se
+    (match Tomo.Confidence.samples_needed ci ~target_se with
+    | Some n -> string_of_int n
+    | None -> "none (the estimate is not at a maximum)")

@@ -173,8 +173,8 @@ type opts = {
   method_ : Tomo.Estimator.method_;
   max_samples : int option;
   max_paths : int option;
-  sanitize : Tomo.Sanitize.config option;
-  outlier : Tomo.Em.outlier option;
+  sanitize : bool;
+  robust : bool;
   min_samples : int;
 }
 
@@ -183,14 +183,14 @@ let default_opts =
     method_ = Tomo.Estimator.Em;
     max_samples = None;
     max_paths = None;
-    sanitize = None;
-    outlier = None;
+    sanitize = false;
+    robust = false;
     min_samples = 1;
   }
 
 (* [max_samples] keeps the chronological prefix: the first N observation
    windows, as if profiling had simply stopped after N invocations (the
-   planner's stopping-rule assumption). *)
+   stopping-rule assumption of {!Tomo.Confidence.samples_needed}). *)
 let truncate_samples opts all =
   match opts.max_samples with
   | Some n when n >= 0 && Array.length all > n -> Array.sub all 0 n
@@ -236,18 +236,15 @@ let estimate_samples ctx opts ~sigma ~key ~model ~truth ~proc samples =
   let samples = truncate_samples opts samples in
   let paths = materialize_paths ctx opts ~key model in
   let samples, sanitize_report =
-    match opts.sanitize with
-    | None -> (samples, None)
-    | Some sc ->
-        let min_cost, max_cost =
-          match paths with
-          | Some p -> (Tomo.Paths.min_cost p, Tomo.Paths.max_cost p)
-          | None -> (Float.neg_infinity, Float.infinity)
-        in
-        let kept, report =
-          Tomo.Sanitize.run ~config:sc ~min_cost ~max_cost ~sigma samples
-        in
-        (kept, Some report)
+    if not opts.sanitize then (samples, None)
+    else
+      let min_cost, max_cost =
+        match paths with
+        | Some p -> (Tomo.Paths.min_cost p, Tomo.Paths.max_cost p)
+        | None -> (Float.neg_infinity, Float.infinity)
+      in
+      let kept, report = Tomo.Sanitize.run ~min_cost ~max_cost ~sigma samples in
+      (kept, Some report)
   in
   let n = Array.length samples in
   let floor = Stdlib.max 1 opts.min_samples in
@@ -258,7 +255,7 @@ let estimate_samples ctx opts ~sigma ~key ~model ~truth ~proc samples =
     else
       let e =
         Tomo.Estimator.run ~method_:opts.method_ ~noise_sigma:sigma ?paths
-          ?outlier:opts.outlier model ~samples
+          ~robust:opts.robust model ~samples
       in
       let verdict =
         Tomo.Health.judge ~min_samples:floor ~converged:e.Tomo.Estimator.converged

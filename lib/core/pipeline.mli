@@ -112,7 +112,7 @@ type estimation = {
 (** The estimator options: one value for every knob an estimating entry
     point ({!estimate}, {!estimate_watermarked}, {!compare_layouts} and
     their {!Session} mirrors) accepts.  {!ambiguous_sites} reads only the
-    enumeration bound.  The robustness knobs ([sanitize], [outlier],
+    enumeration bound.  The robustness knobs ([sanitize], [robust],
     [min_samples]) are opt-in: at {!default_opts} every result is
     bit-identical to the pre-robustness pipeline. *)
 type opts = {
@@ -121,15 +121,16 @@ type opts = {
       (** Keep the {e chronological prefix} — the first [max_samples]
           observation windows, exactly as if profiling had stopped once
           that many invocations had been seen.  This matches
-          {!Tomo.Planner}'s stopping-rule semantics (F2 sweeps "how long
-          must we profile?", not "which windows do we keep?").  [None], a
+          {!Tomo.Confidence.samples_needed}'s stopping-rule semantics
+          (F2 sweeps "how long must we profile?", not "which windows do
+          we keep?").  [None], a
           negative value, or one at least the sample count uses all
           samples. *)
   max_paths : int option;  (** Path-enumeration bound ({!Tomo.Paths.enumerate}). *)
-  sanitize : Tomo.Sanitize.config option;
+  sanitize : bool;
       (** Quarantine infeasible timings ({!Tomo.Sanitize}) using the EM
           path set's cost envelope. *)
-  outlier : Tomo.Em.outlier option;
+  robust : bool;
       (** Switch the EM to its contamination-robust variant. *)
   min_samples : int;
       (** The floor below which a procedure is {!Tomo.Health.Rejected} and
@@ -182,7 +183,7 @@ val estimate_proc :
     [ctx]'s memo, if any) → sanitize → sample floor → estimate → health
     verdict.  Besides the estimation it returns the samples actually
     estimated from (after truncation and sanitizing) and the path set
-    ([Some] iff the method is EM), so a caller can bootstrap or
+    ([Some] iff the method is EM), so a caller can read intervals from or
     fit-check the very evidence the estimate saw without enumerating
     again — [ctomo report] does.  The verdict is
     {!Tomo.Health.Rejected} exactly when fewer samples than the floor

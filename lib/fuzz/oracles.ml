@@ -694,7 +694,7 @@ let faults p rng ~env_seed (c : Compile.t) =
                               let r =
                                 try
                                   Tomo.Em.estimate ~max_iters:p.em_max_iters
-                                    ~outlier:Tomo.Em.default_outlier paths
+                                    ~robust:true paths
                                     ~samples:kept
                                 with e ->
                                   raise
@@ -735,14 +735,14 @@ let faults p rng ~env_seed (c : Compile.t) =
                                   if
                                     (not (Float.is_finite eps))
                                     || eps < 0.0
-                                    || eps
-                                       > Tomo.Em.default_outlier.Tomo.Em.max_eps
+                                    (* Em clamps ε to at most 0.5. *)
+                                    || eps > 0.5
                                   then
                                     raise
                                       (Degraded_badly
                                          (Printf.sprintf
                                             "%s: outlier eps = %h outside [0, \
-                                             max_eps]"
+                                             0.5]"
                                             proc eps)));
                               let verdict =
                                 Tomo.Health.judge ~min_samples:floor

@@ -45,16 +45,3 @@ let of_array a =
   let t = create () in
   add_many t a;
   t
-
-let quantile data q =
-  if Array.length data = 0 then invalid_arg "Summary.quantile: empty data";
-  if q < 0.0 || q > 1.0 then invalid_arg "Summary.quantile: q outside [0,1]";
-  let sorted = Array.copy data in
-  Array.sort compare sorted;
-  let n = Array.length sorted in
-  let pos = q *. float_of_int (n - 1) in
-  let lo = int_of_float (floor pos) and hi = int_of_float (ceil pos) in
-  if lo = hi then sorted.(lo)
-  else
-    let frac = pos -. float_of_int lo in
-    (sorted.(lo) *. (1.0 -. frac)) +. (sorted.(hi) *. frac)

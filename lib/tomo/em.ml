@@ -8,9 +8,10 @@ type result = {
   outlier_eps : float option;
 }
 
-type outlier = { eps : float; estimate_eps : bool; max_eps : float }
-
-let default_outlier = { eps = 0.05; estimate_eps = true; max_eps = 0.5 }
+(* The robust variant's contamination weight ε: its start, re-estimated
+   every iteration within [1e-6, 0.5]. *)
+let initial_eps = 0.05
+let max_eps = 0.5
 
 (* A window is the difference of two quantized timestamps, so the
    quantization error is triangular on (−res, res): variance (res²−1)/6 for
@@ -38,7 +39,7 @@ let group_samples samples =
 
 let clamp_theta p = Stdlib.max 1e-4 (Stdlib.min (1.0 -. 1e-4) p)
 
-let clamp_eps oc e = Stdlib.max 1e-6 (Stdlib.min oc.max_eps e)
+let clamp_eps e = Stdlib.max 1e-6 (Stdlib.min max_eps e)
 
 (* exp x underflows to exactly +0.0 below ≈ −745.14, so dropping a path
    whose log weight trails the per-value max by more than this changes no
@@ -116,11 +117,11 @@ let fill_log_theta theta ~log_t ~log_f =
    of weight ε whose support covers both the path-cost envelope and the
    observed sample range, so a sample no path could explain lands on the
    outlier component instead of producing a degenerate E-step.  σ is
-   re-estimated over the inlier responsibility mass only, and ε (when
-   re-estimated) is the outlier mass fraction, clamped.  This path makes
-   no bit-exactness promise against {!Dense}; it runs only when the caller
-   opts in, and the hex-float goldens in the tests pin its bits. *)
-let robust_step ~estimate_sigma ~log_u oc paths ~values ~counts =
+   re-estimated over the inlier responsibility mass only, and ε is the
+   outlier mass fraction, clamped.  This path makes no bit-exactness
+   promise against {!Dense}; it runs only when the caller opts in, and
+   the hex-float goldens in the tests pin its bits. *)
+let robust_step ~estimate_sigma ~log_u paths ~values ~counts =
   let model = Paths.model paths in
   let k = Model.num_params model in
   let f = Paths.flat paths in
@@ -190,7 +191,7 @@ let robust_step ~estimate_sigma ~log_u oc paths ~values ~counts =
         (if estimate_sigma then
            Stdlib.max sigma_floor (sqrt (!sq_acc /. Stdlib.max tiny !inlier_mass))
          else sg);
-      eps' = (if oc.estimate_eps then clamp_eps oc (!outlier_mass /. n_total) else eps);
+      eps' = clamp_eps (!outlier_mass /. n_total);
       ll = !ll;
     }
 
@@ -307,7 +308,7 @@ let exact_step ~estimate_sigma paths ~values ~counts =
     }
 
 let estimate ?(max_iters = 100) ?(tol = 1e-5) ?init ?(sigma = 2.0) ?(estimate_sigma = true)
-    ?(record_trajectory = true) ?outlier paths ~samples =
+    ?(record_trajectory = true) ?(robust = false) paths ~samples =
   if Array.length samples = 0 then invalid_arg "Em.estimate: no samples";
   let theta =
     match init with Some t -> Array.copy t | None -> Model.uniform_theta (Paths.model paths)
@@ -315,20 +316,17 @@ let estimate ?(max_iters = 100) ?(tol = 1e-5) ?init ?(sigma = 2.0) ?(estimate_si
   let sigma = Stdlib.max sigma_floor sigma in
   let values, counts = grouped_arrays samples in
   let drive = drive ~max_iters ~tol ~record_trajectory ~theta ~sigma in
-  match outlier with
-  | None ->
-      drive ~eps:0.0 ~robust:false
-        (exact_step ~estimate_sigma paths ~values ~counts)
-  | Some oc ->
-      (* Uniform support: the widest of the cost envelope and the sample
-         range, padded so no observation sits on a density cliff. *)
-      let pad = Stdlib.max (6.0 *. sigma) 1.0 in
-      let lo = Stdlib.min (Paths.min_cost paths) values.(0) -. pad in
-      let hi = Stdlib.max (Paths.max_cost paths) values.(Array.length values - 1) +. pad in
-      let hi = if hi > lo then hi else lo +. 1.0 in
-      let log_u = -.log (hi -. lo) in
-      drive ~eps:(clamp_eps oc oc.eps) ~robust:true
-        (robust_step ~estimate_sigma ~log_u oc paths ~values ~counts)
+  if not robust then drive ~eps:0.0 ~robust (exact_step ~estimate_sigma paths ~values ~counts)
+  else begin
+    (* Uniform support: the widest of the cost envelope and the sample
+       range, padded so no observation sits on a density cliff. *)
+    let pad = Stdlib.max (6.0 *. sigma) 1.0 in
+    let lo = Stdlib.min (Paths.min_cost paths) values.(0) -. pad in
+    let hi = Stdlib.max (Paths.max_cost paths) values.(Array.length values - 1) +. pad in
+    let hi = if hi > lo then hi else lo +. 1.0 in
+    let log_u = -.log (hi -. lo) in
+    drive ~eps:initial_eps ~robust (robust_step ~estimate_sigma ~log_u paths ~values ~counts)
+  end
 
 (* The dense per-path reference the sparse kernels were derived from.  Kept
    as a library citizen (not test scaffolding) so the equivalence tests and

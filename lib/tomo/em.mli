@@ -36,21 +36,8 @@ type result = {
           [record_trajectory:false]. *)
   outlier_eps : float option;
       (** Final contamination weight ε — [Some] iff the estimate ran with
-          [?outlier]. *)
+          [~robust:true]. *)
 }
-
-(** Contamination model for the robust variant: the path mixture gains a
-    uniform component of weight ε whose support covers both the path-cost
-    envelope and the observed sample range, so a timing no path could
-    have produced is absorbed instead of dragging θ and σ. *)
-type outlier = {
-  eps : float;  (** Initial (or fixed) contamination weight. *)
-  estimate_eps : bool;  (** Re-estimate ε as the outlier mass fraction. *)
-  max_eps : float;  (** Upper clamp on ε. *)
-}
-
-val default_outlier : outlier
-(** ε = 0.05, re-estimated, clamped to [[1e-6, 0.5]]. *)
 
 val estimate :
   ?max_iters:int ->
@@ -59,7 +46,7 @@ val estimate :
   ?sigma:float ->
   ?estimate_sigma:bool ->
   ?record_trajectory:bool ->
-  ?outlier:outlier ->
+  ?robust:bool ->
   Paths.t ->
   samples:float array ->
   result
@@ -68,15 +55,20 @@ val estimate :
 
     [record_trajectory] (default true) controls whether the per-iteration
     (θ, log-likelihood) trajectory is kept.  Hot callers that never read
-    it (bench sweeps, {!Windowed}, {!Planner}, {!Confidence}) pass false
-    to skip one θ copy per iteration.
+    it (bench sweeps, {!Windowed}) pass false to skip one θ copy per
+    iteration.
 
-    [outlier] switches on the contamination-robust variant.  Off (the
-    default), the exact sparse kernel runs and results stay bit-for-bit
-    identical to {!Dense} — robustness is strictly opt-in; on, σ is
-    re-estimated over inlier responsibility mass only and the result
-    carries the final ε in [outlier_eps].  The robust path makes no
-    bit-exactness promise against {!Dense}.
+    [robust] (default false) switches on the contamination-robust
+    variant: the path mixture gains a uniform component of weight ε
+    whose support covers both the path-cost envelope and the observed
+    sample range, so a timing no path could have produced is absorbed
+    instead of dragging θ and σ.  ε starts at 0.05 and is re-estimated
+    each iteration as the outlier mass fraction, clamped to
+    [[1e-6, 0.5]]; σ is re-estimated over inlier responsibility mass
+    only, and the result carries the final ε in [outlier_eps].  Off, the
+    exact sparse kernel runs and results stay bit-for-bit identical to
+    {!Dense}; the robust path makes no bit-exactness promise against
+    {!Dense}.
     @raise Invalid_argument on empty samples. *)
 
 val default_sigma : resolution:int -> jitter:float -> float

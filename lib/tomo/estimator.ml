@@ -31,7 +31,7 @@ let fallback model =
     outlier_eps = None;
   }
 
-let run ?(method_ = Em) ?(noise_sigma = 1.0) ?paths ?outlier model ~samples =
+let run ?(method_ = Em) ?(noise_sigma = 1.0) ?paths ?robust model ~samples =
   match method_ with
   | Naive -> { (fallback model) with method_ = Naive }
   | Moments ->
@@ -55,8 +55,7 @@ let run ?(method_ = Em) ?(noise_sigma = 1.0) ?paths ?outlier model ~samples =
       in
       (* The estimator surfaces no trajectory, so don't record one. *)
       let r =
-        Em.estimate ~sigma:noise_sigma ~record_trajectory:false ?outlier
-          paths ~samples
+        Em.estimate ~sigma:noise_sigma ~record_trajectory:false ?robust paths ~samples
       in
       {
         method_;

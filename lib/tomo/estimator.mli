@@ -26,7 +26,7 @@ type t = {
       (** The iterative method stopped on tolerance, not its iteration
           cap.  Always true for [Naive] and {!fallback}. *)
   outlier_eps : float option;
-      (** Final contamination weight — EM with [?outlier] only. *)
+      (** Final contamination weight — EM with [~robust:true] only. *)
 }
 
 val fallback : Model.t -> t
@@ -39,13 +39,13 @@ val run :
   ?method_:method_ ->
   ?noise_sigma:float ->
   ?paths:Paths.t ->
-  ?outlier:Em.outlier ->
+  ?robust:bool ->
   Model.t ->
   samples:float array ->
   t
 (** Defaults: EM, noise σ from a unit-resolution jitter-free timer.
     [~paths] supplies a pre-enumerated (typically session-cached) path
     set for the EM method, skipping re-enumeration; it must belong to
-    the same model.  [~outlier] switches the EM to its contamination-
-    robust variant ({!Em.estimate}).  Both are ignored by the other
+    the same model.  [~robust:true] switches the EM to its
+    contamination-robust variant ({!Em.estimate}).  Both are ignored by the other
     methods. *)

@@ -4,7 +4,7 @@
     Estimation over a degraded probe log can fail three ways, in
     increasing order of severity: the EM can stop on its iteration cap
     rather than its tolerance; the surviving sample count can be too thin
-    to mean anything; the bootstrap confidence interval can be so wide
+    to mean anything; the confidence interval can be so wide
     the point estimate is decorative.  Instead of letting each failure
     surface as a different exception (or worse, not at all), every
     estimation carries a verdict:
@@ -19,14 +19,16 @@
 type t = Healthy | Degraded of string | Rejected of string
 
 val default_min_samples : int
-(** 8 — below this, a bootstrap CI is meaningless. *)
+(** 8 — below this, a confidence interval is meaningless. *)
 
 val judge : ?min_samples:int -> converged:bool -> sample_count:int -> unit -> t
 (** Sample floor first (0 or thin ⇒ [Rejected]), then convergence
     (⇒ [Degraded]). *)
 
 val apply_ci_width : width:float -> t -> t
-(** Demote on bootstrap CI width (a fraction of θ mass, in [0,1]):
+(** Demote on confidence-interval width (a fraction of θ mass, in
+    [0,1]; {!Confidence} gives a parameter with no standard error the
+    width 1):
     [Healthy] becomes [Degraded] above 0.5, anything becomes [Rejected]
     above 0.95.  Never promotes. *)
 

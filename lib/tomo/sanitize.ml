@@ -1,11 +1,9 @@
-type config = {
-  envelope_slack : float;
-  mad_k : float;
-  mad_floor : float;
-  mad_min_n : int;
-}
-
-let default = { envelope_slack = 6.0; mad_k = 8.0; mad_floor = 1.0; mad_min_n = 4 }
+(* Envelope slack in noise σ; MAD cut-off in robust σ, the robust σ's
+   floor in cycles, and the fewest survivors the MAD stage runs on. *)
+let envelope_slack = 6.0
+let mad_k = 8.0
+let mad_floor = 1.0
+let mad_min_n = 4
 
 type report = {
   total : int;
@@ -35,10 +33,9 @@ let mad xs =
 (* 1.4826 makes MAD a consistent estimator of σ under normality. *)
 let mad_sigma_factor = 1.4826
 
-let run ?(config = default) ?(min_cost = Float.neg_infinity)
-    ?(max_cost = Float.infinity) ~sigma samples =
+let run ?(min_cost = Float.neg_infinity) ?(max_cost = Float.infinity) ~sigma samples =
   let total = Array.length samples in
-  let slack = config.envelope_slack *. Stdlib.max sigma 1.0 in
+  let slack = envelope_slack *. Stdlib.max sigma 1.0 in
   let lo = min_cost -. slack and hi = max_cost +. slack in
   let in_envelope = Array.to_list samples |> List.filter (fun x -> x >= lo && x <= hi) in
   let envelope_dropped = total - List.length in_envelope in
@@ -51,12 +48,11 @@ let run ?(config = default) ?(min_cost = Float.neg_infinity)
      defense. *)
   let have_envelope = Float.is_finite min_cost || Float.is_finite max_cost in
   let kept, mad_dropped =
-    if have_envelope || config.mad_k <= 0.0 || Array.length survivors < config.mad_min_n
-    then (survivors, 0)
+    if have_envelope || Array.length survivors < mad_min_n then (survivors, 0)
     else begin
       let m = median survivors in
-      let scale = Stdlib.max (mad_sigma_factor *. mad survivors) config.mad_floor in
-      let cut = config.mad_k *. scale in
+      let scale = Stdlib.max (mad_sigma_factor *. mad survivors) mad_floor in
+      let cut = mad_k *. scale in
       let keep = Array.to_list survivors |> List.filter (fun x -> Float.abs (x -. m) <= cut) in
       (Array.of_list keep, Array.length survivors - List.length keep)
     end

@@ -12,12 +12,13 @@
     Two deterministic stages (no randomness, order-preserving):
 
     + {e cost envelope}: the path model bounds every feasible window to
-      [[min_cost − slack, max_cost + slack]] where the slack scales with
-      the measurement-noise σ; anything outside is physically impossible
-      and quarantined first.
+      [[min_cost − 6σ, max_cost + 6σ]], σ the measurement noise floored
+      at 1 cycle; anything outside is physically impossible and
+      quarantined first.
     + {e MAD outlier rejection} — only when no envelope was given:
-      samples farther than [mad_k] robust standard deviations
-      (1.4826·MAD, floored) from the median are quarantined.  The
+      samples farther than 8 robust standard deviations (1.4826·MAD,
+      floored at 1 cycle, so a duplicates-only set keeps its duplicates)
+      from the median are quarantined.  The
       median/MAD pair has a 50% breakdown point, so a contaminated
       minority cannot drag the cut-offs the way it drags a mean/σ pair.
       With a finite envelope the MAD stage stands down: genuine path
@@ -28,25 +29,11 @@
       ({!Em.estimate}'s outlier mixture).
 
     Edge cases are first-class: an empty input yields an empty output;
-    fewer than [mad_min_n] survivors skip the MAD stage (a single sample
+    fewer than 4 survivors skip the MAD stage (a single sample
     or a duplicates-only set is kept, envelope permitting); a fully
     quarantined set returns [[||]] and the report says so — the caller's
     health verdict ({!Health}) turns that into a typed [Rejected], never
     an exception. *)
-
-type config = {
-  envelope_slack : float;
-      (** Slack on each side of the cost envelope, in units of the
-          measurement-noise σ (floored at 1 cycle). *)
-  mad_k : float;  (** MAD-stage cut-off multiplier; [<= 0.] disables. *)
-  mad_floor : float;
-      (** Lower bound on the robust scale (cycles), so a duplicates-only
-          sample set (MAD 0) keeps its duplicates. *)
-  mad_min_n : int;  (** Minimum survivors for the MAD stage to engage. *)
-}
-
-val default : config
-(** slack 6σ, [mad_k] 8, floor 1 cycle, [mad_min_n] 4. *)
 
 type report = {
   total : int;
@@ -56,7 +43,6 @@ type report = {
 }
 
 val run :
-  ?config:config ->
   ?min_cost:float ->
   ?max_cost:float ->
   sigma:float ->

@@ -4,10 +4,7 @@ let rng () = Stats.Rng.create 2024
 
 let moments n f =
   let r = rng () in
-  let s = Stats.Summary.create () in
-  for _ = 1 to n do
-    Stats.Summary.add s (f r)
-  done;
+  let s = Stats.Summary.of_array (Array.init n (fun _ -> f r)) in
   (Stats.Summary.mean s, Stats.Summary.stddev s)
 
 let close ?(tol = 0.05) name expected actual =

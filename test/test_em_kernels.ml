@@ -184,7 +184,7 @@ let robust_golden_case (g, eps, (config, w, proc)) () =
   Alcotest.(check int) "raw path count unchanged" g.np
     (Array.length (Tomo.Paths.paths paths));
   let r =
-    Tomo.Em.estimate ~outlier:Tomo.Em.default_outlier ~sigma:(P.noise_sigma config) paths
+    Tomo.Em.estimate ~robust:true ~sigma:(P.noise_sigma config) paths
       ~samples
   in
   check_result g.name

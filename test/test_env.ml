@@ -32,10 +32,7 @@ let test_uniform_range () =
 
 let test_gaussian_stats () =
   let e = Env.create (cfg [ (0, Env.Gaussian { mu = 500.0; sigma = 30.0 }) ] Env.Silent) in
-  let s = Stats.Summary.create () in
-  for _ = 1 to 10_000 do
-    Stats.Summary.add s (float_of_int (Env.read e 0))
-  done;
+  let s = Stats.Summary.of_array (Array.init 10_000 (fun _ -> float_of_int (Env.read e 0))) in
   Alcotest.(check bool) "mean near 500" true (abs_float (Stats.Summary.mean s -. 500.0) < 3.0)
 
 let test_random_walk_bounds () =

@@ -179,8 +179,8 @@ let test_session_opts_key () =
       let robust () =
         {
           P.default_opts with
-          P.sanitize = Some Tomo.Sanitize.default;
-          outlier = Some Tomo.Em.default_outlier;
+          P.sanitize = true;
+          robust = true;
           min_samples = 8;
         }
       in

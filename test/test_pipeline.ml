@@ -296,8 +296,8 @@ let faulted_runs =
 let hardened =
   {
     P.default_opts with
-    P.sanitize = Some Tomo.Sanitize.default;
-    outlier = Some Tomo.Em.default_outlier;
+    P.sanitize = true;
+    robust = true;
     min_samples = Tomo.Health.default_min_samples;
   }
 

@@ -26,23 +26,10 @@ let test_merge () =
   Alcotest.(check int) "merged count" 7 (Stats.Summary.count merged)
 
 let test_merge_empty () =
-  let a = Stats.Summary.create () in
+  let a = Stats.Summary.of_array [||] in
   let b = Stats.Summary.of_array [| 2.0; 4.0 |] in
   let merged = Stats.Summary.merge a b in
   feq "empty + b mean" 3.0 (Stats.Summary.mean merged)
-
-let test_quantile () =
-  let data = [| 4.0; 1.0; 3.0; 2.0 |] in
-  feq "median" 2.5 (Stats.Summary.quantile data 0.5);
-  feq "min" 1.0 (Stats.Summary.quantile data 0.0);
-  feq "max" 4.0 (Stats.Summary.quantile data 1.0);
-  feq "q25" 1.75 (Stats.Summary.quantile data 0.25)
-
-let test_quantile_errors () =
-  Alcotest.check_raises "empty" (Invalid_argument "Summary.quantile: empty data") (fun () ->
-      ignore (Stats.Summary.quantile [||] 0.5));
-  Alcotest.check_raises "bad q" (Invalid_argument "Summary.quantile: q outside [0,1]")
-    (fun () -> ignore (Stats.Summary.quantile [| 1.0 |] 1.5))
 
 let qcheck_tests =
   [
@@ -73,7 +60,5 @@ let suite =
     Alcotest.test_case "single" `Quick test_single;
     Alcotest.test_case "merge" `Quick test_merge;
     Alcotest.test_case "merge empty" `Quick test_merge_empty;
-    Alcotest.test_case "quantile" `Quick test_quantile;
-    Alcotest.test_case "quantile errors" `Quick test_quantile_errors;
   ]
   @ qcheck_tests

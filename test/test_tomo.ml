@@ -212,11 +212,10 @@ let test_em_robustness_opt_in () =
   let samples = synth_samples ~noise:0.5 m [| 0.4 |] 19 in
   let r = Tomo.Em.estimate p ~samples in
   Alcotest.(check bool) "no outlier: eps absent" true (r.Tomo.Em.outlier_eps = None);
-  let fixed = { Tomo.Em.eps = 0.1; estimate_eps = false; max_eps = 0.5 } in
-  let r = Tomo.Em.estimate ~outlier:fixed p ~samples in
-  (match r.Tomo.Em.outlier_eps with
-  | Some eps -> feq "fixed eps stays fixed" 0.1 eps
-  | None -> Alcotest.fail "eps expected")
+  let r = Tomo.Em.estimate ~robust:true p ~samples in
+  match r.Tomo.Em.outlier_eps with
+  | Some eps -> Alcotest.(check bool) "robust: eps within its clamp" true (eps >= 1e-6 && eps <= 0.5)
+  | None -> Alcotest.fail "eps expected"
 
 let test_em_robust_under_contamination () =
   let m = diamond_model () in
@@ -227,7 +226,7 @@ let test_em_robust_under_contamination () =
   let garbage = Array.init 300 (fun i -> 500.0 +. float_of_int (i mod 7)) in
   let samples = Array.append clean garbage in
   let plain = Tomo.Em.estimate ~sigma:0.5 p ~samples in
-  let robust = Tomo.Em.estimate ~sigma:0.5 ~outlier:Tomo.Em.default_outlier p ~samples in
+  let robust = Tomo.Em.estimate ~sigma:0.5 ~robust:true p ~samples in
   let err r = abs_float (r.Tomo.Em.theta.(0) -. 0.3) in
   feq ~tol:0.03 "robust theta survives the garbage" 0.3 robust.Tomo.Em.theta.(0);
   Alcotest.(check bool) "and beats the plain EM" true (err robust < err plain);
@@ -245,7 +244,7 @@ let test_em_robust_clean_data () =
   let p = Paths.enumerate m in
   let samples = synth_samples ~noise:0.5 ~n:3000 m [| 0.3 |] 21 in
   let exact = Tomo.Em.estimate ~sigma:0.5 p ~samples in
-  let robust = Tomo.Em.estimate ~sigma:0.5 ~outlier:Tomo.Em.default_outlier p ~samples in
+  let robust = Tomo.Em.estimate ~sigma:0.5 ~robust:true p ~samples in
   feq ~tol:0.01 "theta unchanged" exact.Tomo.Em.theta.(0) robust.Tomo.Em.theta.(0);
   match robust.Tomo.Em.outlier_eps with
   | Some eps -> Alcotest.(check bool) "eps near zero" true (eps < 0.02)

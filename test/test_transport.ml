@@ -157,8 +157,8 @@ let test_pipeline_determinism_across_domains () =
         ~opts:
           {
             P.default_opts with
-            P.sanitize = Some Tomo.Sanitize.default;
-            outlier = Some Tomo.Em.default_outlier;
+            P.sanitize = true;
+            robust = true;
             min_samples = 8;
           }
         ~config Workloads.filter

@@ -103,7 +103,13 @@ type report = {
   drift : (string * float) list;
       (** Max {!Tomo.Windowed} window-to-window drift per procedure
           across nodes (0 where no node fed enough samples) — the
-          re-placement signal. *)
+          re-placement signal.  Each node's fed stream is windowed with
+          the contamination-robust EM, so a corrupted timestamp that
+          slips past ingest neither fakes a drift nor runs its window
+          to the iteration cap.  The check reads every fed sample back
+          through {!Ingest.samples}; [Ingest] keeps that history
+          ([samples_rev]) because the perfbench recomposition reads
+          [Ingest.samples] too, so memory still grows with the stream. *)
 }
 
 val run : ?session:Codetomo.Session.t -> config -> report

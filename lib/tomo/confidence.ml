@@ -10,6 +10,11 @@ let z90 = 1.6449
 
 let expit x = 1.0 /. (1.0 +. exp (-.x))
 
+(* EM's clamp ({!Em.estimate} keeps θ within [1e-4, 1 − 1e-4]). *)
+let clamp = 1e-4
+
+let on_clamp p = p <= clamp || p >= 1.0 -. clamp
+
 (* Louis's observed information: per distinct value x seen n times,
    n (E[B|x] − Cov[S|x]), with S and B a signature's complete-data score
    and diagonal curvature, weighted by EM's responsibilities. *)
@@ -85,11 +90,17 @@ let information paths ~samples ~point ~sigma =
   let intervals =
     Array.init k (fun j ->
         let p = point.(j) in
-        if Float.is_finite se.(j) then
+        if not (Float.is_finite se.(j)) then { lo = 0.0; point = p; hi = 1.0 }
+        else if on_clamp p then
+          (* The logit half width scales with 1/(θ(1−θ)), thousands of
+             standard errors on the clamp: read the interval on the θ
+             scale there. *)
+          let h = z90 *. se.(j) in
+          { lo = Float.max 0.0 (p -. h); point = p; hi = Float.min 1.0 (p +. h) }
+        else
           let l = log (p /. (1.0 -. p)) and h = z90 *. se.(j) /. (p *. (1.0 -. p)) in
           (* min/max only guard the rounding of expit (logit p) = p. *)
-          { lo = Float.min p (expit (l -. h)); point = p; hi = Float.max p (expit (l +. h)) }
-        else { lo = 0.0; point = p; hi = 1.0 })
+          { lo = Float.min p (expit (l -. h)); point = p; hi = Float.max p (expit (l +. h)) })
   in
   { intervals; se; samples = Array.length samples }
 

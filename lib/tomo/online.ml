@@ -54,6 +54,16 @@ let theta t = Array.init (Array.length t.taken_acc) (theta_at t)
 
 let half_log_two_pi = 0.5 *. log (2.0 *. Float.pi)
 
+(* exp x underflows to exactly +0.0 below ≈ −745.14 (as in {!Em}), so a
+   signature trailing the best log weight by this much gets 0.0 without
+   its [exp]. *)
+let log_threshold = 746.0
+
+(* A responsibility whose log lies below this is under 1e-12 / e, which
+   the replay's 1e-12 threshold drops anyway; the margin of 1 in log
+   space dwarfs the rounding of exp. *)
+let log_resp_cut = log 1e-12 -. 1.0
+
 (* Decay the sufficient statistics ahead of one observation's update. *)
 let decay_all t =
   for j = 0 to Array.length t.taken_acc - 1 do
@@ -66,7 +76,9 @@ let decay_all t =
    (merged paths share them exactly); the normalizer and the sufficient-
    statistic updates are then replayed per raw path in enumeration order
    ({!Paths.replay_normalizers}, {!Paths.replay_accumulate}), so every sum
-   rounds exactly as the per-path reference {!Dense} does. *)
+   rounds exactly as the per-path reference {!Dense} does.  An [exp] whose
+   result is provably 0.0, or dropped by the replay's threshold, is not
+   evaluated. *)
 let observe t value =
   let cost = (Paths.flat t.paths).Paths.sig_cost in
   let ns = Array.length cost in
@@ -86,12 +98,14 @@ let observe t value =
   done;
   let best = !best in
   for s = 0 to ns - 1 do
-    t.expw.(s) <- exp (t.lw.(s) -. best)
+    let w = t.lw.(s) in
+    t.expw.(s) <- (if best -. w >= log_threshold then 0.0 else exp (w -. best))
   done;
   Paths.replay_normalizers t.replay t.expw t.norm;
   let lse = best +. log t.norm.(0) in
   for s = 0 to ns - 1 do
-    t.resp.(s) <- exp (t.lw.(s) -. lse)
+    let d = t.lw.(s) -. lse in
+    t.resp.(s) <- (if d < log_resp_cut then 0.0 else exp d)
   done;
   decay_all t;
   Paths.replay_accumulate t.replay ~threshold:1e-12 ~resp:t.resp ~sq:t.no_sq

@@ -1,4 +1,10 @@
-type window = { index : int; first_sample : int; theta : float array; drift : float }
+type window = {
+  index : int;
+  first_sample : int;
+  theta : float array;
+  drift : float;
+  converged : bool;
+}
 
 type t = { windows : window list; max_drift : float }
 
@@ -37,7 +43,7 @@ let estimate ?(window_size = 200) ?sigma paths ~samples =
       (fun index (s, finish) ->
         let chunk = Array.sub samples s (finish - s) in
         let r =
-          Em.estimate ~max_iters ~init:!prev ?sigma ~record_trajectory:false paths
+          Em.estimate ~max_iters ~init:!prev ?sigma ~record_trajectory:false ~robust:true paths
             ~samples:chunk
         in
         let drift =
@@ -47,7 +53,7 @@ let estimate ?(window_size = 200) ?sigma paths ~samples =
         in
         prev := r.Em.theta;
         if drift > !max_drift then max_drift := drift;
-        { index; first_sample = s; theta = r.Em.theta; drift })
+        { index; first_sample = s; theta = r.Em.theta; drift; converged = r.Em.converged })
       boundaries
   in
   { windows; max_drift = !max_drift }

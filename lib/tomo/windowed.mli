@@ -14,6 +14,9 @@ type window = {
   theta : float array;
   drift : float;
       (** Max |Δθ| against the previous window (0 for the first). *)
+  converged : bool;
+      (** Whether this window's EM met its tolerance before the
+          iteration cap ({!Em.result.converged}). *)
 }
 
 type t = {
@@ -30,8 +33,19 @@ val estimate :
 (** Default window 200 samples; a trailing partial window is kept if it
     has at least a quarter of [window_size] samples (and at least one),
     otherwise folded into the previous one.  Each window runs
-    {!Em.estimate} for at most 40 iterations, warm-started from the previous window's θ; σ is re-estimated in every
-    window, each time starting from [sigma] (default: {!Em.estimate}'s).
+    the contamination-robust {!Em.estimate} ([~robust:true]) for at most
+    40 iterations, warm-started from the previous window's θ; σ is
+    re-estimated in every window, each time starting from [sigma]
+    (default: {!Em.estimate}'s).
+
+    The robust kernel is used because a drift check runs over the field
+    stream: one corrupted timestamp (a window up to ±32768 cycles off)
+    pushes the exact EM's σ̂ into the thousands, after which θ barely
+    moves, every window runs to the cap over all raw paths, and the
+    drift read is noise.  The robust model absorbs such windows into
+    its uniform component ε and re-fits σ over the inliers, so a
+    corrupted window neither fakes nor hides a drift and converges in a
+    few iterations.
     @raise Invalid_argument when samples are fewer than half a window. *)
 
 val drifted : t -> bool

@@ -69,7 +69,38 @@ let test_ci_binomial_se () =
     true
     (abs_float (se -. binomial) <= 0.01 *. binomial)
 
+(* A θ on EM's clamp keeps a finite standard error; its interval must
+   be read on the θ scale, not span [0,1] from the logit blow-up. *)
+let test_ci_on_clamp () =
+  let paths, samples = synth_samples ~n:1000 1.0 16 in
+  let point = 1.0 -. 1e-4 in
+  let ci = Tomo.Confidence.information paths ~samples ~point:[| point |] ~sigma:0.1 in
+  let itv = ci.Tomo.Confidence.intervals.(0) and se = ci.Tomo.Confidence.se.(0) in
+  Alcotest.(check bool) (Printf.sprintf "finite se %g" se) true (Float.is_finite se);
+  Alcotest.(check (float 1e-12)) "hi clipped to 1" 1.0 itv.Tomo.Confidence.hi;
+  Alcotest.(check (float 1e-12)) "lo = point - z90 se" (point -. (1.6449 *. se))
+    itv.Tomo.Confidence.lo;
+  Alcotest.(check bool) "contains its point" true (Tomo.Confidence.contains ci 0 point);
+  Alcotest.(check bool)
+    (Printf.sprintf "narrow, not [0,1] (width %.3f)" (Tomo.Confidence.width itv))
+    true
+    (Tomo.Confidence.width itv < 0.1)
+
 (* --- Windowed --- *)
+
+(* Replace 3% of the samples, spread over the stream, by corrupted
+   timestamps ±20000 cycles away, as a flipped timer bit reads. *)
+let corrupt samples =
+  let rng = Stats.Rng.create 17 in
+  let n = Array.length samples in
+  let bad = 3 * n / 100 in
+  let stride = n / bad in
+  let out = Array.copy samples in
+  for i = 0 to bad - 1 do
+    let at = (i * stride) + Stats.Rng.int rng stride in
+    out.(at) <- (if i mod 2 = 0 then 20000.0 else -20000.0)
+  done;
+  out
 
 let test_windowed_stationary () =
   let paths, samples = synth_samples ~n:1000 0.3 9 in
@@ -80,6 +111,44 @@ let test_windowed_stationary () =
   Alcotest.(check bool) "final theta close" true
     (abs_float (last.Tomo.Windowed.theta.(0) -. 0.3) < 0.07)
 
+(* Robust windows shrug off the corruption: no spurious drift, every
+   window converged well inside the iteration cap, and every window's θ
+   near the truth.  The exact EM fails both ways: on the diamond a
+   corrupted window sends σ̂ into the thousands after one iteration and
+   θ freezes wherever that iteration left it (0.1 off in window 0); on
+   the loop every window runs to the cap. *)
+let test_windowed_corrupted_stationary () =
+  let loop =
+    Tomo.Model.of_cfg ~call_residual:0 ~window_correction:0
+      (Cfg.of_proc_name
+         (Asm.assemble
+            [
+              Asm.Proc "g"; Asm.Label "head"; Asm.movi 0 1; Asm.cmpi 0 0; Asm.br Isa.Eq "head";
+              Asm.ret;
+            ])
+         "g")
+  in
+  List.iter
+    (fun (name, paths, theta) ->
+      let rng = Stats.Rng.create 9 in
+      let samples = corrupt (Tomo.Paths.sample_costs rng paths ~theta:[| theta |] ~n:1000) in
+      let w = Tomo.Windowed.estimate ~window_size:250 paths ~samples in
+      Alcotest.(check bool) (name ^ ": no drift") false (Tomo.Windowed.drifted w);
+      List.iter
+        (fun win ->
+          let i = win.Tomo.Windowed.index and t = win.Tomo.Windowed.theta.(0) in
+          Alcotest.(check bool) (Printf.sprintf "%s: window %d converged" name i) true
+            win.Tomo.Windowed.converged;
+          Alcotest.(check bool)
+            (Printf.sprintf "%s: window %d theta %.4f close" name i t)
+            true
+            (abs_float (t -. theta) < 0.07))
+        w.Tomo.Windowed.windows)
+    [
+      ("diamond", Tomo.Paths.enumerate (diamond_model ()), 0.3);
+      ("loop", Tomo.Paths.enumerate ~max_visits:20 loop, 0.6);
+    ]
+
 let test_windowed_detects_shift () =
   let m = diamond_model () in
   let paths = Tomo.Paths.enumerate m in
@@ -89,6 +158,16 @@ let test_windowed_detects_shift () =
   let w = Tomo.Windowed.estimate ~window_size:200 paths ~samples:(Array.append early late) in
   Alcotest.(check bool) "drift detected" true (Tomo.Windowed.drifted w);
   Alcotest.(check bool) "big drift" true (w.Tomo.Windowed.max_drift > 0.5)
+
+let test_windowed_corrupted_shift () =
+  let m = diamond_model () in
+  let paths = Tomo.Paths.enumerate m in
+  let rng = Stats.Rng.create 10 in
+  let early = Tomo.Paths.sample_costs rng paths ~theta:[| 0.9 |] ~n:600 in
+  let late = Tomo.Paths.sample_costs rng paths ~theta:[| 0.1 |] ~n:600 in
+  let samples = corrupt (Array.append early late) in
+  let w = Tomo.Windowed.estimate ~window_size:200 paths ~samples in
+  Alcotest.(check bool) "drift detected" true (Tomo.Windowed.drifted w)
 
 let test_windowed_tail_folding () =
   let paths, samples = synth_samples ~n:420 0.5 11 in
@@ -372,11 +451,15 @@ let suite =
     Alcotest.test_case "ci shrinks" `Slow test_ci_shrinks_with_samples;
     Alcotest.test_case "ci empty" `Quick test_ci_empty_samples;
     Alcotest.test_case "ci binomial se" `Quick test_ci_binomial_se;
+    Alcotest.test_case "ci on the clamp" `Quick test_ci_on_clamp;
     Alcotest.test_case "ci contains its point at jitter 8" `Quick
       test_ci_contains_point_at_jitter_8;
     Alcotest.test_case "ci wide on a wrong estimate" `Quick test_ci_wide_on_wrong_estimate;
     Alcotest.test_case "windowed stationary" `Quick test_windowed_stationary;
     Alcotest.test_case "windowed detects shift" `Quick test_windowed_detects_shift;
+    Alcotest.test_case "windowed corrupted stationary" `Quick
+      test_windowed_corrupted_stationary;
+    Alcotest.test_case "windowed corrupted shift" `Quick test_windowed_corrupted_shift;
     Alcotest.test_case "windowed tail folding" `Quick test_windowed_tail_folding;
     Alcotest.test_case "windowed too few" `Quick test_windowed_too_few;
     Alcotest.test_case "windowed small windows" `Quick test_windowed_small_windows;

@@ -105,8 +105,11 @@ type report = {
           across nodes (0 where no node fed enough samples) — the
           re-placement signal.  Each node's fed stream is windowed with
           the contamination-robust EM, so a corrupted timestamp that
-          slips past ingest neither fakes a drift nor runs its window
-          to the iteration cap.  The check reads every fed sample back
+          slips past ingest moves no window's θ and does not run its
+          window to the iteration cap.  The figure is still the largest
+          of the windows' sampling noise, so a rarely reached branch can
+          read above {!Tomo.Windowed.drifted}'s 0.15 on a stationary
+          stream.  The check reads every fed sample back
           through {!Ingest.samples}; [Ingest] keeps that history
           ([samples_rev]) because the perfbench recomposition reads
           [Ingest.samples] too, so memory still grows with the stream. *)

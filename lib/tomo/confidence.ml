@@ -10,10 +10,7 @@ let z90 = 1.6449
 
 let expit x = 1.0 /. (1.0 +. exp (-.x))
 
-(* EM's clamp ({!Em.estimate} keeps θ within [1e-4, 1 − 1e-4]). *)
-let clamp = 1e-4
-
-let on_clamp p = p <= clamp || p >= 1.0 -. clamp
+let on_clamp p = p <= Em.theta_bound || p >= 1.0 -. Em.theta_bound
 
 (* Louis's observed information: per distinct value x seen n times,
    n (E[B|x] − Cov[S|x]), with S and B a signature's complete-data score

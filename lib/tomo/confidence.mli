@@ -38,9 +38,9 @@ val information :
   Paths.t -> samples:float array -> point:float array -> sigma:float -> t
 (** 90% Wald intervals on the logit scale,
     expit(logit θ ± 1.6449 · se / (θ(1−θ))), so each lies inside [0,1]
-    and contains its point.  A point on EM's clamp (θ ≤ 1e-4 or
-    θ ≥ 1 − 1e-4) gets the θ-scale interval θ ± 1.6449 · se clipped to
-    [0,1] instead: there the logit half width is thousands of standard
+    and contains its point.  A point on EM's clamp
+    (θ ≤ {!Em.theta_bound} or θ ≥ 1 − {!Em.theta_bound}) gets the
+    θ-scale interval θ ± 1.6449 · se clipped to [0,1] instead: there the logit half width is thousands of standard
     errors and would always span [0,1].  [point] is EM's θ (strictly
     inside (0,1), as EM's clamp keeps it) and [sigma] its σ̂.
     Deterministic.

@@ -37,7 +37,9 @@ let group_samples samples =
   Array.sort (fun (a, _) (b, _) -> Float.compare a b) grouped;
   grouped
 
-let clamp_theta p = Stdlib.max 1e-4 (Stdlib.min (1.0 -. 1e-4) p)
+let theta_bound = 1e-4
+
+let clamp_theta p = Stdlib.max theta_bound (Stdlib.min (1.0 -. theta_bound) p)
 
 let clamp_eps e = Stdlib.max 1e-6 (Stdlib.min max_eps e)
 

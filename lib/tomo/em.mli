@@ -71,6 +71,10 @@ val estimate :
     {!Dense}.
     @raise Invalid_argument on empty samples. *)
 
+val theta_bound : float
+(** EM keeps every θ within [[theta_bound, 1 − theta_bound]] (1e-4), so a
+    fully biased branch reads 1 − 1e-4 instead of 1. *)
+
 val default_sigma : resolution:int -> jitter:float -> float
 (** Noise scale implied by the timer configuration for a {e differenced}
     pair of timestamps: √((resolution²−1)/6 + 2·jitter²), floored at

@@ -48,7 +48,7 @@ let create ?(decay = 0.999) ?(sigma = 1.0) paths =
 
 let theta_at t j =
   if t.either_acc.(j) <= 1e-12 then 0.5
-  else Stdlib.max 1e-4 (Stdlib.min (1.0 -. 1e-4) (t.taken_acc.(j) /. t.either_acc.(j)))
+  else Stdlib.max Em.theta_bound (Stdlib.min (1.0 -. Em.theta_bound) (t.taken_acc.(j) /. t.either_acc.(j)))
 
 let theta t = Array.init (Array.length t.taken_acc) (theta_at t)
 

@@ -43,11 +43,15 @@ val estimate :
     pushes the exact EM's σ̂ into the thousands, after which θ barely
     moves, every window runs to the cap over all raw paths, and the
     drift read is noise.  The robust model absorbs such windows into
-    its uniform component ε and re-fits σ over the inliers, so a
-    corrupted window neither fakes nor hides a drift and converges in a
-    few iterations.
+    its uniform component ε and re-fits σ over the inliers, so each
+    window's θ is the one its clean samples give and the fit converges
+    in a few iterations.  What is left of the drift is each window's own
+    sampling noise.
     @raise Invalid_argument when samples are fewer than half a window. *)
 
 val drifted : t -> bool
 (** True when any window-to-window drift exceeds 0.15 — the "re-run the
-    placement pass" signal. *)
+    placement pass" signal.  The threshold does not scale with how often
+    a branch is reached: one seen about a hundred times per window moves
+    by about 0.07 (one standard deviation) from window to window on a
+    stationary stream, so such a stream can cross it. *)

@@ -73,7 +73,7 @@ let test_ci_binomial_se () =
    be read on the θ scale, not span [0,1] from the logit blow-up. *)
 let test_ci_on_clamp () =
   let paths, samples = synth_samples ~n:1000 1.0 16 in
-  let point = 1.0 -. 1e-4 in
+  let point = 1.0 -. Tomo.Em.theta_bound in
   let ci = Tomo.Confidence.information paths ~samples ~point:[| point |] ~sigma:0.1 in
   let itv = ci.Tomo.Confidence.intervals.(0) and se = ci.Tomo.Confidence.se.(0) in
   Alcotest.(check bool) (Printf.sprintf "finite se %g" se) true (Float.is_finite se);
@@ -111,12 +111,27 @@ let test_windowed_stationary () =
   Alcotest.(check bool) "final theta close" true
     (abs_float (last.Tomo.Windowed.theta.(0) -. 0.3) < 0.07)
 
+(* The taken fraction counted from a window's uncorrupted samples, each
+   matched to the path of its cost. *)
+let clean_theta paths chunk =
+  let taken = ref 0 and either = ref 0 in
+  Array.iter
+    (fun x ->
+      match Array.find_opt (fun p -> p.Tomo.Paths.cost = x) (Tomo.Paths.paths paths) with
+      | Some p ->
+          taken := !taken + p.Tomo.Paths.taken.(0);
+          either := !either + p.Tomo.Paths.taken.(0) + p.Tomo.Paths.nottaken.(0)
+      | None -> ())
+    chunk;
+  float_of_int !taken /. float_of_int !either
+
 (* Robust windows shrug off the corruption: no spurious drift, every
    window converged well inside the iteration cap, and every window's θ
-   near the truth.  The exact EM fails both ways: on the diamond a
-   corrupted window sends σ̂ into the thousands after one iteration and
-   θ freezes wherever that iteration left it (0.1 off in window 0); on
-   the loop every window runs to the cap. *)
+   the one its clean samples give, so near the truth.  The exact EM
+   fails both ways: on the diamond a corrupted window sends σ̂ into the
+   thousands after one iteration and θ freezes wherever that iteration
+   left it (0.1 off in window 0); on the loop every window runs to the
+   cap. *)
 let test_windowed_corrupted_stationary () =
   let loop =
     Tomo.Model.of_cfg ~call_residual:0 ~window_correction:0
@@ -142,7 +157,12 @@ let test_windowed_corrupted_stationary () =
           Alcotest.(check bool)
             (Printf.sprintf "%s: window %d theta %.4f close" name i t)
             true
-            (abs_float (t -. theta) < 0.07))
+            (abs_float (t -. theta) < 0.07);
+          let counted = clean_theta paths (Array.sub samples win.Tomo.Windowed.first_sample 250) in
+          Alcotest.(check bool)
+            (Printf.sprintf "%s: window %d theta %.4f = clean count %.4f" name i t counted)
+            true
+            (abs_float (t -. counted) < 1e-3))
         w.Tomo.Windowed.windows)
     [
       ("diamond", Tomo.Paths.enumerate (diamond_model ()), 0.3);

@@ -929,9 +929,16 @@ let streaming p rng ~env_seed (c : Compile.t) =
                           Array.append samples
                             [| lo -. 4000.0; hi +. 4000.0; ((lo +. hi) /. 2.0) +. 0.5 |]
                         in
-                        Option.map
-                          (fun msg -> Printf.sprintf "%s: %s" pi.Program.name msg)
-                          (online_mismatch ~decay ~sigma paths stream))
+                        (* Also at the σ of a jitter-free timer, where an
+                           observation reaches one or two signatures; a
+                           fixed value, so the case RNG draws as before. *)
+                        List.find_map
+                          (fun sigma ->
+                            Option.map
+                              (fun msg ->
+                                Printf.sprintf "%s sigma=%g: %s" pi.Program.name sigma msg)
+                              (online_mismatch ~decay ~sigma paths stream))
+                          [ sigma; Tomo.Em.default_sigma ~resolution:1 ~jitter:0.0 ])
                 (Program.procs instrumented)
             in
             match online_failure with

@@ -159,9 +159,14 @@ let robust_step ~estimate_sigma ~log_u paths ~values ~counts =
         if w > !best then best := w
       done;
       let best = !best in
+      (* A signature trailing [best] by [log_threshold] or more has exp
+         0.0 in the normalizer, and in its responsibility too (z ≥ 1,
+         so lse ≥ best): its terms are skipped without their [exp]s.
+         Written as [not (… >= …)] so a NaN weight still propagates. *)
       let z = ref (exp (log_out -. best)) in
       for s = 0 to ns - 1 do
-        z := !z +. (mult.(s) *. exp (lw.(s) -. best))
+        let w = lw.(s) in
+        if not (best -. w >= log_threshold) then z := !z +. (mult.(s) *. exp (w -. best))
       done;
       let lse = best +. log !z in
       ll := !ll +. (count *. lse);
@@ -169,7 +174,8 @@ let robust_step ~estimate_sigma ~log_u paths ~values ~counts =
       for s = 0 to ns - 1 do
         (* One path's responsibility times the signature multiplicity:
            merged paths share identical branch counts by construction. *)
-        let r = mult.(s) *. count *. exp (lw.(s) -. lse) in
+        let w = lw.(s) in
+        let r = if best -. w >= log_threshold then 0.0 else mult.(s) *. count *. exp (w -. lse) in
         if r > 0.0 then begin
           for i = toff.(s) to toff.(s + 1) - 1 do
             let j = tidx.(i) in

@@ -18,7 +18,33 @@
     {!Paths.replay_accumulate} — the same replay batch EM uses, which
     visits only the raw paths whose updates can change a bit).  The
     result is bit-identical to the per-path update ({!Dense}) — on
-    [ctp_rx_task], 176 signatures stand for 4096 raw paths. *)
+    [ctp_rx_task], 176 signatures stand for 4096 raw paths.
+
+    {b The reach band.}  An observation weighs only the signatures
+    within reach of its value.  Every log prior is ≤ 0, so a
+    signature's Gaussian term −z²/2 − log σ − ½ log 2π bounds its log
+    weight from above.  Starting from the nearest cost in
+    {!Paths.cost_order}, the observation weighs signatures outward, the
+    nearer side first, and stops at the first whose bound trails the
+    best log weight found so far by more than 746 + 1: every signature
+    left out would have an [exp] that underflows to 0.0 and a
+    responsibility under the replay's cut.  The normalizer then sums
+    only the live signatures' raw paths, in ascending raw order
+    ({!Paths.replay_live_normalizer}); the terms it skips are +0.0, so
+    θ and the effective weight keep the bits of {!Dense}.  At the σ of
+    a jitter-free timer (0.1) an observation of [ctp_rx_task] reaches
+    one or two signatures.
+
+    {b When every signature is weighed.}  Before the walk, the band is
+    estimated from the nearest signature's weight (a lower bound on the
+    best), and one cost rule compares its signatures and raw paths with
+    weighing every signature and summing every raw path.  When the band
+    would cost as much — a wide σ (on [ctp_rx_task], nearly every
+    observation at timer jitter 8 and about a third at jitter 4), a set
+    of a few signatures ([sense_task]'s 2), or a value that is NaN or
+    infinite — the observation weighs every signature, as it always
+    did.  The choice is made per observation
+    and needs no option. *)
 
 type t
 
@@ -30,7 +56,9 @@ val create : ?decay:float -> ?sigma:float -> Paths.t -> t
     positive and finite (NaN fails both checks). *)
 
 val observe : t -> float -> unit
-(** Feed one end-to-end timing observation. *)
+(** Feed one end-to-end timing observation.  Its cost follows the
+    signatures within reach of the value (see the reach band above),
+    not the number of raw paths, unless the band is too wide to pay. *)
 
 val observe_all : t -> float array -> unit
 

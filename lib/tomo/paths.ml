@@ -55,6 +55,7 @@ type t = {
       (* Signature [s]'s raw path indices, ascending, are [raw_pos.(raw_off.(s))]
          to [raw_pos.(raw_off.(s + 1) − 1)]. *)
   max_cnt : float array;  (* Per signature: its largest taken or not-taken count. *)
+  cost_order : int array;  (* The signatures by ascending cost, ties by index. *)
   plan : plan option Atomic.t;
       (* Built by the first replay that has walked enough paths to pay
          for it ({!chain_plan}).  Domains racing to build it build equal
@@ -346,6 +347,10 @@ let enumerate ?(max_paths = 4096) ?(max_visits = 12) ?max_steps model =
     raw_off;
     raw_pos;
     max_cnt;
+    cost_order =
+      List.init ns Fun.id
+      |> List.stable_sort (fun a b -> Float.compare flat.sig_cost.(a) flat.sig_cost.(b))
+      |> Array.of_list;
     plan = Atomic.make None;
   }
 
@@ -355,6 +360,7 @@ let truncated t = t.truncated
 let signature_of_path t = t.signature_of_path
 let num_signatures t = Array.length t.flat.sig_cost
 let flat t = t.flat
+let cost_order t = t.cost_order
 
 let log_prior t ~theta =
   Model.check_theta t.model theta;
@@ -369,17 +375,20 @@ let log_prior t ~theta =
       !acc)
     t.paths
 
-let signature_log_prior t ~log_t ~log_f out =
+let signature_log_prior_at t ~log_t ~log_f out s =
   let f = t.flat in
-  for s = 0 to Array.length f.sig_cost - 1 do
-    let acc = ref 0.0 in
-    for i = f.taken_off.(s) to f.taken_off.(s + 1) - 1 do
-      acc := !acc +. (f.taken_cnt.(i) *. log_t.(f.taken_idx.(i)))
-    done;
-    for i = f.nottaken_off.(s) to f.nottaken_off.(s + 1) - 1 do
-      acc := !acc +. (f.nottaken_cnt.(i) *. log_f.(f.nottaken_idx.(i)))
-    done;
-    out.(s) <- !acc
+  let acc = ref 0.0 in
+  for i = f.taken_off.(s) to f.taken_off.(s + 1) - 1 do
+    acc := !acc +. (f.taken_cnt.(i) *. log_t.(f.taken_idx.(i)))
+  done;
+  for i = f.nottaken_off.(s) to f.nottaken_off.(s + 1) - 1 do
+    acc := !acc +. (f.nottaken_cnt.(i) *. log_f.(f.nottaken_idx.(i)))
+  done;
+  out.(s) <- !acc
+
+let signature_log_prior t ~log_t ~log_f out =
+  for s = 0 to num_signatures t - 1 do
+    signature_log_prior_at t ~log_t ~log_f out s
   done
 
 type sums = { mutable sq : float; mutable gap_floor : float; mutable sq_gap : float }
@@ -416,6 +425,8 @@ type replay = {
   live : int array;  (* The signatures the current value must replay… *)
   mutable n_live : int;  (* …in its first [n_live] entries, ascending. *)
   mark : int array;  (* The live walk's raw-path bitset; all clear between calls. *)
+  mutable mark_lo : int;
+  mutable mark_hi : int;  (* The first and last word {!mark_live} set. *)
 }
 
 (* Looking for no-op terms costs, per call, a half gap per accumulator
@@ -456,6 +467,8 @@ let replay (set : t) =
     live = Array.make ns 0;
     n_live = 0;
     mark = Array.make ((Array.length set.signature_of_path / mark_bits) + 1) 0;
+    mark_lo = 0;
+    mark_hi = -1;
   }
 
 (* Laying out the plan costs about [plan_cost] path walks over all raw
@@ -616,18 +629,14 @@ let find_live rp ~limit ~threshold ~resp ~sq ~taken ~either =
   rp.n_live <- !n;
   !work
 
-(* Few live signatures: mark their raw paths, then visit the marked
-   paths in ascending raw order, updating the accumulators in place.
-   Cost: the live paths plus one read per bitset word. *)
-let accumulate_by_path rp ~resp ~sq ~taken ~either =
+(* Mark the raw paths of signatures [live.(0)] to [live.(n − 1)] in the
+   bitset and record the first and last marked word. *)
+let mark_live rp live n =
   let set = rp.set in
-  let sig_of = set.signature_of_path and f = set.flat in
-  let toff = f.taken_off and tidx = f.taken_idx and tcnt = f.taken_cnt in
-  let foff = f.nottaken_off and fidx = f.nottaken_idx and fcnt = f.nottaken_cnt in
   let mark = rp.mark and raw_off = set.raw_off and raw_pos = set.raw_pos in
   let lo = ref (Array.length mark) and hi = ref (-1) in
-  for i = 0 to rp.n_live - 1 do
-    let s = rp.live.(i) in
+  for i = 0 to n - 1 do
+    let s = live.(i) in
     for e = raw_off.(s) to raw_off.(s + 1) - 1 do
       let p = raw_pos.(e) in
       let q = p / mark_bits in
@@ -636,8 +645,37 @@ let accumulate_by_path rp ~resp ~sq ~taken ~either =
       if q > !hi then hi := q
     done
   done;
+  rp.mark_lo <- !lo;
+  rp.mark_hi <- !hi
+
+(* Visit the marked raw paths in ascending order, clearing the bitset. *)
+let replay_live_normalizer rp w ~live n =
+  mark_live rp live n;
+  let sig_of = rp.set.signature_of_path and mark = rp.mark in
+  let z = ref 0.0 in
+  for q = rp.mark_lo to rp.mark_hi do
+    let word = ref mark.(q) in
+    mark.(q) <- 0;
+    while !word <> 0 do
+      let low = !word land - !word in
+      word := !word lxor low;
+      z := !z +. w.(sig_of.((q * mark_bits) + bit_of.(low mod 67)))
+    done
+  done;
+  !z
+
+(* Few live signatures: mark their raw paths, then visit the marked
+   paths in ascending raw order, updating the accumulators in place.
+   Cost: the live paths plus one read per bitset word. *)
+let accumulate_by_path rp ~resp ~sq ~taken ~either =
+  let set = rp.set in
+  let sig_of = set.signature_of_path and f = set.flat in
+  let toff = f.taken_off and tidx = f.taken_idx and tcnt = f.taken_cnt in
+  let foff = f.nottaken_off and fidx = f.nottaken_idx and fcnt = f.nottaken_cnt in
+  let mark = rp.mark in
+  mark_live rp rp.live rp.n_live;
   let sq_acc = ref rp.sums.sq in
-  for q = !lo to !hi do
+  for q = rp.mark_lo to rp.mark_hi do
     let word = ref mark.(q) in
     mark.(q) <- 0;
     while !word <> 0 do

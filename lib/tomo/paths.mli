@@ -70,6 +70,11 @@ val num_signatures : t -> int
 val flat : t -> flat
 (** The signatures as flat arrays (shared, not copied: do not mutate). *)
 
+val cost_order : t -> int array
+(** The signature indices by ascending {!flat} cost, ties in index order,
+    built once by {!enumerate} (shared: do not mutate).  {!Online.observe}
+    walks it outward from an observation's nearest cost. *)
+
 val log_prior : t -> theta:float array -> float array
 (** Per-path log probability under θ (not renormalized). *)
 
@@ -82,6 +87,11 @@ val signature_log_prior :
     which matches the dense {!log_prior} fold bit-for-bit (the dense
     loop's zero-count terms add ±0.0, an exact no-op). *)
 
+val signature_log_prior_at :
+  t -> log_t:float array -> log_f:float array -> float array -> int -> unit
+(** [signature_log_prior_at t ~log_t ~log_f out s] sets [out.(s)] alone,
+    to the bits {!signature_log_prior} gives it. *)
+
 (** {1 Raw-order replay}
 
     The exact estimator kernels ({!Em.estimate}, {!Online.observe})
@@ -90,7 +100,17 @@ val signature_log_prior :
     makes — the normalizer and the M-step accumulation — in raw
     enumeration order through {!signature_of_path}, so every partial sum
     rounds exactly as the dense fold did.  Both folds live here, once,
-    and neither calls a closure per raw path. *)
+    and neither calls a closure per raw path.
+
+    Every term of both folds is non-negative and both start from +0.0,
+    so a term that is +0.0 changes no bit wherever it falls.  A caller
+    that knows most signatures' terms are +0.0 can therefore walk only
+    the others' raw paths, still in ascending raw order: the live walk
+    of {!replay_accumulate}, and {!replay_live_normalizer} for the
+    normalizer.  The walk marks the live raw paths in a bitset and
+    visits the marked ones in order, so it costs the live paths plus
+    one word per 62 raw paths, where the full fold costs every raw path
+    (4096 on [ctp_rx_task]). *)
 
 type sums = {
   mutable sq : float;  (** The running σ sum of {!replay_accumulate}. *)
@@ -125,6 +145,13 @@ val replay_normalizers : replay -> float array -> float array -> unit
     each [i < Array.length norms], to the sum over raw paths p, in
     enumeration order, of row i's weight for p's signature, summed from
     +0.0.  Rows are independent sums, so several run side by side. *)
+
+val replay_live_normalizer : replay -> float array -> live:int array -> int -> float
+(** [replay_live_normalizer rp w ~live n] is the sum, in raw enumeration
+    order from +0.0, of [w.(s)] over the raw paths of the signatures
+    [live.(0)] to [live.(n − 1)] (distinct, in any order).  Where every
+    other signature's weight is +0.0 and every weight is non-negative,
+    it has the bits of {!replay_normalizers}' single row. *)
 
 val replay_accumulate :
   replay ->

@@ -596,6 +596,44 @@ let test_log_threshold_default_exact () =
   check_float "sigma at its floor" 0.1 dense.Tomo.Em.sigma;
   check_result "filter_task res1" dense (Tomo.Em.estimate ~max_iters:15 ~sigma paths ~samples)
 
+(* The live normalizer sums only the listed signatures' raw paths: with
+   every other weight +0.0 it must give the bits of the full raw-order
+   sum, whatever order the list is in and however the listed
+   signatures' raw paths interleave. *)
+let test_live_normalizer () =
+  let check_set name paths =
+    let ns = Tomo.Paths.num_signatures paths in
+    let sig_of = Tomo.Paths.signature_of_path paths in
+    let rp = Tomo.Paths.replay paths in
+    let rng = Stats.Rng.create 5 in
+    List.iter
+      (fun n_live ->
+        for _ = 1 to 20 do
+          let live = Array.init ns Fun.id in
+          for i = ns - 1 downto 1 do
+            let j = Stats.Rng.int rng (i + 1) in
+            let x = live.(i) in
+            live.(i) <- live.(j);
+            live.(j) <- x
+          done;
+          let n = Stdlib.min n_live ns in
+          let w = Array.make ns 0.0 in
+          for i = 0 to n - 1 do
+            w.(live.(i)) <- 10.0 ** -.Stats.Rng.float rng 20.0
+          done;
+          let dense = Array.fold_left (fun z s -> z +. w.(s)) 0.0 sig_of in
+          let norm = [| nan |] in
+          Tomo.Paths.replay_normalizers rp w norm;
+          check_float (name ^ " full") dense norm.(0);
+          check_float (name ^ " live") dense (Tomo.Paths.replay_live_normalizer rp w ~live n)
+        done)
+      [ 1; 2; 5; ns ]
+  in
+  let _, ctp, _ = Lazy.force ctp_jitter4 in
+  check_set "ctp_rx_task" ctp;
+  let run = P.profile ~config:P.default_config Workloads.filter in
+  check_set "filter_task" (Tomo.Paths.enumerate (P.model_of run "filter_task"))
+
 (* --- signature-space Online vs. the per-path reference --- *)
 
 (* Feed the same stream to the signature kernel and to {!Tomo.Online.Dense}
@@ -606,17 +644,23 @@ let check_online_stream name ~decay ~sigma paths samples =
   | Some msg -> Alcotest.failf "%s decay=%g sigma=%g: %s" name decay sigma msg
   | None -> ()
 
-(* Real timings, then values no path explains — far below, far above and
-   between every cost — where all but the nearest signature fall under the
-   responsibility cut. *)
-let online_stream w proc ~n =
-  let run = P.profile ~config:P.default_config w in
-  let paths = Tomo.Paths.enumerate (P.model_of run proc) in
-  let samples = List.assoc proc run.P.samples in
+(* The first [n] real timings, then values no path explains — far below,
+   far above and between every cost — where all but the nearest signature
+   fall under the responsibility cut, then the timings again. *)
+let with_far_values paths samples ~n =
   let samples = Array.sub samples 0 (Stdlib.min n (Array.length samples)) in
   let lo = Tomo.Paths.min_cost paths and hi = Tomo.Paths.max_cost paths in
   let far = [| lo -. 5000.0; hi +. 5000.0; (lo +. hi) /. 2.0 +. 0.5; lo -. 3.0; hi +. 40.0 |] in
-  (paths, Array.concat [ samples; far; samples ])
+  Array.concat [ samples; far; samples ]
+
+let online_stream w proc ~n =
+  let run = P.profile ~config:P.default_config w in
+  let paths = Tomo.Paths.enumerate (P.model_of run proc) in
+  (paths, with_far_values paths (List.assoc proc run.P.samples) ~n)
+
+(* The σ a fleet runs Online at on a jitter-free timer: so sharp that
+   most observations reach one or two signatures. *)
+let sharp_sigma = Tomo.Em.default_sigma ~resolution:1 ~jitter:0.0
 
 let test_online_signature_exact () =
   List.iter
@@ -632,21 +676,24 @@ let test_online_signature_exact () =
         (fun decay ->
           List.iter
             (fun sigma -> check_online_stream proc ~decay ~sigma paths samples)
-            [ 1.0; 6.0 ])
+            [ sharp_sigma; 1.0; 6.0 ])
         [ 0.999; 1.0 ])
     [
       (Workloads.ctp, "ctp_rx_task", 60, Some (4096, 176));
       (Workloads.filter, "filter_task", 400, None);
     ]
 
-(* A jittered ctp_rx_task stream: hundreds of distinct values, σ from the
-   timer model, so most observations leave only a few signatures live
-   and the replay skips most of the rest as no-ops. *)
+(* Jittered ctp_rx_task streams, σ from the timer model.  At jitter 4
+   most observations leave only a few signatures live and the replay
+   skips most of the rest as no-ops; at jitter 8 an observation's reach
+   spans most of the path set, so Online weighs every signature. *)
 let test_online_jittered () =
-  let config, paths, samples = Lazy.force ctp_jitter4 in
-  let stream = Array.sub samples 0 600 in
-  check_online_stream "ctp_rx_task jit4" ~decay:0.999 ~sigma:(P.noise_sigma config) paths
-    stream
+  List.iter
+    (fun (name, jittered) ->
+      let config, paths, samples = Lazy.force jittered in
+      check_online_stream name ~decay:0.999 ~sigma:(P.noise_sigma config) paths
+        (with_far_values paths samples ~n:600))
+    [ ("ctp_rx_task jit4", ctp_jitter4); ("ctp_rx_task jit8", ctp_jitter8) ]
 
 let suite =
   golden_tests @ robust_golden_tests
@@ -669,6 +716,7 @@ let suite =
       Alcotest.test_case "record_trajectory switch" `Quick test_record_trajectory;
       Alcotest.test_case "default log threshold is exact" `Quick
         test_log_threshold_default_exact;
+      Alcotest.test_case "live normalizer = raw-order sum" `Quick test_live_normalizer;
       Alcotest.test_case "online: signatures = per-path reference" `Quick
         test_online_signature_exact;
       Alcotest.test_case "online: jittered ctp = per-path reference" `Quick

@@ -386,8 +386,7 @@ let f7 () =
         let run = profile w in
         let samples = List.assoc proc run.P.samples in
         let truth = List.assoc proc run.P.oracle_thetas in
-        let model = P.model_of run proc in
-        let paths = Tomo.Paths.enumerate model in
+        let paths = P.path_set run.P.instrumented proc in
         let r =
           Tomo.Em.estimate ~sigma:(P.noise_sigma run.P.config) ~tol:0.0 ~max_iters:25
             paths ~samples
@@ -692,9 +691,7 @@ let f14 () =
   let _, devices, oracle = P.simulate P.default_config w inst in
   let log = Mote_machine.Devices.probe_log devices in
   let truth = Profilekit.Oracle.theta_vector oracle ~proc:"filter_task" in
-  let paths =
-    Tomo.Paths.enumerate (Tomo.Model.of_cfg (Cfg.of_proc_name inst "filter_task"))
-  in
+  let paths = P.path_set ~ctx:(Codetomo.Session.ctx (sess ()) w) inst "filter_task" in
   let rows =
     pmap
       (fun loss ->

@@ -51,8 +51,7 @@ let test_em =
          let samples =
            if Array.length samples > 1000 then Array.sub samples 0 1000 else samples
          in
-         let model = Codetomo.Pipeline.model_of run "sense_task" in
-         let paths = Tomo.Paths.enumerate model in
+         let paths = Codetomo.Pipeline.path_set run.instrumented "sense_task" in
          ignore (Tomo.Em.estimate paths ~samples)))
 
 (* The sparse-kernel benches run on ctp_rx_task — the grid's dominant cell
@@ -66,9 +65,8 @@ let prepared_ctp =
          w
      in
      let samples = List.assoc "ctp_rx_task" run.Codetomo.Pipeline.samples in
-     let model = Codetomo.Pipeline.model_of run "ctp_rx_task" in
-     let paths = Tomo.Paths.enumerate model in
-     (model, paths, samples))
+     let paths = Codetomo.Pipeline.path_set run.instrumented "ctp_rx_task" in
+     (Tomo.Paths.model paths, paths, samples))
 
 let test_paths_merge =
   Test.make ~name:"path enumeration + merge (ctp_rx_task)"
@@ -110,10 +108,7 @@ let prepared_ingest =
      in
      let procs =
        List.map
-         (fun proc ->
-           ( proc,
-             Tomo.Paths.enumerate
-               (Tomo.Model.of_cfg (Cfgir.Cfg.of_proc_name instrumented proc)) ))
+         (fun proc -> (proc, Codetomo.Pipeline.path_set instrumented proc))
          w.Workloads.profiled
      in
      let roster =
@@ -203,24 +198,13 @@ let test_pessimal =
            (Layout.Algorithms.pessimal
               (List.assoc "filter_task" run.Codetomo.Pipeline.oracle_freqs))))
 
-(* One compare_layouts on the filter profile with a warm path-set memo:
-   EM from the cached path sets, the four placements (filter_task's
-   exhaustive pessimal one included), and the evaluation — one run of the
-   natural binary, which scores the other layouts too. *)
-let filter_paths : (string, Tomo.Paths.t) Hashtbl.t = Hashtbl.create 8
-
+(* One compare_layouts on the filter profile with a warm path-set memo (a
+   one-domain session's, so nothing fans out): EM from the cached path
+   sets, the four placements (filter_task's exhaustive pessimal one
+   included), and the evaluation — one run of the natural binary, which
+   scores the other layouts too. *)
 let test_compare_layouts =
-  let ctx =
-    Codetomo.Pipeline.Ctx.make
-      ~paths_cache:(fun key enumerate ->
-        match Hashtbl.find_opt filter_paths key with
-        | Some paths -> paths
-        | None ->
-            let paths = enumerate () in
-            Hashtbl.replace filter_paths key paths;
-            paths)
-      ()
-  in
+  let ctx = Codetomo.Session.(ctx (create ~domains:1 ()) Workloads.filter) in
   Test.make ~name:"compare_layouts (filter, warm path cache)"
     (Staged.stage (fun () ->
          ignore (Codetomo.Pipeline.compare_layouts ~ctx (Lazy.force prepared_filter))))

@@ -272,13 +272,13 @@ let report_cmd =
     let run = P.profile ~config w in
     Printf.printf "=== %s: %s ===\n\n" w.Workloads.name w.Workloads.description;
     print_transport run;
-    (* Estimation with uncertainty and fit diagnostics. *)
+    (* Estimation with uncertainty and fit diagnostics: one estimate per
+       procedure, whose samples and path set the interval and the fit
+       read, and which the layout table below places with. *)
     let per_proc =
       Par.Pool.map_list pool
         (fun proc ->
-          let e, samples, paths =
-            P.estimate_proc ~opts:{ opts with P.max_paths = Some 20_000 } run proc
-          in
+          let e, samples, paths = P.estimate_proc ~opts run proc in
           match paths with
           | Some paths when not (Tomo.Health.is_rejected e.P.health) ->
               let theta = e.P.estimate.Tomo.Estimator.theta in
@@ -321,9 +321,12 @@ let report_cmd =
               (Format.asprintf "%a" Tomo.Fit.pp fit)
               (if Tomo.Fit.acceptable fit then "acceptable" else "SUSPECT"))
       per_proc;
-    (* Layout and energy consequences. *)
+    (* Layout and energy consequences of the estimates printed above.
+       Placement reads each estimate's own health, not the interval
+       verdict. *)
     let variants =
-      P.compare_layouts ~ctx:(P.Ctx.of_pool pool) ~opts run
+      P.compare_estimated ~ctx:(P.Ctx.of_pool pool) run
+        (List.map (fun (e, _, _) -> e) per_proc)
     in
     let horizon_cycles = Option.value ~default:w.Workloads.horizon config.P.horizon in
     let rows =

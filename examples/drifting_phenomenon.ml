@@ -44,8 +44,7 @@ let () =
   in
   Printf.printf "collected %d timing samples across the phase change\n\n"
     (Array.length samples);
-  let model = Tomo.Model.of_cfg (Cfgir.Cfg.of_proc_name instrumented "sense_task") in
-  let paths = Tomo.Paths.enumerate model in
+  let paths = Codetomo.Pipeline.path_set instrumented "sense_task" in
   let windowed = Tomo.Windowed.estimate ~window_size:500 paths ~samples in
   Printf.printf "%-8s %-14s %-22s %s\n" "window" "samples from" "theta (P quiet-branch)" "drift";
   List.iter

@@ -31,8 +31,7 @@ let () =
   let run = P.profile w in
   let proc = "ctp_rx_task" in
   let samples = List.assoc proc run.P.samples in
-  let model = P.model_of run proc in
-  let paths = Tomo.Paths.enumerate model in
+  let paths = P.path_set run.P.instrumented proc in
   let fit = Tomo.Em.estimate paths ~samples in
   let ci =
     Tomo.Confidence.information paths ~samples ~point:fit.Tomo.Em.theta

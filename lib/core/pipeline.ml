@@ -157,7 +157,8 @@ let profile ?(config = default_config) ?compiled (workload : Workloads.t) =
     discarded;
   }
 
-let model_of run proc = Tomo.Model.of_cfg (Cfg.of_proc_name run.instrumented proc)
+let model_in image proc = Tomo.Model.of_cfg (Cfg.of_proc_name image proc)
+let model_of run proc = model_in run.instrumented proc
 
 type estimation = {
   proc : string;
@@ -172,7 +173,6 @@ type estimation = {
 type opts = {
   method_ : Tomo.Estimator.method_;
   max_samples : int option;
-  max_paths : int option;
   sanitize : bool;
   robust : bool;
   min_samples : int;
@@ -182,7 +182,6 @@ let default_opts =
   {
     method_ = Tomo.Estimator.Em;
     max_samples = None;
-    max_paths = None;
     sanitize = false;
     robust = false;
     min_samples = 1;
@@ -211,22 +210,16 @@ end
    once serves the whole resolution × jitter grid.  The cache key is the
    procedure name (prefixed for the watermarked image, whose models differ);
    the owner of the cache closure is responsible for scoping it to one
-   (workload, [max_paths]) pair. *)
-let enumerate_paths (ctx : Ctx.t) opts ~key model =
-  let enumerate () = Tomo.Paths.enumerate ?max_paths:opts.max_paths model in
+   workload. *)
+let enumerate_paths (ctx : Ctx.t) ~key model =
+  let enumerate () = Tomo.Paths.enumerate model in
   match ctx.Ctx.paths_cache with Some cache -> cache key enumerate | None -> enumerate ()
 
-(* For EM the path set is materialized here (cached or not): the
-   estimator needs it anyway, and the sanitizer reads its cost
-   envelope. *)
-let materialize_paths ctx opts ~key model =
-  match opts.method_ with
-  | Tomo.Estimator.Em -> Some (enumerate_paths ctx opts ~key model)
-  | _ -> None
+let path_set ?(ctx = Ctx.none) image proc = enumerate_paths ctx ~key:proc (model_in image proc)
 
 (* The per-procedure estimation stage, for any image's model (the plain
    and the watermarked profiling binaries differ):
-   truncate → materialize paths → sanitize → sample floor → estimate →
+   truncate → EM path set (cached or not) → sanitize → sample floor → estimate →
    health verdict (sample floor, convergence, then the fitted noise
    against the timer's).  With every knob at its default this is the
    exact pipeline (no sanitization, a floor of 1 that only intercepts the
@@ -234,7 +227,11 @@ let materialize_paths ctx opts ~key model =
    provides the sanitizer's cost envelope. *)
 let estimate_samples ctx opts ~sigma ~key ~model ~truth ~proc samples =
   let samples = truncate_samples opts samples in
-  let paths = materialize_paths ctx opts ~key model in
+  let paths =
+    match opts.method_ with
+    | Tomo.Estimator.Em -> Some (enumerate_paths ctx ~key model)
+    | _ -> None
+  in
   let samples, sanitize_report =
     if not opts.sanitize then (samples, None)
     else
@@ -290,19 +287,20 @@ let estimate ?(ctx = Ctx.none) ?(opts = default_opts) run =
    probe-instrumented binary — the ones end-to-end timing cannot estimate
    without help.  These are the estimator's own models, so a cached path
    set is shared with {!estimate} under the same key. *)
-let ambiguous_sites ?(ctx = Ctx.none) ?(opts = default_opts) run =
+let ambiguous_sites ?(ctx = Ctx.none) run =
   List.concat_map
     (fun proc ->
-      let model = model_of run proc in
-      match enumerate_paths ctx opts ~key:proc model with
+      match path_set ~ctx run.instrumented proc with
       | paths ->
           let id = Tomo.Identify.analyze paths in
-          List.map (fun block -> (proc, block)) (Tomo.Identify.ambiguous_blocks id model)
+          List.map
+            (fun block -> (proc, block))
+            (Tomo.Identify.ambiguous_blocks id (Tomo.Paths.model paths))
       | exception Tomo.Paths.Too_complex _ -> [])
     run.workload.Workloads.profiled
 
 let estimate_watermarked ?(ctx = Ctx.none) ?(opts = default_opts) run =
-  let sites = ambiguous_sites ~ctx ~opts run in
+  let sites = ambiguous_sites ~ctx run in
   if sites = [] then (estimate ~ctx ~opts run, [])
   else begin
     (* Rebuild the profiling image with delay stubs on the ambiguous taken
@@ -324,7 +322,7 @@ let estimate_watermarked ?(ctx = Ctx.none) ?(opts = default_opts) run =
           first
             (estimate_samples ctx opts ~sigma:(noise_sigma run.config)
                ~key:("watermarked:" ^ proc)
-               ~model:(Tomo.Model.of_cfg (Cfg.of_proc_name binary proc))
+               ~model:(model_in binary proc)
                ~truth:(Profilekit.Oracle.theta_vector oracle ~proc)
                ~proc
                (Profilekit.Probes.samples_for sample_set proc)))
@@ -577,11 +575,10 @@ let evaluate_layouts ?(ctx = Ctx.none) config workload ~natural:(natural_label, 
     (fun (label, binary, _) -> { (List.assoc binary runs) with label; binary })
     variants
 
-let compare_layouts ?(ctx = Ctx.none) ?eval_config ?opts run =
+let compare_estimated ?(ctx = Ctx.none) ?eval_config run estimations =
   let eval_config =
     match eval_config with Some c -> c | None -> fresh_inputs run.config
   in
-  let estimations = estimate ~ctx ?opts run in
   (* A Rejected procedure contributes no profile: Rewrite leaves an
      unprofiled procedure in its natural layout, which is exactly the
      graceful-degradation contract.  The variant label carries the
@@ -605,3 +602,6 @@ let compare_layouts ?(ctx = Ctx.none) ?eval_config ?opts run =
       (tomo_label, pettis_hansen (estimated_freqs run usable));
       ("perfect", pettis_hansen run.oracle_freqs);
     ]
+
+let compare_layouts ?(ctx = Ctx.none) ?eval_config ?opts run =
+  compare_estimated ~ctx ?eval_config run (estimate ~ctx ?opts run)

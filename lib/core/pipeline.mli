@@ -111,10 +111,9 @@ type estimation = {
 
 (** The estimator options: one value for every knob an estimating entry
     point ({!estimate}, {!estimate_watermarked}, {!compare_layouts} and
-    their {!Session} mirrors) accepts.  {!ambiguous_sites} reads only the
-    enumeration bound.  The robustness knobs ([sanitize], [robust],
-    [min_samples]) are opt-in: at {!default_opts} every result is
-    bit-identical to the pre-robustness pipeline. *)
+    their {!Session} mirrors) accepts.  The robustness knobs
+    ([sanitize], [robust], [min_samples]) are opt-in: at {!default_opts}
+    every result is bit-identical to the pre-robustness pipeline. *)
 type opts = {
   method_ : Tomo.Estimator.method_;  (** Estimator; default EM. *)
   max_samples : int option;
@@ -126,7 +125,6 @@ type opts = {
           we keep?").  [None], a
           negative value, or one at least the sample count uses all
           samples. *)
-  max_paths : int option;  (** Path-enumeration bound ({!Tomo.Paths.enumerate}). *)
   sanitize : bool;
       (** Quarantine infeasible timings ({!Tomo.Sanitize}) using the EM
           path set's cost envelope. *)
@@ -140,7 +138,7 @@ type opts = {
 }
 
 val default_opts : opts
-(** EM, no path bound, no sanitizer, no outlier mixture, a floor of 1. *)
+(** EM, every sample, no sanitizer, no outlier mixture, a floor of 1. *)
 
 type paths_cache = string -> (unit -> Tomo.Paths.t) -> Tomo.Paths.t
 (** A memo hook for enumerated path sets: [cache key enumerate] returns
@@ -150,8 +148,8 @@ type paths_cache = string -> (unit -> Tomo.Paths.t) -> Tomo.Paths.t
     config, so one enumeration can serve an entire resolution × jitter
     sweep.  Keys are procedure names (the watermarked profiling image
     uses a ["watermarked:"] prefix since its models differ); the owner
-    must scope the cache to a single (workload, [max_paths]) pair —
-    {!Session} does exactly this. *)
+    must scope the cache to a single workload — {!Session} does exactly
+    this. *)
 
 (** The execution context of a pipeline stage — the one value that
     carries everything a stage shares with its surroundings: the domain
@@ -172,6 +170,15 @@ module Ctx : sig
   (** Pool only — the common case for one-shot CLI runs. *)
 end
 
+val path_set : ?ctx:Ctx.t -> Mote_isa.Program.t -> string -> Tomo.Paths.t
+(** [path_set image proc] is the EM path set of [proc] in the plain
+    probe image [image] (the one {!profile} builds), enumerated at
+    {!Tomo.Paths.enumerate}'s default bounds through [ctx]'s memo under
+    the key [proc].  Estimation, {!ambiguous_sites} and [Fleet.Service]
+    all read their path sets here, so a {!Session} context enumerates
+    each procedure once.
+    @raise Tomo.Paths.Too_complex as {!Tomo.Paths.enumerate}. *)
+
 val estimate_proc :
   ?ctx:Ctx.t ->
   ?opts:opts ->
@@ -179,13 +186,13 @@ val estimate_proc :
   string ->
   estimation * float array * Tomo.Paths.t option
 (** [estimate_proc run proc] is the per-procedure estimation stage:
-    truncate to [opts.max_samples] → enumerate the EM path set (through
-    [ctx]'s memo, if any) → sanitize → sample floor → estimate → health
-    verdict.  Besides the estimation it returns the samples actually
+    truncate to [opts.max_samples] → the EM path set ({!path_set}) →
+    sanitize → sample floor → estimate → health verdict.  Besides the estimation it returns the samples actually
     estimated from (after truncation and sanitizing) and the path set
     ([Some] iff the method is EM), so a caller can read intervals from or
     fit-check the very evidence the estimate saw without enumerating
-    again — [ctomo report] does.  The verdict is
+    again — [ctomo report] does, and then places with the same
+    estimations through {!compare_estimated}.  The verdict is
     {!Tomo.Health.Rejected} exactly when fewer samples than the floor
     remain; the estimate is then {!Tomo.Estimator.fallback}. *)
 
@@ -195,11 +202,11 @@ val estimate : ?ctx:Ctx.t -> ?opts:opts -> profile_run -> estimation list
     estimations fan out over and the path-set memo they read; estimation
     is deterministic, so the result is identical with or without it. *)
 
-val ambiguous_sites : ?ctx:Ctx.t -> ?opts:opts -> profile_run -> (string * int) list
+val ambiguous_sites : ?ctx:Ctx.t -> profile_run -> (string * int) list
 (** Branches whose probabilities end-to-end timing cannot determine
     (equal-cost arms), as [(procedure, branch block id)] in the
-    instrumented binary's coordinates — see {!Tomo.Identify}.  Only
-    [opts.max_paths] matters here. *)
+    instrumented binary's coordinates — see {!Tomo.Identify}.  Reads
+    each procedure's {!path_set}. *)
 
 val estimate_watermarked :
   ?ctx:Ctx.t -> ?opts:opts -> profile_run -> estimation list * (string * int) list
@@ -305,19 +312,25 @@ val evaluate_layouts :
     a run raises, the exception is the one the full runs, in variant
     order, would raise first. *)
 
-val compare_layouts :
-  ?ctx:Ctx.t -> ?eval_config:config -> ?opts:opts -> profile_run -> variant list
-(** The T4/F5 experiment for one workload: natural, worst-case,
-    tomography-guided and perfect-profile binaries, all evaluated through
+val compare_estimated :
+  ?ctx:Ctx.t -> ?eval_config:config -> profile_run -> estimation list -> variant list
+(** [compare_estimated run estimations] is the placement half of the
+    T4/F5 experiment for one workload: natural, worst-case,
+    tomography-guided (Pettis–Hansen on {!estimated_freqs} of
+    [estimations]) and perfect-profile binaries, all evaluated through
     {!evaluate_layouts} under the same evaluation config (default:
     {!fresh_inputs} of the profiling config).  The natural binary runs
     once and the others are derived from its run where the schedule
     guard allows; [ctx]'s pool runs the rest.  Output is bit-identical to
     running every binary through {!run_binary}, serially or in parallel.
 
-    [opts] is forwarded to {!estimate} whole.  A procedure whose
-    health comes back {!Tomo.Health.Rejected} contributes {e no} profile
-    to the tomography layout — the rewriter leaves it in its natural
-    placement — and the tomography variant's label becomes
-    ["tomography[N fallback]"] so a partial layout is never mistaken for
-    a full one. *)
+    An estimation whose health is {!Tomo.Health.Rejected} contributes
+    {e no} profile to the tomography layout — the rewriter leaves its
+    procedure in its natural placement — and the tomography variant's
+    label becomes ["tomography[N fallback]"] so a partial layout is
+    never mistaken for a full one. *)
+
+val compare_layouts :
+  ?ctx:Ctx.t -> ?eval_config:config -> ?opts:opts -> profile_run -> variant list
+(** [compare_layouts run] is {!compare_estimated} of {!estimate} under
+    [opts]: the whole T4/F5 experiment from a profile run. *)

@@ -19,11 +19,7 @@ type variants_key = {
    resolution × jitter sweep.  [pkey] is the per-model key Pipeline passes
    to the cache (procedure name, "watermarked:"-prefixed for the
    watermarked profiling image). *)
-type paths_key = {
-  wname : string;
-  pkey : string;
-  p_max_paths : int option;
-}
+type paths_key = { wname : string; pkey : string }
 
 type t = {
   pool : Par.Pool.t;
@@ -54,7 +50,6 @@ let create ?domains ?pool () =
   }
 
 let close t = if t.owns_pool then Par.Pool.shutdown t.pool
-let pool t = t.pool
 let domains t = Par.Pool.domains t.pool
 let map_list t f xs = Par.Pool.map_list t.pool f xs
 
@@ -84,24 +79,19 @@ let memo t tbl key compute =
 let compiled t (w : Workloads.t) =
   memo t t.compilations w.Workloads.name (fun () -> Workloads.compiled w)
 
-let paths_cache t ?max_paths (w : Workloads.t) pkey compute =
-  memo t t.path_sets { wname = w.Workloads.name; pkey; p_max_paths = max_paths } compute
+let paths_cache t (w : Workloads.t) pkey compute =
+  memo t t.path_sets { wname = w.Workloads.name; pkey } compute
 
-(* The fully-loaded context for one (workload, [max_paths]) pair:
-   the session's pool plus its memoized path sets.  This is what outside
-   callers driving Pipeline stages directly should thread. *)
-let ctx t ?max_paths (w : Workloads.t) =
-  Pipeline.Ctx.make ~pool:t.pool ~paths_cache:(paths_cache t ?max_paths w) ()
+(* The fully-loaded context for one workload: the session's pool plus its
+   memoized path sets.  This is what outside callers driving Pipeline
+   stages directly should thread. *)
+let ctx t (w : Workloads.t) =
+  Pipeline.Ctx.make ~pool:t.pool ~paths_cache:(paths_cache t w) ()
 
 let profile t ?(config = Pipeline.default_config) (w : Workloads.t) =
   memo t t.profiles
     { name = w.Workloads.name; config }
     (fun () -> Pipeline.profile ~config ~compiled:(compiled t w) w)
-
-(* Estimation reads its enumeration bound through the context, so the
-   path-set cache it gets is scoped to exactly that bound. *)
-let opts_ctx t (opts : Pipeline.opts) w =
-  ctx t ?max_paths:opts.Pipeline.max_paths w
 
 let estimate t ?(opts = Pipeline.default_opts) ?(config = Pipeline.default_config)
     (w : Workloads.t) =
@@ -109,21 +99,23 @@ let estimate t ?(opts = Pipeline.default_opts) ?(config = Pipeline.default_confi
   fst
     (memo t t.estimates key (fun () ->
          let run = profile t ~config w in
-         (Pipeline.estimate ~ctx:(opts_ctx t opts w) ~opts run, [])))
+         (Pipeline.estimate ~ctx:(ctx t w) ~opts run, [])))
 
 let estimate_watermarked t ?(opts = Pipeline.default_opts)
     ?(config = Pipeline.default_config) (w : Workloads.t) =
   let key = { pname = w.Workloads.name; pconfig = config; opts; watermarked = true } in
   memo t t.estimates key (fun () ->
       let run = profile t ~config w in
-      Pipeline.estimate_watermarked ~ctx:(opts_ctx t opts w) ~opts run)
+      Pipeline.estimate_watermarked ~ctx:(ctx t w) ~opts run)
 
+(* Placement reads the memoized estimation entry, so a caller that asks
+   for both the estimates and the layouts of one key runs EM once. *)
 let compare_layouts t ?eval_config ?(opts = Pipeline.default_opts)
     ?(config = Pipeline.default_config) (w : Workloads.t) =
   let key = { vname = w.Workloads.name; vconfig = config; eval_config; vopts = opts } in
   memo t t.variants key (fun () ->
-      let run = profile t ~config w in
-      Pipeline.compare_layouts ~ctx:(opts_ctx t opts w) ?eval_config ~opts run)
+      Pipeline.compare_estimated ~ctx:(ctx t w) ?eval_config (profile t ~config w)
+        (estimate t ~opts ~config w))
 
 let clear t =
   Mutex.lock t.mutex;

@@ -36,7 +36,6 @@ val close : t -> unit
 (** Shut down the session's pool if the session created it.  The memo
     tables survive; further calls run serially. *)
 
-val pool : t -> Par.Pool.t
 val domains : t -> int
 
 val map_list : t -> ('a -> 'b) -> 'a list -> 'b list
@@ -46,21 +45,21 @@ val map_list : t -> ('a -> 'b) -> 'a list -> 'b list
 val compiled : t -> Workloads.t -> Mote_lang.Compile.t
 (** Memoized {!Workloads.compiled}. *)
 
-val paths_cache : t -> ?max_paths:int -> Workloads.t -> Pipeline.paths_cache
+val paths_cache : t -> Workloads.t -> Pipeline.paths_cache
 (** The session's memo hook for enumerated path sets, scoped to one
-    (workload, [max_paths]) pair.  Keyed {e without} the timing
-    config — the instrumented binary depends only on the workload — so
-    an entire resolution × jitter sweep shares one enumeration (and one
-    canonical-signature merge) per procedure.  {!estimate},
-    {!estimate_watermarked} and {!compare_layouts} pass it to the
-    pipeline automatically; it is exposed for callers driving
-    {!Pipeline.estimate} directly. *)
+    workload.  Keyed {e without} the timing config — the instrumented
+    binary depends only on the workload — so an entire resolution ×
+    jitter sweep shares one enumeration (and one canonical-signature
+    merge) per procedure.  {!estimate}, {!estimate_watermarked} and
+    {!compare_layouts} pass it to the pipeline automatically; it is
+    exposed for callers that enumerate on their own. *)
 
-val ctx : t -> ?max_paths:int -> Workloads.t -> Pipeline.Ctx.t
+val ctx : t -> Workloads.t -> Pipeline.Ctx.t
 (** The session's fully-loaded {!Pipeline.Ctx}: its pool plus its
-    {!paths_cache} scoped to one (workload, [max_paths]) pair.
-    Callers driving {!Pipeline.estimate} (or the fleet service) directly
-    pass this one value instead of threading pool and cache separately. *)
+    {!paths_cache} scoped to one workload.  Callers driving
+    {!Pipeline} stages directly ([Fleet.Service] reads its path sets
+    through {!Pipeline.path_set} with it) pass this one value instead of
+    threading pool and cache separately. *)
 
 val profile : t -> ?config:Pipeline.config -> Workloads.t -> Pipeline.profile_run
 (** Memoized {!Pipeline.profile} keyed by workload name and config. *)
@@ -92,9 +91,11 @@ val compare_layouts :
   Workloads.t ->
   Pipeline.variant list
 (** Memoized {!Pipeline.compare_layouts}, once per (workload, config,
-    eval config, options): one run of the natural binary scores the other
-    layouts where the schedule guard allows, and those it cannot run on
-    the pool. *)
+    eval config, options).  It places from the {!estimate} entry of the
+    same (workload, config, options), so EM runs once for both:
+    {!Pipeline.compare_estimated} of that entry.  One run of the natural
+    binary scores the other layouts where the schedule guard allows, and
+    those it cannot run on the pool. *)
 
 val clear : t -> unit
 (** Drop every memoized artifact (the pool is untouched). *)

@@ -1,6 +1,5 @@
 module P = Codetomo.Pipeline
 module Session = Codetomo.Session
-module Cfg = Cfgir.Cfg
 
 type config = {
   workload : Workloads.t;
@@ -126,21 +125,10 @@ let run ?session config =
   in
   let original = compiled.Mote_lang.Compile.program in
   (* One path set per procedure for the whole fleet: the session memo
-     returns the same enumeration every node's estimator shares. *)
-  let paths =
-    List.map
-      (fun proc ->
-        let enumerate () =
-          Tomo.Paths.enumerate (Tomo.Model.of_cfg (Cfg.of_proc_name instrumented proc))
-        in
-        let p =
-          match session with
-          | Some s -> Session.paths_cache s w proc enumerate
-          | None -> enumerate ()
-        in
-        (proc, p))
-      procs
-  in
+     returns the same enumeration every node's estimator shares, and the
+     one the pipeline's estimates read. *)
+  let ctx = match session with Some s -> Session.ctx s w | None -> P.Ctx.make () in
+  let paths = List.map (fun proc -> (proc, P.path_set ~ctx instrumented proc)) procs in
   let sigma = P.noise_sigma config.pipeline in
   let roster =
     Sim.plan ~seed:config.seed ~nodes:config.nodes ~faults:config.faults

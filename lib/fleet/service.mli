@@ -18,10 +18,11 @@
     node states in roster order — so the report is byte-identical at any
     domain count.  Node work (simulation, ingest, and placement
     evaluation — one {!Codetomo.Pipeline.evaluate_layouts} call per node
-    per placement) shards across the session's pool; the session's
-    compiled/paths caches are reused, so the fleet enumerates each
-    procedure's path set exactly once no matter how many nodes vote on
-    it. *)
+    per placement) shards across the session's pool.  The compilation
+    comes from the session's memo, and each procedure's path set from
+    {!Codetomo.Pipeline.path_set} through {!Codetomo.Session.ctx}: the
+    fleet enumerates it once no matter how many nodes vote on it, and
+    shares that enumeration with the session's own estimates. *)
 
 type config = {
   workload : Workloads.t;
@@ -117,8 +118,8 @@ type report = {
 
 val run : ?session:Codetomo.Session.t -> config -> report
 (** Run the whole campaign.  With [?session], node work fans out over
-    the session's pool and compiled/paths artifacts come from its memo
-    tables; without, everything runs serially and privately.  Output is
+    the session's pool and the compilation and path sets come from its
+    memo tables; without, everything runs serially and privately.  Output is
     identical either way.
     @raise Invalid_argument on a non-positive node, round or batch
     count, a decay outside (0,1] (NaN included), or a base fault model that

@@ -418,9 +418,7 @@ let report_estimates (w : Workloads.t) ~horizon =
   let run = P.profile ~config w in
   List.map
     (fun proc ->
-      let e, samples, paths =
-        P.estimate_proc ~opts:{ P.default_opts with P.max_paths = Some 20_000 } run proc
-      in
+      let e, samples, paths = P.estimate_proc run proc in
       match paths with
       | None -> Alcotest.failf "%s: no path set" proc
       | Some paths ->

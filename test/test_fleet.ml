@@ -384,6 +384,34 @@ let placements_equal_full_runs () =
     }
     ~placed_at:[ 2; 4 ]
 
+(* The fleet reads its path sets through Pipeline.path_set with the
+   session's context, so after a campaign the session holds every
+   profiled procedure's set: the pipeline's estimates find it there
+   instead of enumerating again. *)
+let fleet_shares_path_sets () =
+  let w = Workloads.ctp in
+  let s = Session.create ~domains:1 () in
+  Fun.protect
+    ~finally:(fun () -> Session.close s)
+    (fun () ->
+      ignore
+        (Fleet.Service.run ~session:s
+           {
+             (Fleet.Service.default_config w) with
+             Fleet.Service.nodes = 2;
+             rounds = 2;
+             pipeline = { P.default_config with P.horizon = Some 200_000 };
+           });
+      let instrumented =
+        Asm.assemble (Probes.instrument (Session.compiled s w).Compile.items)
+      in
+      List.iter
+        (fun proc ->
+          let cached = Session.paths_cache s w proc (fun () -> failwith "re-enumerated") in
+          Alcotest.(check bool) (proc ^ ": the pipeline reads the fleet's set") true
+            (P.path_set ~ctx:(Session.ctx s w) instrumented proc == cached))
+        w.Workloads.profiled)
+
 let suite =
   [
     Alcotest.test_case "node run = Pipeline.profile" `Quick node_run_equals_profile;
@@ -395,4 +423,5 @@ let suite =
     Alcotest.test_case "anchor + -j determinism" `Slow fleet_anchor_and_determinism;
     Alcotest.test_case "discarded is cumulative" `Quick discarded_is_cumulative;
     Alcotest.test_case "placements = full runs" `Quick placements_equal_full_runs;
+    Alcotest.test_case "fleet shares path sets" `Quick fleet_shares_path_sets;
   ]

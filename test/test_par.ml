@@ -200,6 +200,28 @@ let test_session_opts_key () =
       Alcotest.(check bool) "watermarked never shares the plain entry" true
         (fst wm != est P.default_opts))
 
+(* The session places from its memoized estimates; the layouts are the
+   pipeline's, field for field, whether or not the estimate entry was
+   filled first. *)
+let test_session_compare_layouts () =
+  let s = Codetomo.Session.create ~domains:2 () in
+  Fun.protect
+    ~finally:(fun () -> Codetomo.Session.close s)
+    (fun () ->
+      List.iter
+        (fun (w : Workloads.t) ->
+          let expected = P.compare_layouts (P.profile ~config w) in
+          let cold = Codetomo.Session.compare_layouts s ~config w in
+          Alcotest.(check bool) (w.Workloads.name ^ ": session = pipeline") true (cold = expected);
+          let opts = { P.default_opts with P.min_samples = max_int } in
+          ignore (Codetomo.Session.estimate s ~opts ~config w);
+          Alcotest.(check bool)
+            (w.Workloads.name ^ ": from a filled estimate entry")
+            true
+            (Codetomo.Session.compare_layouts s ~opts ~config w
+            = P.compare_layouts ~opts (P.profile ~config w)))
+        [ Workloads.filter; Workloads.sense ])
+
 let suite =
   [
     Alcotest.test_case "map preserves order" `Quick test_map_preserves_order;
@@ -215,4 +237,5 @@ let suite =
     Alcotest.test_case "max_samples keeps the prefix" `Slow test_max_samples_prefix;
     Alcotest.test_case "session memoizes stages" `Slow test_session_memoizes;
     Alcotest.test_case "session memo key is the opts value" `Slow test_session_opts_key;
+    Alcotest.test_case "session compare_layouts = pipeline" `Slow test_session_compare_layouts;
   ]

@@ -204,6 +204,23 @@ let test_compare_layouts_shared_run () =
     ]
     counts
 
+(* Placement from estimates already held: compare_layouts is
+   compare_estimated of estimate, field for field. *)
+let test_compare_estimated () =
+  List.iter
+    (fun name ->
+      let run = run_of name in
+      let composed = P.compare_estimated run (P.estimate run) in
+      let direct = P.compare_layouts run in
+      Alcotest.(check (list string)) (name ^ ": labels")
+        (List.map (fun v -> v.P.label) direct)
+        (List.map (fun v -> v.P.label) composed);
+      List.iter2
+        (fun a b ->
+          Alcotest.(check bool) (Printf.sprintf "%s: %s field for field" name a.P.label) true (a = b))
+        direct composed)
+    [ "filter"; "ctp" ]
+
 (* The guard's fallbacks: an overloaded node whose queue drops tasks, a
    binary that reads the timer, and the BTFN prediction model all run
    every layout in full, with the same numbers. *)
@@ -514,6 +531,7 @@ let suite =
     Alcotest.test_case "layout ordering" `Slow test_compare_layouts_ordering;
     Alcotest.test_case "layout cycles" `Slow test_compare_layouts_cycles;
     Alcotest.test_case "shared evaluation run" `Slow test_compare_layouts_shared_run;
+    Alcotest.test_case "compare_layouts = compare_estimated" `Slow test_compare_estimated;
     Alcotest.test_case "layout fallbacks" `Slow test_layout_fallbacks;
     Alcotest.test_case "run_binary determinism" `Slow test_run_binary_determinism;
     Alcotest.test_case "noise sigma" `Quick test_noise_sigma;
